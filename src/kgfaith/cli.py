@@ -34,9 +34,9 @@ from .embeddings import (
     save_loss_trace,
     train,
 )
-from .errors import ConfigValidation, KgFaithError, MalformedLine, UnknownCommand
-from .kg import Triple, load_aliases, load_entity_types, load_triples
-from .metrics import EvalSummary, bleu, hallucination_rate, ranking_metrics
+from .errors import ConfigValidation, KgFaithError, UnknownCommand
+from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
+from .metrics import EvalSummary, bleu, hallucination_rate
 from .retriever import QUERY_MODES, RefineConfig, load_query_vectors, refine_response
 
 
@@ -136,24 +136,14 @@ def _emit(blob: Any, out: str | None) -> None:
 
 def _load_heldout_triples(path: Path, graph) -> list[Triple]:
     """Read name triples and resolve them against the graph vocabulary."""
-    out: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                raise MalformedLine(lineno, line)
-            s, p, o = (x.strip() for x in parts)
-            out.append(
-                Triple(
-                    graph.resolve_entity(s),
-                    graph.resolve_relation(p),
-                    graph.resolve_entity(o),
-                )
-            )
-    return out
+    return [
+        Triple(
+            graph.resolve_entity(s),
+            graph.resolve_relation(p),
+            graph.resolve_entity(o),
+        )
+        for _, (s, p, o) in _read_tsv(path, 3)
+    ]
 
 
 def _parse_sampler(value: str) -> tuple[str, int]:
@@ -387,7 +377,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         except ValueError as err:
             raise ConfigValidation(str(err)) from err
-        ranking = ranking_metrics(report.ranks)
+        ranking = report
         counts["ranks"] = len(report.ranks)
         if args.ranks_csv:
             with open(args.ranks_csv, "w", encoding="utf-8", newline="") as fh:
@@ -411,9 +401,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         else:
             print("eval: no gold responses, skipping BLEU", file=sys.stderr)
         if args.aliases:
-            critic = Critic(
-                graph, load_aliases(_require_file(args.aliases, "--aliases")), k=args.k
-            )
+            aliases = load_aliases(_require_file(args.aliases, "--aliases"))
+            try:
+                critic = Critic(graph, aliases, k=args.k)
+            except ValueError as err:
+                raise ConfigValidation(str(err)) from err
             flags = []
             for rec in records:
                 probe = DialogueRecord(

@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .critic import link_mentions
+from .critic import derive_anchors, response_mentions
 from .dialogue import DialogueRecord, MentionSpan, splice
 from .errors import (
     AllRecordsDropped,
@@ -98,27 +98,6 @@ class CorruptedRecord:
             triples=list(self.original.triples),
             response=self.response,
         )
-
-
-def _mentions_of(
-    record: DialogueRecord,
-    graph: KnowledgeGraph,
-    aliases: AliasTable,
-) -> list[MentionSpan]:
-    if record.spans is not None:
-        out = [
-            MentionSpan(
-                begin=b,
-                end=e,
-                surface=record.response[b:e],
-                entity=ent,
-                entity_id=graph.entities.get(ent),
-            )
-            for ent, b, e in record.spans
-        ]
-        out.sort(key=lambda m: m.begin)
-        return out
-    return link_mentions(record.response, aliases, graph)
 
 
 def _entity_surfaces(entity: str, aliases: AliasTable) -> list[str]:
@@ -208,7 +187,7 @@ def corrupt_extrinsic(
     """
     if aliases is None:
         aliases = AliasTable.from_names(graph.entities.names)
-    mentions = _mentions_of(record, graph, aliases)
+    mentions = response_mentions(record, aliases, graph)
     if not mentions:
         raise NoEligibleReplacement("record has no mention spans")
     edits: list[tuple[int, int, str]] = []
@@ -261,7 +240,7 @@ def corrupt_intrinsic(
     """
     if aliases is None:
         aliases = AliasTable.from_names(graph.entities.names)
-    mentions = _mentions_of(record, graph, aliases)
+    mentions = response_mentions(record, aliases, graph)
     by_entity: dict[str, list[MentionSpan]] = {}
     for m in mentions:
         by_entity.setdefault(m.entity, []).append(m)
@@ -351,7 +330,10 @@ def build_synthetic_dataset(
     Strategy assignment is a seeded shuffle-then-split so the realized
     pre-fallback quota is exactly round(fraction * N). Each record's
     randomness comes from a substream keyed by (seed, record index),
-    making output byte-identical across runs and worker schedules.
+    making output byte-identical across runs and worker schedules. A
+    record grounded on an entity the graph lacks has no exclusion
+    subgraph, so its extrinsic attempt fails with UnknownEntity and
+    takes the fallback-or-drop path.
     """
     if not records:
         raise AllRecordsDropped("no input records")
@@ -368,12 +350,7 @@ def build_synthetic_dataset(
 
     def try_extrinsic(rec: DialogueRecord, idx: int) -> CorruptedRecord:
         rng = np.random.default_rng([cfg.seed, idx])
-        anchors: list[int] = []
-        for s, _, o in rec.triples:
-            for name in (s, o):
-                eid = graph.entities.get(name)
-                if eid is not None and eid not in anchors:
-                    anchors.append(eid)
+        anchors = derive_anchors(rec, graph, source="kn")
         sub = graph.khop_subgraph(anchors, cfg.k) if anchors else Subgraph.empty()
         return corrupt_extrinsic(rec, graph, sub, types, rng, aliases)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dialogue import DialogueRecord, MentionSpan
-from .errors import MalformedLine, UnknownEntity, UnlinkedResponse
-from .kg import AliasTable, KnowledgeGraph, Subgraph, canonical
+from .errors import UnknownEntity, UnlinkedResponse
+from .kg import AliasTable, KnowledgeGraph, Subgraph, _read_tsv, canonical
 
 logger = logging.getLogger(__name__)
 
@@ -116,16 +116,38 @@ def link_mentions(
 def load_relation_phrases(path: str | Path) -> dict[str, list[str]]:
     """Read ``relation<TAB>phrase`` lines into {relation: [phrases]}."""
     phrases: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(p.strip() for p in parts):
-                raise MalformedLine(lineno, line)
-            phrases.setdefault(parts[0].strip(), []).append(" ".join(parts[1].split()))
+    for _, (relation, phrase) in _read_tsv(path, 2):
+        phrases.setdefault(relation, []).append(" ".join(phrase.split()))
     return phrases
+
+
+def response_mentions(
+    record: DialogueRecord,
+    aliases: AliasTable | None,
+    graph: KnowledgeGraph | None = None,
+) -> list[MentionSpan]:
+    """The response's entity mentions, in text order.
+
+    Pre-linked (entity, begin, end) spans on the record win; otherwise
+    link_mentions finds them, which needs an alias table. Entities
+    absent from the graph (or with no graph given) get entity_id None.
+    """
+    if record.spans is None:
+        if aliases is None:
+            raise ValueError("linking needs an alias table when spans are not pre-linked")
+        return link_mentions(record.response, aliases, graph)
+    mentions = [
+        MentionSpan(
+            begin=begin,
+            end=end,
+            surface=record.response[begin:end],
+            entity=entity,
+            entity_id=graph.entities.get(entity) if graph is not None else None,
+        )
+        for entity, begin, end in record.spans
+    ]
+    mentions.sort(key=lambda m: m.begin)
+    return mentions
 
 
 def derive_anchors(
@@ -164,25 +186,6 @@ def derive_anchors(
     return tuple(anchors)
 
 
-def _resolve_spans(
-    record: DialogueRecord, graph: KnowledgeGraph | None
-) -> list[MentionSpan]:
-    """Turn pre-linked (entity, begin, end) spans into MentionSpans."""
-    out: list[MentionSpan] = []
-    for entity, begin, end in record.spans or []:
-        out.append(
-            MentionSpan(
-                begin=begin,
-                end=end,
-                surface=record.response[begin:end],
-                entity=entity,
-                entity_id=graph.entities.get(entity) if graph is not None else None,
-            )
-        )
-    out.sort(key=lambda m: m.begin)
-    return out
-
-
 def _surface_in_history(surface: str, history: list[str]) -> bool:
     folded = canonical(surface)
     return any(folded in canonical(turn) for turn in history)
@@ -206,12 +209,7 @@ def critique_response(
     """
     if mode not in INTRINSIC_MODES:
         raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
-    if record.spans is not None:
-        mentions = _resolve_spans(record, graph)
-    else:
-        if aliases is None:
-            raise ValueError("critique needs an alias table when spans are not pre-linked")
-        mentions = link_mentions(record.response, aliases, graph)
+    mentions = response_mentions(record, aliases, graph)
     if not mentions and record.spans is None and record.triples:
         raise UnlinkedResponse(
             "no mention spans found in a response with grounding triples"
@@ -283,6 +281,8 @@ class Critic:
         relation_phrases: dict[str, list[str]] | None = None,
         anchor_source: str = "kn",
     ) -> None:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         if mode not in INTRINSIC_MODES:
             raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
         if anchor_source not in ANCHOR_SOURCES:

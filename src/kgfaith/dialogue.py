@@ -27,9 +27,6 @@ class MentionSpan:
     entity: str
     entity_id: int | None = None
 
-    def as_pair(self) -> list[int]:
-        return [self.begin, self.end]
-
 
 @dataclass
 class DialogueRecord:
@@ -44,9 +41,6 @@ class DialogueRecord:
     gold_response: str | None = None
     spans: list[tuple[str, int, int]] | None = None
     extra: dict[str, Any] = field(default_factory=dict)
-
-    def history_text(self) -> str:
-        return "\n".join(self.history)
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -85,7 +79,10 @@ class DialogueRecord:
             for s in spans:
                 if not isinstance(s, (list, tuple)) or len(s) != 3:
                     raise ValueError(f"span must be [entity, begin, end], got {s!r}")
-                ent, b, e = str(s[0]), int(s[1]), int(s[2])
+                try:
+                    ent, b, e = str(s[0]), int(s[1]), int(s[2])
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"span offsets must be numbers, got {s!r}") from None
                 if not 0 <= b < e <= len(response):
                     raise ValueError(f"span [{b}, {e}) out of range for response")
                 parsed_spans.append((ent, b, e))
@@ -152,8 +149,8 @@ def read_dialogues(path: str | Path) -> list[DialogueRecord]:
                 if not isinstance(obj, dict):
                     raise ValueError("record must be a JSON object")
                 records.append(DialogueRecord.from_json(obj))
-            except (json.JSONDecodeError, ValueError) as err:
-                raise MalformedLine(lineno, line) from err
+            except ValueError as err:  # json.JSONDecodeError included
+                raise MalformedLine(lineno, f"a JSON dialogue record ({err})") from err
     logger.info("read %d dialogue records from %s", len(records), path)
     return records
 

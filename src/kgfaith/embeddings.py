@@ -7,8 +7,7 @@ loss: the positive competes against n corrupted triples drawn by one of
 three strategies (uniform over the vocabulary, from the positive's
 neighborhood subgraph, or from the other positives in the batch).
 
-A one-layer relational message pass can enrich a trained table, and a
-filtered/raw link-prediction evaluator reports Hits@k, MR, and MRR.
+A filtered/raw link-prediction evaluator reports Hits@k, MR, and MRR.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .errors import (
     ZeroDimension,
 )
 from .kg import KnowledgeGraph, Subgraph, Triple
+from .metrics import RankingSummary, ranking_metrics
 
 logger = logging.getLogger(__name__)
 
@@ -67,21 +67,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return int(self.entities.shape[1])
-
-    def entity(self, idx: int) -> np.ndarray:
-        return self.entities[idx]
-
-    def relation(self, idx: int) -> np.ndarray:
-        return self.relations[idx]
-
-    def copy(self, provenance: str | None = None) -> EmbeddingTable:
-        return EmbeddingTable(
-            entities=self.entities.copy(),
-            relations=self.relations.copy(),
-            provenance=provenance or self.provenance,
-            entity_names=list(self.entity_names) if self.entity_names else None,
-            relation_names=list(self.relation_names) if self.relation_names else None,
-        )
 
 
 def init_embeddings(
@@ -421,111 +406,13 @@ def train(
     return table, trace
 
 
-ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda x: x,
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
-}
-
-
 @dataclass
-class LayerWeights:
-    """Explicit weights for one message-passing layer (tests, mostly)."""
+class LinkPredictionReport(RankingSummary):
+    """The aggregates of the per-triple ranks, plus the ranks themselves."""
 
-    w_self: np.ndarray
-    w_in: np.ndarray
-    w_out: np.ndarray
-    w_rel: np.ndarray
-
-    @classmethod
-    def identity(cls, d: int) -> LayerWeights:
-        eye = np.eye(d)
-        return cls(eye.copy(), eye.copy(), eye.copy(), eye.copy())
-
-
-def enrich_relational(
-    table: EmbeddingTable,
-    graph: KnowledgeGraph,
-    layers: int = 1,
-    seed: int = 0,
-    activation: str = "identity",
-    weights: Sequence[LayerWeights] | None = None,
-) -> EmbeddingTable:
-    """Relational message passing over the graph, one table in, one out.
-
-    Per layer, each entity combines its own vector with the element-wise
-    entity*relation products flowing along incoming and outgoing edges:
-
-        z'_v = act(W_self z_v + W_in sum_{(u,r)->v} z_u*z_r
-                              + W_out sum_{v->(r,u)} z_u*z_r)
-
-    and relation vectors go through the layer's linear map W_rel.
-    Weight matrices are seeded (uniform Glorot) unless given explicitly.
-    """
-    if layers < 1:
-        raise ValueError(f"layers must be >= 1, got {layers}")
-    act = ACTIVATIONS.get(activation)
-    if act is None:
-        raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
-    d = table.dim
-    if weights is not None:
-        if len(weights) != layers:
-            raise ValueError(f"expected {layers} weight sets, got {len(weights)}")
-        layer_weights = list(weights)
-    else:
-        rng = np.random.default_rng(seed)
-        bound = math.sqrt(3.0 / d)
-        layer_weights = [
-            LayerWeights(
-                w_self=rng.uniform(-bound, bound, (d, d)),
-                w_in=rng.uniform(-bound, bound, (d, d)),
-                w_out=rng.uniform(-bound, bound, (d, d)),
-                w_rel=rng.uniform(-bound, bound, (d, d)),
-            )
-            for _ in range(layers)
-        ]
-
-    ent = table.entities.copy()
-    rel = table.relations.copy()
-    for lw in layer_weights:
-        messages_in = np.zeros_like(ent)
-        messages_out = np.zeros_like(ent)
-        for t in graph.triples:
-            prod_in = ent[t.s] * rel[t.p]
-            messages_in[t.o] += prod_in
-            prod_out = ent[t.o] * rel[t.p]
-            messages_out[t.s] += prod_out
-        ent = act(
-            ent @ lw.w_self.T + messages_in @ lw.w_in.T + messages_out @ lw.w_out.T
-        )
-        rel = rel @ lw.w_rel.T
-    return EmbeddingTable(
-        entities=ent,
-        relations=rel,
-        provenance="enriched",
-        entity_names=list(table.entity_names) if table.entity_names else None,
-        relation_names=list(table.relation_names) if table.relation_names else None,
-    )
-
-
-@dataclass
-class LinkPredictionReport:
     ranks: list[int]
-    hits: dict[int, float]
-    mr: float
-    mrr: float
     mode: str
     scope: str
-
-    def to_json(self) -> dict:
-        return {
-            "ranks": list(self.ranks),
-            "hits": {f"hits@{k}": v for k, v in sorted(self.hits.items())},
-            "mr": self.mr,
-            "mrr": self.mrr,
-            "mode": self.mode,
-            "scope": self.scope,
-        }
 
 
 def rank_of_gold(
@@ -599,13 +486,12 @@ def evaluate_link_prediction(
         scores = table.entities[cand] @ query
         ranks.append(rank_of_gold(scores, cand, gold))
 
-    ks = sorted(set(int(x) for x in ks))
-    arr = np.array(ranks, dtype=np.float64)
+    summary = ranking_metrics(ranks, sorted(set(ks)))
     return LinkPredictionReport(
+        hits=summary.hits,
+        mr=summary.mr,
+        mrr=summary.mrr,
         ranks=ranks,
-        hits={kk: float(np.mean(arr <= kk)) for kk in ks},
-        mr=float(arr.mean()),
-        mrr=float((1.0 / arr).mean()),
         mode=mode,
         scope=scope,
     )
@@ -637,7 +523,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(" ")
         if len(header) != 5 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
-            raise MalformedLine(1, " ".join(header))
+            raise MalformedLine(1, f"a '{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}' header")
         n_ent, n_rel, d = (int(x) for x in header[2:])
         ent_rows: list[np.ndarray] = []
         rel_rows: list[np.ndarray] = []
@@ -649,10 +535,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 continue
             parts = line.split("\t")
             if len(parts) != 3 or parts[0] not in ("E", "R"):
-                raise MalformedLine(lineno, line)
+                raise MalformedLine(lineno, "E or R, name and vector, tab-separated")
             vec = np.array([float(x) for x in parts[2].split(" ")], dtype=np.float64)
             if vec.shape != (d,):
-                raise MalformedLine(lineno, line)
+                raise MalformedLine(lineno, f"a vector of {d} values")
             if not np.isfinite(vec).all():
                 raise ValueError(f"line {lineno}: non-finite vector")
             if parts[0] == "E":

@@ -15,12 +15,11 @@ class KgFaithError(Exception):
 # --- graph store ---------------------------------------------------------
 
 class MalformedLine(KgFaithError, ValueError):
-    """A triple-file line does not have exactly three tab-separated fields."""
+    """An input line does not have the shape its file format demands."""
 
-    def __init__(self, line_number: int, line: str = ""):
+    def __init__(self, line_number: int, expected: str):
         self.line_number = line_number
-        self.line = line
-        super().__init__(f"line {line_number}: expected 3 tab-separated fields")
+        super().__init__(f"line {line_number}: expected {expected}")
 
 
 class EmptyGraph(KgFaithError, ValueError):

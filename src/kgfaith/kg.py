@@ -102,10 +102,6 @@ class Subgraph:
     def empty(cls, centers: tuple[int, ...] = (), radius: int = 0) -> Subgraph:
         return cls(nodes=frozenset(), triples=(), centers=centers, radius=radius)
 
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
-
     def has_node(self, entity: int) -> bool:
         return entity in self.nodes
 
@@ -243,34 +239,42 @@ class KnowledgeGraph:
         )
 
 
-def load_triples(path: str | Path) -> KnowledgeGraph:
-    """Read a tab-separated triple file into a graph.
+def _read_tsv(path: str | Path, arity: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, stripped fields) for each data line.
 
-    Each line is ``subject<TAB>predicate<TAB>object``. Blank lines and
-    lines starting with ``#`` are skipped. Ids are assigned in
-    first-seen order (subject before object within a line). A line
-    without exactly three fields raises MalformedLine with its
-    1-based line number; a file with no triples raises EmptyGraph.
+    Blank lines and lines starting with ``#`` are skipped. A line that
+    does not split into exactly ``arity`` non-blank tab-separated fields
+    raises MalformedLine with its line number.
     """
-    entities = Vocabulary()
-    relations = Vocabulary()
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                raise MalformedLine(lineno, line)
-            s, p, o = parts
-            t = Triple(entities.add(s), relations.add(p), entities.add(o))
-            if t in seen:
-                logger.debug("duplicate triple at line %d ignored", lineno)
-                continue
-            seen.add(t)
-            triples.append(t)
+            fields = [f.strip() for f in line.split("\t")]
+            if len(fields) != arity or not all(fields):
+                raise MalformedLine(lineno, f"{arity} tab-separated fields")
+            yield lineno, fields
+
+
+def load_triples(path: str | Path) -> KnowledgeGraph:
+    """Read a tab-separated triple file into a graph.
+
+    Each line is ``subject<TAB>predicate<TAB>object``. Ids are assigned
+    in first-seen order (subject before object within a line). A file
+    with no triples raises EmptyGraph.
+    """
+    entities = Vocabulary()
+    relations = Vocabulary()
+    triples: list[Triple] = []
+    seen: set[Triple] = set()
+    for lineno, (s, p, o) in _read_tsv(path, 3):
+        t = Triple(entities.add(s), relations.add(p), entities.add(o))
+        if t in seen:
+            logger.debug("duplicate triple at line %d ignored", lineno)
+            continue
+        seen.add(t)
+        triples.append(t)
     if not triples:
         raise EmptyGraph(str(path))
     logger.info(
@@ -327,10 +331,6 @@ class AliasTable:
     def entity_of(self, surface: str) -> str | None:
         return self._entity_of.get(canonical(surface))
 
-    @property
-    def entities(self) -> list[str]:
-        return list(self._surfaces)
-
     def items(self) -> Iterator[tuple[str, str]]:
         """All (entity, surface) pairs in file order."""
         for entity, forms in self._surfaces.items():
@@ -347,28 +347,11 @@ class AliasTable:
 def load_aliases(path: str | Path) -> AliasTable:
     """Read ``entity<TAB>surface`` lines; comments and blanks skipped."""
     table = AliasTable()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(p.strip() for p in parts):
-                raise MalformedLine(lineno, line)
-            table.add(parts[0], parts[1])
+    for _, (entity, surface) in _read_tsv(path, 2):
+        table.add(entity, surface)
     return table
 
 
 def load_entity_types(path: str | Path) -> dict[str, str]:
     """Read ``entity<TAB>type`` lines into a dict; last mapping wins."""
-    types: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(p.strip() for p in parts):
-                raise MalformedLine(lineno, line)
-            types[parts[0].strip()] = parts[1].strip()
-    return types
+    return {entity: kind for _, (entity, kind) in _read_tsv(path, 2)}

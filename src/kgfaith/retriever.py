@@ -25,6 +25,7 @@ from .embeddings import EmbeddingTable
 from .errors import (
     DimensionMismatch,
     EmptySubgraph,
+    MalformedLine,
     NoGroundingRelation,
     RetrievalImpossible,
     SourceExhausted,
@@ -52,7 +53,6 @@ class RankedCandidates:
 
     candidates: list[tuple[int, float]]
     anchor: int
-    slot: str
 
     @property
     def top(self) -> tuple[int, float]:
@@ -88,14 +88,26 @@ class ExternalQueries:
 
 
 def load_query_vectors(path: str | Path) -> ExternalQueries:
-    """One whitespace-separated vector per line; # comments skipped."""
+    """One whitespace-separated vector per line; # comments skipped.
+
+    A token that is not a finite number raises MalformedLine with its
+    1-based line number.
+    """
     vectors = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            vectors.append(np.array([float(x) for x in line.split()]))
+            try:
+                vec = np.array([float(x) for x in line.split()])
+                if not np.isfinite(vec).all():
+                    raise ValueError("non-finite value")
+            except ValueError:
+                raise MalformedLine(
+                    lineno, "finite numbers separated by whitespace"
+                ) from None
+            vectors.append(vec)
     return ExternalQueries(vectors)
 
 
@@ -223,17 +235,14 @@ def rank_candidates(
     anchor: int,
     sub: Subgraph,
     table: EmbeddingTable,
-    slot: str = "object",
     exclude: frozenset[int] = frozenset(),
 ) -> RankedCandidates:
     """Score every subgraph entity against the anchor with the query.
 
     Candidates are nodes(sub) minus the anchor minus the exclusion set;
     each scores as the trilinear product of (anchor, query, candidate),
-    which is slot-symmetric, so the slot is carried as metadata only.
+    which is symmetric in anchor and candidate, so it serves either slot.
     """
-    if slot not in ("object", "subject"):
-        raise ValueError(f"slot must be object or subject, got {slot!r}")
     if not sub.has_node(anchor):
         raise UnknownAnchor(f"anchor {anchor} is not a subgraph node")
     cand = sorted(sub.nodes - {anchor} - exclude)
@@ -252,7 +261,6 @@ def rank_candidates(
     return RankedCandidates(
         candidates=[(int(ids[i]), float(scores[i])) for i in order],
         anchor=anchor,
-        slot=slot,
     )
 
 

@@ -254,6 +254,14 @@ class TestCritiqueCommand:
         assert rows[1]["flagged"] is False
         assert rows[2]["flagged"] is False
 
+    def test_negative_k_is_validation_error(self, data_dir, tmp_path, capsys):
+        code = run(["critique", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv",
+                    "--aliases", data_dir / "toy_aliases.tsv", "--k", "-1",
+                    "--out", tmp_path / "crit.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: k must be >= 0, got -1"]
+
 
 @pytest.fixture()
 def trained_snapshot(data_dir, tmp_path):
@@ -297,6 +305,22 @@ class TestRefineCommand:
                     "--mode", "external", "--out", tmp_path / "r.jsonl"])
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan"])
+    def test_bad_query_file_is_runtime_error(
+        self, data_dir, tmp_path, trained_snapshot, capsys, bad
+    ):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("# one vector per flagged mention\n" + "0.5 " * 8 + f"\n{bad}\n")
+        code = run(["refine", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
+                    "--aliases", data_dir / "toy_aliases.tsv",
+                    "--mode", "external", "--queries", queries,
+                    "--out", tmp_path / "r.jsonl"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: MalformedLine: line 3: expected finite numbers separated by whitespace"
+        ]
+
 
 class TestEvalCommand:
     def test_needs_some_input(self, data_dir):
@@ -331,6 +355,13 @@ class TestEvalCommand:
         rows = ranks.read_text().splitlines()
         assert rows[0] == "item,rank"
         assert len(rows) == 2
+
+    def test_negative_k_is_validation_error(self, data_dir, capsys):
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
+                    "--refined", data_dir / "toy_dialogues.jsonl",
+                    "--aliases", data_dir / "toy_aliases.tsv", "--k", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: k must be >= 0, got -1"]
 
     def test_overlapping_heldout_rejected(self, data_dir, tmp_path, trained_snapshot):
         code = run(["eval", "--kg", data_dir / "toy_kg.tsv",

@@ -293,6 +293,32 @@ class TestBuildSyntheticDataset:
         assert summary.realized_extrinsic == 6
         assert len(out) == 6
 
+    # Grounded on the_time_machine, which the graph lacks: the extrinsic
+    # strategy cannot build its exclusion subgraph, but the two mentions
+    # can still swap.
+    UNKNOWN_GROUNDING = [("roald_dahl", "wrote", "the_time_machine")]
+
+    def test_unknown_grounding_entity_falls_back(self, toy_graph, toy_types, toy_aliases):
+        recs = corpus(1) + [
+            record([], self.UNKNOWN_GROUNDING, "Roald Dahl wrote The Time Machine.")
+        ]
+        cfg = CorruptionConfig(fraction=1.0, seed=3, policy="fallback")
+        out, summary = build_synthetic_dataset(recs, toy_graph, toy_types, cfg, toy_aliases)
+        assert summary.fallback_to_intrinsic == 1
+        assert summary.realized_extrinsic == 1 and summary.dropped == 0
+        assert out[1].kind == "intrinsic"
+        assert out[1].response == "The Time Machine wrote Roald Dahl."
+
+    def test_unknown_grounding_entity_dropped(self, toy_graph, toy_types, toy_aliases):
+        recs = corpus(1) + [
+            record([], self.UNKNOWN_GROUNDING, "Roald Dahl wrote The Time Machine.")
+        ]
+        cfg = CorruptionConfig(fraction=1.0, seed=3, policy="drop")
+        out, summary = build_synthetic_dataset(recs, toy_graph, toy_types, cfg, toy_aliases)
+        assert summary.dropped == 1
+        assert summary.drop_reasons == ["record 1: no strategy applicable"]
+        assert [c.original for c in out] == recs[:1]
+
     def test_summary_arithmetic_consistent(self, toy_graph, toy_types, toy_aliases):
         recs = corpus(9) + [
             record([], [("roald_dahl", "wrote", "the_bfg")], "I love The BFG")

@@ -278,6 +278,12 @@ class TestReportShape:
         assert report.labels[0].to_json() == {"begin": 26, "end": 42, "label": "extrinsic"}
 
 
+class TestCriticConfig:
+    def test_negative_radius_rejected(self, toy_graph, toy_aliases):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            Critic(toy_graph, toy_aliases, k=-1)
+
+
 class TestRelationPhrases:
     def test_load(self, data_dir):
         phrases = load_relation_phrases(data_dir / "toy_relation_phrases.tsv")

@@ -88,6 +88,18 @@ class TestRecordIo:
         with pytest.raises(MalformedLine):
             read_dialogues(path)
 
+    @pytest.mark.parametrize("offset", ["null", '"one"', "[1]", "Infinity"])
+    def test_span_offset_not_a_number_reports_line(self, tmp_path, offset):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"history": [], "triples": [], "response": "x"}\n'
+            '{"history": [], "triples": [], "response": "xy", '
+            f'"spans": [["e", {offset}, 1]]}}\n'
+        )
+        with pytest.raises(MalformedLine, match="span offsets must be numbers") as exc:
+            read_dialogues(path)
+        assert exc.value.line_number == 2
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('\n{"history": [], "triples": [], "response": "x"}\n\n')

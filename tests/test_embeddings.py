@@ -1,4 +1,4 @@
-"""Scoring, NCE loss/gradients, samplers, training, enrichment, ranking."""
+"""Scoring, NCE loss/gradients, samplers, training, ranking."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ import pytest
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.embeddings import (
     EmbeddingTable,
-    LayerWeights,
     TrainingConfig,
     align_table,
     distmult_score,
-    enrich_relational,
     evaluate_link_prediction,
     init_embeddings,
     load_embeddings,
@@ -352,64 +350,6 @@ class TestTrain:
         cfg = TrainingConfig(d=8, epochs=10, seed=2, optimizer="adam", negatives=5)
         _, trace = train(toy_graph, cfg)
         assert trace[-1] < trace[0]
-
-
-class TestEnrich:
-    def test_hand_message(self):
-        g = graph_of(2, [(0, 0, 1)])
-        table = table_of([[1.0, 2.0], [0.0, 0.0]], [[2.0, 1.0]])
-        out = enrich_relational(
-            table, g, layers=1, weights=[LayerWeights.identity(2)]
-        )
-        np.testing.assert_allclose(out.entities[1], [2.0, 2.0])
-        np.testing.assert_allclose(out.entities[0], [1.0, 2.0])
-        np.testing.assert_allclose(out.relations[0], [2.0, 1.0])
-        assert out.provenance == "enriched"
-
-    def test_isolated_node_unchanged(self):
-        g = graph_of(3, [(0, 0, 1)])
-        rng = np.random.default_rng(0)
-        table = EmbeddingTable(
-            entities=rng.normal(size=(3, 4)), relations=rng.normal(size=(1, 4))
-        )
-        out = enrich_relational(
-            table, g, layers=1, weights=[LayerWeights.identity(4)]
-        )
-        np.testing.assert_allclose(out.entities[2], table.entities[2])
-
-    def test_out_edge_message(self):
-        # The subject aggregates object*relation through its out edge.
-        g = graph_of(2, [(0, 0, 1)])
-        table = table_of([[0.0, 0.0], [3.0, 1.0]], [[1.0, 2.0]])
-        out = enrich_relational(
-            table, g, layers=1, weights=[LayerWeights.identity(2)]
-        )
-        np.testing.assert_allclose(out.entities[0], [3.0, 2.0])
-
-    def test_zero_layers_rejected(self, toy_graph):
-        table = init_embeddings(8, 3, 4, seed=0)
-        with pytest.raises(ValueError):
-            enrich_relational(table, toy_graph, layers=0)
-
-    def test_seeded_determinism(self, toy_graph):
-        table = init_embeddings(8, 3, 4, seed=0)
-        a = enrich_relational(table, toy_graph, layers=2, seed=9)
-        b = enrich_relational(table, toy_graph, layers=2, seed=9)
-        assert np.array_equal(a.entities, b.entities)
-        assert not np.array_equal(a.entities, table.entities)
-
-    def test_activation_applies(self, toy_graph):
-        table = init_embeddings(8, 3, 4, seed=0)
-        lin = enrich_relational(table, toy_graph, layers=1, seed=1)
-        tanh = enrich_relational(table, toy_graph, layers=1, seed=1, activation="tanh")
-        np.testing.assert_allclose(tanh.entities, np.tanh(lin.entities))
-
-    def test_weight_count_checked(self, toy_graph):
-        table = init_embeddings(8, 3, 4, seed=0)
-        with pytest.raises(ValueError):
-            enrich_relational(
-                table, toy_graph, layers=2, weights=[LayerWeights.identity(4)]
-            )
 
 
 def brute_force_rank(table, graph, triple, known, mode, cand_ids):

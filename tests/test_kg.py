@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary, load_triples
+from kgfaith.critic import load_relation_phrases
 from kgfaith.errors import EmptyGraph, MalformedLine, UnknownEntity
+from kgfaith.kg import load_aliases, load_entity_types
 
 
 class TestVocabulary:
@@ -71,6 +73,20 @@ class TestLoadTriples:
         with pytest.raises(MalformedLine) as exc:
             load_triples(p)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "loader, arity",
+        [(load_triples, 3), (load_aliases, 2), (load_entity_types, 2),
+         (load_relation_phrases, 2)],
+    )
+    def test_malformed_line_names_expected_field_count(self, tmp_path, loader, arity):
+        p = tmp_path / "f.tsv"
+        good, bad = ["x"] * arity, ["x"] * (arity + 1)
+        p.write_text("# header\n" + "\t".join(good) + "\n" + "\t".join(bad) + "\n")
+        with pytest.raises(
+            MalformedLine, match=f"line 3: expected {arity} tab-separated fields"
+        ):
+            loader(p)
 
     def test_empty_field_is_malformed(self, tmp_path):
         p = tmp_path / "g.tsv"

@@ -12,6 +12,7 @@ from kgfaith.embeddings import EmbeddingTable, distmult_score
 from kgfaith.errors import (
     DimensionMismatch,
     EmptySubgraph,
+    MalformedLine,
     NoGroundingRelation,
     SourceExhausted,
     UnknownAnchor,
@@ -117,6 +118,14 @@ class TestExternalQueries:
         assert len(src) == 2
         assert np.array_equal(src.take(2), [1.0, 2.0])
         assert np.array_equal(src.take(2), [-0.5, 0.25])
+
+    @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan", "inf 0.5"])
+    def test_bad_value_reports_line(self, tmp_path, bad):
+        path = tmp_path / "queries.txt"
+        path.write_text(f"# header\n1.0 2.0\n{bad}\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_query_vectors(path)
+        assert exc.value.line_number == 3
 
 
 class TestOracleGroundingTriple:
@@ -285,7 +294,6 @@ class TestRankCandidates:
         assert ranked.candidates == [(1, 2.0), (2, 1.0)]
         assert ranked.top == (1, 2.0)
         assert ranked.anchor == 0
-        assert ranked.slot == "object"
 
     def test_scores_match_single_calls_bitwise(self):
         rng = np.random.default_rng(11)
