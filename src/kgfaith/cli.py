@@ -17,15 +17,18 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 from .corruptor import CorruptionConfig, build_synthetic_dataset
 from .critic import ANCHOR_SOURCES, Critic, INTRINSIC_MODES, load_relation_phrases
 from .dialogue import DialogueRecord, read_dialogues
 from .embeddings import (
     OPTIMIZERS,
+    EmbeddingTable,
     TrainingConfig,
     align_table,
     evaluate_link_prediction,
@@ -34,7 +37,7 @@ from .embeddings import (
     save_loss_trace,
     train,
 )
-from .errors import ConfigValidation, KgFaithError, UnknownCommand
+from .errors import ConfigValidation, KgFaithError, MalformedLine, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import EvalSummary, bleu, hallucination_rate
 from .retriever import QUERY_MODES, RefineConfig, load_query_vectors, refine_response
@@ -134,6 +137,23 @@ def _emit(blob: Any, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@contextmanager
+def _atomic_out(path: str) -> Iterator[TextIO]:
+    """Write to a temp file beside ``path`` and move it over ``path`` on success.
+
+    A run that raises leaves ``path`` as it was (absent, or its old
+    content) and removes the temp file.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _load_heldout_triples(path: Path, graph) -> list[Triple]:
     """Read name triples and resolve them against the graph vocabulary."""
     return [
@@ -144,6 +164,21 @@ def _load_heldout_triples(path: Path, graph) -> list[Triple]:
         )
         for _, (s, p, o) in _read_tsv(path, 3)
     ]
+
+
+def _load_table(path: str | None, graph) -> EmbeddingTable:
+    """Load the --emb snapshot aligned to the graph.
+
+    A malformed line stays a runtime error; a snapshot that parses but
+    does not fit (row counts, missing names) is a validation error.
+    """
+    snapshot = _require_file(path, "--emb")
+    try:
+        return align_table(load_embeddings(snapshot), graph)
+    except MalformedLine:
+        raise
+    except ValueError as err:
+        raise ConfigValidation(str(err)) from err
 
 
 def _parse_sampler(value: str) -> tuple[str, int]:
@@ -226,7 +261,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     )
     if args.out is None:
         raise ConfigValidation("--out is required")
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _atomic_out(args.out) as fh:
         for rec in corrupted:
             fh.write(json.dumps(rec.to_json()) + "\n")
     text = json.dumps(summary.to_json(), indent=2)
@@ -293,7 +328,7 @@ def _cmd_critique(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigValidation("--out is required")
     flagged = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _atomic_out(args.out) as fh:
         for record in records:
             report = critic.critique(record)
             blob = record.to_json()
@@ -308,10 +343,7 @@ def _cmd_critique(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     graph = load_triples(_require_file(args.kg, "--kg"))
     aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-    try:
-        table = align_table(load_embeddings(_require_file(args.emb, "--emb")), graph)
-    except ValueError as err:
-        raise ConfigValidation(str(err)) from err
+    table = _load_table(args.emb, graph)
     external = (
         load_query_vectors(_require_file(args.queries, "--queries"))
         if args.queries
@@ -333,7 +365,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigValidation("--out is required")
     n_edits = n_failures = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _atomic_out(args.out) as fh:
         for record in records:
             report = critic.critique(record)
             outcome = refine_response(
@@ -364,12 +396,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     rate = None
 
     if want_ranking:
-        try:
-            table = align_table(
-                load_embeddings(_require_file(args.emb, "--emb")), graph
-            )
-        except ValueError as err:
-            raise ConfigValidation(str(err)) from err
+        table = _load_table(args.emb, graph)
         heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
         try:
             report = evaluate_link_prediction(

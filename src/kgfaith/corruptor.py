@@ -100,18 +100,12 @@ class CorruptedRecord:
         )
 
 
-def _entity_surfaces(entity: str, aliases: AliasTable) -> list[str]:
-    forms = aliases.surfaces_of(entity)
-    return forms if forms else [entity]
-
-
-def _in_history(entity: str, history: list[str], aliases: AliasTable) -> bool:
-    """True when any surface form of the entity occurs in any turn."""
-    turns = [canonical(t) for t in history]
-    for surface in _entity_surfaces(entity, aliases):
-        folded = canonical(surface)
-        if any(folded in turn for turn in turns):
-            return True
+def _in_history(entity: str, folded_history: list[str], aliases: AliasTable) -> bool:
+    """True when any surface form of the entity occurs in any (canonical) turn."""
+    for form in aliases.folded_surfaces_of(entity) or (canonical(entity),):
+        for turn in folded_history:
+            if form in turn:
+                return True
     return False
 
 
@@ -120,16 +114,32 @@ def _positional_peers(entity_id: int, graph: KnowledgeGraph) -> set[int]:
 
     Coarse stand-in for a type when the type map has no entry.
     """
-    subj_rels = {p for p, _ in graph.out_edges(entity_id)}
-    obj_rels = {p for _, p in graph.in_edges(entity_id)}
+    slots = graph.relation_slots
     peers: set[int] = set()
-    for t in graph.triples:
-        if t.p in subj_rels:
-            peers.add(t.s)
-        if t.p in obj_rels:
-            peers.add(t.o)
+    for p, _ in graph.out_edges(entity_id):
+        peers |= slots[p][0]
+    for _, p in graph.in_edges(entity_id):
+        peers |= slots[p][1]
     peers.discard(entity_id)
     return peers
+
+
+class _TypedEntities(dict):
+    """A type map that also lists, per type, the graph's entity ids in id order.
+
+    build_synthetic_dataset builds one per run and hands it on as the
+    ``types`` argument, so a replacement pool reads its type's members
+    instead of scanning the vocabulary for every mention.
+    """
+
+    def __init__(self, types: dict[str, str], graph: KnowledgeGraph) -> None:
+        super().__init__(types)
+        self.graph = graph
+        self.members: dict[str, list[int]] = {}
+        for i, name in enumerate(graph.entities):
+            kind = types.get(name)
+            if kind is not None:
+                self.members.setdefault(kind, []).append(i)
 
 
 def replacement_pool(
@@ -150,23 +160,22 @@ def replacement_pool(
     ent_type = types.get(mention_entity)
     candidate_ids: list[int]
     if ent_type is not None:
-        candidate_ids = [
-            i
-            for i, name in enumerate(graph.entities.names)
-            if types.get(name) == ent_type
-        ]
+        if not (isinstance(types, _TypedEntities) and types.graph is graph):
+            types = _TypedEntities(types, graph)
+        candidate_ids = types.members.get(ent_type, [])
     else:
         eid = graph.entities.get(mention_entity)
         if eid is None:
             return []
         candidate_ids = sorted(_positional_peers(eid, graph))
     self_id = graph.entities.get(mention_entity)
+    folded_history = [canonical(turn) for turn in history]
     pool: list[str] = []
     for i in candidate_ids:
         if i == self_id or sub.has_node(i):
             continue
         name = graph.entities.name_of(i)
-        if name == mention_entity or _in_history(name, history, aliases):
+        if name == mention_entity or _in_history(name, folded_history, aliases):
             continue
         pool.append(name)
     return pool
@@ -339,6 +348,7 @@ def build_synthetic_dataset(
         raise AllRecordsDropped("no input records")
     if aliases is None:
         aliases = AliasTable.from_names(graph.entities.names)
+    types = _TypedEntities(types, graph)
 
     n = len(records)
     quota = round_half_up(cfg.fraction * n)

@@ -15,7 +15,6 @@ dialogue history:
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,25 +61,6 @@ class CriticReport:
         return [lab for lab in self.labels if lab.label != FAITHFUL]
 
 
-def _mention_pattern(aliases: AliasTable) -> re.Pattern[str] | None:
-    """One alternation over all surfaces, longest first.
-
-    Longest-first ordering makes Python's leftmost-first alternation
-    behave as leftmost-longest, so "Charlie and the Chocolate Factory"
-    beats "Charlie" at the same start position. Lookarounds keep
-    matches on word boundaries without breaking on punctuation inside
-    a surface form.
-    """
-    surfaces = sorted(
-        {surface for _, surface in aliases.items()},
-        key=lambda s: (-len(s), s.lower()),
-    )
-    if not surfaces:
-        return None
-    body = "|".join(re.escape(s) for s in surfaces)
-    return re.compile(rf"(?<!\w)(?:{body})(?!\w)", re.IGNORECASE)
-
-
 def link_mentions(
     text: str,
     aliases: AliasTable,
@@ -91,7 +71,7 @@ def link_mentions(
     Each match is resolved back to its entity via the alias table;
     entities absent from the graph vocabulary get entity_id None.
     """
-    pattern = _mention_pattern(aliases)
+    pattern = aliases.mention_pattern()
     if pattern is None or not text:
         return []
     spans: list[MentionSpan] = []
@@ -186,9 +166,10 @@ def derive_anchors(
     return tuple(anchors)
 
 
-def _surface_in_history(surface: str, history: list[str]) -> bool:
+def _surface_in_history(surface: str, folded_history: list[str]) -> bool:
+    """True when the surface occurs in a turn; turns come already canonical()."""
     folded = canonical(surface)
-    return any(folded in canonical(turn) for turn in history)
+    return any(folded in turn for turn in folded_history)
 
 
 def critique_response(
@@ -218,8 +199,9 @@ def critique_response(
     labels = [FAITHFUL] * len(mentions)
     in_sub = [m.entity_id is not None and sub.has_node(m.entity_id) for m in mentions]
 
+    folded_history = [canonical(turn) for turn in record.history]
     for i, m in enumerate(mentions):
-        if not in_sub[i] and not _surface_in_history(m.surface, record.history):
+        if not in_sub[i] and not _surface_in_history(m.surface, folded_history):
             labels[i] = EXTRINSIC
 
     phrase_to_relation: list[tuple[str, str]] = []

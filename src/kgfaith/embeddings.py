@@ -458,14 +458,17 @@ def evaluate_link_prediction(
     heldout = list(heldout)
     if not heldout:
         raise EmptyHoldout("no held-out triples to evaluate")
-    train_set = set(graph.triples)
     if mode == "filtered":
-        overlap = train_set.intersection(heldout)
+        overlap = set(graph.triples).intersection(heldout)
         if overlap:
             raise ValueError(
                 f"{len(overlap)} held-out triples also appear in the graph"
             )
-    known = train_set | set(heldout)
+        # (anchor, relation) -> every entity completing a known-true triple.
+        known: dict[tuple[int, int], set[int]] = {}
+        for s, p, o in (*graph.triples, *heldout):
+            key, filler = ((s, p), o) if slot == "object" else ((o, p), s)
+            known.setdefault(key, set()).add(filler)
 
     ranks: list[int] = []
     for t in heldout:
@@ -476,12 +479,9 @@ def evaluate_link_prediction(
             nodes = graph.khop_subgraph([anchor], k).nodes | {gold}
             cand = np.array(sorted(nodes), dtype=np.int64)
         if mode == "filtered":
-            if slot == "object":
-                drop = {e for e in cand if e != gold and Triple(t.s, t.p, int(e)) in known}
-            else:
-                drop = {e for e in cand if e != gold and Triple(int(e), t.p, t.o) in known}
+            drop = known[(anchor, t.p)] - {gold}
             if drop:
-                cand = np.array([e for e in cand if e not in drop], dtype=np.int64)
+                cand = cand[~np.isin(cand, np.fromiter(drop, dtype=np.int64))]
         query = table.entities[anchor] * table.relations[t.p]
         scores = table.entities[cand] @ query
         ranks.append(rank_of_gold(scores, cand, gold))
@@ -524,7 +524,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         header = fh.readline().rstrip("\n").split(" ")
         if len(header) != 5 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
             raise MalformedLine(1, f"a '{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}' header")
-        n_ent, n_rel, d = (int(x) for x in header[2:])
+        try:
+            n_ent, n_rel, d = (int(x) for x in header[2:])
+        except ValueError:
+            raise MalformedLine(1, "integer entity, relation and dimension counts") from None
         ent_rows: list[np.ndarray] = []
         rel_rows: list[np.ndarray] = []
         ent_names: list[str] = []
@@ -536,11 +539,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             parts = line.split("\t")
             if len(parts) != 3 or parts[0] not in ("E", "R"):
                 raise MalformedLine(lineno, "E or R, name and vector, tab-separated")
-            vec = np.array([float(x) for x in parts[2].split(" ")], dtype=np.float64)
+            try:
+                vec = np.array([float(x) for x in parts[2].split(" ")], dtype=np.float64)
+                if not np.isfinite(vec).all():
+                    raise ValueError("non-finite value")
+            except ValueError:
+                raise MalformedLine(lineno, f"a vector of {d} finite numbers") from None
             if vec.shape != (d,):
                 raise MalformedLine(lineno, f"a vector of {d} values")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"line {lineno}: non-finite vector")
             if parts[0] == "E":
                 ent_names.append(parts[1])
                 ent_rows.append(vec)

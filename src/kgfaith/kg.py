@@ -2,14 +2,17 @@
 
 Entities and relations are interned into contiguous integer ids in
 first-seen order. The graph is immutable after construction and keeps
-both out-edge and in-edge indexes so neighborhood expansion and direct
-edge queries stay O(degree).
+both out-edge and in-edge indexes so neighborhood expansion, a
+subgraph's induced edges and direct edge queries cost the degrees they
+touch, not the size of the graph.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -122,7 +125,11 @@ class Subgraph:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with out/in adjacency indexes."""
+    """Immutable triple store with out/in adjacency indexes.
+
+    Both indexes hold positions into ``triples``, in graph order, so a
+    neighborhood's edges can be read off its nodes without a scan.
+    """
 
     def __init__(
         self,
@@ -133,11 +140,11 @@ class KnowledgeGraph:
         self.triples: tuple[Triple, ...] = tuple(triples)
         self.entities = entities
         self.relations = relations
-        out: dict[int, list[tuple[int, int]]] = {}
-        inc: dict[int, list[tuple[int, int]]] = {}
-        for t in self.triples:
-            out.setdefault(t.s, []).append((t.p, t.o))
-            inc.setdefault(t.o, []).append((t.s, t.p))
+        out: dict[int, list[int]] = {}
+        inc: dict[int, list[int]] = {}
+        for i, t in enumerate(self.triples):
+            out.setdefault(t.s, []).append(i)
+            inc.setdefault(t.o, []).append(i)
         self._out = {s: tuple(v) for s, v in out.items()}
         self._in = {o: tuple(v) for o, v in inc.items()}
 
@@ -167,20 +174,33 @@ class KnowledgeGraph:
 
     def out_edges(self, entity: int) -> tuple[tuple[int, int], ...]:
         """(relation, object) pairs for edges leaving the entity."""
-        return self._out.get(entity, ())
+        triples = self.triples
+        return tuple((triples[i].p, triples[i].o) for i in self._out.get(entity, ()))
 
     def in_edges(self, entity: int) -> tuple[tuple[int, int], ...]:
         """(subject, relation) pairs for edges entering the entity."""
-        return self._in.get(entity, ())
+        triples = self.triples
+        return tuple((triples[i].s, triples[i].p) for i in self._in.get(entity, ()))
 
     def neighbors(self, entity: int) -> set[int]:
         """Adjacent entities ignoring edge direction."""
-        adj = {o for _, o in self._out.get(entity, ())}
-        adj.update(s for s, _ in self._in.get(entity, ()))
+        triples = self.triples
+        adj = {triples[i].o for i in self._out.get(entity, ())}
+        adj.update(triples[i].s for i in self._in.get(entity, ()))
         return adj
 
     def degree(self, entity: int) -> int:
         return len(self._out.get(entity, ())) + len(self._in.get(entity, ()))
+
+    @cached_property
+    def relation_slots(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
+        """Relation id -> (entities seen as its subject, entities seen as its object)."""
+        subjects: dict[int, set[int]] = {}
+        objects: dict[int, set[int]] = {}
+        for t in self.triples:
+            subjects.setdefault(t.p, set()).add(t.s)
+            objects.setdefault(t.p, set()).add(t.o)
+        return {p: (frozenset(subjects[p]), frozenset(objects[p])) for p in subjects}
 
     # --- queries -----------------------------------------------------
 
@@ -206,7 +226,15 @@ class KnowledgeGraph:
                         seen.add(u)
                         nxt.append(u)
             frontier = nxt
-        induced = tuple(t for t in self.triples if t.s in seen and t.o in seen)
+        # Each induced edge leaves a ball node, so the ball's out-edges
+        # hold them all; sorting the positions keeps graph order.
+        triples = self.triples
+        induced = tuple(
+            triples[i]
+            for i in sorted(
+                i for v in seen for i in self._out.get(v, ()) if triples[i].o in seen
+            )
+        )
         return Subgraph(nodes=frozenset(seen), triples=induced, centers=resolved, radius=k)
 
     def direct_edges(
@@ -215,9 +243,10 @@ class KnowledgeGraph:
         """Triples connecting a and b (a->b only when oriented)."""
         ai = self.resolve_entity(a)
         bi = self.resolve_entity(b)
-        out = [Triple(ai, p, o) for p, o in self._out.get(ai, ()) if o == bi]
+        triples = self.triples
+        out = [triples[i] for i in self._out.get(ai, ()) if triples[i].o == bi]
         if not oriented and ai != bi:
-            out.extend(Triple(bi, p, o) for p, o in self._out.get(bi, ()) if o == ai)
+            out.extend(triples[i] for i in self._out.get(bi, ()) if triples[i].o == ai)
         return out
 
     def stats(self) -> GraphStats:
@@ -289,12 +318,15 @@ class AliasTable:
 
     The first surface listed for an entity is its preferred rendering.
     Surface lookup is case- and whitespace-insensitive; when two
-    entities claim one surface the first mapping wins.
+    entities claim one surface the first mapping wins. The mention
+    pattern is compiled on first use and kept until the next add().
     """
 
     def __init__(self) -> None:
         self._surfaces: dict[str, list[str]] = {}
+        self._folded: dict[str, tuple[str, ...]] = {}
         self._entity_of: dict[str, str] = {}
+        self._pattern: re.Pattern[str] | None = None
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> AliasTable:
@@ -305,14 +337,16 @@ class AliasTable:
         return table
 
     def add(self, entity: str, surface: str) -> None:
+        self._pattern = None
         entity = entity.strip()
         surface = " ".join(surface.split())
         if not entity or not surface:
             return
+        key = canonical(surface)
         self._surfaces.setdefault(entity, [])
         if surface not in self._surfaces[entity]:
             self._surfaces[entity].append(surface)
-        key = canonical(surface)
+            self._folded[entity] = (*self._folded.get(entity, ()), key)
         if key not in self._entity_of:
             self._entity_of[key] = entity
         elif self._entity_of[key] != entity:
@@ -321,8 +355,30 @@ class AliasTable:
                 surface, self._entity_of[key], entity,
             )
 
+    def mention_pattern(self) -> re.Pattern[str] | None:
+        """One alternation over all surfaces, longest first; None when empty.
+
+        Longest-first ordering makes Python's leftmost-first alternation
+        behave as leftmost-longest, so "Charlie and the Chocolate Factory"
+        beats "Charlie" at the same start position. Lookarounds keep
+        matches on word boundaries without breaking on punctuation inside
+        a surface form.
+        """
+        if self._pattern is None and self._surfaces:
+            surfaces = sorted(
+                {surface for _, surface in self.items()},
+                key=lambda s: (-len(s), s.lower()),
+            )
+            body = "|".join(re.escape(s) for s in surfaces)
+            self._pattern = re.compile(rf"(?<!\w)(?:{body})(?!\w)", re.IGNORECASE)
+        return self._pattern
+
     def surfaces_of(self, entity: str) -> list[str]:
         return list(self._surfaces.get(entity, []))
+
+    def folded_surfaces_of(self, entity: str) -> tuple[str, ...]:
+        """canonical() of each surface form, in surfaces_of order."""
+        return self._folded.get(entity, ())
 
     def preferred(self, entity: str) -> str:
         forms = self._surfaces.get(entity)

@@ -322,6 +322,98 @@ class TestRefineCommand:
         ]
 
 
+class TestAtomicOutputs:
+    """A run that fails part-way leaves --out as it found it."""
+
+    @pytest.fixture()
+    def failing_input(self, data_dir, tmp_path):
+        # The second record is grounded but its response links no mention.
+        first = (data_dir / "toy_dialogues.jsonl").read_text().splitlines()[0]
+        second = json.dumps({
+            "history": ["Who wrote The BFG?"],
+            "triples": [["roald_dahl", "wrote", "the_bfg"]],
+            "response": "Nobody I know of.",
+        })
+        path = tmp_path / "in.jsonl"
+        path.write_text(first + "\n" + second + "\n")
+        return path
+
+    def argv(self, command, data_dir, src, out, snapshot):
+        argv = [command, "--in", src, "--kg", data_dir / "toy_kg.tsv",
+                "--aliases", data_dir / "toy_aliases.tsv", "--out", out]
+        return argv + (["--emb", snapshot] if command == "refine" else [])
+
+    @pytest.mark.parametrize("command", ["critique", "refine"])
+    def test_failed_run_writes_nothing(
+        self, data_dir, tmp_path, failing_input, trained_snapshot, capsys, command
+    ):
+        out = tmp_path / "out" / "result.jsonl"
+        out.parent.mkdir()
+        argv = self.argv(command, data_dir, failing_input, out, trained_snapshot)
+        assert run(argv) == 2
+        assert "UnlinkedResponse" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
+        out.write_text("earlier result\n")
+        assert run(argv) == 2
+        assert out.read_text() == "earlier result\n"
+        assert list(out.parent.iterdir()) == [out]
+
+    @pytest.mark.parametrize("command", ["critique", "refine"])
+    def test_successful_run_replaces_output(
+        self, data_dir, tmp_path, trained_snapshot, command
+    ):
+        out = tmp_path / "out" / "result.jsonl"
+        out.parent.mkdir()
+        out.write_text("earlier result\n")
+        src = data_dir / "toy_dialogues.jsonl"
+        assert run(self.argv(command, data_dir, src, out, trained_snapshot)) == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert list(out.parent.iterdir()) == [out]
+
+
+class TestSnapshotErrors:
+    """A snapshot line that does not parse is a runtime error naming the line."""
+
+    @pytest.fixture(params=["non-numeric", "non-finite", "bad-count"])
+    def broken_snapshot(self, request, tmp_path, trained_snapshot):
+        lines = trained_snapshot.read_text().splitlines()
+        if request.param == "bad-count":
+            lines[0] = lines[0].rsplit(" ", 1)[0] + " eight"
+            line = 1
+        else:
+            kind, name, vec = lines[3].split("\t")
+            bad = "bogus" if request.param == "non-numeric" else "nan"
+            lines[3] = "\t".join([kind, name, bad + vec[vec.index(" "):]])
+            line = 4
+        path = tmp_path / "broken.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, line
+
+    def test_refine_exits_2(self, data_dir, tmp_path, broken_snapshot, capsys):
+        path, line = broken_snapshot
+        code = run(["refine", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv", "--emb", path,
+                    "--aliases", data_dir / "toy_aliases.tsv",
+                    "--out", tmp_path / "r.jsonl"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: MalformedLine: line {line}: expected ")
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_eval_exits_2(self, data_dir, tmp_path, broken_snapshot, capsys):
+        path, line = broken_snapshot
+        heldout = tmp_path / "held.tsv"
+        heldout.write_text("roald_dahl\twrote\tthe_hobbit\n")
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv", "--emb", path,
+                    "--heldout", heldout])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: MalformedLine: line {line}: expected ")
+
+
 class TestEvalCommand:
     def test_needs_some_input(self, data_dir):
         assert run(["eval", "--kg", data_dir / "toy_kg.tsv"]) == 1

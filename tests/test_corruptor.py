@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from synthetic import sparse_corpus
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.corruptor import (
@@ -14,7 +15,7 @@ from kgfaith.corruptor import (
     replacement_pool,
     round_half_up,
 )
-from kgfaith.critic import EXTRINSIC, Critic
+from kgfaith.critic import EXTRINSIC, Critic, derive_anchors
 from kgfaith.dialogue import DialogueRecord
 from kgfaith.errors import AllRecordsDropped, NoEligibleReplacement, NotApplicable
 from kgfaith.kg import canonical
@@ -59,6 +60,68 @@ class TestReplacementPool:
     def test_unknown_untyped_entity_has_empty_pool(self, toy_graph, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         assert replacement_pool("narnia", toy_graph, sub, {}, [], toy_aliases) == []
+
+
+def scan_pool(mention, graph, sub, types, history, aliases):
+    """replacement_pool by full scans: the vocabulary for a type, every triple for peers."""
+    kind = types.get(mention)
+    eid = graph.entities.get(mention)
+    if kind is not None:
+        candidates = [i for i, name in enumerate(graph.entities) if types.get(name) == kind]
+    elif eid is None:
+        return []
+    else:
+        subj_rels = {t.p for t in graph.triples if t.s == eid}
+        obj_rels = {t.p for t in graph.triples if t.o == eid}
+        peers = {t.s for t in graph.triples if t.p in subj_rels}
+        peers |= {t.o for t in graph.triples if t.p in obj_rels}
+        candidates = sorted(peers - {eid})
+    turns = [canonical(t) for t in history]
+    pool = []
+    for i in candidates:
+        name = graph.entities.name_of(i)
+        if i == eid or i in sub.nodes or name == mention:
+            continue
+        forms = aliases.surfaces_of(name) or [name]
+        if any(canonical(f) in turn for f in forms for turn in turns):
+            continue
+        pool.append(name)
+    return pool
+
+
+class TestReplacementPoolOnSparseCorpus:
+    """The indexed pools equal full scans on a 600-entity graph.
+
+    Histories read "let us discuss e12 .", so the substring rule also
+    excludes e1: that is part of what is pinned.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return sparse_corpus()
+
+    def cases(self, corpus):
+        graph, _, _, records = corpus
+        for rec in records[:40]:
+            sub = graph.khop_subgraph(derive_anchors(rec, graph), 2)
+            for s, _, o in rec.triples:
+                for mention in (s, o):
+                    yield mention, sub, rec.history
+
+    def test_positional_fallback_with_empty_type_map(self, corpus):
+        graph, _, aliases, _ = corpus
+        sizes = []
+        for mention, sub, history in self.cases(corpus):
+            pool = replacement_pool(mention, graph, sub, {}, history, aliases)
+            assert pool == scan_pool(mention, graph, sub, {}, history, aliases)
+            sizes.append(len(pool))
+        assert min(sizes) > 0
+
+    def test_typed_pool(self, corpus):
+        graph, types, aliases, _ = corpus
+        for mention, sub, history in self.cases(corpus):
+            pool = replacement_pool(mention, graph, sub, types, history, aliases)
+            assert pool == scan_pool(mention, graph, sub, types, history, aliases)
 
 
 class TestCorruptExtrinsic:

@@ -484,6 +484,23 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             load_embeddings(p)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("pathhunter-emb v1 1 1 2\nE\ta\t1 bogus\nR\tr\t1 2\n", 2),
+            ("pathhunter-emb v1 1 1 2\nE\ta\t1 2\nR\tr\tinf 2\n", 3),
+            ("pathhunter-emb v1 one 1 2\nE\ta\t1 2\nR\tr\t1 2\n", 1),
+            ("pathhunter-emb v1 1 1 2.0\nE\ta\t1 2\nR\tr\t1 2\n", 1),
+        ],
+        ids=["non-numeric", "non-finite", "word-count", "float-dimension"],
+    )
+    def test_unparsable_numbers_name_their_line(self, tmp_path, text, line):
+        p = tmp_path / "emb.tsv"
+        p.write_text(text)
+        with pytest.raises(MalformedLine) as err:
+            load_embeddings(p)
+        assert err.value.line_number == line
+
     def test_wrong_width_rejected(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("pathhunter-emb v1 1 1 2\nE\ta\t1 2 3\nR\tr\t1 2\n")
