@@ -21,7 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator
 
 from .corruptor import CorruptionConfig, build_synthetic_dataset
 from .critic import ANCHOR_SOURCES, Critic, INTRINSIC_MODES, load_relation_phrases
@@ -129,29 +129,34 @@ class _Options:
             raise ConfigValidation(f"--config: unknown keys: {', '.join(unknown)}")
 
 
-def _emit(blob: Any, out: str | None) -> None:
+def _emit(blob: Any, out: Path | None) -> None:
     text = json.dumps(blob, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 @contextmanager
-def _atomic_out(path: str) -> Iterator[TextIO]:
-    """Write to a temp file beside ``path`` and move it over ``path`` on success.
+def _atomic_outputs(*paths: str | None) -> Iterator[list[Path | None]]:
+    """Temp paths beside the given outputs, moved over them when the block succeeds.
 
-    A run that raises leaves ``path`` as it was (absent, or its old
-    content) and removes the temp file.
+    An output given as None stays None. A block that raises leaves every
+    output as it was (absent, or its old content) and removes the temp
+    files.
     """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    temps = [
+        None if p is None else Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp")
+        for p in paths
+    ]
+    moves = [(tmp, p) for tmp, p in zip(temps, paths) if tmp is not None]
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, target)
+        yield temps
+        for tmp, target in moves:
+            os.replace(tmp, target)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
 
 
 def _load_heldout_triples(path: Path, graph) -> list[Triple]:
@@ -237,7 +242,8 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
         "nodes": [graph.entities.name_of(i) for i in sorted(sub.nodes)],
         "triples": [list(graph.name_triple(t)) for t in sub.triples],
     }
-    _emit(blob, args.out)
+    with _atomic_outputs(args.out) as (out,):
+        _emit(blob, out)
     return 0
 
 
@@ -261,13 +267,14 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     )
     if args.out is None:
         raise ConfigValidation("--out is required")
-    with _atomic_out(args.out) as fh:
-        for rec in corrupted:
-            fh.write(json.dumps(rec.to_json()) + "\n")
     text = json.dumps(summary.to_json(), indent=2)
-    if args.summary:
-        Path(args.summary).write_text(text + "\n", encoding="utf-8")
-    else:
+    with _atomic_outputs(args.out, args.summary) as (out, summary_out):
+        with open(out, "w", encoding="utf-8") as fh:
+            for rec in corrupted:
+                fh.write(json.dumps(rec.to_json()) + "\n")
+        if summary_out:
+            summary_out.write_text(text + "\n", encoding="utf-8")
+    if not args.summary:
         print(text, file=sys.stderr)
     return 0
 
@@ -295,9 +302,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigValidation("--out is required")
     table, trace = train(graph, cfg)
-    save_embeddings(args.out, table)
-    if args.trace:
-        save_loss_trace(args.trace, trace)
+    with _atomic_outputs(args.out, args.trace) as (out, trace_out):
+        save_embeddings(out, table)
+        if trace_out:
+            save_loss_trace(trace_out, trace)
     print(
         f"train: {len(trace)} epochs, final mean loss {trace[-1]:.6g}",
         file=sys.stderr,
@@ -328,7 +336,7 @@ def _cmd_critique(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigValidation("--out is required")
     flagged = 0
-    with _atomic_out(args.out) as fh:
+    with _atomic_outputs(args.out) as (out,), open(out, "w", encoding="utf-8") as fh:
         for record in records:
             report = critic.critique(record)
             blob = record.to_json()
@@ -365,7 +373,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigValidation("--out is required")
     n_edits = n_failures = 0
-    with _atomic_out(args.out) as fh:
+    with _atomic_outputs(args.out) as (out,), open(out, "w", encoding="utf-8") as fh:
         for record in records:
             report = critic.critique(record)
             outcome = refine_response(
@@ -399,19 +407,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         table = _load_table(args.emb, graph)
         heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
         try:
-            report = evaluate_link_prediction(
-                table, heldout, graph, mode=args.rank_mode, k=args.k
-            )
+            ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
         except ValueError as err:
             raise ConfigValidation(str(err)) from err
-        ranking = report
-        counts["ranks"] = len(report.ranks)
-        if args.ranks_csv:
-            with open(args.ranks_csv, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["item", "rank"])
-                for i, rank in enumerate(report.ranks, start=1):
-                    writer.writerow([i, rank])
+        counts["ranks"] = len(ranking.ranks)
 
     if args.refined is not None:
         records = read_dialogues(_require_file(args.refined, "--refined"))
@@ -447,7 +446,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     summary = EvalSummary(
         counts=counts, ranking=ranking, bleu_score=bleu_score, hallucination=rate
     )
-    _emit(summary.to_json(), args.out)
+    ranks_csv = args.ranks_csv if ranking is not None else None
+    with _atomic_outputs(ranks_csv, args.out) as (ranks_out, out):
+        if ranks_out:
+            with open(ranks_out, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["item", "rank"])
+                for i, rank in enumerate(ranking.ranks, start=1):
+                    writer.writerow([i, rank])
+        _emit(summary.to_json(), out)
     return 0
 
 
@@ -550,7 +557,7 @@ def build_parser(config: dict[str, Any] | None = None) -> _Parser:
     opts.add(ev, "--refined", default=None, help="refined JSONL (enables text metrics)")
     opts.add(ev, "--aliases", default=None, help="alias TSV (enables hallucination rate on refined text)")
     opts.add(ev, "--bleu-level", choices=("corpus", "sentence"), default="corpus", help="BLEU pooling (tool default corpus)")
-    opts.add(ev, "--k", type=int, default=2, help="neighborhood radius (method default 2)")
+    opts.add(ev, "--k", type=int, default=2, help="critic radius for the hallucination rate on --refined (method default 2)")
     opts.add(ev, "--ranks-csv", default=None, help="per-item rank CSV output path")
     opts.add(ev, "--out", default=None, help="summary JSON path (default stdout)")
     ev.set_defaults(func=_cmd_eval)

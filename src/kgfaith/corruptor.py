@@ -124,46 +124,38 @@ def _positional_peers(entity_id: int, graph: KnowledgeGraph) -> set[int]:
     return peers
 
 
-class _TypedEntities(dict):
-    """A type map that also lists, per type, the graph's entity ids in id order.
+def same_type_ids(types: dict[str, str], graph: KnowledgeGraph) -> dict[str, list[int]]:
+    """Entity name -> ids of the graph entities of its declared type, in id order.
 
-    build_synthetic_dataset builds one per run and hands it on as the
-    ``types`` argument, so a replacement pool reads its type's members
-    instead of scanning the vocabulary for every mention.
+    Every name in the type map gets an entry, also one the graph lacks;
+    names of one type share one list.
     """
-
-    def __init__(self, types: dict[str, str], graph: KnowledgeGraph) -> None:
-        super().__init__(types)
-        self.graph = graph
-        self.members: dict[str, list[int]] = {}
-        for i, name in enumerate(graph.entities):
-            kind = types.get(name)
-            if kind is not None:
-                self.members.setdefault(kind, []).append(i)
+    members: dict[str, list[int]] = {}
+    for i, name in enumerate(graph.entities):
+        kind = types.get(name)
+        if kind is not None:
+            members.setdefault(kind, []).append(i)
+    return {name: members.get(kind, []) for name, kind in types.items()}
 
 
 def replacement_pool(
     mention_entity: str,
     graph: KnowledgeGraph,
     sub: Subgraph,
-    types: dict[str, str],
+    same_type: dict[str, list[int]],
     history: list[str],
     aliases: AliasTable,
 ) -> list[str]:
     """Eligible same-type replacements, sorted by entity id.
 
-    Eligible means: a graph entity of the same declared type (or, when
-    the type map misses the mention, one sharing a predicate-and-slot
-    with it), not the mention itself, not a subgraph node, and with no
-    surface form occurring anywhere in the history.
+    Eligible means: a graph entity of the same declared type (from
+    ``same_type``, built by same_type_ids; when it misses the mention,
+    one sharing a predicate-and-slot with it), not the mention itself,
+    not a subgraph node, and with no surface form occurring anywhere in
+    the history.
     """
-    ent_type = types.get(mention_entity)
-    candidate_ids: list[int]
-    if ent_type is not None:
-        if not (isinstance(types, _TypedEntities) and types.graph is graph):
-            types = _TypedEntities(types, graph)
-        candidate_ids = types.members.get(ent_type, [])
-    else:
+    candidate_ids = same_type.get(mention_entity)
+    if candidate_ids is None:
         eid = graph.entities.get(mention_entity)
         if eid is None:
             return []
@@ -185,24 +177,22 @@ def corrupt_extrinsic(
     record: DialogueRecord,
     graph: KnowledgeGraph,
     sub: Subgraph,
-    types: dict[str, str],
+    same_type: dict[str, list[int]],
     rng: np.random.Generator,
-    aliases: AliasTable | None = None,
+    aliases: AliasTable,
 ) -> CorruptedRecord:
     """Replace every mention that has an eligible out-of-neighborhood peer.
 
     Each replaced mention gets an independent uniform draw from its
     pool. Raises NoEligibleReplacement when no mention can be replaced.
     """
-    if aliases is None:
-        aliases = AliasTable.from_names(graph.entities.names)
     mentions = response_mentions(record, aliases, graph)
     if not mentions:
         raise NoEligibleReplacement("record has no mention spans")
     edits: list[tuple[int, int, str]] = []
     replacements: list[tuple[str, str]] = []
     for m in mentions:
-        pool = replacement_pool(m.entity, graph, sub, types, record.history, aliases)
+        pool = replacement_pool(m.entity, graph, sub, same_type, record.history, aliases)
         if not pool:
             continue
         choice = pool[int(rng.integers(len(pool)))]
@@ -229,14 +219,12 @@ def _is_bidirectional(
     pid = graph.relations.get(p)
     if sid is None or oid is None or pid is None:
         return False
-    reverse = graph.direct_edges(oid, sid, oriented=True)
+    reverse = graph.direct_edges(oid, sid)
     return any(t.p == pid for t in reverse)
 
 
 def corrupt_intrinsic(
-    record: DialogueRecord,
-    graph: KnowledgeGraph,
-    aliases: AliasTable | None = None,
+    record: DialogueRecord, graph: KnowledgeGraph, aliases: AliasTable
 ) -> CorruptedRecord:
     """Swap subject and object surfaces of grounding triples in the text.
 
@@ -247,8 +235,6 @@ def corrupt_intrinsic(
     (a symmetric fact would stay faithful when reversed). Applying the
     operation twice restores the original response byte for byte.
     """
-    if aliases is None:
-        aliases = AliasTable.from_names(graph.entities.names)
     mentions = response_mentions(record, aliases, graph)
     by_entity: dict[str, list[MentionSpan]] = {}
     for m in mentions:
@@ -342,13 +328,14 @@ def build_synthetic_dataset(
     making output byte-identical across runs and worker schedules. A
     record grounded on an entity the graph lacks has no exclusion
     subgraph, so its extrinsic attempt fails with UnknownEntity and
-    takes the fallback-or-drop path.
+    takes the fallback-or-drop path. Without an alias table, every
+    entity name is its own surface form.
     """
     if not records:
         raise AllRecordsDropped("no input records")
     if aliases is None:
         aliases = AliasTable.from_names(graph.entities.names)
-    types = _TypedEntities(types, graph)
+    same_type = same_type_ids(types, graph)
 
     n = len(records)
     quota = round_half_up(cfg.fraction * n)
@@ -362,7 +349,7 @@ def build_synthetic_dataset(
         rng = np.random.default_rng([cfg.seed, idx])
         anchors = derive_anchors(rec, graph, source="kn")
         sub = graph.khop_subgraph(anchors, cfg.k) if anchors else Subgraph.empty()
-        return corrupt_extrinsic(rec, graph, sub, types, rng, aliases)
+        return corrupt_extrinsic(rec, graph, sub, same_type, rng, aliases)
 
     out: list[CorruptedRecord] = []
     for idx, rec in enumerate(records):

@@ -225,16 +225,10 @@ def critique_response(
                 between = canonical(record.response[first.end : second.begin])
                 matched = [rel for form, rel in phrase_to_relation if form in between]
                 if matched:
-                    bad = not any(
-                        graph.relations.get(rel) is not None
-                        and any(
-                            t.p == graph.relations.get(rel)
-                            for t in sub.edges_between(
-                                first.entity_id, second.entity_id, oriented=True
-                            )
-                        )
-                        for rel in matched
-                    )
+                    forward = {
+                        t.p for t in graph.direct_edges(first.entity_id, second.entity_id)
+                    }
+                    bad = not any(graph.relations.get(rel) in forward for rel in matched)
             if bad:
                 labels[i] = INTRINSIC
                 labels[j] = INTRINSIC

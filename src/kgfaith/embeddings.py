@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,12 +163,6 @@ def nce_loss_and_grad(
     return loss, grads
 
 
-def _corrupted(pos: Triple, entity: int, slot: str) -> Triple:
-    if slot == "object":
-        return Triple(pos.s, pos.p, entity)
-    return Triple(entity, pos.p, pos.o)
-
-
 def sample_negatives(
     pos: Triple,
     strategy: str,
@@ -177,22 +171,18 @@ def sample_negatives(
     graph: KnowledgeGraph | None = None,
     sub: Subgraph | None = None,
     batch: Sequence[Triple] | None = None,
-    slot: str = "object",
 ) -> list[Triple]:
-    """Draw corrupted triples for one positive.
+    """Draw corrupted triples for one positive by replacing its object.
 
     uniform: n draws from the full entity vocabulary minus the gold
-    entity. sans: n draws from the positive's subgraph nodes minus the
+    object. sans: n draws from the positive's subgraph nodes minus the
     gold; without replacement when the pool is large enough, otherwise
     with replacement (logged). in_batch: the other batch members' gold
-    entities, giving batch-size - 1 negatives (duplicate golds filtered).
-    The corrupted slot is the non-anchor slot: object by default.
+    objects, giving batch-size - 1 negatives (duplicate golds filtered).
     """
     if strategy not in SAMPLERS:
         raise ValueError(f"strategy must be one of {SAMPLERS}, got {strategy!r}")
-    if slot not in ("object", "subject"):
-        raise ValueError(f"slot must be object or subject, got {slot!r}")
-    gold = pos.o if slot == "object" else pos.s
+    gold = pos.o
 
     if strategy == "uniform":
         if graph is None:
@@ -204,7 +194,7 @@ def sample_negatives(
             raise EmptyPool("vocabulary has no alternative entity")
         pool = np.delete(np.arange(n_entities), gold)
         draws = rng.choice(pool, size=n, replace=True)
-        return [_corrupted(pos, int(e), slot) for e in draws]
+        return [Triple(pos.s, pos.p, int(e)) for e in draws]
 
     if strategy == "sans":
         if sub is None:
@@ -222,19 +212,16 @@ def sample_negatives(
                 pool.size, n,
             )
             draws = rng.choice(pool, size=n, replace=True)
-        return [_corrupted(pos, int(e), slot) for e in draws]
+        return [Triple(pos.s, pos.p, int(e)) for e in draws]
 
     # in_batch
     if batch is None or len(batch) < 2:
         raise EmptyPool("in-batch sampling needs a batch of at least 2")
     out = []
     for other in batch:
-        if other == pos:
+        if other == pos or other.o == gold:
             continue
-        other_gold = other.o if slot == "object" else other.s
-        if other_gold == gold:
-            continue
-        out.append(_corrupted(pos, other_gold, slot))
+        out.append(Triple(pos.s, pos.p, other.o))
     if not out:
         raise EmptyPool("no distinct gold entities in the batch")
     return out
@@ -289,12 +276,12 @@ class _SgdStep:
 class _AdamStep:
     """Adaptive-moments update applied sparsely to touched rows."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: dict[RowKey, np.ndarray] = {}
         self.v: dict[RowKey, np.ndarray] = {}
         self.t: dict[RowKey, int] = {}
@@ -320,11 +307,7 @@ class _AdamStep:
             target[idx] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def train(
-    graph: KnowledgeGraph,
-    cfg: TrainingConfig,
-    subgraph_provider: Callable[[Triple], Subgraph] | None = None,
-) -> tuple[EmbeddingTable, list[float]]:
+def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, list[float]]:
     """Mini-batch contrastive training over the graph's triples.
 
     Triples are shuffled each epoch; gradients are summed per batch,
@@ -332,27 +315,15 @@ def train(
     optimizer applies one step per batch. The per-epoch mean loss is
     returned as the trace. A non-finite epoch mean raises
     DivergenceDetected. Single-worker, fully seeded: identical config
-    gives identical tables and traces.
-
-    subgraph_provider feeds the sans sampler; by default each triple's
-    pool is the sans_k-hop ball around its subject, cached per subject.
+    gives identical tables and traces. The sans sampler draws from the
+    sans_k-hop ball around each triple's subject, built once per subject.
     """
     table = init_embeddings(len(graph.entities), len(graph.relations), cfg.d, cfg.seed)
     table.entity_names = graph.entities.names
     table.relation_names = graph.relations.names
     triples = list(graph.triples)
     rng = np.random.default_rng([cfg.seed, 1])
-
-    if subgraph_provider is None and cfg.sampler == "sans":
-        cache: dict[int, Subgraph] = {}
-
-        def subgraph_provider(t: Triple) -> Subgraph:
-            sub = cache.get(t.s)
-            if sub is None:
-                sub = graph.khop_subgraph([t.s], cfg.sans_k)
-                cache[t.s] = sub
-            return sub
-
+    balls: dict[int, Subgraph] = {}
     stepper = (
         _SgdStep(cfg.lr) if cfg.optimizer == "sgd" else _AdamStep(cfg.lr)
     )
@@ -371,11 +342,10 @@ def train(
                         pos, "uniform", n=cfg.negatives, rng=rng, graph=graph
                     )
                 elif cfg.sampler == "sans":
-                    assert subgraph_provider is not None
-                    negs = sample_negatives(
-                        pos, "sans", n=cfg.negatives, rng=rng,
-                        sub=subgraph_provider(pos),
-                    )
+                    sub = balls.get(pos.s)
+                    if sub is None:
+                        sub = balls[pos.s] = graph.khop_subgraph([pos.s], cfg.sans_k)
+                    negs = sample_negatives(pos, "sans", n=cfg.negatives, rng=rng, sub=sub)
                 else:
                     if len(batch) < 2:
                         logger.debug("skipping remainder batch of 1 (in-batch sampler)")
@@ -412,7 +382,6 @@ class LinkPredictionReport(RankingSummary):
 
     ranks: list[int]
     mode: str
-    scope: str
 
 
 def rank_of_gold(
@@ -437,24 +406,17 @@ def evaluate_link_prediction(
     heldout: Sequence[Triple],
     graph: KnowledgeGraph,
     mode: str = "filtered",
-    scope: str = "all",
-    k: int = 2,
-    ks: Iterable[int] = (1, 3, 10),
-    slot: str = "object",
 ) -> LinkPredictionReport:
-    """Rank the gold entity of each held-out triple among candidates.
+    """Rank the gold object of each held-out triple against every entity.
 
-    Candidates fill the chosen slot (object by default): the full
-    vocabulary, or the k-hop subgraph around the anchor entity. The
-    filtered mode drops candidates that form another known-true triple
-    (training or held-out) before ranking; the gold itself always stays.
+    Each triple (s, p, o) scores every entity e as the object of
+    (s, p, e). The filtered mode drops the entities that complete
+    another known-true triple (training or held-out) before ranking;
+    the gold itself always stays. Ties go to the lower entity id
+    (rank_of_gold).
     """
     if mode not in ("raw", "filtered"):
         raise ValueError(f"mode must be raw or filtered, got {mode!r}")
-    if scope not in ("all", "subgraph"):
-        raise ValueError(f"scope must be all or subgraph, got {scope!r}")
-    if slot not in ("object", "subject"):
-        raise ValueError(f"slot must be object or subject, got {slot!r}")
     heldout = list(heldout)
     if not heldout:
         raise EmptyHoldout("no held-out triples to evaluate")
@@ -464,36 +426,25 @@ def evaluate_link_prediction(
             raise ValueError(
                 f"{len(overlap)} held-out triples also appear in the graph"
             )
-        # (anchor, relation) -> every entity completing a known-true triple.
+        # (subject, relation) -> every object completing a known-true triple.
         known: dict[tuple[int, int], set[int]] = {}
         for s, p, o in (*graph.triples, *heldout):
-            key, filler = ((s, p), o) if slot == "object" else ((o, p), s)
-            known.setdefault(key, set()).add(filler)
+            known.setdefault((s, p), set()).add(o)
 
+    ids = np.arange(len(graph.entities))
     ranks: list[int] = []
     for t in heldout:
-        anchor, gold = (t.s, t.o) if slot == "object" else (t.o, t.s)
-        if scope == "all":
-            cand = np.arange(len(graph.entities))
-        else:
-            nodes = graph.khop_subgraph([anchor], k).nodes | {gold}
-            cand = np.array(sorted(nodes), dtype=np.int64)
+        scores = table.entities @ (table.entities[t.s] * table.relations[t.p])
         if mode == "filtered":
-            drop = known[(anchor, t.p)] - {gold}
-            if drop:
-                cand = cand[~np.isin(cand, np.fromiter(drop, dtype=np.int64))]
-        query = table.entities[anchor] * table.relations[t.p]
-        scores = table.entities[cand] @ query
-        ranks.append(rank_of_gold(scores, cand, gold))
+            keep = np.ones(len(ids), dtype=bool)
+            keep[[e for e in known[(t.s, t.p)] if e != t.o]] = False
+            ranks.append(rank_of_gold(scores[keep], ids[keep], t.o))
+        else:
+            ranks.append(rank_of_gold(scores, ids, t.o))
 
-    summary = ranking_metrics(ranks, sorted(set(ks)))
+    summary = ranking_metrics(ranks)
     return LinkPredictionReport(
-        hits=summary.hits,
-        mr=summary.mr,
-        mrr=summary.mrr,
-        ranks=ranks,
-        mode=mode,
-        scope=scope,
+        hits=summary.hits, mr=summary.mr, mrr=summary.mrr, ranks=ranks, mode=mode
     )
 
 
@@ -554,9 +505,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 rel_names.append(parts[1])
                 rel_rows.append(vec)
     if len(ent_rows) != n_ent or len(rel_rows) != n_rel:
-        raise ValueError(
-            f"header promises {n_ent}/{n_rel} rows, file has "
-            f"{len(ent_rows)}/{len(rel_rows)}"
+        raise MalformedLine(
+            1,
+            f"entity/relation counts {len(ent_rows)}/{len(rel_rows)} to match "
+            f"the rows below it, not {n_ent}/{n_rel}",
         )
     return EmbeddingTable(
         entities=np.vstack(ent_rows),

@@ -108,20 +108,9 @@ class Subgraph:
     def has_node(self, entity: int) -> bool:
         return entity in self.nodes
 
-    def has_direct_edge(self, a: int, b: int, oriented: bool = False) -> bool:
-        """True when some triple connects a and b.
-
-        Oriented checks only a->b; unoriented accepts either direction.
-        """
-        if (a, b) in self._direct:
-            return True
-        return not oriented and (b, a) in self._direct
-
-    def edges_between(self, a: int, b: int, oriented: bool = False) -> list[Triple]:
-        out = [t for t in self.triples if t.s == a and t.o == b]
-        if not oriented:
-            out.extend(t for t in self.triples if t.s == b and t.o == a)
-        return out
+    def has_direct_edge(self, a: int, b: int) -> bool:
+        """True when some triple connects a and b, in either direction."""
+        return (a, b) in self._direct or (b, a) in self._direct
 
 
 class KnowledgeGraph:
@@ -237,17 +226,12 @@ class KnowledgeGraph:
         )
         return Subgraph(nodes=frozenset(seen), triples=induced, centers=resolved, radius=k)
 
-    def direct_edges(
-        self, a: int | str, b: int | str, oriented: bool = False
-    ) -> list[Triple]:
-        """Triples connecting a and b (a->b only when oriented)."""
+    def direct_edges(self, a: int | str, b: int | str) -> list[Triple]:
+        """Triples a -> b, in graph order."""
         ai = self.resolve_entity(a)
         bi = self.resolve_entity(b)
         triples = self.triples
-        out = [triples[i] for i in self._out.get(ai, ()) if triples[i].o == bi]
-        if not oriented and ai != bi:
-            out.extend(triples[i] for i in self._out.get(bi, ()) if triples[i].o == ai)
-        return out
+        return [triples[i] for i in self._out.get(ai, ()) if triples[i].o == bi]
 
     def stats(self) -> GraphStats:
         n = len(self.entities)

@@ -110,9 +110,7 @@ def test_gate1_link_prediction_quality(block_model):
     trained = {e for t in train_graph.triples for e in (t.s, t.o)}
     assert len(trained) == len(train_graph.entities)
 
-    report = evaluate_link_prediction(
-        tables[0], held, train_graph, mode="filtered", scope="all"
-    )
+    report = evaluate_link_prediction(tables[0], held, train_graph, mode="filtered")
     assert seconds[0] < 60.0
     assert report.mrr >= 0.5
     assert report.hits[10] >= 0.9
@@ -388,7 +386,7 @@ def test_gate8_ranking_matches_brute_force():
         )
         known = set(g.triples) | set(heldout)
         mode = "filtered" if case % 2 else "raw"
-        report = evaluate_link_prediction(table, heldout, g, mode=mode, scope="all")
+        report = evaluate_link_prediction(table, heldout, g, mode=mode)
         expected = [oracle_rank(table, t, known, mode, n_ent) for t in heldout]
         assert report.ranks == expected
         agg = ranking_metrics(expected)

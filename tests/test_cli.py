@@ -371,15 +371,52 @@ class TestAtomicOutputs:
         assert len(out.read_text().splitlines()) == 3
         assert list(out.parent.iterdir()) == [out]
 
+    def test_failed_eval_writes_nothing(self, data_dir, tmp_path, trained_snapshot, capsys):
+        # Ranking succeeds; the --refined file read afterwards does not parse.
+        heldout = tmp_path / "held.tsv"
+        heldout.write_text("roald_dahl\twrote\tthe_hobbit\n")
+        refined = tmp_path / "refined.jsonl"
+        refined.write_text("not a record\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
+                    "--heldout", heldout, "--refined", refined,
+                    "--ranks-csv", out / "ranks.csv", "--out", out / "summary.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: MalformedLine: line 1: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "corrupt"])
+    def test_unwritable_second_output_writes_neither(self, data_dir, tmp_path, command):
+        # --out can be written; the directory of the second output does not exist.
+        out = tmp_path / "out"
+        out.mkdir()
+        missing = tmp_path / "missing"
+        if command == "train":
+            argv = ["train", "--kg", data_dir / "toy_kg.tsv", "--dim", "4",
+                    "--epochs", "2", "--out", out / "emb.txt",
+                    "--trace", missing / "loss.csv"]
+        else:
+            argv = ["corrupt", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv", "--types", data_dir / "toy_types.tsv",
+                    "--aliases", data_dir / "toy_aliases.tsv",
+                    "--out", out / "corrupted.jsonl", "--summary", missing / "summary.json"]
+        assert run(argv) == 2
+        assert list(out.iterdir()) == []
+
 
 class TestSnapshotErrors:
     """A snapshot line that does not parse is a runtime error naming the line."""
 
-    @pytest.fixture(params=["non-numeric", "non-finite", "bad-count"])
+    @pytest.fixture(params=["non-numeric", "non-finite", "bad-count", "truncated"])
     def broken_snapshot(self, request, tmp_path, trained_snapshot):
         lines = trained_snapshot.read_text().splitlines()
         if request.param == "bad-count":
             lines[0] = lines[0].rsplit(" ", 1)[0] + " eight"
+            line = 1
+        elif request.param == "truncated":
+            # The header promises 8 entity and 3 relation rows; 4 and 0 remain.
+            lines = lines[:5]
             line = 1
         else:
             kind, name, vec = lines[3].split("\t")

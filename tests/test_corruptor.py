@@ -14,11 +14,12 @@ from kgfaith.corruptor import (
     corrupt_intrinsic,
     replacement_pool,
     round_half_up,
+    same_type_ids,
 )
 from kgfaith.critic import EXTRINSIC, Critic, derive_anchors
 from kgfaith.dialogue import DialogueRecord
 from kgfaith.errors import AllRecordsDropped, NoEligibleReplacement, NotApplicable
-from kgfaith.kg import canonical
+from kgfaith.kg import AliasTable, canonical
 
 
 def record(history, triples, response) -> DialogueRecord:
@@ -34,18 +35,23 @@ def small_graph(*lines: str) -> KnowledgeGraph:
     return KnowledgeGraph(triples, ents, rels)
 
 
+@pytest.fixture(scope="module")
+def toy_same_type(toy_graph, toy_types):
+    return same_type_ids(toy_types, toy_graph)
+
+
 class TestReplacementPool:
     def test_only_out_of_neighborhood_same_type_entities(
-        self, toy_graph, toy_types, toy_aliases
+        self, toy_graph, toy_same_type, toy_aliases
     ):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        pool = replacement_pool("the_bfg", toy_graph, sub, toy_types, [], toy_aliases)
+        pool = replacement_pool("the_bfg", toy_graph, sub, toy_same_type, [], toy_aliases)
         assert pool == ["the_hobbit"]
 
-    def test_history_surface_excluded(self, toy_graph, toy_types, toy_aliases):
+    def test_history_surface_excluded(self, toy_graph, toy_same_type, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         pool = replacement_pool(
-            "the_bfg", toy_graph, sub, toy_types,
+            "the_bfg", toy_graph, sub, toy_same_type,
             ["Have you read The Hobbit?"], toy_aliases,
         )
         assert pool == []
@@ -119,34 +125,35 @@ class TestReplacementPoolOnSparseCorpus:
 
     def test_typed_pool(self, corpus):
         graph, types, aliases, _ = corpus
+        same_type = same_type_ids(types, graph)
         for mention, sub, history in self.cases(corpus):
-            pool = replacement_pool(mention, graph, sub, types, history, aliases)
+            pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
             assert pool == scan_pool(mention, graph, sub, types, history, aliases)
 
 
 class TestCorruptExtrinsic:
-    def test_forced_unique_replacement(self, toy_graph, toy_types, toy_aliases):
+    def test_forced_unique_replacement(self, toy_graph, toy_same_type, toy_aliases):
         rec = record([], [("roald_dahl", "wrote", "the_bfg")], "I love The BFG")
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         rng = np.random.default_rng(0)
-        out = corrupt_extrinsic(rec, toy_graph, sub, toy_types, rng, toy_aliases)
+        out = corrupt_extrinsic(rec, toy_graph, sub, toy_same_type, rng, toy_aliases)
         assert out.response == "I love The Hobbit"
         assert out.kind == "extrinsic"
         assert out.labels == [(7, 17)]
         assert out.replacements == [("the_bfg", "the_hobbit")]
 
     def test_labels_cover_exactly_the_replacements(
-        self, toy_graph, toy_types, toy_aliases
+        self, toy_graph, toy_same_type, toy_aliases
     ):
         rec = record([], [("roald_dahl", "wrote", "the_bfg")],
                      "Roald Dahl wrote The BFG.")
         sub = toy_graph.khop_subgraph(["roald_dahl", "the_bfg"], 2)
         rng = np.random.default_rng(1)
-        out = corrupt_extrinsic(rec, toy_graph, sub, toy_types, rng, toy_aliases)
+        out = corrupt_extrinsic(rec, toy_graph, sub, toy_same_type, rng, toy_aliases)
         for (b, e), (_, new) in zip(out.labels, out.replacements):
             assert out.response[b:e] == toy_aliases.preferred(new)
 
-    def test_soundness_over_seeds(self, toy_graph, toy_types, toy_aliases):
+    def test_soundness_over_seeds(self, toy_graph, toy_same_type, toy_aliases):
         # Replacement never lands in the subgraph or the history.
         rec = record(
             ["I enjoy Roald Dahl books."],
@@ -157,7 +164,7 @@ class TestCorruptExtrinsic:
         history_folded = [canonical(t) for t in rec.history]
         for seed in range(30):
             out = corrupt_extrinsic(
-                rec, toy_graph, sub, toy_types, np.random.default_rng(seed), toy_aliases
+                rec, toy_graph, sub, toy_same_type, np.random.default_rng(seed), toy_aliases
             )
             for _, new in out.replacements:
                 nid = toy_graph.entities.get(new)
@@ -165,35 +172,35 @@ class TestCorruptExtrinsic:
                 for surf in toy_aliases.surfaces_of(new) or [new]:
                     assert all(canonical(surf) not in t for t in history_folded)
 
-    def test_type_preserved(self, toy_graph, toy_types, toy_aliases):
+    def test_type_preserved(self, toy_graph, toy_types, toy_same_type, toy_aliases):
         rec = record([], [("roald_dahl", "wrote", "the_bfg")],
                      "Roald Dahl wrote The BFG.")
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
         out = corrupt_extrinsic(
-            rec, toy_graph, sub, toy_types, np.random.default_rng(7), toy_aliases
+            rec, toy_graph, sub, toy_same_type, np.random.default_rng(7), toy_aliases
         )
         for old, new in out.replacements:
             assert toy_types[old] == toy_types[new]
 
-    def test_no_mentions_rejected(self, toy_graph, toy_types, toy_aliases):
+    def test_no_mentions_rejected(self, toy_graph, toy_same_type, toy_aliases):
         rec = record([], [("roald_dahl", "wrote", "the_bfg")], "nothing here")
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         with pytest.raises(NoEligibleReplacement):
             corrupt_extrinsic(
-                rec, toy_graph, sub, toy_types, np.random.default_rng(0), toy_aliases
+                rec, toy_graph, sub, toy_same_type, np.random.default_rng(0), toy_aliases
             )
 
-    def test_all_pools_empty_rejected(self, toy_graph, toy_types, toy_aliases):
+    def test_all_pools_empty_rejected(self, toy_graph, toy_same_type, toy_aliases):
         # Radius 3 around both anchor sides swallows the_hobbit, the only
         # candidate book, so the mention cannot be replaced.
         rec = record([], [("roald_dahl", "wrote", "the_bfg")], "I love The BFG")
         sub = toy_graph.khop_subgraph(["roald_dahl"], 3)
         with pytest.raises(NoEligibleReplacement):
             corrupt_extrinsic(
-                rec, toy_graph, sub, toy_types, np.random.default_rng(0), toy_aliases
+                rec, toy_graph, sub, toy_same_type, np.random.default_rng(0), toy_aliases
             )
 
-    def test_critic_flags_every_corruption(self, toy_graph, toy_types, toy_aliases):
+    def test_critic_flags_every_corruption(self, toy_graph, toy_same_type, toy_aliases):
         rec = record(
             ["Tell me about Roald Dahl."],
             [("roald_dahl", "wrote", "the_bfg")],
@@ -203,7 +210,7 @@ class TestCorruptExtrinsic:
         critic = Critic(toy_graph, toy_aliases, k=2)
         for seed in range(20):
             out = corrupt_extrinsic(
-                rec, toy_graph, sub, toy_types, np.random.default_rng(seed), toy_aliases
+                rec, toy_graph, sub, toy_same_type, np.random.default_rng(seed), toy_aliases
             )
             report = critic.critique(out.as_record())
             flagged = {(lab.begin, lab.end) for lab in report.labels
@@ -259,7 +266,7 @@ class TestCorruptIntrinsic:
         g = small_graph("alice married bob", "bob married alice")
         rec = record([], [("alice", "married", "bob")], "alice wed bob")
         with pytest.raises(NotApplicable):
-            corrupt_intrinsic(rec, g)
+            corrupt_intrinsic(rec, g, AliasTable.from_names(g.entities.names))
 
     def test_repeated_mention_is_ambiguous(self, toy_graph, toy_aliases):
         rec = record(

@@ -1,0 +1,80 @@
+"""Byte-for-byte golden outputs of the CLI stages that score with embeddings.
+
+``refine`` (oracle and inferred queries) and ``eval`` (filtered and raw
+link prediction: the summary JSON and the per-item ranks CSV) run on the
+toy data with a snapshot written by ``init_embeddings`` and
+``save_embeddings`` at a fixed seed. Nothing is trained. The bytes hold
+across machines because:
+
+- the table comes from numpy's seeded PCG64 stream, and the snapshot's
+  ``.17g`` text round-trips every float64 exactly;
+- scoring only multiplies and adds. Elementwise products are correctly
+  rounded and numpy sums a row in a fixed pairwise order, so every
+  ``rank1_score`` that ``refine`` prints is the same float everywhere;
+- ``eval`` prints integer ranks and Hits@k, MR and MRR derived from them
+  by exact integer counts and one division per rank, so a different
+  BLAS could change them only by reordering two scores equal to the
+  last bit, which random vectors do not produce;
+- no exp or log (training loss, BLEU) reaches these files.
+
+A digest may change only on purpose, with the reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from kgfaith.cli import main
+from kgfaith.embeddings import init_embeddings, save_embeddings
+from kgfaith.kg import load_triples
+
+GOLDEN = {
+    "refine-oracle.jsonl": "85f0193fcbbdce09ffa8ebb9f16a0d41708b8c0080b6795494fbfdefdefd0e4e",
+    "refine-inferred.jsonl": "7dc6ad90a256c0c774aa97b51515b54feb4d44f89c212073a8c61f724abca1ce",
+    "eval-filtered.json": "f2e75a02b8bae37c386aba15869b843d334f3d8abb1b3bc5d9de89bf2b6b8cc3",
+    "eval-filtered-ranks.csv": "008c793fdf5719b32d504da7423dffd18cb47a6cb4f1436de1b9e9663e6de6bb",
+    "eval-raw.json": "90fbd1c78ad6102a0d8abb7b9b444856e6c07d0edc7cefaad37eae7c3c0a0c0e",
+    "eval-raw-ranks.csv": "06fe8f4c15374de6387ffba18af2ba91fd05b8c1a11de43208d5eabe1f01456e",
+}
+
+# Not in toy_kg.tsv; (roald_dahl, wrote) and (the_witches, has_genre)
+# have other known objects, so the filter drops candidates.
+HELDOUT = [
+    ("roald_dahl", "wrote", "the_hobbit"),
+    ("jrr_tolkien", "wrote", "the_witches"),
+    ("the_bfg", "has_genre", "fantasy"),
+    ("quentin_blake", "illustrated", "the_witches"),
+    ("the_witches", "has_genre", "the_hobbit"),
+]
+
+
+def test_cli_outputs_match_golden_digests(data_dir: Path, tmp_path: Path):
+    kg = data_dir / "toy_kg.tsv"
+    graph = load_triples(kg)
+    table = init_embeddings(len(graph.entities), len(graph.relations), 8, seed=11)
+    table.entity_names = graph.entities.names
+    table.relation_names = graph.relations.names
+    emb = tmp_path / "emb.txt"
+    save_embeddings(emb, table)
+    heldout = tmp_path / "heldout.tsv"
+    heldout.write_text("".join("\t".join(t) + "\n" for t in HELDOUT), encoding="utf-8")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    for mode in ("oracle", "inferred"):
+        argv = ["refine", "--in", data_dir / "toy_dialogues.jsonl", "--kg", kg,
+                "--emb", emb, "--aliases", data_dir / "toy_aliases.tsv",
+                "--mode", mode, "--out", out / f"refine-{mode}.jsonl"]
+        assert main([str(a) for a in argv]) == 0, argv
+    for mode in ("filtered", "raw"):
+        argv = ["eval", "--kg", kg, "--emb", emb, "--heldout", heldout,
+                "--rank-mode", mode, "--ranks-csv", out / f"eval-{mode}-ranks.csv",
+                "--out", out / f"eval-{mode}.json"]
+        assert main([str(a) for a in argv]) == 0, argv
+
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN, json.dumps(digests, indent=2)

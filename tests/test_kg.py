@@ -223,15 +223,8 @@ class TestSubgraphMatchesBfsReference:
 
 class TestDirectEdges:
     def test_oriented(self, toy_graph):
-        assert toy_graph.direct_edges("roald_dahl", "the_witches", oriented=True) == [
-            Triple(0, 0, 1)
-        ]
-        assert toy_graph.direct_edges("the_witches", "roald_dahl", oriented=True) == []
-
-    def test_unoriented_both_ways(self, toy_graph):
-        forward = toy_graph.direct_edges("roald_dahl", "the_witches")
-        backward = toy_graph.direct_edges("the_witches", "roald_dahl")
-        assert set(forward) == set(backward) == {Triple(0, 0, 1)}
+        assert toy_graph.direct_edges("roald_dahl", "the_witches") == [Triple(0, 0, 1)]
+        assert toy_graph.direct_edges("the_witches", "roald_dahl") == []
 
     def test_no_edge(self, toy_graph):
         assert toy_graph.direct_edges("roald_dahl", "fantasy") == []
@@ -240,9 +233,7 @@ class TestDirectEdges:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
         assert sub.has_direct_edge(0, 1)
         assert sub.has_direct_edge(1, 0)
-        assert not sub.has_direct_edge(1, 0, oriented=True)
         assert not sub.has_direct_edge(0, 4)
-        assert sub.edges_between(0, 1) == [Triple(0, 0, 1)]
 
 
 class TestIndexes:
