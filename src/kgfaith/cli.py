@@ -397,6 +397,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigValidation(
             "nothing to evaluate: pass --refined and/or --emb with --heldout"
         )
+    if args.ranks_csv is not None and not want_ranking:
+        raise ConfigValidation("--ranks-csv needs --emb and --heldout")
     graph = load_triples(_require_file(args.kg, "--kg"))
     counts: dict[str, int] = {}
     ranking = None
@@ -446,8 +448,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     summary = EvalSummary(
         counts=counts, ranking=ranking, bleu_score=bleu_score, hallucination=rate
     )
-    ranks_csv = args.ranks_csv if ranking is not None else None
-    with _atomic_outputs(ranks_csv, args.out) as (ranks_out, out):
+    with _atomic_outputs(args.ranks_csv, args.out) as (ranks_out, out):
         if ranks_out:
             with open(ranks_out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)

@@ -261,6 +261,8 @@ class Critic:
             raise ValueError(f"k must be >= 0, got {k}")
         if mode not in INTRINSIC_MODES:
             raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
+        if mode == "directed" and not relation_phrases:
+            raise ValueError("the directed mode needs relation phrases")
         if anchor_source not in ANCHOR_SOURCES:
             raise ValueError(
                 f"anchor source must be one of {ANCHOR_SOURCES}, got {anchor_source!r}"

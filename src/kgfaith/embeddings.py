@@ -47,7 +47,6 @@ class EmbeddingTable:
 
     entities: np.ndarray
     relations: np.ndarray
-    provenance: str = "learned"
     entity_names: list[str] | None = None
     relation_names: list[str] | None = None
 
@@ -87,16 +86,23 @@ def init_embeddings(
     rng = np.random.default_rng(seed)
     ent = rng.uniform(-bound, bound, size=(n_entities, d))
     rel = rng.uniform(-bound, bound, size=(n_relations, d))
-    return EmbeddingTable(entities=ent, relations=rel, provenance="learned")
+    return EmbeddingTable(entities=ent, relations=rel)
+
+
+def trilinear(u: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Trilinear scores sum_i u_i * r_i * v_i over the last axis, broadcasting.
+
+    The one scoring kernel of training, the per-triple scorer and
+    retrieval. The two entity vectors are multiplied first, so swapping
+    u and v gives a bitwise-identical result (elementwise products
+    commute; a different grouping would only be equal up to rounding),
+    and each row of a batched call equals the same row scored alone.
+    """
+    return np.sum((u * v) * r, axis=-1)
 
 
 def distmult_score(z_u: np.ndarray, z_r: np.ndarray, z_v: np.ndarray) -> float:
-    """Trilinear score sum_i u_i * r_i * v_i (symmetric in u and v).
-
-    The two entity vectors are multiplied first, so swapping u and v
-    gives a bitwise-identical result (elementwise products commute;
-    a different grouping would only be equal up to rounding).
-    """
+    """Trilinear score of one triple (symmetric in u and v)."""
     z_u = np.asarray(z_u, dtype=np.float64)
     z_r = np.asarray(z_r, dtype=np.float64)
     z_v = np.asarray(z_v, dtype=np.float64)
@@ -104,7 +110,7 @@ def distmult_score(z_u: np.ndarray, z_r: np.ndarray, z_v: np.ndarray) -> float:
         raise DimensionMismatch(
             f"shapes {z_u.shape}, {z_r.shape}, {z_v.shape} must be equal 1-d"
         )
-    return float(np.sum((z_u * z_v) * z_r))
+    return float(trilinear(z_u, z_r, z_v))
 
 
 RowKey = tuple[str, int]  # ("e", entity id) or ("r", relation id)
@@ -136,7 +142,7 @@ def nce_loss_and_grad(
     U = table.entities[subjects]
     R = table.relations[predicates]
     V = table.entities[objects]
-    scores = np.einsum("ij,ij,ij->i", U, R, V)
+    scores = trilinear(U, R, V)
     m = float(scores.max())
     shifted = np.exp(scores - m)
     total = float(shifted.sum())
@@ -192,8 +198,10 @@ def sample_negatives(
         n_entities = len(graph.entities)
         if n_entities < 2:
             raise EmptyPool("vocabulary has no alternative entity")
-        pool = np.delete(np.arange(n_entities), gold)
-        draws = rng.choice(pool, size=n, replace=True)
+        # Uniform over the n_entities - 1 ids other than gold: draw from
+        # 0..n_entities-2 and shift the draws at or above gold up by one.
+        draws = rng.integers(0, n_entities - 1, size=n)
+        draws[draws >= gold] += 1
         return [Triple(pos.s, pos.p, int(e)) for e in draws]
 
     if strategy == "sans":
@@ -434,6 +442,8 @@ def evaluate_link_prediction(
     ids = np.arange(len(graph.entities))
     ranks: list[int] = []
     for t in heldout:
+        # One gemv over the whole vocabulary, not trilinear: 8-38x faster
+        # at 6k x 32, and only the ranks it yields are reported.
         scores = table.entities @ (table.entities[t.s] * table.relations[t.p])
         if mode == "filtered":
             keep = np.ones(len(ids), dtype=bool)
@@ -513,7 +523,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(
         entities=np.vstack(ent_rows),
         relations=np.vstack(rel_rows),
-        provenance="external",
         entity_names=ent_names,
         relation_names=rel_names,
     )
@@ -538,7 +547,6 @@ def align_table(table: EmbeddingTable, graph: KnowledgeGraph) -> EmbeddingTable:
     return EmbeddingTable(
         entities=ent,
         relations=rel,
-        provenance=table.provenance,
         entity_names=graph.entities.names,
         relation_names=graph.relations.names,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .critic import CriticReport, derive_anchors
 from .dialogue import DialogueRecord, splice
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, trilinear
 from .errors import (
     DimensionMismatch,
     EmptySubgraph,
@@ -36,15 +36,6 @@ from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple
 logger = logging.getLogger(__name__)
 
 QUERY_MODES = ("oracle", "inferred", "external")
-
-
-@dataclass(frozen=True)
-class QueryVector:
-    """A query embedding plus where it came from."""
-
-    vector: np.ndarray
-    provenance: str
-    relation_id: int | None = None
 
 
 @dataclass
@@ -156,17 +147,14 @@ def infer_relation(
     cand = sorted(sub.nodes - {anchor} - exclude)
     if not cand:
         raise EmptySubgraph("no candidate entities to infer against")
-    cand_vecs = table.entities[np.array(cand, dtype=np.int64)]
-    anchor_vec = table.entities[anchor]
-    best_rel = -1
-    best = -np.inf
-    for rel in sorted({t.p for t in sub.triples}):
-        scores = np.sum((anchor_vec * cand_vecs) * table.relations[rel], axis=1)
-        top = float(scores.max())
-        if top > best:
-            best = top
-            best_rel = rel
-    return best_rel
+    rels = np.array(sorted({t.p for t in sub.triples}), dtype=np.int64)
+    # (relations, candidates) scores; argmax keeps the first, lowest-id best.
+    scores = trilinear(
+        table.entities[anchor],
+        table.relations[rels][:, None, :],
+        table.entities[np.array(cand, dtype=np.int64)],
+    )
+    return int(rels[np.argmax(scores.max(axis=1))])
 
 
 def build_query(
@@ -178,7 +166,7 @@ def build_query(
     anchors: Iterable[int],
     external: ExternalQueries | None = None,
     exclude: frozenset[int] = frozenset(),
-) -> QueryVector:
+) -> np.ndarray:
     """Craft the query vector for one flagged mention.
 
     oracle uses the relation of the grounding triple selected by
@@ -189,23 +177,13 @@ def build_query(
     if mode not in QUERY_MODES:
         raise ValueError(f"mode must be one of {QUERY_MODES}, got {mode!r}")
     if mode == "oracle":
-        sel = oracle_grounding_triple(record, graph, anchors)
-        return QueryVector(
-            vector=table.relations[sel.p].copy(),
-            provenance="oracle-relation",
-            relation_id=sel.p,
-        )
+        return table.relations[oracle_grounding_triple(record, graph, anchors).p].copy()
     if mode == "inferred":
         anchor = scoring_anchor("inferred", record, graph, anchors, sub)
-        rel = infer_relation(sub, table, anchor, exclude)
-        return QueryVector(
-            vector=table.relations[rel].copy(),
-            provenance="inferred-relation",
-            relation_id=rel,
-        )
+        return table.relations[infer_relation(sub, table, anchor, exclude)].copy()
     if external is None:
         raise ValueError("external mode needs a query-vector source")
-    return QueryVector(vector=external.take(table.dim), provenance="external")
+    return external.take(table.dim)
 
 
 def scoring_anchor(
@@ -231,7 +209,7 @@ def scoring_anchor(
 
 
 def rank_candidates(
-    query: QueryVector,
+    query: np.ndarray,
     anchor: int,
     sub: Subgraph,
     table: EmbeddingTable,
@@ -248,18 +226,16 @@ def rank_candidates(
     cand = sorted(sub.nodes - {anchor} - exclude)
     if not cand:
         raise EmptySubgraph("subgraph has no candidate entities besides the anchor")
-    vec = np.asarray(query.vector, dtype=np.float64)
+    vec = np.asarray(query, dtype=np.float64)
     if vec.shape != (table.dim,):
         raise DimensionMismatch(
             f"query has shape {vec.shape}, table dimension is {table.dim}"
         )
     ids = np.array(cand, dtype=np.int64)
-    # Same multiplication grouping as distmult_score, so each entry is
-    # bitwise equal to scoring the candidate individually.
-    scores = np.sum((table.entities[anchor] * table.entities[ids]) * vec, axis=1)
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    scores = trilinear(table.entities[anchor], vec, table.entities[ids])
+    order = np.lexsort((ids, -scores))
     return RankedCandidates(
-        candidates=[(int(ids[i]), float(scores[i])) for i in order],
+        candidates=list(zip(ids[order].tolist(), scores[order].tolist())),
         anchor=anchor,
     )
 

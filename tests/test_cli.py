@@ -262,6 +262,18 @@ class TestCritiqueCommand:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: k must be >= 0, got -1"]
 
+    def test_directed_mode_needs_phrases(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "crit.jsonl"
+        code = run(["critique", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv",
+                    "--aliases", data_dir / "toy_aliases.tsv", "--mode", "directed",
+                    "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the directed mode needs relation phrases"
+        ]
+        assert not out.exists()
+
 
 @pytest.fixture()
 def trained_snapshot(data_dir, tmp_path):
@@ -484,6 +496,17 @@ class TestEvalCommand:
         rows = ranks.read_text().splitlines()
         assert rows[0] == "item,rank"
         assert len(rows) == 2
+
+    def test_ranks_csv_needs_link_prediction(self, data_dir, tmp_path, capsys):
+        ranks = tmp_path / "ranks.csv"
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
+                    "--refined", data_dir / "toy_dialogues.jsonl",
+                    "--ranks-csv", ranks])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --ranks-csv needs --emb and --heldout"
+        ]
+        assert not ranks.exists()
 
     def test_negative_k_is_validation_error(self, data_dir, capsys):
         code = run(["eval", "--kg", data_dir / "toy_kg.tsv",

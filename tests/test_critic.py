@@ -283,6 +283,11 @@ class TestCriticConfig:
         with pytest.raises(ValueError, match="k must be >= 0"):
             Critic(toy_graph, toy_aliases, k=-1)
 
+    @pytest.mark.parametrize("phrases", [None, {}])
+    def test_directed_mode_needs_phrases(self, toy_graph, toy_aliases, phrases):
+        with pytest.raises(ValueError, match="directed mode needs relation phrases"):
+            Critic(toy_graph, toy_aliases, mode="directed", relation_phrases=phrases)
+
 
 class TestRelationPhrases:
     def test_load(self, data_dir):

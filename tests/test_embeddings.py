@@ -238,6 +238,22 @@ class TestSampleNegatives:
         )
         assert all(t == Triple(0, 0, 0) for t in negs)
 
+    @pytest.mark.parametrize("n_entities", [2, 50, 600, 6000])
+    def test_uniform_draws_equal_pool_choice(self, n_entities):
+        """The shifted draw gives the draws, and leaves the generator state,
+        of rng.choice over the vocabulary with the gold deleted."""
+        g = graph_of(n_entities, [(0, 0, 1)])
+        for gold in (0, n_entities // 2, n_entities - 1):
+            fast, ref = np.random.default_rng(17), np.random.default_rng(17)
+            for _ in range(3):
+                negs = sample_negatives(
+                    Triple(0, 0, gold), "uniform", n=40, rng=fast, graph=g
+                )
+                pool = np.delete(np.arange(n_entities), gold)
+                expected = ref.choice(pool, size=40, replace=True)
+                assert [t.o for t in negs] == expected.tolist()
+            assert fast.bit_generator.state == ref.bit_generator.state
+
     def test_uniform_never_gold(self, toy_graph):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -440,7 +456,6 @@ class TestSnapshot:
         first = path.read_text().splitlines()[0]
         assert first == "pathhunter-emb v1 8 3 4"
         loaded = load_embeddings(path)
-        assert loaded.provenance == "external"
         assert loaded.entity_names == toy_graph.entities.names
         np.testing.assert_array_equal(loaded.entities, table.entities)
         np.testing.assert_array_equal(loaded.relations, table.relations)

@@ -3,8 +3,10 @@
 The references below redo the work the indexes save: k-hop balls and
 induced edges from passes over every triple, a mention pattern compiled
 afresh for every call, and the filtered ranking's set lookup per
-candidate. Examples are drawn deterministically, so the suite gives the
-same verdict on every run.
+candidate. The batched trilinear scorer is checked against one
+distmult_score call per triple, and relation inference and candidate
+ranking against loops over those single scores. Examples are drawn
+deterministically, so the suite gives the same verdict on every run.
 """
 
 from __future__ import annotations
@@ -12,13 +14,22 @@ from __future__ import annotations
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.critic import link_mentions
-from kgfaith.embeddings import EmbeddingTable, evaluate_link_prediction, rank_of_gold
+from kgfaith.embeddings import (
+    EmbeddingTable,
+    distmult_score,
+    evaluate_link_prediction,
+    rank_of_gold,
+    trilinear,
+)
+from kgfaith.errors import EmptySubgraph
 from kgfaith.kg import AliasTable
+from kgfaith.retriever import infer_relation, rank_candidates
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -226,3 +237,98 @@ def test_filtered_ranks_match_per_candidate_scan(data):
     )
     report = evaluate_link_prediction(table, heldout, graph, mode="filtered")
     assert report.ranks == scan_ranks(table, heldout, graph)
+
+
+# --- trilinear scoring --------------------------------------------------------
+
+
+def matrices(draw, values, rows: int, d: int) -> np.ndarray:
+    row = st.lists(values, min_size=d, max_size=d)
+    return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float)
+
+
+# Thirds repeat often, so equal rows and equal scores are common; they
+# and the free floats are inexact in binary, so the rounding of a score
+# depends on how its products and sums are grouped.
+SCORE_VALUES = st.one_of(
+    st.integers(-3, 3).map(lambda k: k / 3),
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_trilinear_rows_match_single_scores(data):
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 24))
+    U, R, V = (matrices(data.draw, SCORE_VALUES, n, d) for _ in range(3))
+    scores = trilinear(U, R, V)
+    assert scores.shape == (n,)
+    for i in range(n):
+        assert scores[i] == distmult_score(U[i], R[i], V[i])
+    assert np.array_equal(trilinear(V, R, U), scores)
+    # The (relations, candidates) broadcast that relation inference uses.
+    rels = matrices(data.draw, SCORE_VALUES, k, d)
+    grid = trilinear(U[0], rels[:, None, :], V)
+    assert grid.shape == (k, n)
+    for a in range(k):
+        for c in range(n):
+            assert grid[a, c] == distmult_score(U[0], rels[a], V[c])
+
+
+def integer_table(data, graph: KnowledgeGraph, d: int = 3) -> EmbeddingTable:
+    """Entries in {-1, 0, 1}, so tied scores are common."""
+    values = st.integers(-1, 1)
+    return EmbeddingTable(
+        entities=matrices(data.draw, values, len(graph.entities), d),
+        relations=matrices(data.draw, values, len(graph.relations), d),
+    )
+
+
+def draw_ball(data, graph: KnowledgeGraph):
+    n = len(graph.entities)
+    anchor = data.draw(st.integers(0, n - 1))
+    sub = graph.khop_subgraph([anchor], data.draw(st.integers(0, 2)))
+    exclude = frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    return anchor, sub, exclude
+
+
+@PROPERTY
+@given(data=st.data())
+def test_infer_relation_matches_per_relation_loop(data):
+    graph = data.draw(graphs(max_entities=8, max_relations=4))
+    table = integer_table(data, graph)
+    anchor, sub, exclude = draw_ball(data, graph)
+    cand = sorted(sub.nodes - {anchor} - exclude)
+    if not sub.triples or not cand:
+        with pytest.raises(EmptySubgraph):
+            infer_relation(sub, table, anchor, exclude)
+        return
+    best_rel, best = -1, -np.inf
+    for rel in sorted({t.p for t in sub.triples}):
+        top = max(
+            distmult_score(table.entities[anchor], table.relations[rel], table.entities[c])
+            for c in cand
+        )
+        if top > best:  # strict: a tie keeps the lower relation id
+            best_rel, best = rel, top
+    assert infer_relation(sub, table, anchor, exclude) == best_rel
+
+
+@PROPERTY
+@given(data=st.data())
+def test_rank_candidates_matches_sorted_scores(data):
+    graph = data.draw(graphs(max_entities=8))
+    table = integer_table(data, graph)
+    anchor, sub, exclude = draw_ball(data, graph)
+    cand = sorted(sub.nodes - {anchor} - exclude)
+    query = matrices(data.draw, st.integers(-1, 1), 1, table.dim)[0]
+    if not cand:
+        with pytest.raises(EmptySubgraph):
+            rank_candidates(query, anchor, sub, table, exclude)
+        return
+    scored = [
+        (c, distmult_score(table.entities[anchor], query, table.entities[c])) for c in cand
+    ]
+    expected = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    assert rank_candidates(query, anchor, sub, table, exclude).candidates == expected

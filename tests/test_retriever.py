@@ -22,7 +22,6 @@ from kgfaith.retriever import (
     Edit,
     ExternalQueries,
     Failure,
-    QueryVector,
     RefineConfig,
     build_query,
     infer_relation,
@@ -245,19 +244,18 @@ class TestBuildQuery:
         sub = toy_graph.khop_subgraph([0, 1], 2)
         table = toy_table()
         q = build_query("oracle", rec, sub, table, toy_graph, (0, 1))
-        assert q.provenance == "oracle-relation"
-        assert q.relation_id == 0
-        assert np.array_equal(q.vector, table.relations[0])
+        assert np.array_equal(q, table.relations[0])
+        assert not np.shares_memory(q, table.relations)
 
     def test_inferred_provenance(self, toy_graph):
         rec = table_record()
         sub = toy_graph.khop_subgraph([0, 1], 2)
+        table = toy_table()
         q = build_query(
-            "inferred", rec, sub, toy_table(), toy_graph, (0, 1),
+            "inferred", rec, sub, table, toy_graph, (0, 1),
             exclude=frozenset({0, 1}),
         )
-        assert q.provenance == "inferred-relation"
-        assert q.relation_id == 0
+        assert np.array_equal(q, table.relations[0])
 
     def test_external_consumes_source(self, toy_graph):
         rec = table_record()
@@ -266,9 +264,7 @@ class TestBuildQuery:
         q = build_query(
             "external", rec, sub, toy_table(), toy_graph, (0, 1), external=src
         )
-        assert q.provenance == "external"
-        assert q.relation_id is None
-        assert np.array_equal(q.vector, [0.5, -0.5])
+        assert np.array_equal(q, [0.5, -0.5])
         assert src.remaining == 0
 
     def test_external_without_source(self, toy_graph):
@@ -289,7 +285,7 @@ class TestRankCandidates:
         g = graph_of(3, [(0, 0, 1), (0, 0, 2)])
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0, 1.0], [2.0, 0.0], [1.0, 5.0]], [[1.0, 0.0]])
-        q = QueryVector(vector=np.array([1.0, 0.0]), provenance="external")
+        q = np.array([1.0, 0.0])
         ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
         assert ranked.candidates == [(1, 2.0), (2, 1.0)]
         assert ranked.top == (1, 2.0)
@@ -304,11 +300,11 @@ class TestRankCandidates:
             table = EmbeddingTable(
                 entities=rng.normal(size=(n, d)), relations=rng.normal(size=(1, d))
             )
-            q = QueryVector(vector=rng.normal(size=d), provenance="external")
+            q = rng.normal(size=d)
             ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
             for ent, score in ranked.candidates:
                 direct = distmult_score(
-                    table.entities[0], q.vector, table.entities[ent]
+                    table.entities[0], q, table.entities[ent]
                 )
                 assert score == direct
 
@@ -321,7 +317,7 @@ class TestRankCandidates:
             table = EmbeddingTable(
                 entities=rng.normal(size=(n, 3)), relations=rng.normal(size=(1, 3))
             )
-            q = QueryVector(vector=rng.normal(size=3), provenance="external")
+            q = rng.normal(size=3)
             ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
             scores = [s for _, s in ranked.candidates]
             assert scores == sorted(scores, reverse=True)
@@ -333,20 +329,20 @@ class TestRankCandidates:
         g = graph_of(3, [(0, 0, 1), (0, 0, 2)])
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0], [2.0], [2.0]], [[1.0]])
-        q = QueryVector(vector=np.array([1.0]), provenance="external")
+        q = np.array([1.0])
         ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
         assert ranked.candidates == [(1, 2.0), (2, 2.0)]
 
     def test_unknown_anchor(self):
         g = graph_of(3, [(0, 0, 1)])
         sub = g.khop_subgraph([0], 1)
-        q = QueryVector(vector=np.array([1.0]), provenance="external")
+        q = np.array([1.0])
         with pytest.raises(UnknownAnchor):
             rank_candidates(q, anchor=2, sub=sub, table=table_of([[1.0]] * 3, [[1.0]]))
 
     def test_anchor_only_subgraph(self):
         sub = Subgraph(nodes=frozenset({0}), triples=(), centers=(0,), radius=2)
-        q = QueryVector(vector=np.array([1.0]), provenance="external")
+        q = np.array([1.0])
         with pytest.raises(EmptySubgraph):
             rank_candidates(q, anchor=0, sub=sub, table=table_of([[1.0]], [[1.0]]))
 
@@ -354,7 +350,7 @@ class TestRankCandidates:
         g = graph_of(3, [(0, 0, 1), (0, 0, 2)])
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0], [5.0], [2.0]], [[1.0]])
-        q = QueryVector(vector=np.array([1.0]), provenance="external")
+        q = np.array([1.0])
         ranked = rank_candidates(q, anchor=0, sub=sub, table=table, exclude=frozenset({1}))
         assert ranked.candidates == [(2, 2.0)]
         with pytest.raises(EmptySubgraph):
@@ -363,7 +359,7 @@ class TestRankCandidates:
     def test_query_dimension_checked(self):
         g = graph_of(2, [(0, 0, 1)])
         sub = g.khop_subgraph([0], 1)
-        q = QueryVector(vector=np.array([1.0, 2.0]), provenance="external")
+        q = np.array([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             rank_candidates(q, anchor=0, sub=sub, table=table_of([[1.0], [1.0]], [[1.0]]))
 
@@ -375,11 +371,11 @@ class TestRankCandidates:
         rels = rng.normal(size=(1, 4))
         q_vec = rng.normal(size=4)
         base = rank_candidates(
-            QueryVector(q_vec, "external"), 0, sub,
+            q_vec, 0, sub,
             EmbeddingTable(entities=ents, relations=rels),
         )
         scaled = rank_candidates(
-            QueryVector(q_vec * 2.0, "external"), 0, sub,
+            q_vec * 2.0, 0, sub,
             EmbeddingTable(entities=ents * 2.0, relations=rels),
         )
         assert [e for e, _ in base.candidates] == [e for e, _ in scaled.candidates]
