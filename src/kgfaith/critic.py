@@ -172,6 +172,13 @@ def _surface_in_history(surface: str, folded_history: list[str]) -> bool:
     return any(folded in turn for turn in folded_history)
 
 
+def _check_mode(mode: str, relation_phrases: dict[str, list[str]] | None) -> None:
+    if mode not in INTRINSIC_MODES:
+        raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
+    if mode == "directed" and not relation_phrases:
+        raise ValueError("the directed mode needs relation phrases")
+
+
 def critique_response(
     record: DialogueRecord,
     sub: Subgraph,
@@ -188,8 +195,7 @@ def critique_response(
     matched relation must hold as the oriented triple
     (first mention, r, second mention), otherwise the pair is intrinsic.
     """
-    if mode not in INTRINSIC_MODES:
-        raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
+    _check_mode(mode, relation_phrases)
     mentions = response_mentions(record, aliases, graph)
     if not mentions and record.spans is None and record.triples:
         raise UnlinkedResponse(
@@ -205,7 +211,7 @@ def critique_response(
             labels[i] = EXTRINSIC
 
     phrase_to_relation: list[tuple[str, str]] = []
-    if mode == "directed" and relation_phrases:
+    if mode == "directed":
         for rel, forms in relation_phrases.items():
             for form in forms:
                 phrase_to_relation.append((canonical(form), rel))
@@ -259,10 +265,7 @@ class Critic:
     ) -> None:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if mode not in INTRINSIC_MODES:
-            raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
-        if mode == "directed" and not relation_phrases:
-            raise ValueError("the directed mode needs relation phrases")
+        _check_mode(mode, relation_phrases)
         if anchor_source not in ANCHOR_SOURCES:
             raise ValueError(
                 f"anchor source must be one of {ANCHOR_SOURCES}, got {anchor_source!r}"

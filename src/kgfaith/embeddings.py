@@ -98,7 +98,14 @@ def trilinear(u: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     commute; a different grouping would only be equal up to rounding),
     and each row of a batched call equals the same row scored alone.
     """
-    return np.sum((u * v) * r, axis=-1)
+    prod = u * v
+    if np.broadcast_shapes(prod.shape, r.shape) == prod.shape:
+        # The same products in the same order, without a second
+        # temporary the size of the batch.
+        prod *= r
+    else:
+        prod = prod * r
+    return np.sum(prod, axis=-1)
 
 
 def distmult_score(z_u: np.ndarray, z_r: np.ndarray, z_v: np.ndarray) -> float:
@@ -169,6 +176,55 @@ def nce_loss_and_grad(
     return loss, grads
 
 
+def batch_negatives(
+    strategy: str, golds: np.ndarray, n: int, rng: np.random.Generator | None,
+    n_entities: int, pool: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupted objects for every row of a batch: (B, k) ids, (B, k + 1) mask.
+
+    Mask column 0 stands for the gold; a masked-out cell holds the row's
+    gold. uniform: n draws from the n_entities ids other than the gold.
+    sans: n draws from the row's ball in ``pool`` (padded with -1) minus
+    the gold; without replacement (the top n of random keys) when that
+    leaves n ids, with replacement otherwise. in_batch: the batch's gold
+    objects ``pool``, masked where they equal the row's gold.
+    """
+    rows = len(golds)
+    if strategy == "uniform":
+        if n_entities < 2:
+            raise EmptyPool("vocabulary has no alternative entity")
+        # Uniform over the n_entities - 1 ids other than gold: draw from
+        # 0..n_entities-2 and shift the draws at or above gold up by one.
+        draws = rng.integers(0, n_entities - 1, size=(rows, n))
+        draws += draws >= golds[:, None]
+        return draws, np.ones((rows, n + 1), dtype=bool)
+
+    if strategy == "sans":
+        valid = (pool >= 0) & (pool != golds[:, None])
+        sizes = valid.sum(axis=1)
+        if not sizes.all():
+            raise EmptyPool("subgraph offers no alternative entity")
+        keys = np.where(valid, rng.random(pool.shape), np.inf)
+        # The first sizes[i] cells of row i hold its pool in random order.
+        shuffled = np.take_along_axis(pool, np.argsort(keys, axis=1), axis=1)
+        cols = np.tile(np.arange(n), (rows, 1))
+        short = sizes < n
+        if short.any():
+            logger.debug("%d of %d pools smaller than n=%d; drawing with replacement",
+                         short.sum(), rows, n)
+        cols[short] = rng.integers(0, sizes[short, None], size=(int(short.sum()), n))
+        return np.take_along_axis(shuffled, cols, axis=1), np.ones((rows, n + 1), dtype=bool)
+
+    # in_batch
+    if len(pool) < 2:
+        raise EmptyPool("in-batch sampling needs a batch of at least 2")
+    mask = np.ones((rows, len(pool) + 1), dtype=bool)
+    mask[:, 1:] = pool != golds[:, None]
+    if not mask[:, 1:].any(axis=1).all():
+        raise EmptyPool("no distinct gold entities in the batch")
+    return np.broadcast_to(pool, (rows, len(pool))), mask
+
+
 def sample_negatives(
     pos: Triple,
     strategy: str,
@@ -180,59 +236,66 @@ def sample_negatives(
 ) -> list[Triple]:
     """Draw corrupted triples for one positive by replacing its object.
 
-    uniform: n draws from the full entity vocabulary minus the gold
-    object. sans: n draws from the positive's subgraph nodes minus the
-    gold; without replacement when the pool is large enough, otherwise
-    with replacement (logged). in_batch: the other batch members' gold
-    objects, giving batch-size - 1 negatives (duplicate golds filtered).
+    One row of batch_negatives. uniform: n draws from the full entity
+    vocabulary minus the gold object. sans: n draws from the positive's
+    subgraph nodes minus the gold; without replacement when the pool is
+    large enough, otherwise with replacement. in_batch: the other batch
+    members' gold objects, giving batch-size - 1 negatives (duplicate
+    golds filtered).
     """
     if strategy not in SAMPLERS:
         raise ValueError(f"strategy must be one of {SAMPLERS}, got {strategy!r}")
-    gold = pos.o
-
-    if strategy == "uniform":
-        if graph is None:
-            raise ValueError("uniform sampling needs the graph")
-        if rng is None:
-            raise ValueError("uniform sampling needs an rng")
-        n_entities = len(graph.entities)
-        if n_entities < 2:
-            raise EmptyPool("vocabulary has no alternative entity")
-        # Uniform over the n_entities - 1 ids other than gold: draw from
-        # 0..n_entities-2 and shift the draws at or above gold up by one.
-        draws = rng.integers(0, n_entities - 1, size=n)
-        draws[draws >= gold] += 1
-        return [Triple(pos.s, pos.p, int(e)) for e in draws]
-
+    if strategy != "in_batch" and rng is None:
+        raise ValueError(f"{strategy} sampling needs an rng")
+    if strategy == "uniform" and graph is None:
+        raise ValueError("uniform sampling needs the graph")
+    if strategy == "sans" and sub is None:
+        raise ValueError("sans sampling needs a subgraph")
     if strategy == "sans":
-        if sub is None:
-            raise ValueError("sans sampling needs a subgraph")
-        if rng is None:
-            raise ValueError("sans sampling needs an rng")
-        pool = np.array(sorted(sub.nodes - {gold}), dtype=np.int64)
-        if pool.size == 0:
-            raise EmptyPool("subgraph offers no alternative entity")
-        if pool.size >= n:
-            draws = rng.choice(pool, size=n, replace=False)
-        else:
-            logger.debug(
-                "subgraph pool %d smaller than n=%d; sampling with replacement",
-                pool.size, n,
-            )
-            draws = rng.choice(pool, size=n, replace=True)
-        return [Triple(pos.s, pos.p, int(e)) for e in draws]
+        pool = np.array([sorted(sub.nodes)], dtype=np.int64)
+    else:  # the batch's golds; uniform reads none
+        pool = np.array([t.o for t in batch or ()], dtype=np.int64)
+    n_entities = len(graph.entities) if graph is not None else 0
+    negs, mask = batch_negatives(strategy, np.array([pos.o]), n, rng, n_entities, pool)
+    return [Triple(pos.s, pos.p, int(o)) for o in negs[0][mask[0, 1:]]]
 
-    # in_batch
-    if batch is None or len(batch) < 2:
-        raise EmptyPool("in-batch sampling needs a batch of at least 2")
-    out = []
-    for other in batch:
-        if other == pos or other.o == gold:
-            continue
-        out.append(Triple(pos.s, pos.p, other.o))
-    if not out:
-        raise EmptyPool("no distinct gold entities in the batch")
-    return out
+
+def batch_nce_loss_and_grad(
+    subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray,
+    mask: np.ndarray, table: EmbeddingTable,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The loss of nce_loss_and_grad for every row of a batch, in one pass.
+
+    Row i scores (subjects[i], predicates[i], objects[i, j]) for each
+    column j that ``mask`` keeps; column 0 is the positive, and masked
+    cells must hold it. Returns the per-row losses and, for the entity
+    and the relation matrix, the ascending touched row ids with their
+    gradients summed over the batch. With C the (rows, touched
+    entities) softmax coefficients, sum_j c_ij v_ij = C @ E and the
+    object gradients are C.T @ (u * r): no per-column gradient is built.
+    """
+    rows = len(subjects)
+    ent_ids, inv = np.unique(np.concatenate([subjects, objects.ravel()]), return_inverse=True)
+    subj, obj = inv[:rows], inv[rows:].reshape(objects.shape)
+    rel_ids, rel = np.unique(predicates, return_inverse=True)
+    E = table.entities[ent_ids]
+    U, R = E[subj], table.relations[predicates]
+    scores = np.where(mask, trilinear(U[:, None], R[:, None], E[obj]), -np.inf)
+    m = scores.max(axis=1, keepdims=True)
+    shifted = np.exp(scores - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    losses = (m - scores[:, :1] + np.log(total))[:, 0]
+    coeff = shifted / total
+    coeff[:, 0] -= 1.0
+
+    C = np.zeros((rows, len(ent_ids)))
+    np.add.at(C, (np.arange(rows)[:, None], obj), coeff)
+    CV = C @ E
+    ent_grad = C.T @ (U * R)
+    np.add.at(ent_grad, subj, R * CV)
+    rel_grad = np.zeros((len(rel_ids), table.dim))
+    np.add.at(rel_grad, rel, U * CV)
+    return losses, (ent_ids, ent_grad), (rel_ids, rel_grad)
 
 
 @dataclass(frozen=True)
@@ -272,68 +335,73 @@ class TrainingConfig:
 
 
 class _SgdStep:
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, shape: tuple[int, int]):
         self.lr = lr
 
-    def apply(self, table: EmbeddingTable, grads: dict[RowKey, np.ndarray]) -> None:
-        for (kind, idx), g in grads.items():
-            target = table.entities if kind == "e" else table.relations
-            target[idx] -= self.lr * g
+    def apply(self, params: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
+        params[rows] -= self.lr * grad
 
 
 class _AdamStep:
-    """Adaptive-moments update applied sparsely to touched rows."""
+    """Adaptive-moments update of the touched rows of one matrix.
+
+    The moments are dense arrays shaped like the matrix; each row keeps
+    its own step count, which advances only when the row is touched.
+    ``rows`` must be distinct.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, shape: tuple[int, int]):
         self.lr = lr
-        self.m: dict[RowKey, np.ndarray] = {}
-        self.v: dict[RowKey, np.ndarray] = {}
-        self.t: dict[RowKey, int] = {}
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = np.zeros(shape[0], dtype=np.int64)
 
-    def apply(self, table: EmbeddingTable, grads: dict[RowKey, np.ndarray]) -> None:
-        for key, g in grads.items():
-            kind, idx = key
-            t = self.t.get(key, 0) + 1
-            self.t[key] = t
-            m = self.m.get(key)
-            if m is None:
-                m = np.zeros_like(g)
-                self.m[key] = m
-                self.v[key] = np.zeros_like(g)
-            v = self.v[key]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            target = table.entities if kind == "e" else table.relations
-            target[idx] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def apply(self, params: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
+        self.t[rows] += 1
+        t = self.t[rows][:, None]
+        self.m[rows] = m = self.m[rows] * self.beta1 + (1 - self.beta1) * grad
+        self.v[rows] = v = self.v[rows] * self.beta2 + (1 - self.beta2) * grad * grad
+        m_hat = m / (1 - self.beta1**t)
+        v_hat = v / (1 - self.beta2**t)
+        params[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _ball_rows(graph: KnowledgeGraph, k: int) -> np.ndarray:
+    """Every subject's k-hop ball as one row of ascending ids, padded with -1."""
+    subjects = sorted({t.s for t in graph.triples})
+    balls = [sorted(graph.khop_subgraph([s], k).nodes) for s in subjects]
+    out = np.full((len(graph.entities), max(map(len, balls), default=0)), -1, dtype=np.int64)
+    for s, ball in zip(subjects, balls):
+        out[s, : len(ball)] = ball
+    return out
 
 
 def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, list[float]]:
     """Mini-batch contrastive training over the graph's triples.
 
-    Triples are shuffled each epoch; gradients are summed per batch,
-    an L2 pull of 2*l2*row is added to every touched row, and the
-    optimizer applies one step per batch. The per-epoch mean loss is
-    returned as the trace. A non-finite epoch mean raises
-    DivergenceDetected. Single-worker, fully seeded: identical config
-    gives identical tables and traces. The sans sampler draws from the
-    sans_k-hop ball around each triple's subject, built once per subject.
+    Triples are shuffled each epoch. Each mini-batch draws its negatives,
+    scores and differentiates all its rows at once, adds an L2 pull of
+    2*l2*row to every touched row, and takes one optimizer step on the
+    touched rows. The per-epoch mean loss is returned as the trace. A
+    non-finite epoch mean raises DivergenceDetected. Single-worker,
+    fully seeded: identical config gives identical tables and traces.
+    The sans sampler draws from the sans_k-hop ball around each triple's
+    subject, built once per run for every subject.
     """
     table = init_embeddings(len(graph.entities), len(graph.relations), cfg.d, cfg.seed)
     table.entity_names = graph.entities.names
     table.relation_names = graph.relations.names
-    triples = list(graph.triples)
+    triples = np.array(graph.triples, dtype=np.int64).reshape(-1, 3)
     rng = np.random.default_rng([cfg.seed, 1])
-    balls: dict[int, Subgraph] = {}
-    stepper = (
-        _SgdStep(cfg.lr) if cfg.optimizer == "sgd" else _AdamStep(cfg.lr)
+    balls = _ball_rows(graph, cfg.sans_k) if cfg.sampler == "sans" else None
+    step = _SgdStep if cfg.optimizer == "sgd" else _AdamStep
+    steppers = (
+        (table.entities, step(cfg.lr, table.entities.shape)),
+        (table.relations, step(cfg.lr, table.relations.shape)),
     )
     trace: list[float] = []
     n = len(triples)
@@ -342,37 +410,25 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
         epoch_loss = 0.0
         seen = 0
         for start in range(0, n, cfg.batch_size):
-            batch = [triples[int(i)] for i in order[start : start + cfg.batch_size]]
-            batch_grads: dict[RowKey, np.ndarray] = {}
-            for pos in batch:
-                if cfg.sampler == "uniform":
-                    negs = sample_negatives(
-                        pos, "uniform", n=cfg.negatives, rng=rng, graph=graph
-                    )
-                elif cfg.sampler == "sans":
-                    sub = balls.get(pos.s)
-                    if sub is None:
-                        sub = balls[pos.s] = graph.khop_subgraph([pos.s], cfg.sans_k)
-                    negs = sample_negatives(pos, "sans", n=cfg.negatives, rng=rng, sub=sub)
-                else:
-                    if len(batch) < 2:
-                        logger.debug("skipping remainder batch of 1 (in-batch sampler)")
-                        continue
-                    negs = sample_negatives(pos, "in_batch", batch=batch)
-                loss, grads = nce_loss_and_grad(pos, negs, table)
-                epoch_loss += loss
-                seen += 1
-                for key, g in grads.items():
-                    acc = batch_grads.get(key)
-                    if acc is None:
-                        batch_grads[key] = g
-                    else:
-                        acc += g
-            if cfg.l2 > 0:
-                for kind, idx in batch_grads:
-                    row = table.entities[idx] if kind == "e" else table.relations[idx]
-                    batch_grads[(kind, idx)] += 2.0 * cfg.l2 * row
-            stepper.apply(table, batch_grads)
+            s, p, o = triples[order[start : start + cfg.batch_size]].T
+            if cfg.sampler == "in_batch" and len(o) < 2:
+                logger.debug("skipping remainder batch of 1 (in-batch sampler)")
+                continue
+            # sans draws from the subjects' balls, in_batch from the batch's
+            # golds; uniform reads no pool.
+            pool = o if balls is None else balls[s]
+            negs, mask = batch_negatives(
+                cfg.sampler, o, cfg.negatives, rng, len(graph.entities), pool
+            )
+            losses, *grads = batch_nce_loss_and_grad(
+                s, p, np.concatenate([o[:, None], negs], axis=1), mask, table
+            )
+            epoch_loss += float(losses.sum())
+            seen += len(losses)
+            for (params, stepper), (rows, grad) in zip(steppers, grads):
+                if cfg.l2 > 0:
+                    grad += 2.0 * cfg.l2 * params[rows]
+                stepper.apply(params, rows, grad)
         mean_loss = epoch_loss / max(seen, 1)
         if not math.isfinite(mean_loss):
             raise DivergenceDetected(epoch)

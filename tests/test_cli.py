@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kgfaith
 from kgfaith.cli import _parse_sampler, main, stage_seed
 from kgfaith.errors import ConfigValidation
 
@@ -180,6 +183,39 @@ class TestTrainCommand:
         assert run(self.train_args(data_dir, a, seed=9)) == 0
         assert run(self.train_args(data_dir, b, seed=9)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--sampler", "uniform"],
+            ["--sampler", "sans:2", "--optimizer", "adam"],
+            ["--sampler", "inbatch"],
+        ],
+        ids=["uniform", "sans-adam", "inbatch"],
+    )
+    def test_byte_identical_across_processes(self, data_dir, tmp_path, extra):
+        """Two processes write the same snapshot and loss trace.
+
+        No sha256 is pinned: exp and log reach both files, and
+        test_golden_scores.py names them as what makes bytes differ from
+        host to host.
+        """
+        package_root = str(Path(kgfaith.__file__).resolve().parent.parent)
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        )
+        outputs = []
+        for name in ("a", "b"):
+            out, trace = tmp_path / f"{name}.tsv", tmp_path / f"{name}.csv"
+            argv = self.train_args(data_dir, out, trace, seed=4, extra=extra)
+            proc = subprocess.run(
+                [sys.executable, "-m", "kgfaith.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_seed_changes_output(self, data_dir, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -288,6 +288,16 @@ class TestCriticConfig:
         with pytest.raises(ValueError, match="directed mode needs relation phrases"):
             Critic(toy_graph, toy_aliases, mode="directed", relation_phrases=phrases)
 
+    @pytest.mark.parametrize("phrases", [None, {}])
+    def test_critique_response_directed_needs_phrases(self, toy_graph, toy_aliases, phrases):
+        rec = record(TABLE_HISTORY, [("roald_dahl", "wrote", "the_witches")], TABLE_RESPONSE)
+        sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
+        with pytest.raises(ValueError, match="directed mode needs relation phrases"):
+            critique_response(
+                rec, sub, graph=toy_graph, aliases=toy_aliases,
+                mode="directed", relation_phrases=phrases,
+            )
+
 
 class TestRelationPhrases:
     def test_load(self, data_dir):

@@ -11,7 +11,9 @@ from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.embeddings import (
     EmbeddingTable,
     TrainingConfig,
+    _AdamStep,
     align_table,
+    batch_negatives,
     distmult_score,
     evaluate_link_prediction,
     init_embeddings,
@@ -254,6 +256,29 @@ class TestSampleNegatives:
                 assert [t.o for t in negs] == expected.tolist()
             assert fast.bit_generator.state == ref.bit_generator.state
 
+    def test_uniform_one_entity_vocab(self):
+        g = graph_of(1, [(0, 0, 0)])
+        with pytest.raises(EmptyPool):
+            sample_negatives(
+                Triple(0, 0, 0), "uniform", n=3, rng=np.random.default_rng(0), graph=g
+            )
+
+    def test_sans_draws_are_uniform(self):
+        """Random-key top-n draws every ordered pair of distinct pool ids
+        equally often; short pools draw every id equally often."""
+        rows = 20000
+        pool = np.tile(np.array([3, 0, 4, 1, 2, -1]), (rows, 1))
+        golds = np.full(rows, 2)
+        rng = np.random.default_rng(4)
+        negs, _ = batch_negatives("sans", golds, 2, rng, 0, pool)
+        _, counts = np.unique(negs[:, 0] * 5 + negs[:, 1], return_counts=True)
+        assert len(counts) == 4 * 3  # ordered pairs of {0, 1, 3, 4}, no repeats
+        assert np.all(np.abs(counts - rows / 12) < 150)
+        negs, _ = batch_negatives("sans", golds, 6, rng, 0, pool)
+        ids, counts = np.unique(negs, return_counts=True)
+        assert ids.tolist() == [0, 1, 3, 4]
+        assert np.all(np.abs(counts - rows * 6 / 4) < 400)
+
     def test_uniform_never_gold(self, toy_graph):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -357,6 +382,65 @@ class TestTrain:
         cfg = TrainingConfig(d=8, epochs=10, seed=2, optimizer="adam", negatives=5)
         _, trace = train(toy_graph, cfg)
         assert trace[-1] < trace[0]
+
+    def test_in_batch_one_gold_per_batch_is_empty_pool(self):
+        g = graph_of(4, [(0, 0, 3), (1, 0, 3), (2, 0, 3)])
+        with pytest.raises(EmptyPool):
+            train(g, TrainingConfig(d=4, epochs=1, sampler="in_batch", batch_size=3))
+
+    def test_sans_ball_without_alternative_is_empty_pool(self):
+        g = graph_of(3, [(0, 0, 0), (1, 0, 2)])  # the ball of 0 is {0}
+        with pytest.raises(EmptyPool):
+            train(g, TrainingConfig(d=4, epochs=1, sampler="sans", negatives=2))
+
+
+class DictAdam:
+    """The Adam step that kept its moments and step counts in dicts keyed
+    by row: the oracle for the dense state."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.m: dict[int, np.ndarray] = {}
+        self.v: dict[int, np.ndarray] = {}
+        self.t: dict[int, int] = {}
+
+    def apply(self, params: np.ndarray, grads: dict[int, np.ndarray]) -> None:
+        for idx, g in grads.items():
+            t = self.t.get(idx, 0) + 1
+            self.t[idx] = t
+            m = self.m.get(idx)
+            if m is None:
+                m = np.zeros_like(g)
+                self.m[idx] = m
+                self.v[idx] = np.zeros_like(g)
+            v = self.v[idx]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1**t)
+            v_hat = v / (1 - self.beta2**t)
+            params[idx] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestAdamState:
+    def test_dense_state_matches_dict_oracle(self):
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=(5, 3))
+        dense_params, oracle_params = start.copy(), start.copy()
+        dense, oracle = _AdamStep(0.05, start.shape), DictAdam(0.05)
+        for rows in ([0, 2], [2], [1, 4], [0, 2, 4], [2]):
+            grad = rng.normal(size=(len(rows), 3))
+            oracle.apply(oracle_params, {r: g.copy() for r, g in zip(rows, grad)})
+            dense.apply(dense_params, np.array(rows), grad)
+            assert np.array_equal(dense_params, oracle_params)
+        assert dense.t.tolist() == [2, 1, 4, 0, 2]
+        assert np.array_equal(dense_params[3], start[3])
+        assert not dense.m[3].any() and not dense.v[3].any()
 
 
 def brute_force_rank(table, graph, triple, known, mode, cand_ids):

@@ -5,8 +5,11 @@ induced edges from passes over every triple, a mention pattern compiled
 afresh for every call, and the filtered ranking's set lookup per
 candidate. The batched trilinear scorer is checked against one
 distmult_score call per triple, and relation inference and candidate
-ranking against loops over those single scores. Examples are drawn
-deterministically, so the suite gives the same verdict on every run.
+ranking against loops over those single scores. The batched training
+loss and gradients are checked against nce_loss_and_grad summed over
+the rows, and the batched samplers against their per-row contracts.
+Examples are drawn deterministically, so the suite gives the same
+verdict on every run.
 """
 
 from __future__ import annotations
@@ -15,19 +18,23 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.critic import link_mentions
 from kgfaith.embeddings import (
+    SAMPLERS,
     EmbeddingTable,
+    batch_negatives,
+    batch_nce_loss_and_grad,
     distmult_score,
     evaluate_link_prediction,
+    nce_loss_and_grad,
     rank_of_gold,
     trilinear,
 )
-from kgfaith.errors import EmptySubgraph
+from kgfaith.errors import EmptyPool, EmptySubgraph
 from kgfaith.kg import AliasTable
 from kgfaith.retriever import infer_relation, rank_candidates
 
@@ -332,3 +339,148 @@ def test_rank_candidates_matches_sorted_scores(data):
     ]
     expected = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
     assert rank_candidates(query, anchor, sub, table, exclude).candidates == expected
+
+
+# --- batched contrastive training ---------------------------------------------
+
+
+def padded(balls: list[list[int]]) -> np.ndarray:
+    """Ball rows padded with -1, the layout the sans sampler reads."""
+    out = np.full((len(balls), max(map(len, balls), default=0)), -1, dtype=np.int64)
+    for row, ball in zip(out, balls):
+        row[: len(ball)] = ball
+    return out
+
+
+def ids(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+@st.composite
+def nce_batches(draw):
+    """(sampler, subjects, predicates, golds, n, pool, seed, entities).
+
+    Ids come from a few entities, so repeated subjects and negatives
+    that are another row's subject or gold are common.
+    """
+    n_ent = draw(st.integers(2, 6))
+    strategy = draw(st.sampled_from(SAMPLERS))
+    rows = draw(st.integers(2 if strategy == "in_batch" else 1, 5))
+    entity_ids = st.lists(st.integers(0, n_ent - 1), min_size=rows, max_size=rows)
+    subjects, golds = draw(entity_ids), draw(entity_ids)
+    predicates = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    pool = None
+    if strategy == "sans":
+        balls = [
+            sorted(draw(st.sets(st.integers(0, n_ent - 1))) | {(g + 1) % n_ent})
+            for g in golds
+        ]
+        pool = padded(balls)
+    elif strategy == "in_batch":
+        if len(set(golds)) == 1:
+            golds[-1] = (golds[0] + 1) % n_ent
+        pool = ids(golds)
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return strategy, ids(subjects), ids(predicates), ids(golds), n, pool, seed, n_ent
+
+
+def summed_reference(subjects, predicates, objects, mask, table):
+    """nce_loss_and_grad row by row on the kept columns, gradients summed per row key."""
+    losses, total = [], {}
+    for s, p, row, keep in zip(subjects, predicates, objects, mask):
+        negs = [Triple(int(s), int(p), int(o)) for o in row[1:][keep[1:]]]
+        loss, grads = nce_loss_and_grad(Triple(int(s), int(p), int(row[0])), negs, table)
+        losses.append(loss)
+        for key, g in grads.items():
+            total[key] = total[key] + g if key in total else g
+    return np.array(losses), total
+
+
+def relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+# In-batch: subject 0 repeats, gold 1 repeats (so row 0 and row 2 mask
+# each other's column), and golds 3 and 1 are also rows' subjects.
+IN_BATCH_CASE = ("in_batch", ids([0, 0, 3, 1]), ids([0, 1, 0, 0]), ids([1, 3, 1, 2]),
+                 50, ids([1, 3, 1, 2]), 3, 4)
+# Sans: each row's ball minus its gold holds 2 ids, fewer than n = 5, so
+# the draws come with replacement; subject 2 is in both pools.
+SHORT_SANS_CASE = ("sans", ids([2, 2]), ids([0, 1]), ids([1, 0]),
+                   5, padded([[0, 1, 2], [0, 2]]), 8, 4)
+
+
+@PROPERTY
+@given(case=nce_batches())
+@example(case=IN_BATCH_CASE)
+@example(case=SHORT_SANS_CASE)
+def test_batch_gradients_match_summed_reference(case):
+    strategy, subjects, predicates, golds, n, pool, seed, n_ent = case
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable(
+        entities=rng.normal(scale=0.7, size=(n_ent, 4)),
+        relations=rng.normal(scale=0.7, size=(2, 4)),
+    )
+    negs, mask = batch_negatives(strategy, golds, n, rng, n_ent, pool)
+    objects = np.concatenate([golds[:, None], negs], axis=1)
+    losses, *grads = batch_nce_loss_and_grad(subjects, predicates, objects, mask, table)
+    ref_losses, ref = summed_reference(subjects, predicates, objects, mask, table)
+    got = {
+        (kind, int(i)): g
+        for kind, (row_ids, rows) in zip("er", grads)
+        for i, g in zip(row_ids, rows)
+    }
+    keys = sorted(ref)
+    assert sorted(got) == keys
+    assert relative_error(losses, ref_losses) <= 1e-12
+    assert relative_error(
+        np.concatenate([got[k] for k in keys]), np.concatenate([ref[k] for k in keys])
+    ) <= 1e-12
+
+
+@st.composite
+def sans_batches(draw):
+    """Padded balls (some empty, some only the gold), golds and n."""
+    n_ent = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 5))
+    balls = [sorted(draw(st.sets(st.integers(0, n_ent - 1)))) for _ in range(rows)]
+    golds = draw(st.lists(st.integers(0, n_ent - 1), min_size=rows, max_size=rows))
+    return balls, ids(golds), draw(st.integers(1, 6))
+
+
+@PROPERTY
+@given(case=sans_batches(), seed=st.integers(0, 2**32 - 1))
+def test_sans_draws_stay_in_ball(case, seed):
+    balls, golds, n = case
+    rng = np.random.default_rng(seed)
+    allowed = [set(ball) - {int(g)} for ball, g in zip(balls, golds)]
+    if not all(allowed):
+        with pytest.raises(EmptyPool):
+            batch_negatives("sans", golds, n, rng, 0, padded(balls))
+        return
+    negs, mask = batch_negatives("sans", golds, n, rng, 0, padded(balls))
+    assert negs.shape == (len(balls), n)
+    assert mask.shape == (len(balls), n + 1) and mask.all()
+    for row, pool in zip(negs.tolist(), allowed):
+        assert set(row) <= pool
+        if len(pool) >= n:
+            assert len(set(row)) == n  # without replacement
+        # otherwise n draws from fewer ids: with replacement
+
+
+@PROPERTY
+@given(
+    pool=st.lists(st.integers(0, 4), max_size=6),
+    golds=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+)
+def test_in_batch_mask_drops_equal_golds(pool, golds):
+    if len(pool) < 2 or any(all(o == g for o in pool) for g in golds):
+        with pytest.raises(EmptyPool):
+            batch_negatives("in_batch", ids(golds), 50, None, 0, ids(pool))
+        return
+    negs, mask = batch_negatives("in_batch", ids(golds), 50, None, 0, ids(pool))
+    assert mask.shape == (len(golds), len(pool) + 1) and mask[:, 0].all()
+    for g, row, keep in zip(golds, negs.tolist(), mask[:, 1:].tolist()):
+        assert row == pool
+        assert keep == [o != g for o in pool]
