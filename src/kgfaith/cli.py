@@ -87,8 +87,8 @@ def _load_config(argv: list[str]) -> dict[str, Any]:
         return {}
     try:
         blob = json.loads(_require_file(path, "--config").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigValidation(f"--config: not valid JSON: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigValidation(f"--config: not valid UTF-8 JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigValidation("--config: top level must be a JSON object")
     return blob

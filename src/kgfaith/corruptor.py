@@ -347,8 +347,7 @@ def build_synthetic_dataset(
 
     def try_extrinsic(rec: DialogueRecord, idx: int) -> CorruptedRecord:
         rng = np.random.default_rng([cfg.seed, idx])
-        anchors = derive_anchors(rec, graph, source="kn")
-        sub = graph.khop_subgraph(anchors, cfg.k) if anchors else Subgraph.empty()
+        sub = graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), cfg.k)
         return corrupt_extrinsic(rec, graph, sub, same_type, rng, aliases)
 
     out: list[CorruptedRecord] = []

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 from .dialogue import DialogueRecord, MentionSpan
-from .errors import UnknownEntity, UnlinkedResponse
+from .errors import UnlinkedResponse
 from .kg import AliasTable, KnowledgeGraph, Subgraph, _read_tsv, canonical
 
 logger = logging.getLogger(__name__)
@@ -48,7 +49,6 @@ class CriticReport:
 
     mentions: list[MentionSpan]
     labels: list[SpanLabel]
-    anchors: tuple[int, ...]
     subgraph: Subgraph
 
     @property
@@ -62,9 +62,7 @@ class CriticReport:
 
 
 def link_mentions(
-    text: str,
-    aliases: AliasTable,
-    graph: KnowledgeGraph | None = None,
+    text: str, aliases: AliasTable, graph: KnowledgeGraph
 ) -> list[MentionSpan]:
     """Find entity mentions: leftmost-longest, case-insensitive, non-overlapping.
 
@@ -80,14 +78,13 @@ def link_mentions(
         entity = aliases.entity_of(surface)
         if entity is None:  # pragma: no cover - table built the pattern
             continue
-        entity_id = graph.entities.get(entity) if graph is not None else None
         spans.append(
             MentionSpan(
                 begin=m.start(),
                 end=m.end(),
                 surface=surface,
                 entity=entity,
-                entity_id=entity_id,
+                entity_id=graph.entities.get(entity),
             )
         )
     return spans
@@ -102,19 +99,15 @@ def load_relation_phrases(path: str | Path) -> dict[str, list[str]]:
 
 
 def response_mentions(
-    record: DialogueRecord,
-    aliases: AliasTable | None,
-    graph: KnowledgeGraph | None = None,
+    record: DialogueRecord, aliases: AliasTable, graph: KnowledgeGraph
 ) -> list[MentionSpan]:
     """The response's entity mentions, in text order.
 
     Pre-linked (entity, begin, end) spans on the record win; otherwise
-    link_mentions finds them, which needs an alias table. Entities
-    absent from the graph (or with no graph given) get entity_id None.
+    link_mentions finds them. Entities absent from the graph get
+    entity_id None.
     """
     if record.spans is None:
-        if aliases is None:
-            raise ValueError("linking needs an alias table when spans are not pre-linked")
         return link_mentions(record.response, aliases, graph)
     mentions = [
         MentionSpan(
@@ -122,7 +115,7 @@ def response_mentions(
             end=end,
             surface=record.response[begin:end],
             entity=entity,
-            entity_id=graph.entities.get(entity) if graph is not None else None,
+            entity_id=graph.entities.get(entity),
         )
         for entity, begin, end in record.spans
     ]
@@ -131,39 +124,26 @@ def response_mentions(
 
 
 def derive_anchors(
-    record: DialogueRecord,
-    graph: KnowledgeGraph,
-    aliases: AliasTable | None = None,
-    source: str = "kn",
+    record: DialogueRecord, graph: KnowledgeGraph, aliases: AliasTable, source: str
 ) -> tuple[int, ...]:
     """Anchor entities c for the record's neighborhood, in first-seen order.
 
     "kn" takes subjects and objects of the grounding triples (an unknown
     name raises UnknownEntity). "history" links mentions over the history
-    turns and keeps those found in the graph; it needs an alias table.
+    turns and keeps those found in the graph.
     """
     if source not in ANCHOR_SOURCES:
         raise ValueError(f"anchor source must be one of {ANCHOR_SOURCES}, got {source!r}")
-    anchors: list[int] = []
-    seen: set[int] = set()
     if source == "kn":
-        for s, _, o in record.triples:
-            for name in (s, o):
-                idx = graph.entities.get(name)
-                if idx is None:
-                    raise UnknownEntity(name)
-                if idx not in seen:
-                    seen.add(idx)
-                    anchors.append(idx)
+        found = [graph.resolve_entity(name) for s, _, o in record.triples for name in (s, o)]
     else:
-        if aliases is None:
-            raise ValueError("history anchor source needs an alias table")
-        for turn in record.history:
-            for m in link_mentions(turn, aliases, graph):
-                if m.entity_id is not None and m.entity_id not in seen:
-                    seen.add(m.entity_id)
-                    anchors.append(m.entity_id)
-    return tuple(anchors)
+        found = [
+            m.entity_id
+            for turn in record.history
+            for m in link_mentions(turn, aliases, graph)
+            if m.entity_id is not None
+        ]
+    return tuple(dict.fromkeys(found))
 
 
 def _surface_in_history(surface: str, folded_history: list[str]) -> bool:
@@ -182,8 +162,8 @@ def _check_mode(mode: str, relation_phrases: dict[str, list[str]] | None) -> Non
 def critique_response(
     record: DialogueRecord,
     sub: Subgraph,
-    graph: KnowledgeGraph | None = None,
-    aliases: AliasTable | None = None,
+    graph: KnowledgeGraph,
+    aliases: AliasTable,
     mode: str = "undirected",
     relation_phrases: dict[str, list[str]] | None = None,
 ) -> CriticReport:
@@ -216,28 +196,22 @@ def critique_response(
             for form in forms:
                 phrase_to_relation.append((canonical(form), rel))
 
-    for i in range(len(mentions)):
-        if not in_sub[i]:
+    for i, j in combinations([i for i, inside in enumerate(in_sub) if inside], 2):
+        first, second = mentions[i], mentions[j]
+        if first.entity_id == second.entity_id:
             continue
-        for j in range(i + 1, len(mentions)):
-            if not in_sub[j]:
-                continue
-            first, second = mentions[i], mentions[j]
-            if first.entity_id == second.entity_id:
-                continue
-            assert first.entity_id is not None and second.entity_id is not None
-            bad = not sub.has_direct_edge(first.entity_id, second.entity_id)
-            if not bad and phrase_to_relation and graph is not None:
-                between = canonical(record.response[first.end : second.begin])
-                matched = [rel for form, rel in phrase_to_relation if form in between]
-                if matched:
-                    forward = {
-                        t.p for t in graph.direct_edges(first.entity_id, second.entity_id)
-                    }
-                    bad = not any(graph.relations.get(rel) in forward for rel in matched)
-            if bad:
-                labels[i] = INTRINSIC
-                labels[j] = INTRINSIC
+        bad = not sub.has_direct_edge(first.entity_id, second.entity_id)
+        if not bad and phrase_to_relation:
+            between = canonical(record.response[first.end : second.begin])
+            matched = [rel for form, rel in phrase_to_relation if form in between]
+            if matched:
+                forward = {
+                    t.p for t in graph.direct_edges(first.entity_id, second.entity_id)
+                }
+                bad = not any(graph.relations.get(rel) in forward for rel in matched)
+        if bad:
+            labels[i] = INTRINSIC
+            labels[j] = INTRINSIC
 
     span_labels = [
         SpanLabel(m.begin, m.end, lab) for m, lab in zip(mentions, labels)
@@ -245,7 +219,6 @@ def critique_response(
     return CriticReport(
         mentions=mentions,
         labels=span_labels,
-        anchors=sub.centers,
         subgraph=sub,
     )
 
@@ -277,23 +250,13 @@ class Critic:
         self.relation_phrases = relation_phrases
         self.anchor_source = anchor_source
 
-    def anchors_for(self, record: DialogueRecord) -> tuple[int, ...]:
-        return derive_anchors(record, self.graph, self.aliases, self.anchor_source)
-
-    def subgraph_for(self, record: DialogueRecord) -> Subgraph:
-        anchors = self.anchors_for(record)
-        if not anchors:
-            return Subgraph.empty(radius=self.k)
-        return self.graph.khop_subgraph(anchors, self.k)
-
-    def critique(self, record: DialogueRecord, sub: Subgraph | None = None) -> CriticReport:
-        if sub is None:
-            sub = self.subgraph_for(record)
+    def critique(self, record: DialogueRecord) -> CriticReport:
+        anchors = derive_anchors(record, self.graph, self.aliases, self.anchor_source)
         return critique_response(
             record,
-            sub,
-            graph=self.graph,
-            aliases=self.aliases,
+            self.graph.khop_subgraph(anchors, self.k),
+            self.graph,
+            self.aliases,
             mode=self.mode,
             relation_phrases=self.relation_phrases,
         )

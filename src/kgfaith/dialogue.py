@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import MalformedLine
+from .kg import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -75,6 +76,8 @@ class DialogueRecord:
         spans = obj.get("spans")
         parsed_spans: list[tuple[str, int, int]] | None = None
         if spans is not None:
+            if not isinstance(spans, list):
+                raise ValueError("spans must be a list of [entity, begin, end]")
             parsed_spans = []
             for s in spans:
                 if not isinstance(s, (list, tuple)) or len(s) != 3:
@@ -86,6 +89,13 @@ class DialogueRecord:
                 if not 0 <= b < e <= len(response):
                     raise ValueError(f"span [{b}, {e}) out of range for response")
                 parsed_spans.append((ent, b, e))
+            ordered = sorted(parsed_spans, key=lambda s: s[1])
+            for (_, b, e), (_, nb, ne) in zip(ordered, ordered[1:]):
+                if nb < e:
+                    raise ValueError(f"spans [{b}, {e}) and [{nb}, {ne}) overlap")
+        for key in ("gold_response", "refined_response"):
+            if not isinstance(obj.get(key, ""), str):
+                raise ValueError(f"{key} must be a string")
         known = {"history", "triples", "response", "gold_response", "spans"}
         extra = {k: v for k, v in obj.items() if k not in known}
         return cls(
@@ -139,18 +149,17 @@ def read_dialogues(path: str | Path) -> list[DialogueRecord]:
     valid record raises MalformedLine carrying the 1-based line number.
     """
     records: list[DialogueRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record must be a JSON object")
-                records.append(DialogueRecord.from_json(obj))
-            except ValueError as err:  # json.JSONDecodeError included
-                raise MalformedLine(lineno, f"a JSON dialogue record ({err})") from err
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("record must be a JSON object")
+            records.append(DialogueRecord.from_json(obj))
+        except ValueError as err:  # json.JSONDecodeError included
+            raise MalformedLine(lineno, f"a JSON dialogue record ({err})") from err
     logger.info("read %d dialogue records from %s", len(records), path)
     return records
 

@@ -29,7 +29,7 @@ from .errors import (
     MalformedLine,
     ZeroDimension,
 )
-from .kg import KnowledgeGraph, Subgraph, Triple
+from .kg import KnowledgeGraph, Subgraph, Triple, read_lines
 from .metrics import RankingSummary, ranking_metrics
 
 logger = logging.getLogger(__name__)
@@ -537,39 +537,39 @@ def save_embeddings(path: str | Path, table: EmbeddingTable) -> None:
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read a snapshot back, validating counts, dimensions, and finiteness."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(" ")
-        if len(header) != 5 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
-            raise MalformedLine(1, f"a '{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}' header")
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\r\n").split(" ")
+    if len(header) != 5 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
+        raise MalformedLine(1, f"a '{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}' header")
+    try:
+        n_ent, n_rel, d = (int(x) for x in header[2:])
+    except ValueError:
+        raise MalformedLine(1, "integer entity, relation and dimension counts") from None
+    ent_rows: list[np.ndarray] = []
+    rel_rows: list[np.ndarray] = []
+    ent_names: list[str] = []
+    rel_names: list[str] = []
+    for lineno, raw in lines:
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[0] not in ("E", "R"):
+            raise MalformedLine(lineno, "E or R, name and vector, tab-separated")
         try:
-            n_ent, n_rel, d = (int(x) for x in header[2:])
+            vec = np.array([float(x) for x in parts[2].split(" ")], dtype=np.float64)
+            if not np.isfinite(vec).all():
+                raise ValueError("non-finite value")
         except ValueError:
-            raise MalformedLine(1, "integer entity, relation and dimension counts") from None
-        ent_rows: list[np.ndarray] = []
-        rel_rows: list[np.ndarray] = []
-        ent_names: list[str] = []
-        rel_names: list[str] = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[0] not in ("E", "R"):
-                raise MalformedLine(lineno, "E or R, name and vector, tab-separated")
-            try:
-                vec = np.array([float(x) for x in parts[2].split(" ")], dtype=np.float64)
-                if not np.isfinite(vec).all():
-                    raise ValueError("non-finite value")
-            except ValueError:
-                raise MalformedLine(lineno, f"a vector of {d} finite numbers") from None
-            if vec.shape != (d,):
-                raise MalformedLine(lineno, f"a vector of {d} values")
-            if parts[0] == "E":
-                ent_names.append(parts[1])
-                ent_rows.append(vec)
-            else:
-                rel_names.append(parts[1])
-                rel_rows.append(vec)
+            raise MalformedLine(lineno, f"a vector of {d} finite numbers") from None
+        if vec.shape != (d,):
+            raise MalformedLine(lineno, f"a vector of {d} values")
+        if parts[0] == "E":
+            ent_names.append(parts[1])
+            ent_rows.append(vec)
+        else:
+            rel_names.append(parts[1])
+            rel_rows.append(vec)
     if len(ent_rows) != n_ent or len(rel_rows) != n_rel:
         raise MalformedLine(
             1,

@@ -101,10 +101,6 @@ class Subgraph:
             self, "_direct", frozenset((t.s, t.o) for t in self.triples)
         )
 
-    @classmethod
-    def empty(cls, centers: tuple[int, ...] = (), radius: int = 0) -> Subgraph:
-        return cls(nodes=frozenset(), triples=(), centers=centers, radius=radius)
-
     def has_node(self, entity: int) -> bool:
         return entity in self.nodes
 
@@ -252,6 +248,21 @@ class KnowledgeGraph:
         )
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) for each line of a UTF-8 text file.
+
+    Every data-file reader goes through here. A line ends at a newline
+    byte and keeps it, with any carriage return before it; a line that
+    is not UTF-8 raises MalformedLine.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedLine(lineno, "UTF-8 text") from None
+
+
 def _read_tsv(path: str | Path, arity: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, stripped fields) for each data line.
 
@@ -259,15 +270,14 @@ def _read_tsv(path: str | Path, arity: int) -> Iterator[tuple[int, list[str]]]:
     does not split into exactly ``arity`` non-blank tab-separated fields
     raises MalformedLine with its line number.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split("\t")]
-            if len(fields) != arity or not all(fields):
-                raise MalformedLine(lineno, f"{arity} tab-separated fields")
-            yield lineno, fields
+    for lineno, raw in read_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) != arity or not all(fields):
+            raise MalformedLine(lineno, f"{arity} tab-separated fields")
+        yield lineno, fields
 
 
 def load_triples(path: str | Path) -> KnowledgeGraph:

@@ -19,7 +19,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .critic import CriticReport, derive_anchors
+from .critic import ANCHOR_SOURCES, CriticReport, derive_anchors
 from .dialogue import DialogueRecord, splice
 from .embeddings import EmbeddingTable, trilinear
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     SourceExhausted,
     UnknownAnchor,
 )
-from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple
+from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -85,20 +85,19 @@ def load_query_vectors(path: str | Path) -> ExternalQueries:
     1-based line number.
     """
     vectors = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vec = np.array([float(x) for x in line.split()])
-                if not np.isfinite(vec).all():
-                    raise ValueError("non-finite value")
-            except ValueError:
-                raise MalformedLine(
-                    lineno, "finite numbers separated by whitespace"
-                ) from None
-            vectors.append(vec)
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            vec = np.array([float(x) for x in line.split()])
+            if not np.isfinite(vec).all():
+                raise ValueError("non-finite value")
+        except ValueError:
+            raise MalformedLine(
+                lineno, "finite numbers separated by whitespace"
+            ) from None
+        vectors.append(vec)
     return ExternalQueries(vectors)
 
 
@@ -179,7 +178,7 @@ def build_query(
     if mode == "oracle":
         return table.relations[oracle_grounding_triple(record, graph, anchors).p].copy()
     if mode == "inferred":
-        anchor = scoring_anchor("inferred", record, graph, anchors, sub)
+        anchor = scoring_anchor("inferred", record, graph, anchors)
         return table.relations[infer_relation(sub, table, anchor, exclude)].copy()
     if external is None:
         raise ValueError("external mode needs a query-vector source")
@@ -191,7 +190,6 @@ def scoring_anchor(
     record: DialogueRecord,
     graph: KnowledgeGraph,
     anchors: Iterable[int],
-    sub: Subgraph,
 ) -> int:
     """The entity the ranking scores against.
 
@@ -252,9 +250,9 @@ class RefineConfig:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.mode not in QUERY_MODES:
             raise ValueError(f"mode must be one of {QUERY_MODES}, got {self.mode!r}")
-        if self.anchor_source not in ("kn", "history"):
+        if self.anchor_source not in ANCHOR_SOURCES:
             raise ValueError(
-                f"anchor source must be kn or history, got {self.anchor_source!r}"
+                f"anchor source must be one of {ANCHOR_SOURCES}, got {self.anchor_source!r}"
             )
 
 
@@ -310,8 +308,8 @@ def refine_response(
     report: CriticReport,
     graph: KnowledgeGraph,
     table: EmbeddingTable,
-    cfg: RefineConfig = RefineConfig(),
-    aliases: AliasTable | None = None,
+    cfg: RefineConfig,
+    aliases: AliasTable,
     external: ExternalQueries | None = None,
 ) -> RefinementOutcome:
     """Replace every flagged mention with its top-ranked subgraph entity.
@@ -326,30 +324,19 @@ def refine_response(
     external-mode supply errors propagate instead, since they mean the
     vector file does not match the flagged mentions.
     """
-    flagged = sorted(
-        (lab for lab in report.labels if lab.label != "faithful"),
-        key=lambda lab: lab.begin,
-    )
-    if not flagged:
-        return RefinementOutcome(
-            response=record.response, edits=[], failures=[],
-            anchor_trace=[tuple(report.anchors)],
-        )
-
-    anchors: list[int] = list(
-        derive_anchors(record, graph, aliases, cfg.anchor_source)
-    )
+    flagged = sorted(report.flagged_spans, key=lambda lab: lab.begin)
+    anchors = list(derive_anchors(record, graph, aliases, cfg.anchor_source))
     trace: list[tuple[int, ...]] = [tuple(anchors)]
-    replacements: list[str | None] = []  # None marks a failed span
-    details: list[tuple[str, float] | str] = []  # (entity, score) or reason
-
+    replaced: list[tuple[int, int, str]] = []  # (begin, end, new text) per flagged span
+    outcomes: list[Edit | Failure] = []  # original-text offsets until the splice below
     for lab in flagged:
+        old = record.response[lab.begin:lab.end]
         try:
             if not anchors:
                 raise RetrievalImpossible("anchor set is empty")
             sub = graph.khop_subgraph(anchors, cfg.k)
             exclude = frozenset(anchors)
-            anchor = scoring_anchor(cfg.mode, record, graph, anchors, sub)
+            anchor = scoring_anchor(cfg.mode, record, graph, anchors)
             query = build_query(
                 cfg.mode, record, sub, table, graph, anchors,
                 external=external, exclude=exclude,
@@ -357,42 +344,23 @@ def refine_response(
             ranked = rank_candidates(query, anchor, sub, table, exclude=exclude)
         except (NoGroundingRelation, EmptySubgraph, UnknownAnchor, RetrievalImpossible) as err:
             logger.debug("span [%d, %d): %s", lab.begin, lab.end, err)
-            replacements.append(None)
-            details.append(str(err) or type(err).__name__)
-            trace.append(tuple(anchors))
-            continue
-        top_id, top_score = ranked.top
-        entity_name = graph.entities.name_of(top_id)
-        surface = aliases.preferred(entity_name) if aliases else entity_name
-        replacements.append(surface)
-        details.append((entity_name, top_score))
-        if cfg.chain and top_id not in anchors:
-            anchors.append(top_id)
+            replaced.append((lab.begin, lab.end, old))
+            outcomes.append(Failure(lab.begin, lab.end, str(err) or type(err).__name__))
+        else:
+            top_id, top_score = ranked.top
+            entity_name = graph.entities.name_of(top_id)
+            replaced.append((lab.begin, lab.end, aliases.preferred(entity_name)))
+            outcomes.append(Edit(lab.begin, lab.end, old, entity_name, top_score))
+            if cfg.chain and top_id not in anchors:
+                anchors.append(top_id)
         trace.append(tuple(anchors))
 
-    edits_in = [
-        (lab.begin, lab.end,
-         repl if repl is not None else record.response[lab.begin:lab.end])
-        for lab, repl in zip(flagged, replacements)
-    ]
-    refined, new_spans = splice(record.response, edits_in)
-
-    edits: list[Edit] = []
-    failures: list[Failure] = []
-    for lab, repl, detail, (nb, ne) in zip(flagged, replacements, details, new_spans):
-        if repl is None:
-            failures.append(Failure(begin=nb, end=ne, reason=str(detail)))
-        else:
-            entity_name, score = detail  # type: ignore[misc]
-            edits.append(
-                Edit(
-                    begin=nb,
-                    end=ne,
-                    old=record.response[lab.begin:lab.end],
-                    new_entity=entity_name,
-                    rank1_score=score,
-                )
-            )
+    refined, new_spans = splice(record.response, replaced)
+    for outcome, (begin, end) in zip(outcomes, new_spans):
+        outcome.begin, outcome.end = begin, end
     return RefinementOutcome(
-        response=refined, edits=edits, failures=failures, anchor_trace=trace
+        response=refined,
+        edits=[o for o in outcomes if isinstance(o, Edit)],
+        failures=[o for o in outcomes if isinstance(o, Failure)],
+        anchor_trace=trace,
     )

@@ -154,6 +154,14 @@ class TestConfigFile:
         cfg.write_text("{nope")
         assert run(["kg", "stats", "--config", cfg]) == 1
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"kg": "\xff"}')
+        assert run(["kg", "stats", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --config: not valid UTF-8 JSON: ")
+
     def test_config_missing_value(self):
         assert run(["kg", "stats", "--config"]) == 1
 
@@ -273,6 +281,34 @@ class TestCorruptCommand:
         assert run(argv + ["--frac", "1.5"]) == 1
 
 
+class TestNonUtf8Input:
+    """A data file that is not UTF-8 is a runtime error naming the line."""
+
+    @pytest.mark.parametrize("flag", ["--kg", "--in"])
+    def test_exits_2(self, data_dir, tmp_path, capsys, flag):
+        files = {"--kg": data_dir / "toy_kg.tsv", "--in": data_dir / "toy_dialogues.jsonl"}
+        bad = tmp_path / "bad"
+        bad.write_bytes(files[flag].read_bytes() + b"\xff\xfe\n")
+        files[flag] = bad
+        out = tmp_path / "crit.jsonl"
+        code = run(["critique", "--in", files["--in"], "--kg", files["--kg"],
+                    "--aliases", data_dir / "toy_aliases.tsv", "--out", out])
+        assert code == 2
+        lines = files[flag].read_bytes().count(b"\n")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: MalformedLine: line {lines}: expected UTF-8 text"
+        ]
+        assert not out.exists()
+
+    def test_kg_stats_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "kg.tsv"
+        bad.write_bytes(b"\xff\xfea\tr\tb\n")
+        assert run(["kg", "stats", "--kg", bad]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: MalformedLine: line 1: expected UTF-8 text"
+        ]
+
+
 class TestCritiqueCommand:
     def test_labels_toy_corpus(self, data_dir, tmp_path):
         out = tmp_path / "crit.jsonl"
@@ -345,6 +381,24 @@ class TestRefineCommand:
              "--aliases", data_dir / "toy_aliases.tsv",
              "--out", tmp_path / "r.jsonl"])
         assert src.read_bytes() == before
+
+    def test_overlapping_spans_exit_2(self, data_dir, tmp_path, trained_snapshot, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({
+            "history": [], "triples": [],
+            "response": "Yes he did. He also wrote The Time Machine.",
+            "spans": [["ghost_a", 7, 14], ["ghost_b", 10, 21]],
+        }) + "\n")
+        out = tmp_path / "r.jsonl"
+        code = run(["refine", "--in", src, "--kg", data_dir / "toy_kg.tsv",
+                    "--emb", trained_snapshot,
+                    "--aliases", data_dir / "toy_aliases.tsv", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: MalformedLine: line 1: expected a JSON dialogue record "
+            "(spans [7, 14) and [10, 21) overlap)"
+        ]
+        assert not out.exists()
 
     def test_external_mode_needs_queries(self, data_dir, tmp_path, trained_snapshot):
         code = run(["refine", "--in", data_dir / "toy_dialogues.jsonl",
@@ -556,3 +610,16 @@ class TestEvalCommand:
                     "--emb", trained_snapshot,
                     "--heldout", data_dir / "toy_kg.tsv"])
         assert code == 1
+
+    @pytest.mark.parametrize("field", ["gold_response", "refined_response"])
+    def test_non_string_text_exits_2(self, data_dir, tmp_path, capsys, field):
+        blob = json.loads((data_dir / "toy_dialogues.jsonl").read_text().splitlines()[0])
+        blob[field] = 7
+        refined = tmp_path / "refined.jsonl"
+        refined.write_text(json.dumps(blob) + "\n")
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv", "--refined", refined])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: MalformedLine: line 1: expected a JSON dialogue record "
+            f"({field} must be a string)"
+        ]

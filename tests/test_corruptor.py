@@ -107,9 +107,9 @@ class TestReplacementPoolOnSparseCorpus:
         return sparse_corpus()
 
     def cases(self, corpus):
-        graph, _, _, records = corpus
+        graph, _, aliases, records = corpus
         for rec in records[:40]:
-            sub = graph.khop_subgraph(derive_anchors(rec, graph), 2)
+            sub = graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), 2)
             for s, _, o in rec.triples:
                 for mention in (s, o):
                     yield mention, sub, rec.history

@@ -97,11 +97,6 @@ class TestDeriveAnchors:
         # not a graph node so it contributes nothing.
         assert derive_anchors(rec, toy_graph, toy_aliases, "history") == (1, 0)
 
-    def test_history_source_needs_aliases(self, toy_graph):
-        rec = record(["hi"], [], "x")
-        with pytest.raises(ValueError):
-            derive_anchors(rec, toy_graph, None, "history")
-
     def test_bad_source_rejected(self, toy_graph, toy_aliases):
         with pytest.raises(ValueError):
             derive_anchors(record([], [], "x"), toy_graph, toy_aliases, "both")

@@ -88,6 +88,12 @@ class TestRecordIo:
         with pytest.raises(MalformedLine):
             read_dialogues(path)
 
+    def test_spans_not_a_list_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"history": [], "triples": [], "response": "x", "spans": 5}\n')
+        with pytest.raises(MalformedLine, match="spans must be a list"):
+            read_dialogues(path)
+
     @pytest.mark.parametrize("offset", ["null", '"one"', "[1]", "Infinity"])
     def test_span_offset_not_a_number_reports_line(self, tmp_path, offset):
         path = tmp_path / "d.jsonl"

@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from kgfaith import KnowledgeGraph, Triple, Vocabulary, load_triples
+from kgfaith import KnowledgeGraph, Subgraph, Triple, Vocabulary, load_triples
 from kgfaith.critic import load_relation_phrases
 from kgfaith.errors import EmptyGraph, MalformedLine, UnknownEntity
 from kgfaith.kg import load_aliases, load_entity_types
@@ -117,6 +117,12 @@ class TestKhopSubgraph:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 0)
         assert sub.nodes == {0}
         assert sub.triples == ()
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_no_centers_is_empty_ball(self, toy_graph, k):
+        sub = toy_graph.khop_subgraph((), k)
+        assert sub == Subgraph(nodes=frozenset(), triples=(), centers=(), radius=k)
+        assert not sub.has_node(0)
 
     def test_k0_keeps_edges_between_centers(self, toy_graph):
         sub = toy_graph.khop_subgraph(["roald_dahl", "the_witches"], 0)

@@ -8,7 +8,9 @@ distmult_score call per triple, and relation inference and candidate
 ranking against loops over those single scores. The batched training
 loss and gradients are checked against nce_loss_and_grad summed over
 the rows, and the batched samplers against their per-row contracts.
-Examples are drawn deterministically, so the suite gives the same
+Multi-span splice, which refinement and corruption use to place every
+edit and failure, is checked against its offset contract. Examples are
+drawn deterministically, so the suite gives the same
 verdict on every run.
 """
 
@@ -18,11 +20,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.critic import link_mentions
+from kgfaith.dialogue import splice
 from kgfaith.embeddings import (
     SAMPLERS,
     EmbeddingTable,
@@ -197,9 +200,56 @@ def test_link_mentions_matches_fresh_pattern(data):
 def test_add_after_link_is_seen():
     table = AliasTable.from_names(["Roald Dahl"])
     text = "Roald Dahl wrote The BFG."
-    assert [m.surface for m in link_mentions(text, table)] == ["Roald Dahl"]
+    assert [m.surface for m in link_mentions(text, table, LINK_GRAPH)] == ["Roald Dahl"]
     table.add("the_bfg", "The BFG")
-    assert [m.surface for m in link_mentions(text, table)] == ["Roald Dahl", "The BFG"]
+    assert [m.surface for m in link_mentions(text, table, LINK_GRAPH)] == [
+        "Roald Dahl", "The BFG"
+    ]
+
+
+# --- multi-span splice --------------------------------------------------------
+
+
+@st.composite
+def splice_cases(draw):
+    """A text and non-empty, non-overlapping (some touching) edits in drawn order."""
+    text = draw(st.text(alphabet="ab c", min_size=1, max_size=30))
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=10)))
+    spans = [(b, e) for b, e in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    edits = [(b, e, draw(st.text(alphabet="xyZ", max_size=4))) for b, e in spans]
+    return text, draw(st.permutations(edits))
+
+
+@PROPERTY
+@given(case=splice_cases())
+def test_splice_places_every_edit(case):
+    text, edits = case
+    out, spans = splice(text, edits)
+    assert len(spans) == len(edits)
+    for (_, _, repl), (nb, ne) in zip(edits, spans):
+        assert out[nb:ne] == repl
+    # Spans come back in edit order: ranked by old begin, new begins ascend.
+    by_old = sorted(range(len(edits)), key=lambda i: edits[i][0])
+    assert [spans[i][0] for i in by_old] == sorted(nb for nb, _ in spans)
+    # Text outside the edits is carried over unchanged.
+    old_cursor = new_cursor = 0
+    for i in by_old:
+        assert out[new_cursor:spans[i][0]] == text[old_cursor:edits[i][0]]
+        old_cursor, new_cursor = edits[i][1], spans[i][1]
+    assert out[new_cursor:] == text[old_cursor:]
+
+
+@PROPERTY
+@given(case=splice_cases(), data=st.data())
+def test_splice_rejects_overlapping_edits(case, data):
+    text, edits = case
+    assume(edits)
+    b, e, _ = data.draw(st.sampled_from(edits))
+    nb = data.draw(st.integers(0, e - 1))
+    ne = data.draw(st.integers(max(nb, b) + 1, len(text)))  # nb < e and b < ne: overlap
+    edits.insert(data.draw(st.integers(0, len(edits))), (nb, ne, "q"))
+    with pytest.raises(ValueError, match="overlapping edits"):
+        splice(text, edits)
 
 
 # --- filtered ranking ---------------------------------------------------------

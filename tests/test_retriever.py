@@ -215,27 +215,23 @@ class TestInferRelation:
 class TestScoringAnchor:
     def test_oracle_prefers_subject_side(self, toy_graph):
         rec = table_record()
-        sub = toy_graph.khop_subgraph([0, 1], 2)
-        assert scoring_anchor("oracle", rec, toy_graph, (0, 1), sub) == 0
+        assert scoring_anchor("oracle", rec, toy_graph, (0, 1)) == 0
 
     def test_oracle_falls_back_to_object_side(self, toy_graph):
         rec = table_record()
-        sub = toy_graph.khop_subgraph([1], 2)
-        assert scoring_anchor("oracle", rec, toy_graph, (1,), sub) == 1
+        assert scoring_anchor("oracle", rec, toy_graph, (1,)) == 1
 
     def test_other_modes_take_lowest_anchor(self, toy_graph):
         rec = table_record()
-        sub = toy_graph.khop_subgraph([5, 2], 1)
-        assert scoring_anchor("external", rec, toy_graph, (5, 2), sub) == 2
-        assert scoring_anchor("inferred", rec, toy_graph, (5, 2), sub) == 2
+        assert scoring_anchor("external", rec, toy_graph, (5, 2)) == 2
+        assert scoring_anchor("inferred", rec, toy_graph, (5, 2)) == 2
 
     def test_empty_anchor_set(self, toy_graph):
         from kgfaith.errors import RetrievalImpossible
 
         rec = table_record()
-        sub = Subgraph.empty()
         with pytest.raises(RetrievalImpossible):
-            scoring_anchor("oracle", rec, toy_graph, (), sub)
+            scoring_anchor("oracle", rec, toy_graph, ())
 
 
 class TestBuildQuery:
@@ -461,7 +457,9 @@ class TestRefineResponse:
     def test_without_aliases_splices_canonical_names(self, toy_graph, toy_aliases):
         rec = table_record()
         report = self.report_for(rec, toy_graph, toy_aliases)
-        out = refine_response(rec, report, toy_graph, toy_table(), RefineConfig())
+        out = refine_response(
+            rec, report, toy_graph, toy_table(), RefineConfig(), AliasTable()
+        )
         assert "the_bfg" in out.response
         assert "charlie_and_the_chocolate_factory" in out.response
 
