@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 validation problem (bad flag, bad config
 value, missing input file, unknown subcommand), 2 runtime failure
 while processing valid inputs.
 
-A JSON config file (--config) supplies defaults that explicit flags
-override. Randomized stages derive their working seed from the root
+A JSON config file (--config) supplies values for the command's flags;
+each is parsed like the flag itself, and explicit flags override it.
+Randomized stages derive their working seed from the root
 --seed hashed with the stage name, so each stage is independently
 reproducible from one number.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +27,7 @@ from typing import Any, Iterator
 
 from .corruptor import CorruptionConfig, build_synthetic_dataset
 from .critic import ANCHOR_SOURCES, Critic, INTRINSIC_MODES, load_relation_phrases
-from .dialogue import DialogueRecord, read_dialogues
+from .dialogue import DialogueRecord, read_dialogues, write_dialogues
 from .embeddings import (
     OPTIMIZERS,
     EmbeddingTable,
@@ -37,7 +39,7 @@ from .embeddings import (
     save_loss_trace,
     train,
 )
-from .errors import ConfigValidation, KgFaithError, MalformedLine, UnknownCommand
+from .errors import ConfigValidation, KgFaithError, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import EvalSummary, bleu, hallucination_rate
 from .retriever import QUERY_MODES, RefineConfig, load_query_vectors, refine_response
@@ -62,9 +64,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigValidation(message)
 
 
-def _require_file(path: str | None, flag: str) -> Path:
-    if path is None:
-        raise ConfigValidation(f"{flag} is required")
+def _require_file(path: str, flag: str) -> Path:
     p = Path(path)
     if not p.is_file():
         raise ConfigValidation(f"{flag}: no such file: {path}")
@@ -95,38 +95,46 @@ def _load_config(argv: list[str]) -> dict[str, Any]:
 
 
 class _Options:
-    """add_argument wrapper that folds config values in as defaults.
+    """add_argument wrapper that records each command's flags by config key."""
 
-    A key present in the config file replaces the built-in default and
-    lifts any required flag, so explicit command-line flags always win.
-    """
+    def __init__(self) -> None:
+        self.commands: dict[tuple[str, ...], dict[str, argparse.Action]] = {}
 
-    def __init__(self, config: dict[str, Any]):
-        self.config = config
-        self.known: set[str] = {"config"}
+    def add(self, parser: argparse.ArgumentParser, *flags: str, **kwargs: Any) -> None:
+        action = parser.add_argument(*flags, **kwargs)
+        command = tuple(parser.prog.split()[1:])
+        self.commands.setdefault(command, {})[action.dest] = action
 
-    def add(
-        self,
-        parser: argparse.ArgumentParser,
-        *flags: str,
-        required: bool = False,
-        **kwargs: Any,
-    ) -> None:
-        dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
-        self.known.add(dest)
-        if dest in self.config:
-            kwargs["default"] = self.config[dest]
-            required = False
-        if required:
-            kwargs["required"] = True
-        else:
-            kwargs.setdefault("default", None)
-        parser.add_argument(*flags, **kwargs)
+    def with_config(self, argv: list[str], config: dict[str, Any]) -> list[str]:
+        """argv with its command's config values as flags after the command words.
 
-    def validate_keys(self) -> None:
-        unknown = sorted(set(self.config) - self.known)
+        argparse then checks them like typed flags, and an explicit flag,
+        parsed later, wins. null is absent; a boolean sets a store_true
+        flag. Keys that only other commands read are ignored.
+        """
+        unknown = sorted(set(config).difference(*self.commands.values()))
         if unknown:
             raise ConfigValidation(f"--config: unknown keys: {', '.join(unknown)}")
+        for command, actions in self.commands.items():
+            if tuple(argv[: len(command)]) == command:
+                break
+        else:
+            return argv
+        tokens = []
+        for key, value in config.items():
+            action = actions.get(key)
+            if action is None or value is None:
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0 and isinstance(value, bool):
+                tokens += [flag] if value else []
+            elif isinstance(value, (bool, list, dict)):
+                raise ConfigValidation(
+                    f"--config: {key}: {flag} takes one value, got {json.dumps(value)}"
+                )
+            else:
+                tokens.append(f"{flag}={value}")
+        return argv[: len(command)] + tokens + argv[len(command) :]
 
 
 def _emit(blob: Any, out: Path | None) -> None:
@@ -171,19 +179,13 @@ def _load_heldout_triples(path: Path, graph) -> list[Triple]:
     ]
 
 
-def _load_table(path: str | None, graph) -> EmbeddingTable:
+def _load_table(path: str, graph) -> EmbeddingTable:
     """Load the --emb snapshot aligned to the graph.
 
     A malformed line stays a runtime error; a snapshot that parses but
-    does not fit (row counts, missing names) is a validation error.
+    does not fit (missing names) is a validation error.
     """
-    snapshot = _require_file(path, "--emb")
-    try:
-        return align_table(load_embeddings(snapshot), graph)
-    except MalformedLine:
-        raise
-    except ValueError as err:
-        raise ConfigValidation(str(err)) from err
+    return align_table(load_embeddings(_require_file(path, "--emb")), graph)
 
 
 def _parse_sampler(value: str) -> tuple[str, int]:
@@ -209,20 +211,9 @@ def _parse_sampler(value: str) -> tuple[str, int]:
 
 
 def _cmd_kg_stats(args: argparse.Namespace) -> int:
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    s = graph.stats()
+    s = load_triples(_require_file(args.kg, "--kg")).stats()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "entities": s.entities,
-                    "relations": s.relations,
-                    "triples": s.triples,
-                    "mean_degree": s.mean_degree,
-                    "max_degree": s.max_degree,
-                }
-            )
-        )
+        print(json.dumps(dataclasses.asdict(s)))
     else:
         print(f"{{entities: {s.entities}, relations: {s.relations}, triples: {s.triples}}}")
     return 0
@@ -230,7 +221,7 @@ def _cmd_kg_stats(args: argparse.Namespace) -> int:
 
 def _cmd_subgraph(args: argparse.Namespace) -> int:
     graph = load_triples(_require_file(args.kg, "--kg"))
-    centers = [c.strip() for c in (args.center or "").split(",") if c.strip()]
+    centers = [c.strip() for c in args.center.split(",") if c.strip()]
     if not centers:
         raise ConfigValidation("--center needs at least one entity name")
     if args.k < 0:
@@ -256,22 +247,13 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     records = read_dialogues(_require_file(args.input, "--in"))
     seed = stage_seed(args.seed, "corrupt")
     print(f"corrupt: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
-    try:
-        cfg = CorruptionConfig(
-            fraction=args.frac, seed=seed, policy=args.policy, k=args.k
-        )
-    except ValueError as err:
-        raise ConfigValidation(str(err)) from err
+    cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
     corrupted, summary = build_synthetic_dataset(
         records, graph, types, cfg, aliases=aliases
     )
-    if args.out is None:
-        raise ConfigValidation("--out is required")
     text = json.dumps(summary.to_json(), indent=2)
     with _atomic_outputs(args.out, args.summary) as (out, summary_out):
-        with open(out, "w", encoding="utf-8") as fh:
-            for rec in corrupted:
-                fh.write(json.dumps(rec.to_json()) + "\n")
+        write_dialogues(out, (rec.to_json() for rec in corrupted))
         if summary_out:
             summary_out.write_text(text + "\n", encoding="utf-8")
     if not args.summary:
@@ -284,23 +266,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     sampler, sans_hops = _parse_sampler(args.sampler)
     seed = stage_seed(args.seed, "train")
     print(f"train: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
-    try:
-        cfg = TrainingConfig(
-            d=args.dim,
-            lr=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            negatives=args.neg,
-            sampler=sampler,
-            sans_k=sans_hops,
-            seed=seed,
-            optimizer=args.optimizer,
-            l2=args.l2,
-        )
-    except ValueError as err:
-        raise ConfigValidation(str(err)) from err
-    if args.out is None:
-        raise ConfigValidation("--out is required")
+    cfg = TrainingConfig(
+        d=args.dim,
+        lr=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch,
+        negatives=args.neg,
+        sampler=sampler,
+        sans_k=sans_hops,
+        seed=seed,
+        optimizer=args.optimizer,
+        l2=args.l2,
+    )
     table, trace = train(graph, cfg)
     with _atomic_outputs(args.out, args.trace) as (out, trace_out):
         save_embeddings(out, table)
@@ -321,29 +298,27 @@ def _cmd_critique(args: argparse.Namespace) -> int:
         if args.phrases
         else None
     )
-    try:
-        critic = Critic(
-            graph,
-            aliases,
-            k=args.k,
-            mode=args.mode,
-            relation_phrases=phrases,
-            anchor_source=args.anchors,
-        )
-    except ValueError as err:
-        raise ConfigValidation(str(err)) from err
+    critic = Critic(
+        graph,
+        aliases,
+        k=args.k,
+        mode=args.mode,
+        relation_phrases=phrases,
+        anchor_source=args.anchors,
+    )
     records = read_dialogues(_require_file(args.input, "--in"))
-    if args.out is None:
-        raise ConfigValidation("--out is required")
     flagged = 0
-    with _atomic_outputs(args.out) as (out,), open(out, "w", encoding="utf-8") as fh:
+
+    def labelled() -> Iterator[dict[str, Any]]:
+        nonlocal flagged
         for record in records:
             report = critic.critique(record)
-            blob = record.to_json()
-            blob["labels"] = [lab.to_json() for lab in report.labels]
-            blob["flagged"] = report.flagged
-            fh.write(json.dumps(blob) + "\n")
-            flagged += int(report.flagged)
+            flagged += report.flagged
+            labels = [lab.to_json() for lab in report.labels]
+            yield {**record.to_json(), "labels": labels, "flagged": report.flagged}
+
+    with _atomic_outputs(args.out) as (out,):
+        write_dialogues(out, labelled())
     print(f"critique: {len(records)} records, {flagged} flagged", file=sys.stderr)
     return 0
 
@@ -359,21 +334,15 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     )
     if args.mode == "external" and external is None:
         raise ConfigValidation("external query mode needs --queries")
-    try:
-        cfg = RefineConfig(
-            k=args.k,
-            mode=args.mode,
-            chain=args.chain == "on",
-            anchor_source=args.anchors,
-        )
-        critic = Critic(graph, aliases, k=args.k, anchor_source=args.anchors)
-    except ValueError as err:
-        raise ConfigValidation(str(err)) from err
+    cfg = RefineConfig(
+        k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
+    )
+    critic = Critic(graph, aliases, k=args.k, anchor_source=args.anchors)
     records = read_dialogues(_require_file(args.input, "--in"))
-    if args.out is None:
-        raise ConfigValidation("--out is required")
     n_edits = n_failures = 0
-    with _atomic_outputs(args.out) as (out,), open(out, "w", encoding="utf-8") as fh:
+
+    def refined() -> Iterator[dict[str, Any]]:
+        nonlocal n_edits, n_failures
         for record in records:
             report = critic.critique(record)
             outcome = refine_response(
@@ -381,7 +350,10 @@ def _cmd_refine(args: argparse.Namespace) -> int:
             )
             n_edits += len(outcome.edits)
             n_failures += len(outcome.failures)
-            fh.write(json.dumps(outcome.merged_json(record)) + "\n")
+            yield outcome.merged_json(record)
+
+    with _atomic_outputs(args.out) as (out,):
+        write_dialogues(out, refined())
     print(
         f"refine: {len(records)} records, {n_edits} edits, {n_failures} failures",
         file=sys.stderr,
@@ -408,10 +380,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if want_ranking:
         table = _load_table(args.emb, graph)
         heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
-        try:
-            ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
-        except ValueError as err:
-            raise ConfigValidation(str(err)) from err
+        ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
         counts["ranks"] = len(ranking.ranks)
 
     if args.refined is not None:
@@ -430,10 +399,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             print("eval: no gold responses, skipping BLEU", file=sys.stderr)
         if args.aliases:
             aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-            try:
-                critic = Critic(graph, aliases, k=args.k)
-            except ValueError as err:
-                raise ConfigValidation(str(err)) from err
+            critic = Critic(graph, aliases, k=args.k)
             flags = []
             for rec in records:
                 probe = DialogueRecord(
@@ -462,8 +428,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def build_parser(config: dict[str, Any] | None = None) -> _Parser:
-    opts = _Options(config or {})
+def build_parser(opts: _Options) -> _Parser:
     parser = _Parser(
         prog="kgfaith",
         description=(
@@ -475,7 +440,7 @@ def build_parser(config: dict[str, Any] | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def common(p: argparse.ArgumentParser) -> None:
-        opts.add(p, "--config", default=None, help="JSON file with flag defaults; explicit flags win")
+        opts.add(p, "--config", default=None, help="JSON file of flag values; explicit flags win")
 
     kg = sub.add_parser("kg", help="triple-store inspection")
     kg_sub = kg.add_subparsers(dest="kg_command", required=True, metavar="SUBCOMMAND")
@@ -562,16 +527,15 @@ def build_parser(config: dict[str, Any] | None = None) -> _Parser:
     opts.add(ev, "--ranks-csv", default=None, help="per-item rank CSV output path")
     opts.add(ev, "--out", default=None, help="summary JSON path (default stdout)")
     ev.set_defaults(func=_cmd_eval)
-
-    opts.validate_keys()
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _load_config(argv)
-        parser = build_parser(config)
+        opts = _Options()
+        parser = build_parser(opts)
+        argv = opts.with_config(argv, _load_config(argv))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help exits 0; anything else is misuse
@@ -583,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     except KgFaithError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -123,6 +123,11 @@ def response_mentions(
     return mentions
 
 
+def check_anchor_source(source: str) -> None:
+    if source not in ANCHOR_SOURCES:
+        raise ValueError(f"anchor source must be one of {ANCHOR_SOURCES}, got {source!r}")
+
+
 def derive_anchors(
     record: DialogueRecord, graph: KnowledgeGraph, aliases: AliasTable, source: str
 ) -> tuple[int, ...]:
@@ -132,8 +137,7 @@ def derive_anchors(
     name raises UnknownEntity). "history" links mentions over the history
     turns and keeps those found in the graph.
     """
-    if source not in ANCHOR_SOURCES:
-        raise ValueError(f"anchor source must be one of {ANCHOR_SOURCES}, got {source!r}")
+    check_anchor_source(source)
     if source == "kn":
         found = [graph.resolve_entity(name) for s, _, o in record.triples for name in (s, o)]
     else:
@@ -239,10 +243,7 @@ class Critic:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         _check_mode(mode, relation_phrases)
-        if anchor_source not in ANCHOR_SOURCES:
-            raise ValueError(
-                f"anchor source must be one of {ANCHOR_SOURCES}, got {anchor_source!r}"
-            )
+        check_anchor_source(anchor_source)
         self.graph = graph
         self.aliases = aliases
         self.k = k

@@ -72,7 +72,9 @@ class DialogueRecord:
         for t in triples:
             if not isinstance(t, (list, tuple)) or len(t) != 3:
                 raise ValueError(f"triple must have 3 parts, got {t!r}")
-            parsed.append((str(t[0]), str(t[1]), str(t[2])))
+            if not all(isinstance(part, str) and part for part in t):
+                raise ValueError(f"triple parts must be non-empty strings, got {t!r}")
+            parsed.append((t[0], t[1], t[2]))
         spans = obj.get("spans")
         parsed_spans: list[tuple[str, int, int]] | None = None
         if spans is not None:
@@ -164,11 +166,11 @@ def read_dialogues(path: str | Path) -> list[DialogueRecord]:
     return records
 
 
-def write_dialogues(path: str | Path, records: Iterable[DialogueRecord]) -> int:
-    """Write records as JSON lines; returns the number written."""
+def write_dialogues(path: str | Path, blobs: Iterable[dict[str, Any]]) -> int:
+    """Write JSON objects (``to_json()`` records) as lines; returns the number written."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), ensure_ascii=False) + "\n")
+        for blob in blobs:
+            fh.write(json.dumps(blob) + "\n")
             n += 1
     return n

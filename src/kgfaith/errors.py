@@ -12,6 +12,16 @@ class KgFaithError(Exception):
     """Base class for all toolkit errors."""
 
 
+# --- cli -----------------------------------------------------------------
+
+class ConfigValidation(KgFaithError, ValueError):
+    """A command-line or config-file value failed validation."""
+
+
+class UnknownCommand(ConfigValidation):
+    """The requested subcommand does not exist."""
+
+
 # --- graph store ---------------------------------------------------------
 
 class MalformedLine(KgFaithError, ValueError):
@@ -56,7 +66,7 @@ class AllRecordsDropped(KgFaithError, ValueError):
 
 # --- embeddings ----------------------------------------------------------
 
-class ZeroDimension(KgFaithError, ValueError):
+class ZeroDimension(ConfigValidation):
     """Requested embedding dimension is below 1."""
 
 
@@ -110,13 +120,3 @@ class EmptyInput(KgFaithError, ValueError):
 
 class LengthMismatch(KgFaithError, ValueError):
     """Parallel hypothesis/reference lists differ in length."""
-
-
-# --- cli -----------------------------------------------------------------
-
-class ConfigValidation(KgFaithError, ValueError):
-    """A command-line or config-file value failed validation."""
-
-
-class UnknownCommand(ConfigValidation):
-    """The requested subcommand does not exist."""

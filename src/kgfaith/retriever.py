@@ -19,7 +19,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .critic import ANCHOR_SOURCES, CriticReport, derive_anchors
+from .critic import CriticReport, check_anchor_source, derive_anchors
 from .dialogue import DialogueRecord, splice
 from .embeddings import EmbeddingTable, trilinear
 from .errors import (
@@ -250,10 +250,7 @@ class RefineConfig:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.mode not in QUERY_MODES:
             raise ValueError(f"mode must be one of {QUERY_MODES}, got {self.mode!r}")
-        if self.anchor_source not in ANCHOR_SOURCES:
-            raise ValueError(
-                f"anchor source must be one of {ANCHOR_SOURCES}, got {self.anchor_source!r}"
-            )
+        check_anchor_source(self.anchor_source)
 
 
 @dataclass

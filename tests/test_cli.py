@@ -166,6 +166,93 @@ class TestConfigFile:
         assert run(["kg", "stats", "--config"]) == 1
 
 
+class TestConfigValuesParseLikeFlags:
+    """A config value goes through its flag's type, choices and required checks."""
+
+    def run_with(self, tmp_path, blob, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(blob))
+        return run([*argv, "--config", cfg])
+
+    def critique_argv(self, data_dir, out):
+        return ["critique", "--in", data_dir / "toy_dialogues.jsonl",
+                "--kg", data_dir / "toy_kg.tsv",
+                "--aliases", data_dir / "toy_aliases.tsv", "--out", out]
+
+    def assert_one_error(self, capsys, *needles):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        for needle in needles:
+            assert needle in err[0]
+
+    def test_bad_choice(self, data_dir, tmp_path, trained_snapshot, capsys):
+        out = tmp_path / "r.jsonl"
+        code = self.run_with(
+            tmp_path, {"chain": "maybe"},
+            ["refine", "--in", data_dir / "toy_dialogues.jsonl",
+             "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
+             "--aliases", data_dir / "toy_aliases.tsv", "--out", out],
+        )
+        assert code == 1
+        self.assert_one_error(capsys, "--chain", "maybe")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [[1], {"hops": 1}, True], ids=["list", "object", "bool"])
+    def test_not_one_value_for_a_value_flag(self, data_dir, tmp_path, capsys, value):
+        out = tmp_path / "c.jsonl"
+        assert self.run_with(tmp_path, {"k": value}, self.critique_argv(data_dir, out)) == 1
+        self.assert_one_error(capsys, "--config", "--k")
+        assert not out.exists()
+
+    def test_float_for_an_int_flag(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "emb.tsv"
+        code = self.run_with(
+            tmp_path, {"dim": 2.5}, ["train", "--kg", data_dir / "toy_kg.tsv", "--out", out]
+        )
+        assert code == 1
+        self.assert_one_error(capsys, "--dim", "2.5")
+        assert not out.exists()
+
+    def test_bad_choice_in_eval(self, data_dir, tmp_path, capsys):
+        code = self.run_with(
+            tmp_path, {"bleu_level": "bogus"},
+            ["eval", "--kg", data_dir / "toy_kg.tsv",
+             "--refined", data_dir / "toy_dialogues.jsonl"],
+        )
+        assert code == 1
+        self.assert_one_error(capsys, "--bleu-level", "bogus")
+
+    def test_null_is_absent(self, data_dir, tmp_path, capsys):
+        argv = self.critique_argv(data_dir, tmp_path / "c.jsonl")[:-2]
+        assert run(argv) == 1
+        without_config = capsys.readouterr().err
+        assert self.run_with(tmp_path, {"out": None}, argv) == 1
+        assert capsys.readouterr().err == without_config
+        assert without_config.splitlines() == [
+            "error: the following arguments are required: --out"
+        ]
+
+    def test_values_typed_like_flags(self, data_dir, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run(self.critique_argv(data_dir, a) + ["--k", "1"]) == 0
+        assert self.run_with(tmp_path, {"k": 1, "mode": None},
+                             self.critique_argv(data_dir, b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_boolean_sets_store_true_flag(self, data_dir, tmp_path, capsys):
+        argv = ["kg", "stats", "--kg", data_dir / "toy_kg.tsv"]
+        assert self.run_with(tmp_path, {"json": True}, argv) == 0
+        assert json.loads(capsys.readouterr().out)["entities"] == 8
+        assert self.run_with(tmp_path, {"json": False}, argv) == 0
+        assert capsys.readouterr().out == "{entities: 8, relations: 3, triples: 7}\n"
+
+    def test_key_of_another_command_ignored(self, data_dir, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run(self.critique_argv(data_dir, a)) == 0
+        assert self.run_with(tmp_path, {"dim": 32}, self.critique_argv(data_dir, b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestTrainCommand:
     def train_args(self, data_dir, out, trace=None, seed=0, extra=()):
         argv = ["train", "--kg", data_dir / "toy_kg.tsv", "--dim", "4",
@@ -343,6 +430,22 @@ class TestCritiqueCommand:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: the directed mode needs relation phrases"
+        ]
+        assert not out.exists()
+
+    def test_triple_part_not_a_string_exits_2(self, data_dir, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({
+            "history": [], "triples": [["roald_dahl", None, "the_bfg"]],
+            "response": "Roald Dahl wrote The BFG.",
+        }) + "\n")
+        out = tmp_path / "crit.jsonl"
+        code = run(["critique", "--in", src, "--kg", data_dir / "toy_kg.tsv",
+                    "--aliases", data_dir / "toy_aliases.tsv", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: MalformedLine: line 1: expected a JSON dialogue record "
+            "(triple parts must be non-empty strings, got ['roald_dahl', None, 'the_bfg'])"
         ]
         assert not out.exists()
 
@@ -610,6 +713,16 @@ class TestEvalCommand:
                     "--emb", trained_snapshot,
                     "--heldout", data_dir / "toy_kg.tsv"])
         assert code == 1
+
+    def test_empty_heldout_exits_2(self, data_dir, tmp_path, trained_snapshot, capsys):
+        heldout = tmp_path / "held.tsv"
+        heldout.write_text("# nothing held out\n")
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
+                    "--emb", trained_snapshot, "--heldout", heldout])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: EmptyHoldout: no held-out triples to evaluate"
+        ]
 
     @pytest.mark.parametrize("field", ["gold_response", "refined_response"])
     def test_non_string_text_exits_2(self, data_dir, tmp_path, capsys, field):

@@ -54,7 +54,7 @@ class TestRecordIo:
             DialogueRecord(history=[], triples=[], response="plain"),
         ]
         path = tmp_path / "d.jsonl"
-        assert write_dialogues(path, recs) == 2
+        assert write_dialogues(path, (r.to_json() for r in recs)) == 2
         back = read_dialogues(path)
         assert back == recs
 
@@ -103,6 +103,17 @@ class TestRecordIo:
             f'"spans": [["e", {offset}, 1]]}}\n'
         )
         with pytest.raises(MalformedLine, match="span offsets must be numbers") as exc:
+            read_dialogues(path)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("part", ["null", "7", '""', '["r"]'])
+    def test_triple_part_not_a_string_reports_line(self, tmp_path, part):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"history": [], "triples": [], "response": "x"}\n'
+            f'{{"history": [], "triples": [["a", {part}, "b"]], "response": "a b"}}\n'
+        )
+        with pytest.raises(MalformedLine, match="triple parts must be non-empty strings") as exc:
             read_dialogues(path)
         assert exc.value.line_number == 2
 

@@ -75,7 +75,7 @@ def _sparse_inputs(workdir: Path) -> dict[str, Path]:
     files["types"].write_text(
         "".join(f"{e}\t{t}\n" for e, t in types.items()), encoding="utf-8"
     )
-    write_dialogues(files["records"], records)
+    write_dialogues(files["records"], (r.to_json() for r in records))
     return files
 
 

@@ -9,8 +9,10 @@ ranking against loops over those single scores. The batched training
 loss and gradients are checked against nce_loss_and_grad summed over
 the rows, and the batched samplers against their per-row contracts.
 Multi-span splice, which refinement and corruption use to place every
-edit and failure, is checked against its offset contract. Examples are
-drawn deterministically, so the suite gives the same
+edit and failure, is checked against its offset contract. On small
+random sparse corpora, extrinsic corruptions are checked to be sound and
+fully flagged by the critic, and the intrinsic swap to undo itself.
+Examples are drawn deterministically, so the suite gives the same
 verdict on every run.
 """
 
@@ -23,9 +25,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from synthetic import sparse_corpus
+
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
-from kgfaith.critic import link_mentions
-from kgfaith.dialogue import splice
+from kgfaith.corruptor import CorruptionConfig, build_synthetic_dataset, corrupt_intrinsic
+from kgfaith.critic import Critic, derive_anchors, link_mentions
+from kgfaith.dialogue import DialogueRecord, splice
 from kgfaith.embeddings import (
     SAMPLERS,
     EmbeddingTable,
@@ -37,8 +42,8 @@ from kgfaith.embeddings import (
     rank_of_gold,
     trilinear,
 )
-from kgfaith.errors import EmptyPool, EmptySubgraph
-from kgfaith.kg import AliasTable
+from kgfaith.errors import EmptyPool, EmptySubgraph, NotApplicable
+from kgfaith.kg import AliasTable, canonical
 from kgfaith.retriever import infer_relation, rank_candidates
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -304,28 +309,37 @@ def matrices(draw, values, rows: int, d: int) -> np.ndarray:
     return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float)
 
 
-# Thirds repeat often, so equal rows and equal scores are common; they
-# and the free floats are inexact in binary, so the rounding of a score
-# depends on how its products and sums are grouped.
-SCORE_VALUES = st.one_of(
-    st.integers(-3, 3).map(lambda k: k / 3),
-    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
-)
+def score_values(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Thirds in [-1, 1] and free floats in [-2, 2], mixed entry by entry.
+
+    Thirds repeat often, so equal rows and equal scores are common; they
+    and the free floats are inexact in binary, so the rounding of a score
+    depends on how its products and sums are grouped.
+    """
+    thirds = rng.integers(-3, 4, size=shape) / 3
+    free = rng.uniform(-2, 2, size=shape)
+    return np.where(rng.random(shape) < 0.5, thirds, free)
 
 
+# Hypothesis draws only the shapes and a seed, and numpy fills the
+# matrices: drawing each of hundreds of entries through hypothesis is slow.
 @PROPERTY
-@given(data=st.data())
-def test_trilinear_rows_match_single_scores(data):
-    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-    d = data.draw(st.integers(1, 24))
-    U, R, V = (matrices(data.draw, SCORE_VALUES, n, d) for _ in range(3))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    k=st.integers(1, 4),
+    d=st.integers(1, 24),
+)
+def test_trilinear_rows_match_single_scores(seed, n, k, d):
+    rng = np.random.default_rng(seed)
+    U, R, V = score_values(rng, 3, n, d)
     scores = trilinear(U, R, V)
     assert scores.shape == (n,)
     for i in range(n):
         assert scores[i] == distmult_score(U[i], R[i], V[i])
     assert np.array_equal(trilinear(V, R, U), scores)
     # The (relations, candidates) broadcast that relation inference uses.
-    rels = matrices(data.draw, SCORE_VALUES, k, d)
+    rels = score_values(rng, k, d)
     grid = trilinear(U[0], rels[:, None, :], V)
     assert grid.shape == (k, n)
     for a in range(k):
@@ -534,3 +548,63 @@ def test_in_batch_mask_drops_equal_golds(pool, golds):
     for g, row, keep in zip(golds, negs.tolist(), mask[:, 1:].tolist()):
         assert row == pool
         assert keep == [o != g for o in pool]
+
+
+# --- corruption ---------------------------------------------------------------
+
+# Each example corrupts and critiques a whole corpus, so fewer of them.
+@settings(PROPERTY, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 100), k=st.integers(0, 2))
+def test_extrinsic_corruptions_sound_and_flagged(seed, n, k):
+    """Gate 4 on random corpora: each replacement lies outside the record's
+    k-hop ball and history, and the critic at the same k flags each span."""
+    graph, types, aliases, records = sparse_corpus(n, n_triples=n, seed=seed)
+    cfg = CorruptionConfig(fraction=1.0, seed=seed, policy="drop", k=k)
+    corrupted, _ = build_synthetic_dataset(records, graph, types, cfg, aliases)
+    critic = Critic(graph, aliases, k=k)
+    for c in corrupted:
+        assert c.kind == "extrinsic"
+        ball = graph.khop_subgraph(derive_anchors(c.original, graph, aliases, "kn"), k)
+        history = [canonical(turn) for turn in c.original.history]
+        for _, new in c.replacements:
+            assert not ball.has_node(graph.entities.get(new))
+            assert not any(canonical(new) in turn for turn in history)
+        report = critic.critique(c.as_record())
+        flagged = {(s.begin, s.end) for s in report.flagged_spans if s.label == "extrinsic"}
+        assert set(c.labels) <= flagged
+
+
+FILLER_WORDS = ("the", "and", "wrote", "after", "of", "a", ".")
+
+
+@st.composite
+def swap_records(draw):
+    """A small corpus graph and a record grounded on 1-3 of its triples.
+
+    The response names each of the triples' entities once, plus filler
+    words and a few more entities (which may repeat one), in random order.
+    The graph is dense, so the triples often share an entity.
+    """
+    graph, _, aliases, _ = sparse_corpus(12, n_triples=30, seed=draw(st.integers(0, 2**32 - 1)))
+    names = graph.entities.names
+    chosen = draw(st.lists(st.sampled_from(graph.triples), min_size=1, max_size=3))
+    triples = [graph.name_triple(t) for t in chosen]
+    words = list(dict.fromkeys(name for s, _, o in triples for name in (s, o)))
+    words += draw(st.lists(st.sampled_from(names), max_size=2))
+    words += draw(st.lists(st.sampled_from(FILLER_WORDS), max_size=8))
+    response = " ".join(draw(st.permutations(words)))
+    return graph, aliases, DialogueRecord(history=[], triples=triples, response=response)
+
+
+@PROPERTY
+@given(case=swap_records())
+def test_intrinsic_swap_is_an_involution(case):
+    graph, aliases, record = case
+    try:
+        once = corrupt_intrinsic(record, graph, aliases)
+    except NotApplicable:
+        return
+    twice = corrupt_intrinsic(once.as_record(), graph, aliases)
+    assert once.response != record.response
+    assert twice.response == record.response
+    assert twice.replacements == [(new, old) for old, new in once.replacements]
