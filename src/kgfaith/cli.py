@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        if "invalid choice" in message:
+        if message.startswith(("argument COMMAND:", "argument SUBCOMMAND:")):
             raise UnknownCommand(message)
         raise ConfigValidation(message)
 
@@ -224,8 +224,6 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
     centers = [c.strip() for c in args.center.split(",") if c.strip()]
     if not centers:
         raise ConfigValidation("--center needs at least one entity name")
-    if args.k < 0:
-        raise ConfigValidation(f"--k must be >= 0, got {args.k}")
     sub = graph.khop_subgraph(centers, args.k)
     blob = {
         "centers": centers,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,7 +33,7 @@ from .errors import (
     NotApplicable,
     UnknownEntity,
 )
-from .kg import AliasTable, KnowledgeGraph, Subgraph, canonical
+from .kg import AliasTable, KnowledgeGraph, Subgraph, Vocabulary, canonical, check_radius
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +69,7 @@ class CorruptionConfig:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        check_radius(self.k)
 
 
 @dataclass
@@ -100,13 +101,59 @@ class CorruptedRecord:
         )
 
 
-def _in_history(entity: str, folded_history: list[str], aliases: AliasTable) -> bool:
-    """True when any surface form of the entity occurs in any (canonical) turn."""
-    for form in aliases.folded_surfaces_of(entity) or (canonical(entity),):
-        for turn in folded_history:
-            if form in turn:
-                return True
-    return False
+def _history_hits(history: list[str], graph: KnowledgeGraph, aliases: AliasTable) -> set[int]:
+    """Ids of graph entities with a surface form occurring in a (canonical) turn.
+
+    Raw substrings count: "e1" occurs in "let us discuss e12". A surface
+    several entities list counts for each of them, and a graph entity
+    without surface forms counts by its canonical() name.
+    """
+    names = graph.entities
+    hits: set[int] = set()
+    for turn in history:
+        folded = canonical(turn)
+        for entity in aliases.entities_in(folded):
+            i = names.get(entity)
+            if i is not None and names.name_of(i) == entity:
+                hits.add(i)
+        hits.update(i for i in names.ids_in(folded) if names.name_of(i) not in aliases)
+    return hits
+
+
+class _Pool(Sequence[str]):
+    """Names of sorted candidate ids minus some of them, looked up lazily.
+
+    Only the positions of the excluded ids are kept, so len() and each
+    item cost the number of exclusions, not the number of candidates.
+    """
+
+    def __init__(self, ids: Sequence[int], excluded: Iterable[int], names: Vocabulary) -> None:
+        self._ids = ids
+        self._names = names
+        n = len(ids)
+        self._skipped = sorted(
+            {p for e in excluded if (p := bisect_left(ids, e)) < n and ids[p] == e}
+        )
+
+    def __len__(self) -> int:
+        return len(self._ids) - len(self._skipped)
+
+    def __getitem__(self, j: int) -> str:  # type: ignore[override]
+        size = len(self)
+        if not -size <= j < size:
+            raise IndexError("pool index out of range")
+        p = j % size
+        for skipped in self._skipped:
+            if skipped > p:
+                break
+            p += 1
+        return self._names.name_of(self._ids[p])
+
+    def __iter__(self) -> Iterator[str]:
+        skipped = set(self._skipped)
+        for p, i in enumerate(self._ids):
+            if p not in skipped:
+                yield self._names.name_of(i)
 
 
 def _positional_peers(entity_id: int, graph: KnowledgeGraph) -> set[int]:
@@ -145,32 +192,29 @@ def replacement_pool(
     same_type: dict[str, list[int]],
     history: list[str],
     aliases: AliasTable,
-) -> list[str]:
+) -> Sequence[str]:
     """Eligible same-type replacements, sorted by entity id.
 
     Eligible means: a graph entity of the same declared type (from
     ``same_type``, built by same_type_ids; when it misses the mention,
     one sharing a predicate-and-slot with it), not the mention itself,
     not a subgraph node, and with no surface form occurring anywhere in
-    the history.
+    the history. The pool is a lazy sequence over the candidate list:
+    building it and drawing from it cost the excluded entities, not the
+    candidates.
     """
     candidate_ids = same_type.get(mention_entity)
     if candidate_ids is None:
         eid = graph.entities.get(mention_entity)
         if eid is None:
-            return []
+            return ()
         candidate_ids = sorted(_positional_peers(eid, graph))
+    excluded = _history_hits(history, graph, aliases)
+    excluded.update(sub.nodes)
     self_id = graph.entities.get(mention_entity)
-    folded_history = [canonical(turn) for turn in history]
-    pool: list[str] = []
-    for i in candidate_ids:
-        if i == self_id or sub.has_node(i):
-            continue
-        name = graph.entities.name_of(i)
-        if name == mention_entity or _in_history(name, folded_history, aliases):
-            continue
-        pool.append(name)
-    return pool
+    if self_id is not None:
+        excluded.add(self_id)
+    return _Pool(candidate_ids, excluded, graph.entities)
 
 
 def corrupt_extrinsic(

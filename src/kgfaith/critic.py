@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dialogue import DialogueRecord, MentionSpan
 from .errors import UnlinkedResponse
-from .kg import AliasTable, KnowledgeGraph, Subgraph, _read_tsv, canonical
+from .kg import AliasTable, KnowledgeGraph, Subgraph, _read_tsv, canonical, check_radius
 
 logger = logging.getLogger(__name__)
 
@@ -69,19 +69,18 @@ def link_mentions(
     Each match is resolved back to its entity via the alias table;
     entities absent from the graph vocabulary get entity_id None.
     """
-    pattern = aliases.mention_pattern()
-    if pattern is None or not text:
-        return []
     spans: list[MentionSpan] = []
-    for m in pattern.finditer(text):
-        surface = m.group(0)
+    for begin, end in aliases.match_spans(text):
+        surface = text[begin:end]
         entity = aliases.entity_of(surface)
-        if entity is None:  # pragma: no cover - table built the pattern
+        if entity is None:
+            # Equal to a surface case-insensitively but not once lowercased
+            # ("İ" matches "i"): no mention, and the scan resumed after it.
             continue
         spans.append(
             MentionSpan(
-                begin=m.start(),
-                end=m.end(),
+                begin=begin,
+                end=end,
                 surface=surface,
                 entity=entity,
                 entity_id=graph.entities.get(entity),
@@ -240,8 +239,7 @@ class Critic:
         relation_phrases: dict[str, list[str]] | None = None,
         anchor_source: str = "kn",
     ) -> None:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        check_radius(k)
         _check_mode(mode, relation_phrases)
         check_anchor_source(anchor_source)
         self.graph = graph

@@ -10,11 +10,10 @@ touch, not the size of the graph.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyGraph, MalformedLine, UnknownEntity, UnknownRelation
 
@@ -24,6 +23,60 @@ logger = logging.getLogger(__name__)
 def canonical(name: str) -> str:
     """Fold a name for matching: lowercase, whitespace collapsed to single spaces."""
     return " ".join(name.split()).lower()
+
+
+# Groups of characters that re.IGNORECASE matches to one another although
+# their lowercase forms differ (the extra cases of Python 3.11's re
+# module); fold() maps each group to its first character.
+_CASE_GROUPS = (
+    "i\u0131", "s\u017f", "\xb5\u03bc", "\u0345\u03b9\u1fbe", "\u0390\u1fd3",
+    "\u03b0\u1fe3", "\u03b2\u03d0", "\u03b5\u03f5", "\u03b8\u03d1", "\u03ba\u03f0",
+    "\u03c0\u03d6", "\u03c1\u03f1", "\u03c2\u03c3", "\u03c6\u03d5", "\u0432\u1c80",
+    "\u0434\u1c81", "\u043e\u1c82", "\u0441\u1c83", "\u0442\u1c84\u1c85", "\u044a\u1c86",
+    "\u0463\u1c87", "\u1c88\ua64b", "\u1e61\u1e9b", "\ufb05\ufb06",
+)
+_FOLD = str.maketrans({c: group[0] for group in _CASE_GROUPS for c in group[1:]})
+
+
+def fold(text: str) -> str:
+    """Fold case one character at a time, the way re.IGNORECASE compares.
+
+    Two characters fold alike exactly when a case-insensitive pattern
+    made of one matches the other, and the result keeps the length of
+    the text, so positions carry over. str.lower() already is that fold
+    except for U+0130 (İ), which it lengthens where re lowers it to "i",
+    and for the groups above.
+    """
+    return text.replace("\u0130", "i").lower().translate(_FOLD)
+
+
+def _is_word(char: str) -> bool:
+    """True for what re's \\w matches in a str pattern."""
+    return char.isalnum() or char == "_"
+
+
+def _substrings_in(
+    text: str, keys: Collection[str], lengths: Iterable[int], starts: Collection[str]
+) -> Iterator[str]:
+    """Each key occurring in the text as a raw substring (repeats possible).
+
+    Probes every start position that holds the first character of some
+    key (``starts``) once per key length, so the cost follows the text
+    and the number of distinct lengths, not the number of keys.
+    """
+    if "" in keys:  # an empty key occurs in every text
+        yield ""
+    for i, char in enumerate(text):
+        if char in starts:
+            for n in lengths:
+                if text[i : i + n] in keys:
+                    yield text[i : i + n]
+
+
+def check_radius(k: int) -> None:
+    """The one check of a neighborhood radius."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
 
 
 class Triple(NamedTuple):
@@ -44,6 +97,8 @@ class Vocabulary:
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
+        self._key_lengths: set[int] = set()
+        self._key_starts: set[str] = set()
 
     def add(self, name: str) -> int:
         key = canonical(name)
@@ -52,6 +107,8 @@ class Vocabulary:
             idx = len(self._names)
             self._ids[key] = idx
             self._names.append(name.strip())
+            self._key_lengths.add(len(key))
+            self._key_starts.add(key[:1])
         return idx
 
     def id_of(self, name: str) -> int:
@@ -62,6 +119,11 @@ class Vocabulary:
 
     def name_of(self, idx: int) -> str:
         return self._names[idx]
+
+    def ids_in(self, folded: str) -> set[int]:
+        """Ids whose canonical() name occurs in the text, which comes canonical() already."""
+        found = _substrings_in(folded, self._ids, self._key_lengths, self._key_starts)
+        return {self._ids[key] for key in found}
 
     @property
     def names(self) -> list[str]:
@@ -196,8 +258,7 @@ class KnowledgeGraph:
         triple of the full graph whose both endpoints fall inside the
         ball, including edges between two frontier nodes.
         """
-        if k < 0:
-            raise ValueError(f"radius must be >= 0, got {k}")
+        check_radius(k)
         resolved = tuple(self.resolve_entity(c) for c in centers)
         seen: set[int] = set(resolved)
         frontier = list(dict.fromkeys(resolved))
@@ -307,20 +368,44 @@ def load_triples(path: str | Path) -> KnowledgeGraph:
     return KnowledgeGraph(triples, entities, relations)
 
 
+class _SurfaceIndex:
+    """An alias table's surfaces, keyed for its two matching rules.
+
+    ``owners`` maps each canonical() surface to every entity listing it,
+    for the raw-substring rule of history checks; ``folded`` holds fold()
+    of each surface, for case-insensitive mention linking. Each comes with
+    its distinct key lengths and the first characters of its keys.
+    """
+
+    def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
+        self.owners: dict[str, list[str]] = {}
+        surfaces = []
+        for entity, surface in pairs:
+            self.owners.setdefault(canonical(surface), []).append(entity)
+            surfaces.append(surface)
+        # One fold() over all surfaces: they hold no newline, and fold()
+        # keeps lengths, so splitting at newlines gives each folded surface.
+        self.folded = set(fold("\n".join(surfaces)).split("\n")) if surfaces else set()
+        self.owner_lengths = {len(key) for key in self.owners}
+        self.owner_starts = {key[0] for key in self.owners}
+        self.folded_lengths = sorted({len(key) for key in self.folded}, reverse=True)
+        self.folded_starts = {key[0] for key in self.folded}
+
+
 class AliasTable:
     """Maps entity names to surface forms usable in running text.
 
     The first surface listed for an entity is its preferred rendering.
     Surface lookup is case- and whitespace-insensitive; when two
-    entities claim one surface the first mapping wins. The mention
-    pattern is compiled on first use and kept until the next add().
+    entities claim one surface the first mapping wins. The surface
+    index behind match_spans and entities_in is built on first use and
+    dropped by the next add().
     """
 
     def __init__(self) -> None:
         self._surfaces: dict[str, list[str]] = {}
-        self._folded: dict[str, tuple[str, ...]] = {}
         self._entity_of: dict[str, str] = {}
-        self._pattern: re.Pattern[str] | None = None
+        self._index: _SurfaceIndex | None = None
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> AliasTable:
@@ -331,7 +416,7 @@ class AliasTable:
         return table
 
     def add(self, entity: str, surface: str) -> None:
-        self._pattern = None
+        self._index = None
         entity = entity.strip()
         surface = " ".join(surface.split())
         if not entity or not surface:
@@ -340,7 +425,6 @@ class AliasTable:
         self._surfaces.setdefault(entity, [])
         if surface not in self._surfaces[entity]:
             self._surfaces[entity].append(surface)
-            self._folded[entity] = (*self._folded.get(entity, ()), key)
         if key not in self._entity_of:
             self._entity_of[key] = entity
         elif self._entity_of[key] != entity:
@@ -349,30 +433,56 @@ class AliasTable:
                 surface, self._entity_of[key], entity,
             )
 
-    def mention_pattern(self) -> re.Pattern[str] | None:
-        """One alternation over all surfaces, longest first; None when empty.
+    def _surface_index(self) -> _SurfaceIndex:
+        if self._index is None:
+            self._index = _SurfaceIndex(self.items())
+        return self._index
 
-        Longest-first ordering makes Python's leftmost-first alternation
-        behave as leftmost-longest, so "Charlie and the Chocolate Factory"
-        beats "Charlie" at the same start position. Lookarounds keep
-        matches on word boundaries without breaking on punctuation inside
-        a surface form.
+    def match_spans(self, text: str) -> list[tuple[int, int]]:
+        """Leftmost-longest, case-insensitive, non-overlapping surface matches.
+
+        A match is a slice of the text equal to a surface under fold()
+        that neither follows nor precedes a word character, so
+        punctuation inside a surface form does not break it. At each
+        start the longest surface wins, so "Charlie and the Chocolate
+        Factory" beats "Charlie", and the scan resumes after a match.
+        A start costs one set lookup per distinct surface length.
         """
-        if self._pattern is None and self._surfaces:
-            surfaces = sorted(
-                {surface for _, surface in self.items()},
-                key=lambda s: (-len(s), s.lower()),
-            )
-            body = "|".join(re.escape(s) for s in surfaces)
-            self._pattern = re.compile(rf"(?<!\w)(?:{body})(?!\w)", re.IGNORECASE)
-        return self._pattern
+        if not self._surfaces or not text:
+            return []
+        index = self._surface_index()
+        folded = fold(text)
+        n = len(text)
+        spans: list[tuple[int, int]] = []
+        i = 0
+        while i < n:
+            resume = i + 1
+            if folded[i] in index.folded_starts and not (i and _is_word(text[i - 1])):
+                for length in index.folded_lengths:
+                    end = i + length
+                    if (
+                        end <= n
+                        and folded[i:end] in index.folded
+                        and (end == n or not _is_word(text[end]))
+                    ):
+                        spans.append((i, end))
+                        resume = end
+                        break
+            i = resume
+        return spans
+
+    def entities_in(self, folded: str) -> set[str]:
+        """Entities with a canonical() surface inside the text, which comes canonical().
+
+        A raw substring counts ("e1" is in "let us discuss e12"), and a
+        surface several entities list counts for each of them.
+        """
+        index = self._surface_index()
+        found = _substrings_in(folded, index.owners, index.owner_lengths, index.owner_starts)
+        return {entity for key in found for entity in index.owners[key]}
 
     def surfaces_of(self, entity: str) -> list[str]:
         return list(self._surfaces.get(entity, []))
-
-    def folded_surfaces_of(self, entity: str) -> tuple[str, ...]:
-        """canonical() of each surface form, in surfaces_of order."""
-        return self._folded.get(entity, ())
 
     def preferred(self, entity: str) -> str:
         forms = self._surfaces.get(entity)

@@ -31,7 +31,7 @@ from .errors import (
     SourceExhausted,
     UnknownAnchor,
 )
-from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, read_lines
+from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, check_radius, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -246,8 +246,7 @@ class RefineConfig:
     anchor_source: str = "kn"
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        check_radius(self.k)
         if self.mode not in QUERY_MODES:
             raise ValueError(f"mode must be one of {QUERY_MODES}, got {self.mode!r}")
         check_anchor_source(self.anchor_source)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import kgfaith
-from kgfaith.cli import _parse_sampler, main, stage_seed
-from kgfaith.errors import ConfigValidation
+from kgfaith.cli import _load_config, _Options, _parse_sampler, build_parser, main, stage_seed
+from kgfaith.errors import ConfigValidation, UnknownCommand
 
 
 def run(argv):
@@ -251,6 +251,37 @@ class TestConfigValuesParseLikeFlags:
         assert run(self.critique_argv(data_dir, a)) == 0
         assert self.run_with(tmp_path, {"dim": 32}, self.critique_argv(data_dir, b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def parse(argv):
+    """What main() does before dispatching: merge --config values, then parse."""
+    argv = [str(a) for a in argv]
+    opts = _Options()
+    return build_parser(opts).parse_args(opts.with_config(argv, _load_config(argv)))
+
+
+class TestParseErrorTypes:
+    """Only an unknown command or subcommand raises UnknownCommand."""
+
+    @pytest.mark.parametrize(
+        "argv", [["frobnicate"], ["kg", "frobnicate"]], ids=["command", "subcommand"]
+    )
+    def test_unknown_command(self, argv, capsys):
+        with pytest.raises(UnknownCommand, match="invalid choice: 'frobnicate'"):
+            parse(argv)
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument ")
+
+    def test_bad_flag_choice(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"chain": "maybe"}))
+        for argv in (["refine", "--chain", "maybe"], ["refine", "--config", cfg]):
+            with pytest.raises(ConfigValidation, match="argument --chain: invalid choice") as err:
+                parse(argv)
+            assert type(err.value) is ConfigValidation
+            assert run(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {err.value}"]
 
 
 class TestTrainCommand:

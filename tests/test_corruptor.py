@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from synthetic import sparse_corpus
@@ -16,7 +20,7 @@ from kgfaith.corruptor import (
     round_half_up,
     same_type_ids,
 )
-from kgfaith.critic import EXTRINSIC, Critic, derive_anchors
+from kgfaith.critic import EXTRINSIC, Critic, derive_anchors, link_mentions
 from kgfaith.dialogue import DialogueRecord
 from kgfaith.errors import AllRecordsDropped, NoEligibleReplacement, NotApplicable
 from kgfaith.kg import AliasTable, canonical
@@ -46,7 +50,7 @@ class TestReplacementPool:
     ):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         pool = replacement_pool("the_bfg", toy_graph, sub, toy_same_type, [], toy_aliases)
-        assert pool == ["the_hobbit"]
+        assert list(pool) == ["the_hobbit"]
 
     def test_history_surface_excluded(self, toy_graph, toy_same_type, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
@@ -54,18 +58,18 @@ class TestReplacementPool:
             "the_bfg", toy_graph, sub, toy_same_type,
             ["Have you read The Hobbit?"], toy_aliases,
         )
-        assert pool == []
+        assert list(pool) == []
 
     def test_positional_fallback_when_type_missing(self, toy_graph, toy_aliases):
         # With no type entry, peers are entities used with the same
         # predicate in the same slot: books that are written, here.
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         pool = replacement_pool("the_bfg", toy_graph, sub, {}, [], toy_aliases)
-        assert pool == ["the_hobbit"]
+        assert list(pool) == ["the_hobbit"]
 
     def test_unknown_untyped_entity_has_empty_pool(self, toy_graph, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        assert replacement_pool("narnia", toy_graph, sub, {}, [], toy_aliases) == []
+        assert list(replacement_pool("narnia", toy_graph, sub, {}, [], toy_aliases)) == []
 
 
 def scan_pool(mention, graph, sub, types, history, aliases):
@@ -119,7 +123,7 @@ class TestReplacementPoolOnSparseCorpus:
         sizes = []
         for mention, sub, history in self.cases(corpus):
             pool = replacement_pool(mention, graph, sub, {}, history, aliases)
-            assert pool == scan_pool(mention, graph, sub, {}, history, aliases)
+            assert list(pool) == scan_pool(mention, graph, sub, {}, history, aliases)
             sizes.append(len(pool))
         assert min(sizes) > 0
 
@@ -128,7 +132,77 @@ class TestReplacementPoolOnSparseCorpus:
         same_type = same_type_ids(types, graph)
         for mention, sub, history in self.cases(corpus):
             pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
-            assert pool == scan_pool(mention, graph, sub, types, history, aliases)
+            assert list(pool) == scan_pool(mention, graph, sub, types, history, aliases)
+
+
+class CountingIds(Sequence):
+    """A candidate id list that counts the ids read from it."""
+
+    def __init__(self, ids: list[int], reads: list[int]) -> None:
+        self.ids, self.reads = ids, reads
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return self.ids[i]
+
+
+class TestCostFollowsTheRecord:
+    """Pools and linking do work set by the record, not by the vocabulary.
+
+    Counts, not timings, so the check holds on any host. A pool that
+    scans its candidates reads ten times as many ids, and names ten times
+    as many entities, at 6,000 entities as at 600. Bisecting the excluded
+    ids still grows with log2 of the type size, and a history naming e123
+    holds more entity names than one naming e12, so the bound is 2x.
+    """
+
+    @staticmethod
+    def pool_costs(n: int) -> tuple[float, float]:
+        """Mean Vocabulary.name_of calls and candidate ids read per pool plus one draw."""
+        graph, types, aliases, records = sparse_corpus(n, n_triples=3 * n // 2)
+        reads, named = [0], [0]
+        wrapped: dict[int, CountingIds] = {}
+        same_type = {
+            name: wrapped.setdefault(id(ids), CountingIds(ids, reads))
+            for name, ids in same_type_ids(types, graph).items()
+        }
+        name_of = Vocabulary.name_of
+
+        def counted_name_of(self, idx):
+            named[0] += 1
+            return name_of(self, idx)
+
+        rng = np.random.default_rng(0)
+        pools = 0
+        with patch.object(Vocabulary, "name_of", counted_name_of):
+            for rec in records[:40]:
+                sub = graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), 2)
+                for mention in (rec.triples[0][0], rec.triples[0][2]):
+                    pool = replacement_pool(mention, graph, sub, same_type, rec.history, aliases)
+                    pool[int(rng.integers(len(pool)))]
+                    pools += 1
+        return named[0] / pools, reads[0] / pools
+
+    def test_pool_and_draw(self):
+        small, big = self.pool_costs(600), self.pool_costs(6000)
+        assert big[0] <= 2 * small[0]
+        assert big[1] <= 2 * small[1]
+
+    def test_linking_compiles_no_pattern(self, monkeypatch):
+        graph, _, _, records = sparse_corpus(600)
+        aliases = AliasTable.from_names(graph.entities.names)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linking compiled a regular expression")
+
+        monkeypatch.setattr(re, "compile", refuse)
+        monkeypatch.setattr(re, "_compile", refuse)
+        for rec in records[:20]:
+            (s, _, o), = rec.triples
+            assert [m.entity for m in link_mentions(rec.response, aliases, graph)] == [o, s]
 
 
 class TestCorruptExtrinsic:

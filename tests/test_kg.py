@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from kgfaith import KnowledgeGraph, Subgraph, Triple, Vocabulary, load_triples
-from kgfaith.critic import load_relation_phrases
+from kgfaith.corruptor import CorruptionConfig
+from kgfaith.critic import Critic, load_relation_phrases
 from kgfaith.errors import EmptyGraph, MalformedLine, UnknownEntity
-from kgfaith.kg import load_aliases, load_entity_types
+from kgfaith.kg import AliasTable, check_radius, load_aliases, load_entity_types
+from kgfaith.retriever import RefineConfig
 
 
 class TestVocabulary:
@@ -156,6 +158,18 @@ class TestKhopSubgraph:
         with pytest.raises(ValueError):
             toy_graph.khop_subgraph([0], -1)
 
+    def test_one_radius_check(self, toy_graph, toy_aliases):
+        for reject in (
+            lambda: check_radius(-1),
+            lambda: toy_graph.khop_subgraph([0], -1),
+            lambda: Critic(toy_graph, toy_aliases, k=-1),
+            lambda: RefineConfig(k=-1),
+            lambda: CorruptionConfig(k=-1),
+        ):
+            with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+                reject()
+        check_radius(0)
+
     def test_unknown_center_rejected(self, toy_graph):
         with pytest.raises(UnknownEntity):
             toy_graph.khop_subgraph(["narnia"], 1)
@@ -286,6 +300,33 @@ class TestAliasTable:
 
     def test_fallback_to_entity_name(self, toy_aliases):
         assert toy_aliases.preferred("not_in_table") == "not_in_table"
+
+    def test_entities_in_takes_raw_substrings_and_every_owner(self):
+        table = AliasTable()
+        table.add("e1", "e1")
+        table.add("bee_a", "Bee")
+        table.add("bee_b", "bee")
+        assert table.entities_in("we saw e12 .") == {"e1"}
+        assert table.entities_in("beekeeping") == {"bee_a", "bee_b"}
+        assert table.entities_in("nothing here") == set()
+        table.add("e12", "e12")  # add() drops the index built above
+        assert table.entities_in("we saw e12 .") == {"e1", "e12"}
+
+    def test_match_spans_leftmost_longest_on_word_boundaries(self, toy_aliases):
+        text = "Charlie and the Chocolate Factory, not Charlies or xCharlie."
+        assert toy_aliases.match_spans(text) == [(0, 33)]
+        assert toy_aliases.match_spans("") == []
+        assert AliasTable().match_spans("Charlie") == []
+
+
+class TestVocabularyIdsIn:
+    def test_canonical_names_as_raw_substrings(self):
+        v = Vocabulary()
+        for name in ("e1", "E12", "The  BFG"):
+            v.add(name)
+        assert v.ids_in("let us discuss e12 .") == {0, 1}
+        assert v.ids_in("the bfg") == {2}
+        assert v.ids_in("the  bfg") == set()  # the text comes canonical()
 
 
 class TestEntityTypes:

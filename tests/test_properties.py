@@ -2,10 +2,11 @@
 
 The references below redo the work the indexes save: k-hop balls and
 induced edges from passes over every triple, a mention pattern compiled
-afresh for every call, and the filtered ranking's set lookup per
-candidate. The batched trilinear scorer is checked against one
-distmult_score call per triple, and relation inference and candidate
-ranking against loops over those single scores. The batched training
+afresh for every call, replacement pools built by scanning every
+candidate, and the filtered ranking's set lookup per candidate. The
+batched trilinear scorer is checked against one distmult_score call per
+triple, and relation inference and candidate ranking against loops
+over those single scores. The batched training
 loss and gradients are checked against nce_loss_and_grad summed over
 the rows, and the batched samplers against their per-row contracts.
 Multi-span splice, which refinement and corruption use to place every
@@ -19,6 +20,7 @@ verdict on every run.
 from __future__ import annotations
 
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,9 +28,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synthetic import sparse_corpus
+from test_corruptor import scan_pool
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
-from kgfaith.corruptor import CorruptionConfig, build_synthetic_dataset, corrupt_intrinsic
+from kgfaith import corruptor
+from kgfaith.corruptor import (
+    CorruptionConfig,
+    build_synthetic_dataset,
+    corrupt_extrinsic,
+    corrupt_intrinsic,
+    replacement_pool,
+    same_type_ids,
+)
 from kgfaith.critic import Critic, derive_anchors, link_mentions
 from kgfaith.dialogue import DialogueRecord, splice
 from kgfaith.embeddings import (
@@ -42,8 +53,8 @@ from kgfaith.embeddings import (
     rank_of_gold,
     trilinear,
 )
-from kgfaith.errors import EmptyPool, EmptySubgraph, NotApplicable
-from kgfaith.kg import AliasTable, canonical
+from kgfaith.errors import EmptyPool, EmptySubgraph, NoEligibleReplacement, NotApplicable
+from kgfaith.kg import AliasTable, canonical, fold
 from kgfaith.retriever import infer_relation, rank_candidates
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -142,6 +153,8 @@ def scan_links(text: str, aliases: AliasTable, graph: KnowledgeGraph):
     out = []
     for m in pattern.finditer(text):
         entity = aliases.entity_of(m.group(0))
+        if entity is None:  # equal to a surface under re.IGNORECASE, not under str.lower()
+            continue
         out.append((m.start(), m.end(), m.group(0), entity, graph.entities.get(entity)))
     return out
 
@@ -155,8 +168,15 @@ def linked(text: str, aliases: AliasTable, graph: KnowledgeGraph):
 
 # Mixed case, punctuation inside surfaces, and short words that prefix
 # longer ones ("ab" / "abc" / "ab.c"), so leftmost-longest has work to do.
-SURFACE = st.text(alphabet="abcAB.-' ", min_size=1, max_size=6).filter(lambda s: s.strip())
-FILLER = st.text(alphabet="abcAB.-' x", max_size=4)
+# The non-ASCII letters are where re.IGNORECASE and str.lower() part ways:
+# "İ" lowers to two characters, "ı" and "ſ" match "i" and "s" only under
+# re, Kelvin "K" lowers to "k", and "ß" uppercases to "SS". "²" is a word
+# character and the combining acute accent is not.
+CASE_EDGES = "iIsSkİıſ\u212aßé²\u0301"
+SURFACE = st.text(alphabet="abcAB.-' " + CASE_EDGES, min_size=1, max_size=6).filter(
+    lambda s: s.strip()
+)
+FILLER = st.text(alphabet="abcAB.-' x" + CASE_EDGES, max_size=4)
 
 
 @st.composite
@@ -170,9 +190,16 @@ def alias_tables(draw):
     return table, [surface for _, surface in pairs]
 
 
+def recased(surfaces: list[str]):
+    """A surface as written or with its case changed, which may change its length."""
+    return st.sampled_from(surfaces).flatmap(
+        lambda s: st.sampled_from([s, s.upper(), s.lower(), s.swapcase(), s.casefold()])
+    )
+
+
 @st.composite
 def texts(draw, surfaces: list[str]):
-    pieces = st.one_of(FILLER, st.sampled_from(surfaces)) if surfaces else FILLER
+    pieces = st.one_of(FILLER, recased(surfaces)) if surfaces else FILLER
     return "".join(draw(st.lists(pieces, max_size=8)))
 
 
@@ -210,6 +237,52 @@ def test_add_after_link_is_seen():
     assert [m.surface for m in link_mentions(text, table, LINK_GRAPH)] == [
         "Roald Dahl", "The BFG"
     ]
+
+
+# (entity, surface) pairs, a text, and its mentions as (begin, end, entity).
+CASE_EDGE_LINKS = [
+    # "ı b" matches "i b" under re.IGNORECASE, but no surface lowercases to
+    # "i b": no mention, and "b" inside the match is not linked either.
+    ([("p", "ı b"), ("q", "b")], "i b", []),
+    ([("p", "i")], "İ x", []),  # "İ" matches "i"; lowercased it is "i̇"
+    ([("p", "k")], "\u212a K", [(0, 1, "p"), (2, 3, "p")]),  # Kelvin sign
+    ([("p", "ſa")], "SA ſA", [(3, 5, "p")]),
+    ([("p", "ß")], "ẞ SS", [(0, 1, "p")]),
+    ([("p", "é")], "e\u0301 é", [(3, 4, "p")]),  # decomposed é is another text
+    ([("p", "a")], "a\u0301", [(0, 1, "p")]),  # a combining mark is no word character
+    ([("p", "x²")], "x²y x²", [(4, 6, "p")]),  # "²" is one
+]
+
+
+@pytest.mark.parametrize("pairs, text, mentions", CASE_EDGE_LINKS)
+def test_link_mentions_case_edges(pairs, text, mentions):
+    table = AliasTable()
+    for entity, surface in pairs:
+        table.add(entity, surface)
+    found = linked(text, table, LINK_GRAPH)
+    assert found == scan_links(text, table, LINK_GRAPH)
+    assert [(b, e, entity) for b, e, _, entity, _ in found] == mentions
+
+
+# Blocks holding every character that re.IGNORECASE equates with another
+# beyond plain lowercasing: Latin, Greek, Cyrillic and their extensions,
+# the Kelvin and Ångström signs, and the long-s ligatures.
+FOLD_BLOCKS = (
+    (0x0000, 0x0250), (0x0370, 0x0530), (0x1C80, 0x1C90), (0x1E00, 0x2000),
+    (0x2100, 0x2150), (0xA640, 0xA6A0), (0xFB00, 0xFB50),
+)
+
+
+def test_fold_equates_what_ignorecase_matches():
+    chars = "".join(chr(i) for lo, hi in FOLD_BLOCKS for i in range(lo, hi))
+    folded = fold(chars)
+    assert len(folded) == len(chars)
+    alike: dict[str, set[int]] = {}
+    for j, f in enumerate(folded):
+        alike.setdefault(f, set()).add(j)
+    for c, f in zip(chars, folded):
+        matched = {m.start() for m in re.finditer(re.escape(c), chars, re.IGNORECASE)}
+        assert matched == alike[f], f"U+{ord(c):04X}"
 
 
 # --- multi-span splice --------------------------------------------------------
@@ -548,6 +621,96 @@ def test_in_batch_mask_drops_equal_golds(pool, golds):
     for g, row, keep in zip(golds, negs.tolist(), mask[:, 1:].tolist()):
         assert row == pool
         assert keep == [o != g for o in pool]
+
+
+# --- replacement pools --------------------------------------------------------
+
+
+@st.composite
+def pool_cases(draw):
+    """(graph, aliases, types, ball, history, mention, response, seed).
+
+    Graph entities are e0..e13 at most, so "e12" holds "e1". Alias
+    entities are graph names, graph names spelled otherwise ("E3") or
+    names the graph lacks; surfaces are graph names or a few words that
+    fold alike ("bee", "Bee"), so one folded surface often belongs to two
+    entities, and graph entities the table leaves out match by name.
+    """
+    graph = draw(graphs(max_entities=14, max_relations=2, max_triples=20))
+    names = graph.entities.names
+    entities = st.sampled_from(names + [name.upper() for name in names] + ["x9"])
+    surfaces = st.sampled_from(names + ["bee", "Bee", "e1 bee"])
+    aliases = AliasTable()
+    for entity, surface in draw(st.lists(st.tuples(entities, surfaces), max_size=8)):
+        aliases.add(entity, surface)
+    typed = draw(st.lists(st.sampled_from(names + ["x9"]), unique=True))
+    types = {name: draw(st.sampled_from(["t0", "t1"])) for name in typed}
+    centers = draw(st.lists(st.integers(0, len(names) - 1), max_size=2))
+    sub = graph.khop_subgraph(centers, draw(st.integers(0, 2)))
+    words = st.sampled_from(names + ["bees", "BEE", "e", "let us discuss", "."])
+    history = [" ".join(draw(st.lists(words, max_size=4))) for _ in range(draw(st.integers(0, 2)))]
+    response = " ".join(draw(st.lists(st.sampled_from(names + ["bee", "and"]), min_size=1, max_size=4)))
+    mention = draw(st.sampled_from(names + ["x9"]))
+    return graph, aliases, types, sub, history, mention, response, draw(st.integers(0, 2**32 - 1))
+
+
+def every_pool_rule():
+    """One case with each rule the strategy draws at random.
+
+    "bee" and "Bee" fold alike and belong to e2 and e3; e12 has no alias
+    and matches by name, and its name holds e1's surface; E4 is e4 spelled
+    otherwise, so its surface "four" does not exclude e4.
+    """
+    ents, rels = Vocabulary(), Vocabulary()
+    for i in range(13):
+        ents.add(f"e{i}")
+    rels.add("r0")
+    graph = KnowledgeGraph([Triple(0, 0, 5), Triple(5, 0, 6)], ents, rels)
+    aliases = AliasTable()
+    for entity, surface in [("e1", "e1"), ("e2", "bee"), ("e3", "Bee"), ("E4", "four"), ("e7", "e7")]:
+        aliases.add(entity, surface)
+    types = {f"e{i}": "t0" for i in range(13)}
+    history = ["we saw e12 and BEES , four of them"]
+    sub = graph.khop_subgraph([0], 1)
+    return graph, aliases, types, sub, history, "e0", "e0 and e7 and e4", 7
+
+
+def test_every_pool_rule():
+    graph, aliases, types, sub, history, mention, _, _ = every_pool_rule()
+    pool = replacement_pool(mention, graph, sub, same_type_ids(types, graph), history, aliases)
+    assert list(pool) == ["e4", "e6", "e7", "e8", "e9", "e10", "e11"]
+
+
+def extrinsic_outcome(record, graph, sub, same_type, seed, aliases):
+    try:
+        out = corrupt_extrinsic(record, graph, sub, same_type, np.random.default_rng(seed), aliases)
+    except NoEligibleReplacement:
+        return None
+    return out.response, out.labels, out.replacements
+
+
+@PROPERTY
+@given(case=pool_cases())
+@example(case=every_pool_rule())
+def test_replacement_pool_matches_scan(case):
+    graph, aliases, types, sub, history, mention, response, seed = case
+    same_type = same_type_ids(types, graph)
+    pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
+    want = scan_pool(mention, graph, sub, types, history, aliases)
+    assert list(pool) == want
+    assert len(pool) == len(want)
+    assert [pool[j] for j in range(-len(want), len(want))] == want + want
+    with pytest.raises(IndexError):
+        pool[len(want)]
+
+    # corrupt_extrinsic draws the same entities from a list pool.
+    def list_pool(mention, graph, sub, same_type, history, aliases):
+        return scan_pool(mention, graph, sub, types, history, aliases)
+
+    record = DialogueRecord(history=history, triples=[], response=response)
+    drawn = extrinsic_outcome(record, graph, sub, same_type, seed, aliases)
+    with patch.object(corruptor, "replacement_pool", list_pool):
+        assert extrinsic_outcome(record, graph, sub, same_type, seed, aliases) == drawn
 
 
 # --- corruption ---------------------------------------------------------------
