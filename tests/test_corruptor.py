@@ -191,18 +191,23 @@ class TestCostFollowsTheRecord:
         assert big[0] <= 2 * small[0]
         assert big[1] <= 2 * small[1]
 
-    def test_linking_compiles_no_pattern(self, monkeypatch):
+    def test_linking_compiles_no_pattern(self):
         graph, _, _, records = sparse_corpus(600)
         aliases = AliasTable.from_names(graph.entities.names)
 
         def refuse(*args, **kwargs):
             raise AssertionError("linking compiled a regular expression")
 
-        monkeypatch.setattr(re, "compile", refuse)
-        monkeypatch.setattr(re, "_compile", refuse)
-        for rec in records[:20]:
+        # Patched only around the calls: pytest's own reporting uses re
+        # between the test body and fixture teardown.
+        with patch.object(re, "compile", refuse), patch.object(re, "_compile", refuse):
+            linked = [
+                [m.entity for m in link_mentions(rec.response, aliases, graph)]
+                for rec in records[:20]
+            ]
+        for rec, entities in zip(records[:20], linked):
             (s, _, o), = rec.triples
-            assert [m.entity for m in link_mentions(rec.response, aliases, graph)] == [o, s]
+            assert entities == [o, s]
 
 
 class TestCorruptExtrinsic:
