@@ -149,10 +149,15 @@ def _emit(blob: Any, out: Path | None) -> None:
 def _atomic_outputs(*paths: str | None) -> Iterator[list[Path | None]]:
     """Temp paths beside the given outputs, moved over them when the block succeeds.
 
-    An output given as None stays None. A block that raises leaves every
-    output as it was (absent, or its old content) and removes the temp
-    files.
+    An output given as None stays None. Two outputs that resolve to one
+    file are refused before anything is written. A block that raises
+    leaves every output as it was (absent, or its old content) and
+    removes the temp files.
     """
+    resolved = [Path(p).resolve() for p in paths if p is not None]
+    for i, target in enumerate(resolved):
+        if target in resolved[:i]:
+            raise ConfigValidation(f"two outputs name one file: {target}")
     temps = [
         None if p is None else Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp")
         for p in paths

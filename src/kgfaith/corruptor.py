@@ -19,8 +19,8 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -84,9 +84,7 @@ class CorruptedRecord:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "history": list(self.original.history),
-            "triples": [list(t) for t in self.original.triples],
-            "response": self.response,
+            **self.as_record().to_json(),
             "labels": [list(s) for s in self.labels],
             "kind": self.kind,
             "replacements": [list(r) for r in self.replacements],
@@ -148,12 +146,6 @@ class _Pool(Sequence[str]):
                 break
             p += 1
         return self._names.name_of(self._ids[p])
-
-    def __iter__(self) -> Iterator[str]:
-        skipped = set(self._skipped)
-        for p, i in enumerate(self._ids):
-            if p not in skipped:
-                yield self._names.name_of(i)
 
 
 def _positional_peers(entity_id: int, graph: KnowledgeGraph) -> set[int]:
@@ -344,17 +336,7 @@ class DatasetSummary:
     drop_reasons: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "records": self.records,
-            "assigned_extrinsic": self.assigned_extrinsic,
-            "assigned_intrinsic": self.assigned_intrinsic,
-            "realized_extrinsic": self.realized_extrinsic,
-            "realized_intrinsic": self.realized_intrinsic,
-            "fallback_to_extrinsic": self.fallback_to_extrinsic,
-            "fallback_to_intrinsic": self.fallback_to_intrinsic,
-            "dropped": self.dropped,
-            "drop_reasons": list(self.drop_reasons),
-        }
+        return asdict(self)
 
 
 def build_synthetic_dataset(

@@ -15,7 +15,7 @@ dialogue history:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -40,7 +40,7 @@ class SpanLabel:
     label: str
 
     def to_json(self) -> dict:
-        return {"begin": self.begin, "end": self.end, "label": self.label}
+        return asdict(self)
 
 
 @dataclass
@@ -172,7 +172,10 @@ def critique_response(
 ) -> CriticReport:
     """Label every mention of the response as faithful/extrinsic/intrinsic.
 
-    Pre-linked spans on the record win over fresh linking. The directed
+    Pre-linked spans on the record win over fresh linking. Two subgraph
+    mentions pass the pair check when the graph has an edge between them
+    in either direction; a ball from khop_subgraph keeps every edge
+    induced on its nodes, so that is an edge of the subgraph. The directed
     intrinsic mode consults ``relation_phrases``: when a phrase of
     relation r occurs in the text between two subgraph mentions, some
     matched relation must hold as the oriented triple
@@ -203,7 +206,10 @@ def critique_response(
         first, second = mentions[i], mentions[j]
         if first.entity_id == second.entity_id:
             continue
-        bad = not sub.has_direct_edge(first.entity_id, second.entity_id)
+        bad = not (
+            graph.direct_edges(first.entity_id, second.entity_id)
+            or graph.direct_edges(second.entity_id, first.entity_id)
+        )
         if not bad and phrase_to_relation:
             between = canonical(record.response[first.end : second.begin])
             matched = [rel for form, rel in phrase_to_relation if form in between]

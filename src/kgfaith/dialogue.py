@@ -33,7 +33,8 @@ class MentionSpan:
 class DialogueRecord:
     """One grounded exchange: prior turns, grounding triples, response.
 
-    ``spans`` optionally pre-links the response: (entity name, begin, end).
+    ``spans`` optionally pre-links the response: (entity name, begin, end),
+    a non-empty string and two integer offsets.
     """
 
     history: list[str]
@@ -84,10 +85,11 @@ class DialogueRecord:
             for s in spans:
                 if not isinstance(s, (list, tuple)) or len(s) != 3:
                     raise ValueError(f"span must be [entity, begin, end], got {s!r}")
-                try:
-                    ent, b, e = str(s[0]), int(s[1]), int(s[2])
-                except (TypeError, ValueError, OverflowError):
-                    raise ValueError(f"span offsets must be numbers, got {s!r}") from None
+                ent, b, e = s
+                if not isinstance(ent, str) or not ent:
+                    raise ValueError(f"span entity must be a non-empty string, got {s!r}")
+                if type(b) is not int or type(e) is not int:  # bool is an int too
+                    raise ValueError(f"span offsets must be numbers: JSON integers, got {s!r}")
                 if not 0 <= b < e <= len(response):
                     raise ValueError(f"span [{b}, {e}) out of range for response")
                 parsed_spans.append((ent, b, e))

@@ -10,7 +10,7 @@ touch, not the size of the graph.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, NamedTuple
@@ -156,19 +156,9 @@ class Subgraph:
     triples: tuple[Triple, ...]
     centers: tuple[int, ...]
     radius: int
-    _direct: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_direct", frozenset((t.s, t.o) for t in self.triples)
-        )
 
     def has_node(self, entity: int) -> bool:
         return entity in self.nodes
-
-    def has_direct_edge(self, a: int, b: int) -> bool:
-        """True when some triple connects a and b, in either direction."""
-        return (a, b) in self._direct or (b, a) in self._direct
 
 
 class KnowledgeGraph:
@@ -496,9 +486,6 @@ class AliasTable:
         for entity, forms in self._surfaces.items():
             for surface in forms:
                 yield entity, surface
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._surfaces.values())
 
     def __contains__(self, entity: str) -> bool:
         return entity in self._surfaces

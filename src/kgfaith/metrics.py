@@ -1,7 +1,7 @@
 """Corpus-level evaluation: ranking aggregates, BLEU, hallucination rate.
 
 Everything here is pure arithmetic over already-computed artifacts
-(rank lists, response strings, critic reports), so results are
+(rank lists, response strings, critic flags), so results are
 bit-reproducible: tokenization is bare lowercase whitespace splitting,
 and no smoothing is applied at corpus level.
 """
@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .errors import EmptyInput, LengthMismatch
 
 BLEU_LEVELS = ("corpus", "sentence")
+BLEU_ORDER = 4
+HITS_AT = (1, 3, 10)
 
 
 @dataclass
@@ -34,10 +36,8 @@ class RankingSummary:
         }
 
 
-def ranking_metrics(
-    ranks: Sequence[int], ks: Iterable[int] = (1, 3, 10)
-) -> RankingSummary:
-    """Aggregate positive integer ranks into Hits@k, MR, and MRR."""
+def ranking_metrics(ranks: Sequence[int]) -> RankingSummary:
+    """Aggregate positive integer ranks into Hits@1/3/10, MR, and MRR."""
     ranks = list(ranks)
     if not ranks:
         raise EmptyInput("no ranks to aggregate")
@@ -45,7 +45,7 @@ def ranking_metrics(
         if r < 1:
             raise EmptyInput(f"ranks must be >= 1, got {r}")
     n = len(ranks)
-    hits = {int(k): sum(1 for r in ranks if r <= k) / n for k in ks}
+    hits = {k: sum(1 for r in ranks if r <= k) / n for k in HITS_AT}
     mr = sum(ranks) / n
     mrr = sum(1.0 / r for r in ranks) / n
     return RankingSummary(hits=hits, mr=mr, mrr=mrr)
@@ -73,10 +73,9 @@ def _pair_counts(
 def bleu(
     hypotheses: Sequence[str],
     references: Sequence[str],
-    max_n: int = 4,
     level: str = "corpus",
 ) -> float:
-    """Geometric mean of clipped n-gram precisions with brevity penalty.
+    """BLEU-4: geometric mean of clipped 1- to 4-gram precisions with brevity penalty.
 
     Corpus level pools n-gram counts over all pairs and applies no
     smoothing, so any empty precision bucket yields 0.0. Sentence level
@@ -91,21 +90,19 @@ def bleu(
         )
     if not hypotheses:
         raise EmptyInput("no hypothesis/reference pairs")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if level not in BLEU_LEVELS:
         raise ValueError(f"level must be one of {BLEU_LEVELS}, got {level!r}")
 
     pairs = [(_tokens(h), _tokens(r)) for h, r in zip(hypotheses, references)]
 
     if level == "corpus":
-        clipped = [0] * max_n
-        total = [0] * max_n
+        clipped = [0] * BLEU_ORDER
+        total = [0] * BLEU_ORDER
         hyp_len = ref_len = 0
         for hyp, ref in pairs:
             hyp_len += len(hyp)
             ref_len += len(ref)
-            for n in range(1, max_n + 1):
+            for n in range(1, BLEU_ORDER + 1):
                 c, t = _pair_counts(hyp, ref, n)
                 clipped[n - 1] += c
                 total[n - 1] += t
@@ -114,7 +111,7 @@ def bleu(
         # Orders beyond the longest hypothesis have no n-grams at all;
         # they are dropped from the geometric mean (not smoothed), so a
         # text identical to its reference scores 1.0 at any length.
-        orders = [n for n in range(max_n) if total[n] > 0]
+        orders = [n for n in range(BLEU_ORDER) if total[n] > 0]
         if not orders or any(clipped[n] == 0 for n in orders):
             return 0.0
         log_prec = sum(
@@ -129,28 +126,19 @@ def bleu(
             scores.append(0.0)
             continue
         log_prec = 0.0
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_ORDER + 1):
             c, t = _pair_counts(hyp, ref, n)
             prec = c / t if c > 0 else (c + 1) / (t + 1)
             log_prec += math.log(prec)
         penalty = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-        scores.append(penalty * math.exp(log_prec / max_n))
+        scores.append(penalty * math.exp(log_prec / BLEU_ORDER))
     return sum(scores) / len(scores)
 
 
-def hallucination_rate(reports: Sequence[Any]) -> float:
-    """Fraction of reports whose sentence-level flag is raised.
-
-    Accepts critic reports (anything with a boolean ``flagged``
-    attribute) or plain booleans, so rates can be recomputed from
-    serialized critique output without rebuilding report objects.
-    """
-    reports = list(reports)
-    if not reports:
-        raise EmptyInput("no reports")
-    flags = [
-        bool(r) if isinstance(r, bool) else bool(r.flagged) for r in reports
-    ]
+def hallucination_rate(flags: Sequence[bool]) -> float:
+    """Fraction of responses whose sentence-level flag is raised."""
+    if not flags:
+        raise EmptyInput("no flags")
     return sum(flags) / len(flags)
 
 

@@ -13,7 +13,7 @@ neighborhood and earlier picks are excluded from later candidate sets.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -56,13 +56,6 @@ class ExternalQueries:
     def __init__(self, vectors: Iterable[np.ndarray]):
         self._vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
         self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    @property
-    def remaining(self) -> int:
-        return len(self._vectors) - self._cursor
 
     def take(self, dim: int) -> np.ndarray:
         if self._cursor >= len(self._vectors):
@@ -263,13 +256,7 @@ class Edit:
     rank1_score: float
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "begin": self.begin,
-            "end": self.end,
-            "old": self.old,
-            "new_entity": self.new_entity,
-            "rank1_score": self.rank1_score,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -281,7 +268,7 @@ class Failure:
     reason: str
 
     def to_json(self) -> dict[str, Any]:
-        return {"begin": self.begin, "end": self.end, "reason": self.reason}
+        return asdict(self)
 
 
 @dataclass
@@ -328,11 +315,9 @@ def refine_response(
     for lab in flagged:
         old = record.response[lab.begin:lab.end]
         try:
-            if not anchors:
-                raise RetrievalImpossible("anchor set is empty")
+            anchor = scoring_anchor(cfg.mode, record, graph, anchors)
             sub = graph.khop_subgraph(anchors, cfg.k)
             exclude = frozenset(anchors)
-            anchor = scoring_anchor(cfg.mode, record, graph, anchors)
             query = build_query(
                 cfg.mode, record, sub, table, graph, anchors,
                 external=external, exclude=exclude,

@@ -640,6 +640,37 @@ class TestAtomicOutputs:
         assert run(argv) == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "corrupt", "eval"])
+    def test_two_outputs_naming_one_file(
+        self, data_dir, tmp_path, trained_snapshot, capsys, command
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "result"
+        target.write_text("old\n")
+        same = out / ".." / "out" / "result"
+        if command == "train":
+            argv = ["train", "--kg", data_dir / "toy_kg.tsv", "--dim", "4",
+                    "--epochs", "2", "--out", target, "--trace", same]
+        elif command == "corrupt":
+            argv = ["corrupt", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv", "--types", data_dir / "toy_types.tsv",
+                    "--aliases", data_dir / "toy_aliases.tsv",
+                    "--out", target, "--summary", target]
+        else:
+            heldout = tmp_path / "held.tsv"
+            heldout.write_text("roald_dahl\twrote\tthe_hobbit\n")
+            argv = ["eval", "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
+                    "--heldout", heldout, "--ranks-csv", target, "--out", target]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error")] == [
+            f"error: two outputs name one file: {target.resolve()}"
+        ]
+        assert target.read_bytes() == b"old\n"
+        assert list(out.iterdir()) == [target]
+
 
 class TestSnapshotErrors:
     """A snapshot line that does not parse is a runtime error naming the line."""

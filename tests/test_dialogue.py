@@ -106,6 +106,29 @@ class TestRecordIo:
             read_dialogues(path)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "span, message",
+        [
+            ('[null, 0, 1]', "span entity must be a non-empty string"),
+            ('[7, 0, 1]', "span entity must be a non-empty string"),
+            ('["", 0, 1]', "span entity must be a non-empty string"),
+            ('["e", "0", 1]', "span offsets must be numbers"),
+            ('["e", 0.9, 1]', "span offsets must be numbers"),
+            ('["e", 0, 1.0]', "span offsets must be numbers"),
+            ('["e", true, 2]', "span offsets must be numbers"),
+            ('["e", 0, true]', "span offsets must be numbers"),
+        ],
+    )
+    def test_span_part_of_wrong_type_reports_line(self, tmp_path, span, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"history": [], "triples": [], "response": "x"}\n'
+            f'{{"history": [], "triples": [], "response": "xy", "spans": [{span}]}}\n'
+        )
+        with pytest.raises(MalformedLine, match=message) as exc:
+            read_dialogues(path)
+        assert exc.value.line_number == 2
+
     @pytest.mark.parametrize("part", ["null", "7", '""', '["r"]'])
     def test_triple_part_not_a_string_reports_line(self, tmp_path, part):
         path = tmp_path / "d.jsonl"

@@ -250,10 +250,14 @@ class TestDirectEdges:
         assert toy_graph.direct_edges("roald_dahl", "fantasy") == []
 
     def test_subgraph_direct_edge_queries(self, toy_graph):
+        # Between two ball nodes, the graph's edges are the ball's edges.
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
-        assert sub.has_direct_edge(0, 1)
-        assert sub.has_direct_edge(1, 0)
-        assert not sub.has_direct_edge(0, 4)
+        induced = {(t.s, t.o) for t in sub.triples}
+        for a in sub.nodes:
+            for b in sub.nodes:
+                assert bool(toy_graph.direct_edges(a, b)) == ((a, b) in induced)
+        assert toy_graph.direct_edges(1, 0) == [] and toy_graph.direct_edges(0, 1)
+        assert not toy_graph.direct_edges(0, 4) and not toy_graph.direct_edges(4, 0)
 
 
 class TestIndexes:

@@ -93,12 +93,6 @@ class TestExternalQueries:
         assert np.array_equal(src.take(2), [1.0, 2.0])
         assert np.array_equal(src.take(2), [3.0, 4.0])
 
-    def test_remaining_counts_down(self):
-        src = ExternalQueries([np.zeros(3), np.zeros(3)])
-        assert len(src) == 2 and src.remaining == 2
-        src.take(3)
-        assert src.remaining == 1
-
     def test_exhausted(self):
         src = ExternalQueries([np.zeros(2)])
         src.take(2)
@@ -114,9 +108,10 @@ class TestExternalQueries:
         path = tmp_path / "queries.txt"
         path.write_text("# two 2-d vectors\n1.0 2.0\n\n-0.5 0.25\n")
         src = load_query_vectors(path)
-        assert len(src) == 2
         assert np.array_equal(src.take(2), [1.0, 2.0])
         assert np.array_equal(src.take(2), [-0.5, 0.25])
+        with pytest.raises(SourceExhausted):
+            src.take(2)
 
     @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan", "inf 0.5"])
     def test_bad_value_reports_line(self, tmp_path, bad):
@@ -261,7 +256,8 @@ class TestBuildQuery:
             "external", rec, sub, toy_table(), toy_graph, (0, 1), external=src
         )
         assert np.array_equal(q, [0.5, -0.5])
-        assert src.remaining == 0
+        with pytest.raises(SourceExhausted):
+            src.take(2)
 
     def test_external_without_source(self, toy_graph):
         rec = table_record()
@@ -554,7 +550,8 @@ class TestRefineResponse:
         assert (out.edits[0].begin, out.edits[0].end) == (0, 2)
         assert out.edits[0].rank1_score == 6.0
         assert (out.failures[0].begin, out.failures[0].end) == (8, 11)
-        assert src.remaining == 0
+        with pytest.raises(SourceExhausted):
+            src.take(1)
 
     def test_external_source_exhaustion_propagates(self, toy_graph, toy_aliases):
         rec = table_record()
