@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .corruptor import CorruptionConfig, build_synthetic_dataset
-from .critic import ANCHOR_SOURCES, Critic, INTRINSIC_MODES, load_relation_phrases
+from .critic import ANCHOR_SOURCES, Critic, CriticReport, INTRINSIC_MODES, load_relation_phrases
 from .dialogue import DialogueRecord, read_dialogues, write_dialogues
 from .embeddings import (
     OPTIMIZERS,
@@ -39,7 +39,7 @@ from .embeddings import (
     save_loss_trace,
     train,
 )
-from .errors import ConfigValidation, KgFaithError, UnknownCommand
+from .errors import ConfigValidation, KgFaithError, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import EvalSummary, bleu, hallucination_rate
 from .retriever import QUERY_MODES, RefineConfig, load_query_vectors, refine_response
@@ -150,7 +150,8 @@ def _atomic_outputs(*paths: str | None) -> Iterator[list[Path | None]]:
     """Temp paths beside the given outputs, moved over them when the block succeeds.
 
     An output given as None stays None. Two outputs that resolve to one
-    file are refused before anything is written. A block that raises
+    file are refused on entry; every command enters this before its
+    work, so such a run does none. A block that raises
     leaves every output as it was (absent, or its old content) and
     removes the temp files.
     """
@@ -225,37 +226,37 @@ def _cmd_kg_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_subgraph(args: argparse.Namespace) -> int:
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    centers = [c.strip() for c in args.center.split(",") if c.strip()]
-    if not centers:
-        raise ConfigValidation("--center needs at least one entity name")
-    sub = graph.khop_subgraph(centers, args.k)
-    blob = {
-        "centers": centers,
-        "k": args.k,
-        "nodes": [graph.entities.name_of(i) for i in sorted(sub.nodes)],
-        "triples": [list(graph.name_triple(t)) for t in sub.triples],
-    }
     with _atomic_outputs(args.out) as (out,):
+        graph = load_triples(_require_file(args.kg, "--kg"))
+        centers = [c.strip() for c in args.center.split(",") if c.strip()]
+        if not centers:
+            raise ConfigValidation("--center needs at least one entity name")
+        sub = graph.khop_subgraph(centers, args.k)
+        blob = {
+            "centers": centers,
+            "k": args.k,
+            "nodes": [graph.entities.name_of(i) for i in sorted(sub.nodes)],
+            "triples": [list(graph.name_triple(t)) for t in sub.triples],
+        }
         _emit(blob, out)
     return 0
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    types = load_entity_types(_require_file(args.types, "--types"))
-    aliases = (
-        load_aliases(_require_file(args.aliases, "--aliases")) if args.aliases else None
-    )
-    records = read_dialogues(_require_file(args.input, "--in"))
-    seed = stage_seed(args.seed, "corrupt")
-    print(f"corrupt: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
-    cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
-    corrupted, summary = build_synthetic_dataset(
-        records, graph, types, cfg, aliases=aliases
-    )
-    text = json.dumps(summary.to_json(), indent=2)
     with _atomic_outputs(args.out, args.summary) as (out, summary_out):
+        seed = stage_seed(args.seed, "corrupt")
+        cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
+        graph = load_triples(_require_file(args.kg, "--kg"))
+        types = load_entity_types(_require_file(args.types, "--types"))
+        aliases = (
+            load_aliases(_require_file(args.aliases, "--aliases")) if args.aliases else None
+        )
+        records = read_dialogues(_require_file(args.input, "--in"))
+        print(f"corrupt: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
+        corrupted, summary = build_synthetic_dataset(
+            records, graph, types, cfg, aliases=aliases
+        )
+        text = json.dumps(summary.to_json(), indent=2)
         write_dialogues(out, (rec.to_json() for rec in corrupted))
         if summary_out:
             summary_out.write_text(text + "\n", encoding="utf-8")
@@ -265,24 +266,24 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    sampler, sans_hops = _parse_sampler(args.sampler)
-    seed = stage_seed(args.seed, "train")
-    print(f"train: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
-    cfg = TrainingConfig(
-        d=args.dim,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        negatives=args.neg,
-        sampler=sampler,
-        sans_k=sans_hops,
-        seed=seed,
-        optimizer=args.optimizer,
-        l2=args.l2,
-    )
-    table, trace = train(graph, cfg)
     with _atomic_outputs(args.out, args.trace) as (out, trace_out):
+        sampler, sans_hops = _parse_sampler(args.sampler)
+        seed = stage_seed(args.seed, "train")
+        cfg = TrainingConfig(
+            d=args.dim,
+            lr=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch,
+            negatives=args.neg,
+            sampler=sampler,
+            sans_k=sans_hops,
+            seed=seed,
+            optimizer=args.optimizer,
+            l2=args.l2,
+        )
+        graph = load_triples(_require_file(args.kg, "--kg"))
+        print(f"train: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
+        table, trace = train(graph, cfg)
         save_embeddings(out, table)
         if trace_out:
             save_loss_trace(trace_out, trace)
@@ -294,68 +295,80 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_critique(args: argparse.Namespace) -> int:
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-    phrases = (
-        load_relation_phrases(_require_file(args.phrases, "--phrases"))
-        if args.phrases
-        else None
-    )
-    critic = Critic(
-        graph,
-        aliases,
-        k=args.k,
-        mode=args.mode,
-        relation_phrases=phrases,
-        anchor_source=args.anchors,
-    )
-    records = read_dialogues(_require_file(args.input, "--in"))
-    flagged = 0
-
-    def labelled() -> Iterator[dict[str, Any]]:
-        nonlocal flagged
-        for record in records:
-            report = critic.critique(record)
-            flagged += report.flagged
-            labels = [lab.to_json() for lab in report.labels]
-            yield {**record.to_json(), "labels": labels, "flagged": report.flagged}
-
     with _atomic_outputs(args.out) as (out,):
+        graph = load_triples(_require_file(args.kg, "--kg"))
+        aliases = load_aliases(_require_file(args.aliases, "--aliases"))
+        phrases = (
+            load_relation_phrases(_require_file(args.phrases, "--phrases"))
+            if args.phrases
+            else None
+        )
+        critic = Critic(
+            graph,
+            aliases,
+            k=args.k,
+            mode=args.mode,
+            relation_phrases=phrases,
+            anchor_source=args.anchors,
+        )
+        records = read_dialogues(_require_file(args.input, "--in"))
+        flagged = 0
+
+        def labelled() -> Iterator[dict[str, Any]]:
+            nonlocal flagged
+            for record in records:
+                report = critic.critique(record)
+                flagged += report.flagged
+                labels = [lab.to_json() for lab in report.labels]
+                yield {**record.to_json(), "labels": labels, "flagged": report.flagged}
+
         write_dialogues(out, labelled())
     print(f"critique: {len(records)} records, {flagged} flagged", file=sys.stderr)
     return 0
 
 
+def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
+    """The report each record carries as the ``labels`` that ``critique`` wrote."""
+    reports = []
+    for number, record in enumerate(records, start=1):
+        if "labels" not in record.extra:
+            raise MalformedLabels(number, "no labels")
+        try:
+            reports.append(CriticReport.from_json(record.extra["labels"], record.response))
+        except ValueError as err:
+            raise MalformedLabels(number, str(err)) from err
+    return reports
+
+
 def _cmd_refine(args: argparse.Namespace) -> int:
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-    table = _load_table(args.emb, graph)
-    external = (
-        load_query_vectors(_require_file(args.queries, "--queries"))
-        if args.queries
-        else None
-    )
-    if args.mode == "external" and external is None:
-        raise ConfigValidation("external query mode needs --queries")
-    cfg = RefineConfig(
-        k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
-    )
-    critic = Critic(graph, aliases, k=args.k, anchor_source=args.anchors)
-    records = read_dialogues(_require_file(args.input, "--in"))
-    n_edits = n_failures = 0
-
-    def refined() -> Iterator[dict[str, Any]]:
-        nonlocal n_edits, n_failures
-        for record in records:
-            report = critic.critique(record)
-            outcome = refine_response(
-                record, report, graph, table, cfg, aliases=aliases, external=external
-            )
-            n_edits += len(outcome.edits)
-            n_failures += len(outcome.failures)
-            yield outcome.merged_json(record)
-
     with _atomic_outputs(args.out) as (out,):
+        graph = load_triples(_require_file(args.kg, "--kg"))
+        aliases = load_aliases(_require_file(args.aliases, "--aliases"))
+        table = _load_table(args.emb, graph)
+        external = (
+            load_query_vectors(_require_file(args.queries, "--queries"))
+            if args.queries
+            else None
+        )
+        if args.mode == "external" and external is None:
+            raise ConfigValidation("external query mode needs --queries")
+        cfg = RefineConfig(
+            k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
+        )
+        records = read_dialogues(_require_file(args.input, "--in"))
+        reports = _critic_reports(records)
+        n_edits = n_failures = 0
+
+        def refined() -> Iterator[dict[str, Any]]:
+            nonlocal n_edits, n_failures
+            for record, report in zip(records, reports):
+                outcome = refine_response(
+                    record, report, graph, table, cfg, aliases=aliases, external=external
+                )
+                n_edits += len(outcome.edits)
+                n_failures += len(outcome.failures)
+                yield outcome.merged_json(record)
+
         write_dialogues(out, refined())
     print(
         f"refine: {len(records)} records, {n_edits} edits, {n_failures} failures",
@@ -365,59 +378,59 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    want_ranking = args.emb is not None or args.heldout is not None
-    if want_ranking and (args.emb is None or args.heldout is None):
-        raise ConfigValidation("link prediction needs both --emb and --heldout")
-    if not want_ranking and args.refined is None:
-        raise ConfigValidation(
-            "nothing to evaluate: pass --refined and/or --emb with --heldout"
-        )
-    if args.ranks_csv is not None and not want_ranking:
-        raise ConfigValidation("--ranks-csv needs --emb and --heldout")
-    graph = load_triples(_require_file(args.kg, "--kg"))
-    counts: dict[str, int] = {}
-    ranking = None
-    bleu_score = None
-    rate = None
-
-    if want_ranking:
-        table = _load_table(args.emb, graph)
-        heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
-        ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
-        counts["ranks"] = len(ranking.ranks)
-
-    if args.refined is not None:
-        records = read_dialogues(_require_file(args.refined, "--refined"))
-        counts["records"] = len(records)
-        hyps = []
-        refs = []
-        for rec in records:
-            if rec.gold_response is None:
-                continue
-            hyps.append(rec.extra.get("refined_response", rec.response))
-            refs.append(rec.gold_response)
-        if hyps:
-            bleu_score = bleu(hyps, refs, level=args.bleu_level)
-        else:
-            print("eval: no gold responses, skipping BLEU", file=sys.stderr)
-        if args.aliases:
-            aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-            critic = Critic(graph, aliases, k=args.k)
-            flags = []
-            for rec in records:
-                probe = DialogueRecord(
-                    history=rec.history,
-                    triples=rec.triples,
-                    response=rec.extra.get("refined_response", rec.response),
-                    gold_response=rec.gold_response,
-                )
-                flags.append(critic.critique(probe).flagged)
-            rate = hallucination_rate(flags)
-
-    summary = EvalSummary(
-        counts=counts, ranking=ranking, bleu_score=bleu_score, hallucination=rate
-    )
     with _atomic_outputs(args.ranks_csv, args.out) as (ranks_out, out):
+        want_ranking = args.emb is not None or args.heldout is not None
+        if want_ranking and (args.emb is None or args.heldout is None):
+            raise ConfigValidation("link prediction needs both --emb and --heldout")
+        if not want_ranking and args.refined is None:
+            raise ConfigValidation(
+                "nothing to evaluate: pass --refined and/or --emb with --heldout"
+            )
+        if args.ranks_csv is not None and not want_ranking:
+            raise ConfigValidation("--ranks-csv needs --emb and --heldout")
+        graph = load_triples(_require_file(args.kg, "--kg"))
+        counts: dict[str, int] = {}
+        ranking = None
+        bleu_score = None
+        rate = None
+
+        if want_ranking:
+            table = _load_table(args.emb, graph)
+            heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
+            ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
+            counts["ranks"] = len(ranking.ranks)
+
+        if args.refined is not None:
+            records = read_dialogues(_require_file(args.refined, "--refined"))
+            counts["records"] = len(records)
+            hyps = []
+            refs = []
+            for rec in records:
+                if rec.gold_response is None:
+                    continue
+                hyps.append(rec.extra.get("refined_response", rec.response))
+                refs.append(rec.gold_response)
+            if hyps:
+                bleu_score = bleu(hyps, refs, level=args.bleu_level)
+            else:
+                print("eval: no gold responses, skipping BLEU", file=sys.stderr)
+            if args.aliases:
+                aliases = load_aliases(_require_file(args.aliases, "--aliases"))
+                critic = Critic(graph, aliases, k=args.k)
+                flags = []
+                for rec in records:
+                    probe = DialogueRecord(
+                        history=rec.history,
+                        triples=rec.triples,
+                        response=rec.extra.get("refined_response", rec.response),
+                        gold_response=rec.gold_response,
+                    )
+                    flags.append(critic.critique(probe).flagged)
+                rate = hallucination_rate(flags)
+
+        summary = EvalSummary(
+            counts=counts, ranking=ranking, bleu_score=bleu_score, hallucination=rate
+        )
         if ranks_out:
             with open(ranks_out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -505,7 +518,7 @@ def build_parser(opts: _Options) -> _Parser:
 
     rf = sub.add_parser("refine", help="replace flagged mentions with supported entities")
     common(rf)
-    opts.add(rf, "--in", dest="input", required=True, help="dialogue JSONL input")
+    opts.add(rf, "--in", dest="input", required=True, help="labelled JSONL input, as critique writes it")
     opts.add(rf, "--kg", required=True, help="triple file (TSV)")
     opts.add(rf, "--emb", required=True, help="embedding snapshot")
     opts.add(rf, "--aliases", required=True, help="alias TSV for linking and surface forms")

@@ -18,8 +18,9 @@ import logging
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Any
 
-from .dialogue import DialogueRecord, MentionSpan
+from .dialogue import DialogueRecord, MentionSpan, check_spans
 from .errors import UnlinkedResponse
 from .kg import AliasTable, KnowledgeGraph, Subgraph, _read_tsv, canonical, check_radius
 
@@ -28,6 +29,7 @@ logger = logging.getLogger(__name__)
 FAITHFUL = "faithful"
 EXTRINSIC = "extrinsic"
 INTRINSIC = "intrinsic"
+LABELS = (FAITHFUL, EXTRINSIC, INTRINSIC)
 
 INTRINSIC_MODES = ("undirected", "directed")
 ANCHOR_SOURCES = ("kn", "history")
@@ -47,9 +49,30 @@ class SpanLabel:
 class CriticReport:
     """Per-mention labels plus the sentence-level flag."""
 
-    mentions: list[MentionSpan]
     labels: list[SpanLabel]
-    subgraph: Subgraph
+
+    @classmethod
+    def from_json(cls, labels: Any, response: str) -> CriticReport:
+        """Parse the ``labels`` that ``critique`` writes for ``response``.
+
+        The inverse of ``[lab.to_json() for lab in report.labels]``. The
+        labels come from a file, so each must be a ``{begin, end, label}``
+        object with a known label, and the spans must pass check_spans;
+        anything else raises ValueError.
+        """
+        if not isinstance(labels, list):
+            raise ValueError(
+                f"labels must be a list of {{begin, end, label}} objects, got {labels!r}"
+            )
+        parsed = []
+        for item in labels:
+            if not isinstance(item, dict) or set(item) != {"begin", "end", "label"}:
+                raise ValueError(f"label must be a {{begin, end, label}} object, got {item!r}")
+            if item["label"] not in LABELS:
+                raise ValueError(f"label must be one of {LABELS}, got {item['label']!r}")
+            parsed.append(SpanLabel(item["begin"], item["end"], item["label"]))
+        check_spans([(lab.begin, lab.end) for lab in parsed], response)
+        return cls(parsed)
 
     @property
     def flagged(self) -> bool:
@@ -222,14 +245,7 @@ def critique_response(
             labels[i] = INTRINSIC
             labels[j] = INTRINSIC
 
-    span_labels = [
-        SpanLabel(m.begin, m.end, lab) for m, lab in zip(mentions, labels)
-    ]
-    return CriticReport(
-        mentions=mentions,
-        labels=span_labels,
-        subgraph=sub,
-    )
+    return CriticReport([SpanLabel(m.begin, m.end, lab) for m, lab in zip(mentions, labels)])
 
 
 class Critic:

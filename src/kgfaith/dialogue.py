@@ -88,15 +88,8 @@ class DialogueRecord:
                 ent, b, e = s
                 if not isinstance(ent, str) or not ent:
                     raise ValueError(f"span entity must be a non-empty string, got {s!r}")
-                if type(b) is not int or type(e) is not int:  # bool is an int too
-                    raise ValueError(f"span offsets must be numbers: JSON integers, got {s!r}")
-                if not 0 <= b < e <= len(response):
-                    raise ValueError(f"span [{b}, {e}) out of range for response")
                 parsed_spans.append((ent, b, e))
-            ordered = sorted(parsed_spans, key=lambda s: s[1])
-            for (_, b, e), (_, nb, ne) in zip(ordered, ordered[1:]):
-                if nb < e:
-                    raise ValueError(f"spans [{b}, {e}) and [{nb}, {ne}) overlap")
+            check_spans([(b, e) for _, b, e in parsed_spans], response)
         for key in ("gold_response", "refined_response"):
             if not isinstance(obj.get(key, ""), str):
                 raise ValueError(f"{key} must be a string")
@@ -110,6 +103,24 @@ class DialogueRecord:
             spans=parsed_spans,
             extra=extra,
         )
+
+
+def check_spans(spans: list[tuple[Any, Any]], response: str) -> None:
+    """Refuse [begin, end) spans of a response read from outside the program.
+
+    Offsets must be JSON integers (not booleans, not 0.0) with
+    0 <= begin < end <= len(response), and spans may touch but not
+    overlap. Raises ValueError naming the first span that breaks this.
+    """
+    for b, e in spans:
+        if type(b) is not int or type(e) is not int:  # bool is an int too
+            raise ValueError(f"span offsets must be numbers: JSON integers, got {b!r}, {e!r}")
+        if not 0 <= b < e <= len(response):
+            raise ValueError(f"span [{b}, {e}) out of range for response")
+    ordered = sorted(spans, key=lambda span: span[0])
+    for (b, e), (nb, ne) in zip(ordered, ordered[1:]):
+        if nb < e:
+            raise ValueError(f"spans [{b}, {e}) and [{nb}, {ne}) overlap")
 
 
 def splice(

@@ -316,8 +316,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ZeroDimension(f"dimension must be >= 1, got {self.d}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
@@ -330,8 +330,8 @@ class TrainingConfig:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
             )
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 class _SgdStep:

@@ -50,6 +50,14 @@ class UnlinkedResponse(KgFaithError, ValueError):
     """A response has grounding triples but no linkable mention spans."""
 
 
+class MalformedLabels(KgFaithError, ValueError):
+    """A record to refine lacks the ``labels`` that ``critique`` writes, or has bad ones."""
+
+    def __init__(self, record_number: int, reason: str):
+        self.record_number = record_number
+        super().__init__(f"record {record_number}: {reason}; run critique on the input first")
+
+
 # --- corruptor -----------------------------------------------------------
 
 class NoEligibleReplacement(KgFaithError, ValueError):

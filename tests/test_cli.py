@@ -359,6 +359,26 @@ class TestTrainCommand:
                                extra=["--sampler", "nearest"])
         assert run(argv) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, rule", [("lr", "learning rate must be finite and > 0"),
+                      ("l2", "l2 must be finite and >= 0")], ids=["lr", "l2"],
+    )
+    def test_non_finite_rate_refused(
+        self, data_dir, tmp_path, capsys, source, value, key, rule
+    ):
+        out = tmp_path / "emb.tsv"
+        if source == "flag":
+            extra = [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({key: float(value)}))  # NaN / Infinity tokens
+            extra = ["--config", cfg]
+        assert run(self.train_args(data_dir, out, extra=extra)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {rule}, got {value}"]
+        assert not out.exists()
+
 
 class TestCorruptCommand:
     def corrupt_args(self, data_dir, out, summary, seed=5):
@@ -394,9 +414,12 @@ class TestCorruptCommand:
         run(self.corrupt_args(data_dir, tmp_path / "c.jsonl", tmp_path / "s.json"))
         assert src.read_bytes() == before
 
-    def test_bad_fraction(self, data_dir, tmp_path):
+    def test_bad_fraction(self, data_dir, tmp_path, capsys):
         argv = self.corrupt_args(data_dir, tmp_path / "c.jsonl", tmp_path / "s.json")
         assert run(argv + ["--frac", "1.5"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 class TestNonUtf8Input:
@@ -491,13 +514,28 @@ def trained_snapshot(data_dir, tmp_path):
     return path
 
 
+def critique(data_dir, out, *flags):
+    """The toy dialogues with the labels critique writes: refine's input."""
+    code = run(["critique", "--in", data_dir / "toy_dialogues.jsonl",
+                "--kg", data_dir / "toy_kg.tsv",
+                "--aliases", data_dir / "toy_aliases.tsv", *flags, "--out", out])
+    assert code == 0
+    return out
+
+
+@pytest.fixture()
+def labelled(data_dir, tmp_path):
+    return critique(data_dir, tmp_path / "labelled.jsonl")
+
+
 class TestRefineCommand:
-    def test_refines_toy_corpus(self, data_dir, tmp_path, trained_snapshot):
+    def refine_argv(self, data_dir, src, snapshot, out):
+        return ["refine", "--in", src, "--kg", data_dir / "toy_kg.tsv", "--emb", snapshot,
+                "--aliases", data_dir / "toy_aliases.tsv", "--out", out]
+
+    def test_refines_toy_corpus(self, data_dir, tmp_path, trained_snapshot, labelled):
         out = tmp_path / "refined.jsonl"
-        code = run(["refine", "--in", data_dir / "toy_dialogues.jsonl",
-                    "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
-                    "--aliases", data_dir / "toy_aliases.tsv", "--out", out])
-        assert code == 0
+        assert run(self.refine_argv(data_dir, labelled, trained_snapshot, out)) == 0
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(rows) == 3
         assert len(rows[0]["edits"]) == 2
@@ -507,14 +545,66 @@ class TestRefineCommand:
             assert row["refined_response"] == row["response"]
             assert row["edits"] == []
 
-    def test_input_not_mutated(self, data_dir, tmp_path, trained_snapshot):
-        src = data_dir / "toy_dialogues.jsonl"
-        before = src.read_bytes()
-        run(["refine", "--in", src, "--kg", data_dir / "toy_kg.tsv",
-             "--emb", trained_snapshot,
-             "--aliases", data_dir / "toy_aliases.tsv",
-             "--out", tmp_path / "r.jsonl"])
-        assert src.read_bytes() == before
+    def test_input_not_mutated(self, data_dir, tmp_path, trained_snapshot, labelled):
+        before = labelled.read_bytes()
+        run(self.refine_argv(data_dir, labelled, trained_snapshot, tmp_path / "r.jsonl"))
+        assert labelled.read_bytes() == before
+
+    def test_directed_only_flag_is_refined(self, data_dir, tmp_path, trained_snapshot, labelled):
+        # Only the directed check flags record 2: "illustrated" runs from
+        # The BFG to Quentin Blake, against the graph's edge.
+        directed = critique(
+            data_dir, tmp_path / "directed.jsonl",
+            "--mode", "directed", "--phrases", data_dir / "toy_relation_phrases.tsv",
+        )
+        for src, repaired in ((labelled, False), (directed, True)):
+            out = tmp_path / "refined.jsonl"
+            assert run(self.refine_argv(data_dir, src, trained_snapshot, out)) == 0
+            row = [json.loads(l) for l in out.read_text().splitlines()][1]
+            assert row["response"] == "The BFG was illustrated by Quentin Blake."
+            assert row["flagged"] is repaired
+            assert bool(row["edits"]) is repaired
+            assert (row["refined_response"] != row["response"]) is repaired
+
+    @pytest.mark.parametrize(
+        "labels, reason",
+        [
+            (None, "no labels"),
+            ({"begin": 0, "end": 7, "label": "faithful"}, "labels must be a list"),
+            ([{"begin": 0, "end": 7}], "label must be a {begin, end, label} object"),
+            ([{"begin": 0.0, "end": 7, "label": "faithful"}], "JSON integers"),
+            ([{"begin": False, "end": 7, "label": "faithful"}], "JSON integers"),
+            ([{"begin": "0", "end": 7, "label": "faithful"}], "JSON integers"),
+            ([{"begin": 27, "end": 42, "label": "faithful"}], "span [27, 42) out of range"),
+            ([{"begin": 0, "end": 7, "label": "made_up"}], "label must be one of"),
+            (
+                [{"begin": 0, "end": 7, "label": "faithful"},
+                 {"begin": 4, "end": 11, "label": "extrinsic"}],
+                "spans [0, 7) and [4, 11) overlap",
+            ),
+        ],
+        ids=["missing", "not-a-list", "missing-key", "float", "bool", "string",
+             "out-of-range", "unknown-label", "overlap"],
+    )
+    def test_bad_labels_exit_2(
+        self, data_dir, tmp_path, trained_snapshot, labelled, capsys, labels, reason
+    ):
+        rows = [json.loads(l) for l in labelled.read_text().splitlines()]
+        if labels is None:
+            del rows[1]["labels"]
+        else:
+            rows[1]["labels"] = labels
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "r.jsonl"
+        capsys.readouterr()
+        assert run(self.refine_argv(data_dir, src, trained_snapshot, out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: MalformedLabels: record 2: ")
+        assert reason in err[0]
+        assert err[0].endswith("; run critique on the input first")
+        assert not out.exists()
 
     def test_overlapping_spans_exit_2(self, data_dir, tmp_path, trained_snapshot, capsys):
         src = tmp_path / "in.jsonl"
@@ -574,20 +664,35 @@ class TestAtomicOutputs:
         path.write_text(first + "\n" + second + "\n")
         return path
 
+    @pytest.fixture()
+    def unlabelled_second(self, tmp_path, labelled):
+        # The first record as critique wrote it, then one without labels.
+        first = labelled.read_text().splitlines()[0]
+        second = json.dumps({"history": [], "triples": [], "response": "Nothing here."})
+        path = tmp_path / "unlabelled.jsonl"
+        path.write_text(first + "\n" + second + "\n")
+        return path
+
     def argv(self, command, data_dir, src, out, snapshot):
         argv = [command, "--in", src, "--kg", data_dir / "toy_kg.tsv",
                 "--aliases", data_dir / "toy_aliases.tsv", "--out", out]
         return argv + (["--emb", snapshot] if command == "refine" else [])
 
-    @pytest.mark.parametrize("command", ["critique", "refine"])
+    @pytest.mark.parametrize(
+        "command, src, error",
+        [("critique", "failing_input", "UnlinkedResponse"),
+         ("refine", "unlabelled_second", "MalformedLabels")],
+        ids=["critique", "refine"],
+    )
     def test_failed_run_writes_nothing(
-        self, data_dir, tmp_path, failing_input, trained_snapshot, capsys, command
+        self, data_dir, tmp_path, trained_snapshot, capsys, request, command, src, error
     ):
         out = tmp_path / "out" / "result.jsonl"
         out.parent.mkdir()
-        argv = self.argv(command, data_dir, failing_input, out, trained_snapshot)
+        src = request.getfixturevalue(src)
+        argv = self.argv(command, data_dir, src, out, trained_snapshot)
         assert run(argv) == 2
-        assert "UnlinkedResponse" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert list(out.parent.iterdir()) == []
 
         out.write_text("earlier result\n")
@@ -597,12 +702,12 @@ class TestAtomicOutputs:
 
     @pytest.mark.parametrize("command", ["critique", "refine"])
     def test_successful_run_replaces_output(
-        self, data_dir, tmp_path, trained_snapshot, command
+        self, data_dir, tmp_path, trained_snapshot, labelled, command
     ):
         out = tmp_path / "out" / "result.jsonl"
         out.parent.mkdir()
         out.write_text("earlier result\n")
-        src = data_dir / "toy_dialogues.jsonl"
+        src = labelled if command == "refine" else data_dir / "toy_dialogues.jsonl"
         assert run(self.argv(command, data_dir, src, out, trained_snapshot)) == 0
         assert len(out.read_text().splitlines()) == 3
         assert list(out.parent.iterdir()) == [out]
@@ -664,8 +769,7 @@ class TestAtomicOutputs:
                     "--heldout", heldout, "--ranks-csv", target, "--out", target]
         capsys.readouterr()
         assert run(argv) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("error")] == [
+        assert capsys.readouterr().err.splitlines() == [
             f"error: two outputs name one file: {target.resolve()}"
         ]
         assert target.read_bytes() == b"old\n"
@@ -726,9 +830,9 @@ class TestEvalCommand:
         assert run(["eval", "--kg", data_dir / "toy_kg.tsv",
                     "--emb", trained_snapshot]) == 1
 
-    def test_full_summary(self, data_dir, tmp_path, trained_snapshot):
+    def test_full_summary(self, data_dir, tmp_path, trained_snapshot, labelled):
         refined = tmp_path / "refined.jsonl"
-        assert run(["refine", "--in", data_dir / "toy_dialogues.jsonl",
+        assert run(["refine", "--in", labelled,
                     "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
                     "--aliases", data_dir / "toy_aliases.tsv",
                     "--out", refined]) == 0

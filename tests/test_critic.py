@@ -9,10 +9,12 @@ from kgfaith.critic import (
     FAITHFUL,
     INTRINSIC,
     Critic,
+    SpanLabel,
     critique_response,
     derive_anchors,
     link_mentions,
     load_relation_phrases,
+    response_mentions,
 )
 from kgfaith.dialogue import DialogueRecord
 from kgfaith.errors import UnknownEntity, UnlinkedResponse
@@ -145,9 +147,14 @@ class TestExtrinsicLabels:
         rec = record(TABLE_HISTORY, [("roald_dahl", "wrote", "the_witches")], TABLE_RESPONSE)
         critic = Critic(toy_graph, toy_aliases, k=2)
         report = critic.critique(rec)
-        for m, lab in zip(report.mentions, report.labels):
+        mentions = response_mentions(rec, toy_aliases, toy_graph)
+        ball = toy_graph.khop_subgraph(derive_anchors(rec, toy_graph, toy_aliases, "kn"), 2)
+        assert [(m.begin, m.end) for m in mentions] == [
+            (lab.begin, lab.end) for lab in report.labels
+        ]
+        for m, lab in zip(mentions, report.labels):
             if lab.label == EXTRINSIC:
-                assert m.entity_id is None or not report.subgraph.has_node(m.entity_id)
+                assert m.entity_id is None or not ball.has_node(m.entity_id)
 
 
 class TestIntrinsicLabels:
@@ -158,7 +165,8 @@ class TestIntrinsicLabels:
             "The Witches and The Hobbit are both fantasy.",
         )
         report = Critic(toy_graph, toy_aliases, k=1).critique(rec)
-        by_surface = {m.surface: lab.label for m, lab in zip(report.mentions, report.labels)}
+        mentions = response_mentions(rec, toy_aliases, toy_graph)
+        by_surface = {m.surface: lab.label for m, lab in zip(mentions, report.labels)}
         assert by_surface["The Witches"] == INTRINSIC
         assert by_surface["The Hobbit"] == INTRINSIC
         assert by_surface["fantasy"] == FAITHFUL
@@ -248,7 +256,8 @@ class TestReportShape:
     def test_no_grounding_and_no_mentions_is_fine(self, toy_graph, toy_aliases):
         rec = record([], [], "nothing to see here")
         report = Critic(toy_graph, toy_aliases).critique(rec)
-        assert report.mentions == [] and not report.flagged
+        assert response_mentions(rec, toy_aliases, toy_graph) == []
+        assert report.labels == [] and not report.flagged
 
     def test_prelinked_spans_used_verbatim(self, toy_graph, toy_aliases):
         rec = record(
@@ -258,14 +267,16 @@ class TestReportShape:
             spans=[("the_bfg", 7, 14)],
         )
         report = Critic(toy_graph, toy_aliases, k=1).critique(rec)
-        assert len(report.mentions) == 1
-        assert report.mentions[0].surface == "The BFG"
-        assert report.labels[0].label == FAITHFUL
+        mentions = response_mentions(rec, toy_aliases, toy_graph)
+        assert len(mentions) == 1
+        assert mentions[0].surface == "The BFG"
+        assert report.labels == [SpanLabel(7, 14, FAITHFUL)]
 
     def test_empty_prelinked_spans_do_not_raise(self, toy_graph, toy_aliases):
         rec = record([], [("roald_dahl", "wrote", "the_bfg")], "x", spans=[])
         report = Critic(toy_graph, toy_aliases).critique(rec)
-        assert report.mentions == []
+        assert response_mentions(rec, toy_aliases, toy_graph) == []
+        assert report.labels == []
 
     def test_label_json_shape(self, toy_graph, toy_aliases):
         rec = record(TABLE_HISTORY, [("roald_dahl", "wrote", "the_witches")], TABLE_RESPONSE)

@@ -1,9 +1,10 @@
 """Byte-for-byte golden outputs of the CLI stages that score with embeddings.
 
-``refine`` (oracle and inferred queries) and ``eval`` (filtered and raw
-link prediction: the summary JSON and the per-item ranks CSV) run on the
-toy data with a snapshot written by ``init_embeddings`` and
-``save_embeddings`` at a fixed seed. Nothing is trained. The bytes hold
+``refine`` (oracle and inferred queries, on the labels ``critique``
+writes) and ``eval`` (filtered and raw link prediction: the summary JSON
+and the per-item ranks CSV) run on the toy data with a snapshot written
+by ``init_embeddings`` and ``save_embeddings`` at a fixed seed. Nothing
+is trained. The bytes hold
 across machines because:
 
 - the table comes from numpy's seeded PCG64 stream, and the snapshot's
@@ -31,8 +32,8 @@ from kgfaith.embeddings import init_embeddings, save_embeddings
 from kgfaith.kg import load_triples
 
 GOLDEN = {
-    "refine-oracle.jsonl": "85f0193fcbbdce09ffa8ebb9f16a0d41708b8c0080b6795494fbfdefdefd0e4e",
-    "refine-inferred.jsonl": "7dc6ad90a256c0c774aa97b51515b54feb4d44f89c212073a8c61f724abca1ce",
+    "refine-oracle.jsonl": "14cf5eaddb19346936bebc13a60f06e2f3e92b0d0792397a05d46cb773752256",
+    "refine-inferred.jsonl": "3be673dffd2257b3e985cf283788938da6de20abdcf9a948243a9ba12b04fdf7",
     "eval-filtered.json": "f2e75a02b8bae37c386aba15869b843d334f3d8abb1b3bc5d9de89bf2b6b8cc3",
     "eval-filtered-ranks.csv": "008c793fdf5719b32d504da7423dffd18cb47a6cb4f1436de1b9e9663e6de6bb",
     "eval-raw.json": "90fbd1c78ad6102a0d8abb7b9b444856e6c07d0edc7cefaad37eae7c3c0a0c0e",
@@ -61,10 +62,15 @@ def test_cli_outputs_match_golden_digests(data_dir: Path, tmp_path: Path):
     heldout = tmp_path / "heldout.tsv"
     heldout.write_text("".join("\t".join(t) + "\n" for t in HELDOUT), encoding="utf-8")
 
+    labelled = tmp_path / "labelled.jsonl"
+    argv = ["critique", "--in", data_dir / "toy_dialogues.jsonl", "--kg", kg,
+            "--aliases", data_dir / "toy_aliases.tsv", "--out", labelled]
+    assert main([str(a) for a in argv]) == 0, argv
+
     out = tmp_path / "out"
     out.mkdir()
     for mode in ("oracle", "inferred"):
-        argv = ["refine", "--in", data_dir / "toy_dialogues.jsonl", "--kg", kg,
+        argv = ["refine", "--in", labelled, "--kg", kg,
                 "--emb", emb, "--aliases", data_dir / "toy_aliases.tsv",
                 "--mode", mode, "--out", out / f"refine-{mode}.jsonl"]
         assert main([str(a) for a in argv]) == 0, argv

@@ -12,13 +12,16 @@ the rows, and the batched samplers against their per-row contracts.
 Multi-span splice, which refinement and corruption use to place every
 edit and failure, is checked against its offset contract. On small
 random sparse corpora, extrinsic corruptions are checked to be sound and
-fully flagged by the critic, and the intrinsic swap to undo itself.
+fully flagged by the critic, the intrinsic swap to undo itself, and
+refinement from labels read back from JSON against refinement from the
+critic's live report.
 Examples are drawn deterministically, so the suite gives the same
 verdict on every run.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from unittest.mock import patch
 
@@ -40,7 +43,7 @@ from kgfaith.corruptor import (
     replacement_pool,
     same_type_ids,
 )
-from kgfaith.critic import Critic, derive_anchors, link_mentions
+from kgfaith.critic import Critic, CriticReport, derive_anchors, link_mentions
 from kgfaith.dialogue import DialogueRecord, splice
 from kgfaith.embeddings import (
     SAMPLERS,
@@ -49,13 +52,14 @@ from kgfaith.embeddings import (
     batch_nce_loss_and_grad,
     distmult_score,
     evaluate_link_prediction,
+    init_embeddings,
     nce_loss_and_grad,
     rank_of_gold,
     trilinear,
 )
 from kgfaith.errors import EmptyPool, EmptySubgraph, NoEligibleReplacement, NotApplicable
 from kgfaith.kg import AliasTable, canonical, fold
-from kgfaith.retriever import infer_relation, rank_candidates
+from kgfaith.retriever import RefineConfig, infer_relation, rank_candidates, refine_response
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -771,3 +775,33 @@ def test_intrinsic_swap_is_an_involution(case):
     assert once.response != record.response
     assert twice.response == record.response
     assert twice.replacements == [(new, old) for old, new in once.replacements]
+
+
+# --- refinement ---------------------------------------------------------------
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 100),
+    k=st.integers(0, 2),
+    mode=st.sampled_from(["oracle", "inferred"]),
+)
+def test_refine_from_written_labels_matches_live_report(seed, n, k, mode):
+    """refine reads the labels critique wrote; on originals and corruptions
+    that gives the same report, and the same refined record, as the critic."""
+    graph, types, aliases, records = sparse_corpus(n, n_triples=n, seed=seed)
+    corrupted, _ = build_synthetic_dataset(
+        records, graph, types, CorruptionConfig(fraction=0.5, seed=seed, k=k), aliases
+    )
+    table = init_embeddings(len(graph.entities), len(graph.relations), 8, seed=seed)
+    critic = Critic(graph, aliases, k=k)
+    cfg = RefineConfig(k=k, mode=mode)
+    for record in records + [c.as_record() for c in corrupted]:
+        live = critic.critique(record)
+        written = json.loads(json.dumps([lab.to_json() for lab in live.labels]))
+        read = CriticReport.from_json(written, record.response)
+        assert read == live
+        assert (
+            refine_response(record, read, graph, table, cfg, aliases).merged_json(record)
+            == refine_response(record, live, graph, table, cfg, aliases).merged_json(record)
+        )
