@@ -39,7 +39,7 @@ from .embeddings import (
     save_loss_trace,
     train,
 )
-from .errors import ConfigValidation, KgFaithError, MalformedLabels, UnknownCommand
+from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import EvalSummary, bleu, hallucination_rate
 from .retriever import QUERY_MODES, RefineConfig, load_query_vectors, refine_response
@@ -357,6 +357,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         )
         records = read_dialogues(_require_file(args.input, "--in"))
         reports = _critic_reports(records)
+        spans = sum(len(report.flagged_spans) for report in reports)
+        if args.mode == "external" and len(external) != spans:
+            raise LengthMismatch(f"--queries: {len(external)} vector(s), {spans} flagged span(s)")
         n_edits = n_failures = 0
 
         def refined() -> Iterator[dict[str, Any]]:

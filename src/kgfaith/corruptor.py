@@ -2,9 +2,10 @@
 
 Turns faithful grounded responses into labelled negatives two ways:
 
-* extrinsic: swap each entity mention for a same-type entity drawn
-  uniformly from outside the local subgraph and the dialogue history,
-  so the replacement is guaranteed to be a detectable hallucination;
+* extrinsic: swap each entity mention for a same-type entity whose
+  preferred surface links back to it, drawn uniformly from outside the
+  local subgraph and the dialogue history, so the replacement is
+  guaranteed to be a detectable hallucination;
 * intrinsic: exchange the subject and object surfaces of a grounding
   triple in place, producing a reversed (unsupported) assertion while
   keeping the token multiset intact.
@@ -103,19 +104,21 @@ def _history_hits(history: list[str], graph: KnowledgeGraph, aliases: AliasTable
     """Ids of graph entities with a surface form occurring in a (canonical) turn.
 
     Raw substrings count: "e1" occurs in "let us discuss e12". A surface
-    several entities list counts for each of them, and a graph entity
-    without surface forms counts by its canonical() name.
+    several entities list counts for each of them.
     """
     names = graph.entities
     hits: set[int] = set()
     for turn in history:
-        folded = canonical(turn)
-        for entity in aliases.entities_in(folded):
+        for entity in aliases.entities_in(canonical(turn)):
             i = names.get(entity)
             if i is not None and names.name_of(i) == entity:
                 hits.add(i)
-        hits.update(i for i in names.ids_in(folded) if names.name_of(i) not in aliases)
     return hits
+
+
+def _links_back(name: str, aliases: AliasTable) -> bool:
+    """The critic links the surface spliced in for this entity back to it."""
+    return aliases.entity_of(aliases.preferred(name)) == name
 
 
 class _Pool(Sequence[str]):
@@ -163,16 +166,19 @@ def _positional_peers(entity_id: int, graph: KnowledgeGraph) -> set[int]:
     return peers
 
 
-def same_type_ids(types: dict[str, str], graph: KnowledgeGraph) -> dict[str, list[int]]:
-    """Entity name -> ids of the graph entities of its declared type, in id order.
+def same_type_ids(
+    types: dict[str, str], graph: KnowledgeGraph, aliases: AliasTable
+) -> dict[str, list[int]]:
+    """Entity name -> ids of the replacements of its declared type, in id order.
 
-    Every name in the type map gets an entry, also one the graph lacks;
-    names of one type share one list.
+    A replacement is a graph entity of that type whose preferred surface
+    links back to it. Every name in the type map gets an entry, also one
+    the graph lacks; names of one type share one list.
     """
     members: dict[str, list[int]] = {}
     for i, name in enumerate(graph.entities):
         kind = types.get(name)
-        if kind is not None:
+        if kind is not None and _links_back(name, aliases):
             members.setdefault(kind, []).append(i)
     return {name: members.get(kind, []) for name, kind in types.items()}
 
@@ -189,18 +195,19 @@ def replacement_pool(
 
     Eligible means: a graph entity of the same declared type (from
     ``same_type``, built by same_type_ids; when it misses the mention,
-    one sharing a predicate-and-slot with it), not the mention itself,
-    not a subgraph node, and with no surface form occurring anywhere in
-    the history. The pool is a lazy sequence over the candidate list:
-    building it and drawing from it cost the excluded entities, not the
-    candidates.
+    one sharing a predicate-and-slot with it), whose preferred surface
+    links back to it, not the mention itself, not a subgraph node, and
+    with no surface form occurring anywhere in the history. The pool is
+    a lazy sequence over the candidate list: building it and drawing
+    from it cost the excluded entities, not the candidates.
     """
     candidate_ids = same_type.get(mention_entity)
     if candidate_ids is None:
         eid = graph.entities.get(mention_entity)
         if eid is None:
             return ()
-        candidate_ids = sorted(_positional_peers(eid, graph))
+        peers = _positional_peers(eid, graph)
+        candidate_ids = sorted(i for i in peers if _links_back(graph.entities.name_of(i), aliases))
     excluded = _history_hits(history, graph, aliases)
     excluded.update(sub.nodes)
     self_id = graph.entities.get(mention_entity)
@@ -361,7 +368,7 @@ def build_synthetic_dataset(
         raise AllRecordsDropped("no input records")
     if aliases is None:
         aliases = AliasTable.from_names(graph.entities.names)
-    same_type = same_type_ids(types, graph)
+    same_type = same_type_ids(types, graph, aliases)
 
     n = len(records)
     quota = round_half_up(cfg.fraction * n)

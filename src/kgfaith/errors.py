@@ -100,24 +100,12 @@ class EmptyHoldout(KgFaithError, ValueError):
 
 # --- retriever -----------------------------------------------------------
 
-class NoGroundingRelation(KgFaithError, ValueError):
-    """Oracle query mode found no grounding triple touching the anchors."""
-
-
-class EmptySubgraph(KgFaithError, ValueError):
-    """The retrieval subgraph offers no candidate entities."""
-
-
-class UnknownAnchor(KgFaithError, KeyError):
-    """The scoring anchor is not a node of the subgraph."""
-
-
 class SourceExhausted(KgFaithError, ValueError):
     """An external query-vector source ran out of vectors."""
 
 
 class RetrievalImpossible(KgFaithError, RuntimeError):
-    """No candidate entity could be retrieved for a flagged span."""
+    """No anchor, grounding triple, subgraph edge or candidate for a flagged span."""
 
 
 # --- metrics -------------------------------------------------------------
@@ -127,4 +115,4 @@ class EmptyInput(KgFaithError, ValueError):
 
 
 class LengthMismatch(KgFaithError, ValueError):
-    """Parallel hypothesis/reference lists differ in length."""
+    """Paired lists differ in length: hypotheses/references, query vectors/flagged spans."""

@@ -97,8 +97,6 @@ class Vocabulary:
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self._key_lengths: set[int] = set()
-        self._key_starts: set[str] = set()
 
     def add(self, name: str) -> int:
         key = canonical(name)
@@ -107,8 +105,6 @@ class Vocabulary:
             idx = len(self._names)
             self._ids[key] = idx
             self._names.append(name.strip())
-            self._key_lengths.add(len(key))
-            self._key_starts.add(key[:1])
         return idx
 
     def id_of(self, name: str) -> int:
@@ -119,11 +115,6 @@ class Vocabulary:
 
     def name_of(self, idx: int) -> str:
         return self._names[idx]
-
-    def ids_in(self, folded: str) -> set[int]:
-        """Ids whose canonical() name occurs in the text, which comes canonical() already."""
-        found = _substrings_in(folded, self._ids, self._key_lengths, self._key_starts)
-        return {self._ids[key] for key in found}
 
     @property
     def names(self) -> list[str]:

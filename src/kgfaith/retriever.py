@@ -15,22 +15,14 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 import numpy as np
 
 from .critic import CriticReport, check_anchor_source, derive_anchors
 from .dialogue import DialogueRecord, splice
 from .embeddings import EmbeddingTable, trilinear
-from .errors import (
-    DimensionMismatch,
-    EmptySubgraph,
-    MalformedLine,
-    NoGroundingRelation,
-    RetrievalImpossible,
-    SourceExhausted,
-    UnknownAnchor,
-)
+from .errors import DimensionMismatch, MalformedLine, RetrievalImpossible, SourceExhausted
 from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, check_radius, read_lines
 
 logger = logging.getLogger(__name__)
@@ -43,7 +35,6 @@ class RankedCandidates:
     """(entity, score) pairs, scores nonincreasing, ties by ascending id."""
 
     candidates: list[tuple[int, float]]
-    anchor: int
 
     @property
     def top(self) -> tuple[int, float]:
@@ -56,6 +47,10 @@ class ExternalQueries:
     def __init__(self, vectors: Iterable[np.ndarray]):
         self._vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
         self._cursor = 0
+
+    def __len__(self) -> int:
+        """Vectors supplied, taken or not."""
+        return len(self._vectors)
 
     def take(self, dim: int) -> np.ndarray:
         if self._cursor >= len(self._vectors):
@@ -97,7 +92,7 @@ def load_query_vectors(path: str | Path) -> ExternalQueries:
 def oracle_grounding_triple(
     record: DialogueRecord,
     graph: KnowledgeGraph,
-    anchors: Iterable[int],
+    anchors: Collection[int],
 ) -> Triple:
     """The grounding triple that anchors the oracle query.
 
@@ -105,7 +100,6 @@ def oracle_grounding_triple(
     resolve against the graph), pick the lowest relation id, breaking
     remaining ties by (subject, object) id.
     """
-    anchor_set = set(anchors)
     touching: list[Triple] = []
     for s, p, o in record.triples:
         sid = graph.entities.get(s)
@@ -113,122 +107,90 @@ def oracle_grounding_triple(
         pid = graph.relations.get(p)
         if sid is None or oid is None or pid is None:
             continue
-        if sid in anchor_set or oid in anchor_set:
+        if sid in anchors or oid in anchors:
             touching.append(Triple(sid, pid, oid))
     if not touching:
-        raise NoGroundingRelation(
-            "no grounding triple touches the current anchor set"
-        )
+        raise RetrievalImpossible("no grounding triple touches the current anchor set")
     return min(touching, key=lambda t: (t.p, t.s, t.o))
-
-
-def infer_relation(
-    sub: Subgraph,
-    table: EmbeddingTable,
-    anchor: int,
-    exclude: frozenset[int] = frozenset(),
-) -> int:
-    """Relation r* whose best candidate score from the anchor is highest.
-
-    Relations are those appearing on subgraph edges; candidates are the
-    subgraph nodes minus the anchor and the exclusion set. Ties go to
-    the lowest relation id.
-    """
-    if not sub.triples:
-        raise EmptySubgraph("subgraph has no edges to infer a relation from")
-    cand = sorted(sub.nodes - {anchor} - exclude)
-    if not cand:
-        raise EmptySubgraph("no candidate entities to infer against")
-    rels = np.array(sorted({t.p for t in sub.triples}), dtype=np.int64)
-    # (relations, candidates) scores; argmax keeps the first, lowest-id best.
-    scores = trilinear(
-        table.entities[anchor],
-        table.relations[rels][:, None, :],
-        table.entities[np.array(cand, dtype=np.int64)],
-    )
-    return int(rels[np.argmax(scores.max(axis=1))])
-
-
-def build_query(
-    mode: str,
-    record: DialogueRecord,
-    sub: Subgraph,
-    table: EmbeddingTable,
-    graph: KnowledgeGraph,
-    anchors: Iterable[int],
-    external: ExternalQueries | None = None,
-    exclude: frozenset[int] = frozenset(),
-) -> np.ndarray:
-    """Craft the query vector for one flagged mention.
-
-    oracle uses the relation of the grounding triple selected by
-    oracle_grounding_triple; inferred maximizes the best candidate
-    score over the subgraph's relations; external takes the next
-    supplied vector, dimension-checked.
-    """
-    if mode not in QUERY_MODES:
-        raise ValueError(f"mode must be one of {QUERY_MODES}, got {mode!r}")
-    if mode == "oracle":
-        return table.relations[oracle_grounding_triple(record, graph, anchors).p].copy()
-    if mode == "inferred":
-        anchor = scoring_anchor("inferred", record, graph, anchors)
-        return table.relations[infer_relation(sub, table, anchor, exclude)].copy()
-    if external is None:
-        raise ValueError("external mode needs a query-vector source")
-    return external.take(table.dim)
 
 
 def scoring_anchor(
     mode: str,
     record: DialogueRecord,
     graph: KnowledgeGraph,
-    anchors: Iterable[int],
-) -> int:
-    """The entity the ranking scores against.
+    anchors: Collection[int],
+) -> tuple[int, Triple | None]:
+    """The entity the ranking scores against, with the oracle's grounding triple.
 
-    oracle: the anchor-side endpoint of the selected grounding triple
-    (subject preferred). Other modes: the lowest-id current anchor.
+    oracle: the anchor-side endpoint of the triple oracle_grounding_triple
+    selects (subject preferred), and that triple. Other modes: the
+    lowest-id current anchor, and None.
     """
-    anchor_list = list(anchors)
-    if not anchor_list:
+    if not anchors:
         raise RetrievalImpossible("anchor set is empty")
-    if mode == "oracle":
-        sel = oracle_grounding_triple(record, graph, anchor_list)
-        anchor_set = set(anchor_list)
-        return sel.s if sel.s in anchor_set else sel.o
-    return min(anchor_list)
+    if mode != "oracle":
+        return min(anchors), None
+    sel = oracle_grounding_triple(record, graph, anchors)
+    return (sel.s if sel.s in anchors else sel.o), sel
+
+
+def infer_relation(
+    sub: Subgraph, table: EmbeddingTable, anchor: int, candidates: np.ndarray
+) -> int:
+    """Relation r* whose best candidate score from the anchor is highest.
+
+    Relations are those appearing on subgraph edges; candidates are the
+    entity ids to score. Ties go to the lowest relation id.
+    """
+    if not sub.triples:
+        raise RetrievalImpossible("subgraph has no edges to infer a relation from")
+    if not len(candidates):
+        raise RetrievalImpossible("no candidate entities to infer against")
+    rels = np.array(sorted({t.p for t in sub.triples}), dtype=np.int64)
+    # (relations, candidates) scores; argmax keeps the first, lowest-id best.
+    scores = trilinear(
+        table.entities[anchor],
+        table.relations[rels][:, None, :],
+        table.entities[candidates],
+    )
+    return int(rels[np.argmax(scores.max(axis=1))])
+
+
+def build_query(
+    table: EmbeddingTable, sub: Subgraph, anchor: int, candidates: np.ndarray,
+    grounding: Triple | None, supplied: np.ndarray | None,
+) -> np.ndarray:
+    """Craft the query vector for one flagged mention.
+
+    external: the supplied vector; oracle: the relation of the grounding
+    triple; inferred: the relation infer_relation picks.
+    """
+    if supplied is not None:
+        return supplied
+    if grounding is not None:
+        return table.relations[grounding.p].copy()
+    return table.relations[infer_relation(sub, table, anchor, candidates)].copy()
 
 
 def rank_candidates(
-    query: np.ndarray,
-    anchor: int,
-    sub: Subgraph,
-    table: EmbeddingTable,
-    exclude: frozenset[int] = frozenset(),
+    query: np.ndarray, anchor: int, candidates: np.ndarray, table: EmbeddingTable
 ) -> RankedCandidates:
-    """Score every subgraph entity against the anchor with the query.
+    """Score every candidate entity against the anchor with the query.
 
-    Candidates are nodes(sub) minus the anchor minus the exclusion set;
-    each scores as the trilinear product of (anchor, query, candidate),
+    Each scores as the trilinear product of (anchor, query, candidate),
     which is symmetric in anchor and candidate, so it serves either slot.
     """
-    if not sub.has_node(anchor):
-        raise UnknownAnchor(f"anchor {anchor} is not a subgraph node")
-    cand = sorted(sub.nodes - {anchor} - exclude)
-    if not cand:
-        raise EmptySubgraph("subgraph has no candidate entities besides the anchor")
+    if not len(candidates):
+        raise RetrievalImpossible("subgraph has no candidate entities besides the anchor")
     vec = np.asarray(query, dtype=np.float64)
     if vec.shape != (table.dim,):
         raise DimensionMismatch(
             f"query has shape {vec.shape}, table dimension is {table.dim}"
         )
-    ids = np.array(cand, dtype=np.int64)
+    ids = np.asarray(candidates, dtype=np.int64)
     scores = trilinear(table.entities[anchor], vec, table.entities[ids])
     order = np.lexsort((ids, -scores))
-    return RankedCandidates(
-        candidates=list(zip(ids[order].tolist(), scores[order].tolist())),
-        anchor=anchor,
-    )
+    return RankedCandidates(list(zip(ids[order].tolist(), scores[order].tolist())))
 
 
 @dataclass(frozen=True)
@@ -297,16 +259,18 @@ def refine_response(
 ) -> RefinementOutcome:
     """Replace every flagged mention with its top-ranked subgraph entity.
 
-    Mentions are processed left to right. Each one gets a fresh k-hop
-    subgraph around the current anchor set, a query vector, and a
-    ranking over the subgraph nodes minus the anchors; the winner's
-    preferred surface is spliced over the span and (with chaining on)
-    the winner joins the anchor set for the following mentions. A span
-    whose retrieval is impossible (no anchors, no grounding relation,
-    no candidates) is kept unchanged and reported under failures; the
-    external-mode supply errors propagate instead, since they mean the
-    vector file does not match the flagged mentions.
+    Mentions go left to right, each in one step: the scoring anchor (in
+    oracle mode with its grounding triple), the k-hop ball around the
+    current anchor set, the candidates (ball minus anchors, ascending),
+    the query, the ranking. The winner's preferred surface is spliced
+    over the span and, with chaining on, the winner joins the anchors.
+    In external mode each flagged mention takes the next vector, whatever
+    its outcome. A span whose retrieval is impossible is kept unchanged
+    and reported under failures; the external-mode supply errors
+    propagate instead: the vector file does not match the flagged spans.
     """
+    if cfg.mode == "external" and external is None:
+        raise ValueError("external mode needs a query-vector source")
     flagged = sorted(report.flagged_spans, key=lambda lab: lab.begin)
     anchors = list(derive_anchors(record, graph, aliases, cfg.anchor_source))
     trace: list[tuple[int, ...]] = [tuple(anchors)]
@@ -314,19 +278,17 @@ def refine_response(
     outcomes: list[Edit | Failure] = []  # original-text offsets until the splice below
     for lab in flagged:
         old = record.response[lab.begin:lab.end]
+        supplied = external.take(table.dim) if cfg.mode == "external" else None
         try:
-            anchor = scoring_anchor(cfg.mode, record, graph, anchors)
+            anchor, grounding = scoring_anchor(cfg.mode, record, graph, anchors)
             sub = graph.khop_subgraph(anchors, cfg.k)
-            exclude = frozenset(anchors)
-            query = build_query(
-                cfg.mode, record, sub, table, graph, anchors,
-                external=external, exclude=exclude,
-            )
-            ranked = rank_candidates(query, anchor, sub, table, exclude=exclude)
-        except (NoGroundingRelation, EmptySubgraph, UnknownAnchor, RetrievalImpossible) as err:
+            candidates = np.array(sorted(sub.nodes.difference(anchors)), dtype=np.int64)
+            query = build_query(table, sub, anchor, candidates, grounding, supplied)
+            ranked = rank_candidates(query, anchor, candidates, table)
+        except RetrievalImpossible as err:
             logger.debug("span [%d, %d): %s", lab.begin, lab.end, err)
             replaced.append((lab.begin, lab.end, old))
-            outcomes.append(Failure(lab.begin, lab.end, str(err) or type(err).__name__))
+            outcomes.append(Failure(lab.begin, lab.end, str(err)))
         else:
             top_id, top_score = ranked.top
             entity_name = graph.entities.name_of(top_id)

@@ -631,6 +631,50 @@ class TestRefineCommand:
                     "--mode", "external", "--out", tmp_path / "r.jsonl"])
         assert code == 1
 
+    def refine_external(self, data_dir, tmp_path, snapshot, rows, vectors):
+        """refine --mode external on the rows, each vector an 8-fold repeated number."""
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        queries = tmp_path / "queries.txt"
+        queries.write_text("".join(f"{v} " * 8 + "\n" for v in vectors))
+        out = tmp_path / "r.jsonl"
+        argv = self.refine_argv(data_dir, src, snapshot, out)
+        code = run(argv + ["--mode", "external", "--queries", queries])
+        rows = [json.loads(l) for l in out.read_text().splitlines()] if out.exists() else None
+        return code, rows
+
+    # One flagged span each; the first record has no grounding triple, so
+    # no anchor either, and its span fails before a query is built.
+    ANCHORLESS = {"history": [], "triples": [], "response": "He also wrote The Hobbit.",
+                  "labels": [{"begin": 14, "end": 24, "label": "extrinsic"}]}
+    ANCHORED = {**ANCHORLESS, "triples": [["roald_dahl", "wrote", "the_witches"]]}
+
+    def test_each_flagged_span_takes_one_vector(self, data_dir, tmp_path, trained_snapshot):
+        code, alone = self.refine_external(
+            data_dir, tmp_path, trained_snapshot, [self.ANCHORED], [-1.0]
+        )
+        assert code == 0 and len(alone[0]["edits"]) == 1
+        code, rows = self.refine_external(
+            data_dir, tmp_path, trained_snapshot, [self.ANCHORLESS, self.ANCHORED], [1.0, -1.0]
+        )
+        assert code == 0
+        assert [f["reason"] for f in rows[0]["failures"]] == ["anchor set is empty"]
+        assert rows[1]["edits"] == alone[0]["edits"]
+
+    @pytest.mark.parametrize("vectors", [[1.0], [1.0, -1.0, 1.0]], ids=["short", "long"])
+    def test_vector_count_must_match_flagged_spans(
+        self, data_dir, tmp_path, trained_snapshot, capsys, vectors
+    ):
+        capsys.readouterr()
+        code, rows = self.refine_external(
+            data_dir, tmp_path, trained_snapshot, [self.ANCHORLESS, self.ANCHORED], vectors
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: LengthMismatch: --queries: {len(vectors)} vector(s), 2 flagged span(s)"
+        ]
+        assert rows is None
+
     @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan"])
     def test_bad_query_file_is_runtime_error(
         self, data_dir, tmp_path, trained_snapshot, capsys, bad

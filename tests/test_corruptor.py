@@ -40,8 +40,8 @@ def small_graph(*lines: str) -> KnowledgeGraph:
 
 
 @pytest.fixture(scope="module")
-def toy_same_type(toy_graph, toy_types):
-    return same_type_ids(toy_types, toy_graph)
+def toy_same_type(toy_graph, toy_types, toy_aliases):
+    return same_type_ids(toy_types, toy_graph, toy_aliases)
 
 
 class TestReplacementPool:
@@ -72,6 +72,45 @@ class TestReplacementPool:
         assert list(replacement_pool("narnia", toy_graph, sub, {}, [], toy_aliases)) == []
 
 
+class TestReplacementsLinkBack:
+    """A replacement is spliced in as its preferred surface, so it must link back.
+
+    book_c has no alias: spliced in as its raw name "book_c", no mention
+    links to it, and critique would not flag the span corrupt labelled.
+    """
+
+    @pytest.fixture()
+    def books(self):
+        graph = small_graph("alice wrote book_a", "bob wrote book_b", "carol wrote book_c")
+        aliases = AliasTable()
+        for entity in ("alice", "bob", "carol"):
+            aliases.add(entity, entity.capitalize())
+        aliases.add("book_a", "Book A")
+        aliases.add("book_b", "Book B")
+        types = {"alice": "person", "bob": "person", "carol": "person",
+                 "book_a": "book", "book_b": "book", "book_c": "book"}
+        return graph, aliases, types
+
+    @pytest.mark.parametrize("typed", [True, False], ids=["typed", "positional"])
+    def test_unlinkable_entity_is_no_candidate(self, books, typed):
+        graph, aliases, types = books
+        sub = graph.khop_subgraph(["alice"], 1)
+        same_type = same_type_ids(types, graph, aliases) if typed else {}
+        assert list(replacement_pool("book_a", graph, sub, same_type, [], aliases)) == ["book_b"]
+
+    def test_critique_flags_every_labelled_span(self, books):
+        graph, aliases, types = books
+        rec = record(["Tell me about Alice."], [("alice", "wrote", "book_a")],
+                     "Alice wrote Book A.")
+        critic = Critic(graph, aliases, k=1)
+        for seed in range(10):
+            cfg = CorruptionConfig(fraction=1.0, seed=seed, k=1)
+            (out,), _ = build_synthetic_dataset([rec], graph, types, cfg, aliases)
+            assert out.kind == "extrinsic" and len(out.labels) == 2
+            report = critic.critique(out.as_record())
+            assert [(lab.begin, lab.end) for lab in report.flagged_spans] == out.labels
+
+
 def scan_pool(mention, graph, sub, types, history, aliases):
     """replacement_pool by full scans: the vocabulary for a type, every triple for peers."""
     kind = types.get(mention)
@@ -92,7 +131,9 @@ def scan_pool(mention, graph, sub, types, history, aliases):
         name = graph.entities.name_of(i)
         if i == eid or i in sub.nodes or name == mention:
             continue
-        forms = aliases.surfaces_of(name) or [name]
+        if [m.entity for m in link_mentions(aliases.preferred(name), aliases, graph)] != [name]:
+            continue  # critique could not link the spliced-in surface back
+        forms = aliases.surfaces_of(name)
         if any(canonical(f) in turn for f in forms for turn in turns):
             continue
         pool.append(name)
@@ -129,7 +170,7 @@ class TestReplacementPoolOnSparseCorpus:
 
     def test_typed_pool(self, corpus):
         graph, types, aliases, _ = corpus
-        same_type = same_type_ids(types, graph)
+        same_type = same_type_ids(types, graph, aliases)
         for mention, sub, history in self.cases(corpus):
             pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
             assert list(pool) == scan_pool(mention, graph, sub, types, history, aliases)
@@ -167,7 +208,7 @@ class TestCostFollowsTheRecord:
         wrapped: dict[int, CountingIds] = {}
         same_type = {
             name: wrapped.setdefault(id(ids), CountingIds(ids, reads))
-            for name, ids in same_type_ids(types, graph).items()
+            for name, ids in same_type_ids(types, graph, aliases).items()
         }
         name_of = Vocabulary.name_of
 

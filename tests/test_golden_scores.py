@@ -1,7 +1,7 @@
 """Byte-for-byte golden outputs of the CLI stages that score with embeddings.
 
-``refine`` (oracle and inferred queries, on the labels ``critique``
-writes) and ``eval`` (filtered and raw link prediction: the summary JSON
+``refine`` (oracle, inferred and external queries, on the labels
+``critique`` writes) and ``eval`` (filtered and raw link prediction: the summary JSON
 and the per-item ranks CSV) run on the toy data with a snapshot written
 by ``init_embeddings`` and ``save_embeddings`` at a fixed seed. Nothing
 is trained. The bytes hold
@@ -34,6 +34,7 @@ from kgfaith.kg import load_triples
 GOLDEN = {
     "refine-oracle.jsonl": "14cf5eaddb19346936bebc13a60f06e2f3e92b0d0792397a05d46cb773752256",
     "refine-inferred.jsonl": "3be673dffd2257b3e985cf283788938da6de20abdcf9a948243a9ba12b04fdf7",
+    "refine-external.jsonl": "9f56aaf7466745969c15caee440a748e7a22a9be962bfa6fdde7ed207d6ebdde",
     "eval-filtered.json": "f2e75a02b8bae37c386aba15869b843d334f3d8abb1b3bc5d9de89bf2b6b8cc3",
     "eval-filtered-ranks.csv": "008c793fdf5719b32d504da7423dffd18cb47a6cb4f1436de1b9e9663e6de6bb",
     "eval-raw.json": "90fbd1c78ad6102a0d8abb7b9b444856e6c07d0edc7cefaad37eae7c3c0a0c0e",
@@ -49,6 +50,10 @@ HELDOUT = [
     ("quentin_blake", "illustrated", "the_witches"),
     ("the_witches", "has_genre", "the_hobbit"),
 ]
+
+# One dim-8 query vector per span the toy critique flags (two of them),
+# each a short binary fraction so the text parses to the same float.
+QUERIES = "0.5 -1 0.25 2 -0.75 1 0 -0.5\n-2 0.5 1.5 -0.25 0.75 -1 1 0.125\n"
 
 
 def test_cli_outputs_match_golden_digests(data_dir: Path, tmp_path: Path):
@@ -67,12 +72,16 @@ def test_cli_outputs_match_golden_digests(data_dir: Path, tmp_path: Path):
             "--aliases", data_dir / "toy_aliases.tsv", "--out", labelled]
     assert main([str(a) for a in argv]) == 0, argv
 
+    queries = tmp_path / "queries.txt"
+    queries.write_text(QUERIES, encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
-    for mode in ("oracle", "inferred"):
+    for mode in ("oracle", "inferred", "external"):
         argv = ["refine", "--in", labelled, "--kg", kg,
                 "--emb", emb, "--aliases", data_dir / "toy_aliases.tsv",
                 "--mode", mode, "--out", out / f"refine-{mode}.jsonl"]
+        if mode == "external":
+            argv += ["--queries", queries]
         assert main([str(a) for a in argv]) == 0, argv
     for mode in ("filtered", "raw"):
         argv = ["eval", "--kg", kg, "--emb", emb, "--heldout", heldout,

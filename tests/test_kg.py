@@ -323,16 +323,6 @@ class TestAliasTable:
         assert AliasTable().match_spans("Charlie") == []
 
 
-class TestVocabularyIdsIn:
-    def test_canonical_names_as_raw_substrings(self):
-        v = Vocabulary()
-        for name in ("e1", "E12", "The  BFG"):
-            v.add(name)
-        assert v.ids_in("let us discuss e12 .") == {0, 1}
-        assert v.ids_in("the bfg") == {2}
-        assert v.ids_in("the  bfg") == set()  # the text comes canonical()
-
-
 class TestEntityTypes:
     def test_types(self, toy_types):
         assert toy_types["roald_dahl"] == "person"

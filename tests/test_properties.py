@@ -57,7 +57,7 @@ from kgfaith.embeddings import (
     rank_of_gold,
     trilinear,
 )
-from kgfaith.errors import EmptyPool, EmptySubgraph, NoEligibleReplacement, NotApplicable
+from kgfaith.errors import EmptyPool, NoEligibleReplacement, NotApplicable, RetrievalImpossible
 from kgfaith.kg import AliasTable, canonical, fold
 from kgfaith.retriever import RefineConfig, infer_relation, rank_candidates, refine_response
 
@@ -448,9 +448,10 @@ def test_infer_relation_matches_per_relation_loop(data):
     table = integer_table(data, graph)
     anchor, sub, exclude = draw_ball(data, graph)
     cand = sorted(sub.nodes - {anchor} - exclude)
+    candidates = np.array(cand, dtype=np.int64)
     if not sub.triples or not cand:
-        with pytest.raises(EmptySubgraph):
-            infer_relation(sub, table, anchor, exclude)
+        with pytest.raises(RetrievalImpossible):
+            infer_relation(sub, table, anchor, candidates)
         return
     best_rel, best = -1, -np.inf
     for rel in sorted({t.p for t in sub.triples}):
@@ -460,7 +461,7 @@ def test_infer_relation_matches_per_relation_loop(data):
         )
         if top > best:  # strict: a tie keeps the lower relation id
             best_rel, best = rel, top
-    assert infer_relation(sub, table, anchor, exclude) == best_rel
+    assert infer_relation(sub, table, anchor, candidates) == best_rel
 
 
 @PROPERTY
@@ -470,16 +471,18 @@ def test_rank_candidates_matches_sorted_scores(data):
     table = integer_table(data, graph)
     anchor, sub, exclude = draw_ball(data, graph)
     cand = sorted(sub.nodes - {anchor} - exclude)
+    # Given in any order, ties still come out by ascending id.
+    candidates = np.array(data.draw(st.permutations(cand)), dtype=np.int64)
     query = matrices(data.draw, st.integers(-1, 1), 1, table.dim)[0]
     if not cand:
-        with pytest.raises(EmptySubgraph):
-            rank_candidates(query, anchor, sub, table, exclude)
+        with pytest.raises(RetrievalImpossible):
+            rank_candidates(query, anchor, candidates, table)
         return
     scored = [
         (c, distmult_score(table.entities[anchor], query, table.entities[c])) for c in cand
     ]
     expected = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-    assert rank_candidates(query, anchor, sub, table, exclude).candidates == expected
+    assert rank_candidates(query, anchor, candidates, table).candidates == expected
 
 
 # --- batched contrastive training ---------------------------------------------
@@ -638,7 +641,8 @@ def pool_cases(draw):
     entities are graph names, graph names spelled otherwise ("E3") or
     names the graph lacks; surfaces are graph names or a few words that
     fold alike ("bee", "Bee"), so one folded surface often belongs to two
-    entities, and graph entities the table leaves out match by name.
+    entities (only the first links back, so only it can replace), and
+    graph entities the table leaves out are no replacements.
     """
     graph = draw(graphs(max_entities=14, max_relations=2, max_triples=20))
     names = graph.entities.names
@@ -661,9 +665,10 @@ def pool_cases(draw):
 def every_pool_rule():
     """One case with each rule the strategy draws at random.
 
-    "bee" and "Bee" fold alike and belong to e2 and e3; e12 has no alias
-    and matches by name, and its name holds e1's surface; E4 is e4 spelled
-    otherwise, so its surface "four" does not exclude e4.
+    "bee" and "Bee" fold alike; "Bee", e3's preferred surface, links to
+    e2, so e3 is no replacement. e12 has no alias, so it is none either,
+    and its name in the history holds e1's surface. E4 is e4 spelled
+    otherwise, so e4 has no surface of its own. e5 is in the ball.
     """
     ents, rels = Vocabulary(), Vocabulary()
     for i in range(13):
@@ -671,7 +676,8 @@ def every_pool_rule():
     rels.add("r0")
     graph = KnowledgeGraph([Triple(0, 0, 5), Triple(5, 0, 6)], ents, rels)
     aliases = AliasTable()
-    for entity, surface in [("e1", "e1"), ("e2", "bee"), ("e3", "Bee"), ("E4", "four"), ("e7", "e7")]:
+    for entity, surface in [("e1", "e1"), ("e2", "bee"), ("e3", "Bee"), ("e3", "three"),
+                            ("E4", "four"), ("e5", "e5"), ("e7", "e7"), ("e8", "eight")]:
         aliases.add(entity, surface)
     types = {f"e{i}": "t0" for i in range(13)}
     history = ["we saw e12 and BEES , four of them"]
@@ -681,8 +687,9 @@ def every_pool_rule():
 
 def test_every_pool_rule():
     graph, aliases, types, sub, history, mention, _, _ = every_pool_rule()
-    pool = replacement_pool(mention, graph, sub, same_type_ids(types, graph), history, aliases)
-    assert list(pool) == ["e4", "e6", "e7", "e8", "e9", "e10", "e11"]
+    same_type = same_type_ids(types, graph, aliases)
+    pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
+    assert list(pool) == ["e7", "e8"]
 
 
 def extrinsic_outcome(record, graph, sub, same_type, seed, aliases):
@@ -698,7 +705,7 @@ def extrinsic_outcome(record, graph, sub, same_type, seed, aliases):
 @example(case=every_pool_rule())
 def test_replacement_pool_matches_scan(case):
     graph, aliases, types, sub, history, mention, response, seed = case
-    same_type = same_type_ids(types, graph)
+    same_type = same_type_ids(types, graph, aliases)
     pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
     want = scan_pool(mention, graph, sub, types, history, aliases)
     assert list(pool) == want

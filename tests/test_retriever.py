@@ -11,11 +11,9 @@ from kgfaith.dialogue import DialogueRecord
 from kgfaith.embeddings import EmbeddingTable, distmult_score
 from kgfaith.errors import (
     DimensionMismatch,
-    EmptySubgraph,
     MalformedLine,
-    NoGroundingRelation,
+    RetrievalImpossible,
     SourceExhausted,
-    UnknownAnchor,
 )
 from kgfaith.kg import AliasTable
 from kgfaith.retriever import (
@@ -52,6 +50,11 @@ def graph_of(n_entities: int, triples: list[tuple[int, int, int]]) -> KnowledgeG
 
 def table_of(ent_rows: list[list[float]], rel_rows: list[list[float]]) -> EmbeddingTable:
     return EmbeddingTable(entities=np.array(ent_rows), relations=np.array(rel_rows))
+
+
+def candidate_ids(values) -> np.ndarray:
+    """Candidate ids as refine_response passes them: int64, ascending."""
+    return np.array(sorted(values), dtype=np.int64)
 
 
 def table_record() -> DialogueRecord:
@@ -153,7 +156,7 @@ class TestOracleGroundingTriple:
             triples=[("jrr_tolkien", "wrote", "the_hobbit")],
             response="x",
         )
-        with pytest.raises(NoGroundingRelation):
+        with pytest.raises(RetrievalImpossible, match="no grounding triple"):
             oracle_grounding_triple(rec, toy_graph, (0,))
 
     def test_unresolvable_triples_skipped(self, toy_graph):
@@ -169,7 +172,7 @@ class TestOracleGroundingTriple:
         only_bad = DialogueRecord(
             history=[], triples=[("martian", "wrote", "venus")], response="x"
         )
-        with pytest.raises(NoGroundingRelation):
+        with pytest.raises(RetrievalImpossible, match="no grounding triple"):
             oracle_grounding_triple(only_bad, toy_graph, (0,))
 
 
@@ -180,8 +183,8 @@ class TestInferRelation:
             entities=np.random.default_rng(3).normal(size=(8, 4)),
             relations=np.random.default_rng(4).normal(size=(3, 4)),
         )
-        got = infer_relation(sub, table, anchor=0, exclude=frozenset({0, 1}))
         cands = sorted(sub.nodes - {0, 1})
+        got = infer_relation(sub, table, anchor=0, candidates=candidate_ids(cands))
         best = max(
             sorted({t.p for t in sub.triples}),
             key=lambda r: (
@@ -198,78 +201,83 @@ class TestInferRelation:
         g = graph_of(3, [(0, 0, 1), (0, 1, 2)])
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0], [1.0], [1.0]], [[2.0], [2.0]])
-        assert infer_relation(sub, table, anchor=0) == 0
+        assert infer_relation(sub, table, anchor=0, candidates=candidate_ids([1, 2])) == 0
 
     def test_no_edges_raises(self):
         sub = Subgraph(nodes=frozenset({0}), triples=(), centers=(0,), radius=1)
         table = table_of([[1.0]], [[1.0]])
-        with pytest.raises(EmptySubgraph):
-            infer_relation(sub, table, anchor=0)
+        with pytest.raises(RetrievalImpossible, match="no edges"):
+            infer_relation(sub, table, anchor=0, candidates=candidate_ids([]))
+
+    def test_no_candidates_raises(self):
+        g = graph_of(2, [(0, 0, 1)])
+        sub = g.khop_subgraph([0, 1], 1)
+        table = table_of([[1.0], [1.0]], [[1.0]])
+        with pytest.raises(RetrievalImpossible, match="no candidate entities to infer"):
+            infer_relation(sub, table, anchor=0, candidates=candidate_ids([]))
 
 
 class TestScoringAnchor:
     def test_oracle_prefers_subject_side(self, toy_graph):
         rec = table_record()
-        assert scoring_anchor("oracle", rec, toy_graph, (0, 1)) == 0
+        assert scoring_anchor("oracle", rec, toy_graph, (0, 1)) == (0, Triple(0, 0, 1))
 
     def test_oracle_falls_back_to_object_side(self, toy_graph):
         rec = table_record()
-        assert scoring_anchor("oracle", rec, toy_graph, (1,)) == 1
+        assert scoring_anchor("oracle", rec, toy_graph, (1,)) == (1, Triple(0, 0, 1))
 
     def test_other_modes_take_lowest_anchor(self, toy_graph):
         rec = table_record()
-        assert scoring_anchor("external", rec, toy_graph, (5, 2)) == 2
-        assert scoring_anchor("inferred", rec, toy_graph, (5, 2)) == 2
+        assert scoring_anchor("external", rec, toy_graph, (5, 2)) == (2, None)
+        assert scoring_anchor("inferred", rec, toy_graph, (5, 2)) == (2, None)
 
     def test_empty_anchor_set(self, toy_graph):
-        from kgfaith.errors import RetrievalImpossible
-
         rec = table_record()
-        with pytest.raises(RetrievalImpossible):
+        with pytest.raises(RetrievalImpossible, match="anchor set is empty"):
             scoring_anchor("oracle", rec, toy_graph, ())
 
 
 class TestBuildQuery:
     def test_oracle_returns_relation_row(self, toy_graph):
-        rec = table_record()
         sub = toy_graph.khop_subgraph([0, 1], 2)
         table = toy_table()
-        q = build_query("oracle", rec, sub, table, toy_graph, (0, 1))
+        cands = candidate_ids(sub.nodes - {0, 1})
+        q = build_query(table, sub, 0, cands, grounding=Triple(0, 0, 1), supplied=None)
         assert np.array_equal(q, table.relations[0])
         assert not np.shares_memory(q, table.relations)
 
     def test_inferred_provenance(self, toy_graph):
-        rec = table_record()
         sub = toy_graph.khop_subgraph([0, 1], 2)
         table = toy_table()
-        q = build_query(
-            "inferred", rec, sub, table, toy_graph, (0, 1),
-            exclude=frozenset({0, 1}),
-        )
+        cands = candidate_ids(sub.nodes - {0, 1})
+        q = build_query(table, sub, 0, cands, grounding=None, supplied=None)
         assert np.array_equal(q, table.relations[0])
 
-    def test_external_consumes_source(self, toy_graph):
+    def test_external_consumes_source(self, toy_graph, toy_aliases):
         rec = table_record()
-        sub = toy_graph.khop_subgraph([0, 1], 2)
-        src = ExternalQueries([np.array([0.5, -0.5])])
-        q = build_query(
-            "external", rec, sub, toy_table(), toy_graph, (0, 1), external=src
+        report = Critic(toy_graph, toy_aliases).critique(rec)
+        assert len(report.flagged_spans) == 2
+        src = ExternalQueries([np.array([0.5, -0.5]), np.array([1.0, 1.0])])
+        refine_response(
+            rec, report, toy_graph, toy_table(),
+            RefineConfig(mode="external"), aliases=toy_aliases, external=src,
         )
-        assert np.array_equal(q, [0.5, -0.5])
         with pytest.raises(SourceExhausted):
             src.take(2)
+        sub = toy_graph.khop_subgraph([0, 1], 2)
+        supplied = np.array([0.5, -0.5])
+        q = build_query(toy_table(), sub, 0, candidate_ids(sub.nodes - {0, 1}), None, supplied)
+        assert q is supplied
 
-    def test_external_without_source(self, toy_graph):
+    def test_external_without_source(self, toy_graph, toy_aliases):
+        # Checked once per refine_response call, before any span.
         rec = table_record()
-        sub = toy_graph.khop_subgraph([0], 1)
-        with pytest.raises(ValueError):
-            build_query("external", rec, sub, toy_table(), toy_graph, (0,))
-
-    def test_bad_mode(self, toy_graph):
-        rec = table_record()
-        sub = toy_graph.khop_subgraph([0], 1)
-        with pytest.raises(ValueError):
-            build_query("nearest", rec, sub, toy_table(), toy_graph, (0,))
+        report = Critic(toy_graph, toy_aliases).critique(rec)
+        with pytest.raises(ValueError, match="needs a query-vector source"):
+            refine_response(
+                rec, report, toy_graph, toy_table(),
+                RefineConfig(mode="external"), aliases=toy_aliases,
+            )
 
 
 class TestRankCandidates:
@@ -278,10 +286,9 @@ class TestRankCandidates:
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0, 1.0], [2.0, 0.0], [1.0, 5.0]], [[1.0, 0.0]])
         q = np.array([1.0, 0.0])
-        ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
+        ranked = rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table)
         assert ranked.candidates == [(1, 2.0), (2, 1.0)]
         assert ranked.top == (1, 2.0)
-        assert ranked.anchor == 0
 
     def test_scores_match_single_calls_bitwise(self):
         rng = np.random.default_rng(11)
@@ -293,7 +300,7 @@ class TestRankCandidates:
                 entities=rng.normal(size=(n, d)), relations=rng.normal(size=(1, d))
             )
             q = rng.normal(size=d)
-            ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
+            ranked = rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table)
             for ent, score in ranked.candidates:
                 direct = distmult_score(
                     table.entities[0], q, table.entities[ent]
@@ -310,7 +317,7 @@ class TestRankCandidates:
                 entities=rng.normal(size=(n, 3)), relations=rng.normal(size=(1, 3))
             )
             q = rng.normal(size=3)
-            ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
+            ranked = rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table)
             scores = [s for _, s in ranked.candidates]
             assert scores == sorted(scores, reverse=True)
             ids = [e for e, _ in ranked.candidates]
@@ -322,38 +329,31 @@ class TestRankCandidates:
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0], [2.0], [2.0]], [[1.0]])
         q = np.array([1.0])
-        ranked = rank_candidates(q, anchor=0, sub=sub, table=table)
+        ranked = rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table)
         assert ranked.candidates == [(1, 2.0), (2, 2.0)]
-
-    def test_unknown_anchor(self):
-        g = graph_of(3, [(0, 0, 1)])
-        sub = g.khop_subgraph([0], 1)
-        q = np.array([1.0])
-        with pytest.raises(UnknownAnchor):
-            rank_candidates(q, anchor=2, sub=sub, table=table_of([[1.0]] * 3, [[1.0]]))
 
     def test_anchor_only_subgraph(self):
         sub = Subgraph(nodes=frozenset({0}), triples=(), centers=(0,), radius=2)
         q = np.array([1.0])
-        with pytest.raises(EmptySubgraph):
-            rank_candidates(q, anchor=0, sub=sub, table=table_of([[1.0]], [[1.0]]))
+        with pytest.raises(RetrievalImpossible, match="no candidate entities besides"):
+            rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table_of([[1.0]], [[1.0]]))
 
     def test_exclusion_removes_candidates(self):
         g = graph_of(3, [(0, 0, 1), (0, 0, 2)])
         sub = g.khop_subgraph([0], 1)
         table = table_of([[1.0], [5.0], [2.0]], [[1.0]])
         q = np.array([1.0])
-        ranked = rank_candidates(q, anchor=0, sub=sub, table=table, exclude=frozenset({1}))
+        ranked = rank_candidates(q, 0, candidate_ids(sub.nodes - {0, 1}), table)
         assert ranked.candidates == [(2, 2.0)]
-        with pytest.raises(EmptySubgraph):
-            rank_candidates(q, anchor=0, sub=sub, table=table, exclude=frozenset({1, 2}))
+        with pytest.raises(RetrievalImpossible):
+            rank_candidates(q, 0, candidate_ids(sub.nodes - {0, 1, 2}), table)
 
     def test_query_dimension_checked(self):
         g = graph_of(2, [(0, 0, 1)])
         sub = g.khop_subgraph([0], 1)
         q = np.array([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            rank_candidates(q, anchor=0, sub=sub, table=table_of([[1.0], [1.0]], [[1.0]]))
+            rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table_of([[1.0], [1.0]], [[1.0]]))
 
     def test_order_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(9)
@@ -362,12 +362,13 @@ class TestRankCandidates:
         ents = rng.normal(size=(6, 4))
         rels = rng.normal(size=(1, 4))
         q_vec = rng.normal(size=4)
+        cands = candidate_ids(sub.nodes - {0})
         base = rank_candidates(
-            q_vec, 0, sub,
+            q_vec, 0, cands,
             EmbeddingTable(entities=ents, relations=rels),
         )
         scaled = rank_candidates(
-            q_vec * 2.0, 0, sub,
+            q_vec * 2.0, 0, cands,
             EmbeddingTable(entities=ents * 2.0, relations=rels),
         )
         assert [e for e, _ in base.candidates] == [e for e, _ in scaled.candidates]
@@ -489,7 +490,7 @@ class TestRefineResponse:
         assert out.edits == []
         assert len(out.failures) == 1
         assert (out.failures[0].begin, out.failures[0].end) == (4, 14)
-        assert "grounding" in out.failures[0].reason
+        assert out.failures[0].reason == "no grounding triple touches the current anchor set"
 
     def test_empty_anchor_set_is_annotated(self, toy_graph, toy_aliases):
         rec = DialogueRecord(
@@ -504,7 +505,23 @@ class TestRefineResponse:
         )
         assert out.response == rec.response
         assert len(out.failures) == 1
-        assert "anchor" in out.failures[0].reason
+        assert out.failures[0].reason == "anchor set is empty"
+
+    def test_anchorless_span_consumes_its_vector(self, toy_graph, toy_aliases):
+        rec = DialogueRecord(
+            history=["Hello there."],
+            triples=[],
+            response="Try The Hobbit.",
+        )
+        report = self.report_for(rec, toy_graph, toy_aliases, source="history")
+        src = ExternalQueries([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        out = refine_response(
+            rec, report, toy_graph, toy_table(),
+            RefineConfig(mode="external", anchor_source="history"),
+            aliases=toy_aliases, external=src,
+        )
+        assert [f.reason for f in out.failures] == ["anchor set is empty"]
+        assert np.array_equal(src.take(2), [0.0, 1.0])
 
     def test_isolated_anchor_is_annotated(self):
         ents, rels = Vocabulary(), Vocabulary()
@@ -526,7 +543,7 @@ class TestRefineResponse:
         )
         assert out.response == "e1 here"
         assert len(out.failures) == 1
-        assert "candidate" in out.failures[0].reason
+        assert out.failures[0].reason == "subgraph has no candidate entities besides the anchor"
 
     def test_failure_offsets_shift_after_earlier_edit(self):
         g = graph_of(2, [(0, 0, 1)])
