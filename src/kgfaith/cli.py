@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .corruptor import CorruptionConfig, build_synthetic_dataset
-from .critic import ANCHOR_SOURCES, Critic, CriticReport, INTRINSIC_MODES, load_relation_phrases
+from .critic import ANCHOR_SOURCES, Critic, CriticReport, load_relation_phrases
 from .dialogue import DialogueRecord, read_dialogues, write_dialogues
 from .embeddings import (
     OPTIMIZERS,
@@ -307,7 +307,6 @@ def _cmd_critique(args: argparse.Namespace) -> int:
             graph,
             aliases,
             k=args.k,
-            mode=args.mode,
             relation_phrases=phrases,
             anchor_source=args.anchors,
         )
@@ -342,31 +341,35 @@ def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
 
 def _cmd_refine(args: argparse.Namespace) -> int:
     with _atomic_outputs(args.out) as (out,):
+        if (args.mode == "external") != (args.queries is not None):
+            raise ConfigValidation("--queries goes with --mode external, and only with it")
         graph = load_triples(_require_file(args.kg, "--kg"))
         aliases = load_aliases(_require_file(args.aliases, "--aliases"))
         table = _load_table(args.emb, graph)
-        external = (
-            load_query_vectors(_require_file(args.queries, "--queries"))
-            if args.queries
+        queries = (
+            load_query_vectors(_require_file(args.queries, "--queries"), table.dim)
+            if args.queries is not None
             else None
         )
-        if args.mode == "external" and external is None:
-            raise ConfigValidation("external query mode needs --queries")
         cfg = RefineConfig(
             k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
         )
         records = read_dialogues(_require_file(args.input, "--in"))
         reports = _critic_reports(records)
         spans = sum(len(report.flagged_spans) for report in reports)
-        if args.mode == "external" and len(external) != spans:
-            raise LengthMismatch(f"--queries: {len(external)} vector(s), {spans} flagged span(s)")
+        if queries is not None and len(queries) != spans:
+            raise LengthMismatch(f"--queries: {len(queries)} vector(s), {spans} flagged span(s)")
         n_edits = n_failures = 0
 
         def refined() -> Iterator[dict[str, Any]]:
             nonlocal n_edits, n_failures
+            taken = 0
             for record, report in zip(records, reports):
+                n = len(report.flagged_spans)
+                mine = None if queries is None else queries[taken : taken + n]
+                taken += n
                 outcome = refine_response(
-                    record, report, graph, table, cfg, aliases=aliases, external=external
+                    record, report, graph, table, cfg, aliases=aliases, queries=mine
                 )
                 n_edits += len(outcome.edits)
                 n_failures += len(outcome.failures)
@@ -513,8 +516,7 @@ def build_parser(opts: _Options) -> _Parser:
     opts.add(cr, "--kg", required=True, help="triple file (TSV)")
     opts.add(cr, "--aliases", required=True, help="alias TSV for mention linking")
     opts.add(cr, "--k", type=int, default=2, help="neighborhood radius (method default 2)")
-    opts.add(cr, "--mode", choices=INTRINSIC_MODES, default="undirected", help="in-graph pair check (tool default undirected)")
-    opts.add(cr, "--phrases", default=None, help="relation-phrase TSV for the directed mode")
+    opts.add(cr, "--phrases", default=None, help="relation-phrase TSV; turns on the orientation check (optional)")
     opts.add(cr, "--anchors", choices=ANCHOR_SOURCES, default="kn", help="anchor entities from grounding triples (kn) or history (tool default kn)")
     opts.add(cr, "--out", required=True, help="labeled JSONL output")
     cr.set_defaults(func=_cmd_critique)
@@ -527,7 +529,7 @@ def build_parser(opts: _Options) -> _Parser:
     opts.add(rf, "--aliases", required=True, help="alias TSV for linking and surface forms")
     opts.add(rf, "--k", type=int, default=2, help="neighborhood radius (method default 2)")
     opts.add(rf, "--mode", choices=QUERY_MODES, default="oracle", help="query construction (tool default oracle)")
-    opts.add(rf, "--queries", default=None, help="external query-vector file (one per flagged mention)")
+    opts.add(rf, "--queries", default=None, help="query-vector file, read only with --mode external (one per flagged mention)")
     opts.add(rf, "--chain", choices=("on", "off"), default="on", help="retrieved entities join the anchor set (method default on)")
     opts.add(rf, "--anchors", choices=ANCHOR_SOURCES, default="kn", help="anchor source (tool default kn)")
     opts.add(rf, "--out", required=True, help="refined JSONL output")

@@ -7,8 +7,8 @@ dialogue history:
 * extrinsic: the entity is not a node of the subgraph and its surface
   never appears in the history;
 * intrinsic: two subgraph entities co-occur in the response without a
-  direct edge between them (the directed mode additionally demands the
-  right orientation whenever a relation phrase links the pair in text);
+  direct edge between them (given relation phrases, the edge must also
+  have the right orientation whenever a phrase links the pair in text);
 * faithful: everything else.
 """
 
@@ -31,7 +31,6 @@ EXTRINSIC = "extrinsic"
 INTRINSIC = "intrinsic"
 LABELS = (FAITHFUL, EXTRINSIC, INTRINSIC)
 
-INTRINSIC_MODES = ("undirected", "directed")
 ANCHOR_SOURCES = ("kn", "history")
 
 
@@ -178,11 +177,9 @@ def _surface_in_history(surface: str, folded_history: list[str]) -> bool:
     return any(folded in turn for turn in folded_history)
 
 
-def _check_mode(mode: str, relation_phrases: dict[str, list[str]] | None) -> None:
-    if mode not in INTRINSIC_MODES:
-        raise ValueError(f"mode must be one of {INTRINSIC_MODES}, got {mode!r}")
-    if mode == "directed" and not relation_phrases:
-        raise ValueError("the directed mode needs relation phrases")
+def _check_phrases(relation_phrases: dict[str, list[str]] | None) -> None:
+    if relation_phrases is not None and not relation_phrases:
+        raise ValueError("the relation-phrase table is empty")
 
 
 def critique_response(
@@ -190,7 +187,6 @@ def critique_response(
     sub: Subgraph,
     graph: KnowledgeGraph,
     aliases: AliasTable,
-    mode: str = "undirected",
     relation_phrases: dict[str, list[str]] | None = None,
 ) -> CriticReport:
     """Label every mention of the response as faithful/extrinsic/intrinsic.
@@ -198,13 +194,13 @@ def critique_response(
     Pre-linked spans on the record win over fresh linking. Two subgraph
     mentions pass the pair check when the graph has an edge between them
     in either direction; a ball from khop_subgraph keeps every edge
-    induced on its nodes, so that is an edge of the subgraph. The directed
-    intrinsic mode consults ``relation_phrases``: when a phrase of
-    relation r occurs in the text between two subgraph mentions, some
-    matched relation must hold as the oriented triple
+    induced on its nodes, so that is an edge of the subgraph. Relation
+    phrases (an empty table raises ValueError) make the check directed:
+    when a phrase of relation r occurs in the text between two subgraph
+    mentions, some matched relation must hold as the oriented triple
     (first mention, r, second mention), otherwise the pair is intrinsic.
     """
-    _check_mode(mode, relation_phrases)
+    _check_phrases(relation_phrases)
     mentions = response_mentions(record, aliases, graph)
     if not mentions and record.spans is None and record.triples:
         raise UnlinkedResponse(
@@ -219,11 +215,11 @@ def critique_response(
         if not in_sub[i] and not _surface_in_history(m.surface, folded_history):
             labels[i] = EXTRINSIC
 
-    phrase_to_relation: list[tuple[str, str]] = []
-    if mode == "directed":
-        for rel, forms in relation_phrases.items():
-            for form in forms:
-                phrase_to_relation.append((canonical(form), rel))
+    phrase_to_relation = [
+        (canonical(form), rel)
+        for rel, forms in (relation_phrases or {}).items()
+        for form in forms
+    ]
 
     for i, j in combinations([i for i, inside in enumerate(in_sub) if inside], 2):
         first, second = mentions[i], mentions[j]
@@ -257,17 +253,15 @@ class Critic:
         aliases: AliasTable,
         *,
         k: int = 2,
-        mode: str = "undirected",
         relation_phrases: dict[str, list[str]] | None = None,
         anchor_source: str = "kn",
     ) -> None:
         check_radius(k)
-        _check_mode(mode, relation_phrases)
+        _check_phrases(relation_phrases)
         check_anchor_source(anchor_source)
         self.graph = graph
         self.aliases = aliases
         self.k = k
-        self.mode = mode
         self.relation_phrases = relation_phrases
         self.anchor_source = anchor_source
 
@@ -278,6 +272,5 @@ class Critic:
             self.graph.khop_subgraph(anchors, self.k),
             self.graph,
             self.aliases,
-            mode=self.mode,
             relation_phrases=self.relation_phrases,
         )

@@ -326,6 +326,10 @@ class TrainingConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
+        if self.sampler == "in_batch" and self.batch_size < 2:
+            raise ValueError(
+                f"the in-batch sampler needs batch size >= 2, got {self.batch_size}"
+            )
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
@@ -386,11 +390,12 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
     Triples are shuffled each epoch. Each mini-batch draws its negatives,
     scores and differentiates all its rows at once, adds an L2 pull of
     2*l2*row to every touched row, and takes one optimizer step on the
-    touched rows. The per-epoch mean loss is returned as the trace. A
-    non-finite epoch mean raises DivergenceDetected. Single-worker,
-    fully seeded: identical config gives identical tables and traces.
-    The sans sampler draws from the sans_k-hop ball around each triple's
-    subject, built once per run for every subject.
+    touched rows. The per-epoch mean loss is returned as the trace. An
+    epoch that trains no triple raises EmptyPool; a non-finite mean
+    raises DivergenceDetected. Single-worker, fully seeded: identical
+    config gives identical tables and traces. The sans sampler draws
+    from the sans_k-hop ball around each triple's subject, built once per
+    run for every subject.
     """
     table = init_embeddings(len(graph.entities), len(graph.relations), cfg.d, cfg.seed)
     table.entity_names = graph.entities.names
@@ -429,7 +434,9 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
                 if cfg.l2 > 0:
                     grad += 2.0 * cfg.l2 * params[rows]
                 stepper.apply(params, rows, grad)
-        mean_loss = epoch_loss / max(seen, 1)
+        if not seen:
+            raise EmptyPool(f"epoch {epoch} trained no triple")
+        mean_loss = epoch_loss / seen
         if not math.isfinite(mean_loss):
             raise DivergenceDetected(epoch)
         trace.append(mean_loss)
@@ -535,6 +542,17 @@ def save_embeddings(path: str | Path, table: EmbeddingTable) -> None:
             fh.write(f"R\t{name}\t{' '.join(format(x, '.17g') for x in row)}\n")
 
 
+def parse_vector(tokens: list[str], dim: int, lineno: int) -> np.ndarray:
+    """The (dim,) vector the tokens spell, or MalformedLine naming the line."""
+    try:
+        vec = np.array([float(x) for x in tokens], dtype=np.float64)
+    except ValueError:
+        vec = None
+    if vec is None or vec.shape != (dim,) or not np.isfinite(vec).all():
+        raise MalformedLine(lineno, f"a vector of {dim} finite numbers")
+    return vec
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read a snapshot back, validating counts, dimensions, and finiteness."""
     lines = read_lines(path)
@@ -556,14 +574,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] not in ("E", "R"):
             raise MalformedLine(lineno, "E or R, name and vector, tab-separated")
-        try:
-            vec = np.array([float(x) for x in parts[2].split(" ")], dtype=np.float64)
-            if not np.isfinite(vec).all():
-                raise ValueError("non-finite value")
-        except ValueError:
-            raise MalformedLine(lineno, f"a vector of {d} finite numbers") from None
-        if vec.shape != (d,):
-            raise MalformedLine(lineno, f"a vector of {d} values")
+        vec = parse_vector(parts[2].split(" "), d, lineno)
         if parts[0] == "E":
             ent_names.append(parts[1])
             ent_rows.append(vec)

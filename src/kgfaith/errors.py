@@ -100,10 +100,6 @@ class EmptyHoldout(KgFaithError, ValueError):
 
 # --- retriever -----------------------------------------------------------
 
-class SourceExhausted(KgFaithError, ValueError):
-    """An external query-vector source ran out of vectors."""
-
-
 class RetrievalImpossible(KgFaithError, RuntimeError):
     """No anchor, grounding triple, subgraph edge or candidate for a flagged span."""
 

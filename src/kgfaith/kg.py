@@ -145,8 +145,6 @@ class Subgraph:
 
     nodes: frozenset[int]
     triples: tuple[Triple, ...]
-    centers: tuple[int, ...]
-    radius: int
 
     def has_node(self, entity: int) -> bool:
         return entity in self.nodes
@@ -240,9 +238,8 @@ class KnowledgeGraph:
         ball, including edges between two frontier nodes.
         """
         check_radius(k)
-        resolved = tuple(self.resolve_entity(c) for c in centers)
-        seen: set[int] = set(resolved)
-        frontier = list(dict.fromkeys(resolved))
+        frontier = list(dict.fromkeys(self.resolve_entity(c) for c in centers))
+        seen: set[int] = set(frontier)
         for _ in range(k):
             if not frontier:
                 break
@@ -262,7 +259,7 @@ class KnowledgeGraph:
                 i for v in seen for i in self._out.get(v, ()) if triples[i].o in seen
             )
         )
-        return Subgraph(nodes=frozenset(seen), triples=induced, centers=resolved, radius=k)
+        return Subgraph(nodes=frozenset(seen), triples=induced)
 
     def direct_edges(self, a: int | str, b: int | str) -> list[Triple]:
         """Triples a -> b, in graph order."""

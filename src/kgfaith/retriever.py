@@ -15,14 +15,14 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Collection, Iterable
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
 from .critic import CriticReport, check_anchor_source, derive_anchors
 from .dialogue import DialogueRecord, splice
-from .embeddings import EmbeddingTable, trilinear
-from .errors import DimensionMismatch, MalformedLine, RetrievalImpossible, SourceExhausted
+from .embeddings import EmbeddingTable, parse_vector, trilinear
+from .errors import DimensionMismatch, LengthMismatch, RetrievalImpossible
 from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, check_radius, read_lines
 
 logger = logging.getLogger(__name__)
@@ -41,52 +41,18 @@ class RankedCandidates:
         return self.candidates[0]
 
 
-class ExternalQueries:
-    """A finite supply of query vectors, consumed one per flagged mention."""
+def load_query_vectors(path: str | Path, dim: int) -> list[np.ndarray]:
+    """One whitespace-separated (dim,) vector per line; # comments skipped.
 
-    def __init__(self, vectors: Iterable[np.ndarray]):
-        self._vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        """Vectors supplied, taken or not."""
-        return len(self._vectors)
-
-    def take(self, dim: int) -> np.ndarray:
-        if self._cursor >= len(self._vectors):
-            raise SourceExhausted(
-                f"query source drained after {self._cursor} vectors"
-            )
-        vec = self._vectors[self._cursor]
-        if vec.shape != (dim,):
-            raise DimensionMismatch(
-                f"query vector {self._cursor} has shape {vec.shape}, expected ({dim},)"
-            )
-        self._cursor += 1
-        return vec
-
-
-def load_query_vectors(path: str | Path) -> ExternalQueries:
-    """One whitespace-separated vector per line; # comments skipped.
-
-    A token that is not a finite number raises MalformedLine with its
+    A line that is not dim finite numbers raises MalformedLine with its
     1-based line number.
     """
     vectors = []
     for lineno, raw in read_lines(path):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            vec = np.array([float(x) for x in line.split()])
-            if not np.isfinite(vec).all():
-                raise ValueError("non-finite value")
-        except ValueError:
-            raise MalformedLine(
-                lineno, "finite numbers separated by whitespace"
-            ) from None
-        vectors.append(vec)
-    return ExternalQueries(vectors)
+        if line and not line.startswith("#"):
+            vectors.append(parse_vector(line.split(), dim, lineno))
+    return vectors
 
 
 def oracle_grounding_triple(
@@ -255,7 +221,7 @@ def refine_response(
     table: EmbeddingTable,
     cfg: RefineConfig,
     aliases: AliasTable,
-    external: ExternalQueries | None = None,
+    queries: Sequence[np.ndarray] | None = None,
 ) -> RefinementOutcome:
     """Replace every flagged mention with its top-ranked subgraph entity.
 
@@ -264,21 +230,31 @@ def refine_response(
     current anchor set, the candidates (ball minus anchors, ascending),
     the query, the ranking. The winner's preferred surface is spliced
     over the span and, with chaining on, the winner joins the anchors.
-    In external mode each flagged mention takes the next vector, whatever
-    its outcome. A span whose retrieval is impossible is kept unchanged
-    and reported under failures; the external-mode supply errors
-    propagate instead: the vector file does not match the flagged spans.
+    External mode, and only it, takes ``queries``: this record's vectors,
+    one per flagged span in text order, whatever the span's outcome; a
+    wrong count raises LengthMismatch and a wrong shape DimensionMismatch,
+    before any span. A span whose retrieval is impossible is kept
+    unchanged and reported under failures.
     """
-    if cfg.mode == "external" and external is None:
-        raise ValueError("external mode needs a query-vector source")
+    if (cfg.mode == "external") != (queries is not None):
+        raise ValueError("query vectors go with the external mode, and only with it")
     flagged = sorted(report.flagged_spans, key=lambda lab: lab.begin)
+    if queries is not None:
+        if len(queries) != len(flagged):
+            raise LengthMismatch(
+                f"{len(queries)} query vector(s), {len(flagged)} flagged span(s)"
+            )
+        for i, vec in enumerate(queries):
+            if np.shape(vec) != (table.dim,):
+                raise DimensionMismatch(
+                    f"query vector {i} has shape {np.shape(vec)}, expected ({table.dim},)"
+                )
     anchors = list(derive_anchors(record, graph, aliases, cfg.anchor_source))
     trace: list[tuple[int, ...]] = [tuple(anchors)]
     replaced: list[tuple[int, int, str]] = []  # (begin, end, new text) per flagged span
     outcomes: list[Edit | Failure] = []  # original-text offsets until the splice below
-    for lab in flagged:
+    for lab, supplied in zip(flagged, [None] * len(flagged) if queries is None else queries):
         old = record.response[lab.begin:lab.end]
-        supplied = external.take(table.dim) if cfg.mode == "external" else None
         try:
             anchor, grounding = scoring_anchor(cfg.mode, record, graph, anchors)
             sub = graph.khop_subgraph(anchors, cfg.k)

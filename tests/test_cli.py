@@ -249,8 +249,10 @@ class TestConfigValuesParseLikeFlags:
     def test_key_of_another_command_ignored(self, data_dir, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert run(self.critique_argv(data_dir, a)) == 0
-        assert self.run_with(tmp_path, {"dim": 32}, self.critique_argv(data_dir, b)) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # "mode" is refine's query construction; critique has no --mode.
+        for blob in ({"dim": 32}, {"mode": "oracle"}):
+            assert self.run_with(tmp_path, blob, self.critique_argv(data_dir, b)) == 0
+            assert a.read_bytes() == b.read_bytes()
 
 
 def parse(argv):
@@ -379,6 +381,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {rule}, got {value}"]
         assert not out.exists()
 
+    def test_in_batch_sampler_with_batch_of_one_refused(self, data_dir, tmp_path, capsys):
+        # Every batch would be skipped: nothing trains.
+        out, trace = tmp_path / "emb.tsv", tmp_path / "loss.csv"
+        argv = self.train_args(data_dir, out, trace, extra=["--sampler", "inbatch", "--batch", "1"])
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the in-batch sampler needs batch size >= 2, got 1"
+        ]
+        assert not out.exists() and not trace.exists()
+
 
 class TestCorruptCommand:
     def corrupt_args(self, data_dir, out, summary, seed=5):
@@ -476,14 +488,18 @@ class TestCritiqueCommand:
         assert capsys.readouterr().err.splitlines() == ["error: k must be >= 0, got -1"]
 
     def test_directed_mode_needs_phrases(self, data_dir, tmp_path, capsys):
+        # A --phrases file with no data lines would turn the orientation
+        # check on with nothing to check, so it is refused.
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("# relation<TAB>phrase\n\n")
         out = tmp_path / "crit.jsonl"
         code = run(["critique", "--in", data_dir / "toy_dialogues.jsonl",
                     "--kg", data_dir / "toy_kg.tsv",
-                    "--aliases", data_dir / "toy_aliases.tsv", "--mode", "directed",
+                    "--aliases", data_dir / "toy_aliases.tsv", "--phrases", phrases,
                     "--out", out])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: the directed mode needs relation phrases"
+            "error: the relation-phrase table is empty"
         ]
         assert not out.exists()
 
@@ -555,7 +571,7 @@ class TestRefineCommand:
         # The BFG to Quentin Blake, against the graph's edge.
         directed = critique(
             data_dir, tmp_path / "directed.jsonl",
-            "--mode", "directed", "--phrases", data_dir / "toy_relation_phrases.tsv",
+            "--phrases", data_dir / "toy_relation_phrases.tsv",
         )
         for src, repaired in ((labelled, False), (directed, True)):
             out = tmp_path / "refined.jsonl"
@@ -675,21 +691,40 @@ class TestRefineCommand:
         ]
         assert rows is None
 
-    @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan"])
+    @pytest.mark.parametrize(
+        "bad", ["0.5 half", "0.5 nan", "0.5 " * 7], ids=["0.5 half", "0.5 nan", "seven numbers"]
+    )
     def test_bad_query_file_is_runtime_error(
         self, data_dir, tmp_path, trained_snapshot, capsys, bad
     ):
         queries = tmp_path / "queries.txt"
         queries.write_text("# one vector per flagged mention\n" + "0.5 " * 8 + f"\n{bad}\n")
+        out = tmp_path / "r.jsonl"
         code = run(["refine", "--in", data_dir / "toy_dialogues.jsonl",
                     "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
                     "--aliases", data_dir / "toy_aliases.tsv",
-                    "--mode", "external", "--queries", queries,
-                    "--out", tmp_path / "r.jsonl"])
+                    "--mode", "external", "--queries", queries, "--out", out])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: MalformedLine: line 3: expected finite numbers separated by whitespace"
+            "error: MalformedLine: line 3: expected a vector of 8 finite numbers"
         ]
+        assert not out.exists()
+
+    def test_queries_outside_external_mode_refused(
+        self, data_dir, tmp_path, trained_snapshot, labelled, capsys
+    ):
+        # Refused before the file is read: this one is not even a vector.
+        queries = tmp_path / "queries.txt"
+        queries.write_text("bogus\n")
+        out = tmp_path / "r.jsonl"
+        capsys.readouterr()
+        code = run(self.refine_argv(data_dir, labelled, trained_snapshot, out)
+                   + ["--mode", "oracle", "--queries", queries])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --queries goes with --mode external, and only with it"
+        ]
+        assert not out.exists()
 
 
 class TestAtomicOutputs:

@@ -200,9 +200,7 @@ class TestDirectedMode:
             [("quentin_blake", "illustrated", "the_bfg")],
             "The BFG was illustrated by Quentin Blake.",
         )
-        directed = Critic(
-            toy_graph, toy_aliases, k=1, mode="directed", relation_phrases=phrases
-        ).critique(rec)
+        directed = Critic(toy_graph, toy_aliases, k=1, relation_phrases=phrases).critique(rec)
         assert [lab.label for lab in directed.labels] == [INTRINSIC, INTRINSIC]
 
     def test_undirected_mode_accepts_reverse(self, toy_graph, toy_aliases):
@@ -211,7 +209,7 @@ class TestDirectedMode:
             [("quentin_blake", "illustrated", "the_bfg")],
             "The BFG was illustrated by Quentin Blake.",
         )
-        report = Critic(toy_graph, toy_aliases, k=1, mode="undirected").critique(rec)
+        report = Critic(toy_graph, toy_aliases, k=1).critique(rec)
         assert not report.flagged
 
     def test_correct_orientation_faithful(self, toy_graph, toy_aliases, phrases):
@@ -220,9 +218,7 @@ class TestDirectedMode:
             [("quentin_blake", "illustrated", "the_bfg")],
             "Quentin Blake illustrated The BFG.",
         )
-        directed = Critic(
-            toy_graph, toy_aliases, k=1, mode="directed", relation_phrases=phrases
-        ).critique(rec)
+        directed = Critic(toy_graph, toy_aliases, k=1, relation_phrases=phrases).critique(rec)
         assert all(lab.label == FAITHFUL for lab in directed.labels)
 
     def test_no_phrase_between_falls_back_to_undirected(self, toy_graph, toy_aliases, phrases):
@@ -231,9 +227,7 @@ class TestDirectedMode:
             [("quentin_blake", "illustrated", "the_bfg")],
             "The BFG, by Quentin Blake.",
         )
-        directed = Critic(
-            toy_graph, toy_aliases, k=1, mode="directed", relation_phrases=phrases
-        ).critique(rec)
+        directed = Critic(toy_graph, toy_aliases, k=1, relation_phrases=phrases).critique(rec)
         assert all(lab.label == FAITHFUL for lab in directed.labels)
 
 
@@ -289,19 +283,16 @@ class TestCriticConfig:
         with pytest.raises(ValueError, match="k must be >= 0"):
             Critic(toy_graph, toy_aliases, k=-1)
 
-    @pytest.mark.parametrize("phrases", [None, {}])
-    def test_directed_mode_needs_phrases(self, toy_graph, toy_aliases, phrases):
-        with pytest.raises(ValueError, match="directed mode needs relation phrases"):
-            Critic(toy_graph, toy_aliases, mode="directed", relation_phrases=phrases)
+    def test_empty_phrase_table_refused(self, toy_graph, toy_aliases):
+        with pytest.raises(ValueError, match="relation-phrase table is empty"):
+            Critic(toy_graph, toy_aliases, relation_phrases={})
 
-    @pytest.mark.parametrize("phrases", [None, {}])
-    def test_critique_response_directed_needs_phrases(self, toy_graph, toy_aliases, phrases):
+    def test_critique_response_refuses_empty_phrase_table(self, toy_graph, toy_aliases):
         rec = record(TABLE_HISTORY, [("roald_dahl", "wrote", "the_witches")], TABLE_RESPONSE)
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
-        with pytest.raises(ValueError, match="directed mode needs relation phrases"):
+        with pytest.raises(ValueError, match="relation-phrase table is empty"):
             critique_response(
-                rec, sub, graph=toy_graph, aliases=toy_aliases,
-                mode="directed", relation_phrases=phrases,
+                rec, sub, graph=toy_graph, aliases=toy_aliases, relation_phrases={}
             )
 
 

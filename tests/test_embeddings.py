@@ -227,7 +227,7 @@ class TestSampleNegatives:
     def test_sans_empty_pool(self, toy_graph):
         from kgfaith.kg import Subgraph
 
-        sub = Subgraph(nodes=frozenset({2}), triples=(), centers=(2,), radius=0)
+        sub = Subgraph(nodes=frozenset({2}), triples=())
         with pytest.raises(EmptyPool):
             sample_negatives(
                 Triple(0, 0, 2), "sans", n=3, rng=np.random.default_rng(0), sub=sub
@@ -337,6 +337,7 @@ class TestTrainingConfig:
             {"sampler": "magic"},
             {"optimizer": "newton"},
             {"l2": -1.0},
+            {"sampler": "in_batch", "batch_size": 1},
         ],
     )
     def test_validation(self, kwargs):
@@ -387,6 +388,12 @@ class TestTrain:
         g = graph_of(4, [(0, 0, 3), (1, 0, 3), (2, 0, 3)])
         with pytest.raises(EmptyPool):
             train(g, TrainingConfig(d=4, epochs=1, sampler="in_batch", batch_size=3))
+
+    def test_in_batch_epoch_training_nothing_is_empty_pool(self):
+        # One triple makes one batch of one, which the in-batch sampler skips.
+        g = graph_of(2, [(0, 0, 1)])
+        with pytest.raises(EmptyPool, match="epoch 1 trained no triple"):
+            train(g, TrainingConfig(d=4, epochs=1, sampler="in_batch", batch_size=2))
 
     def test_sans_ball_without_alternative_is_empty_pool(self):
         g = graph_of(3, [(0, 0, 0), (1, 0, 2)])  # the ball of 0 is {0}

@@ -114,7 +114,7 @@ def _steps(files: dict[str, Path], out: Path, corpus: str) -> list[list]:
             ["subgraph", "--kg", kg, "--center", "the_hobbit", "--k", "1",
              "--out", out / "subgraph-k1.json"],
             ["critique", "--in", records, "--kg", kg, "--aliases", aliases,
-             "--mode", "directed", "--phrases", files["phrases"],
+             "--phrases", files["phrases"],
              "--out", out / "critique-directed.jsonl"],
         ]
     return steps

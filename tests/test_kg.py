@@ -123,7 +123,7 @@ class TestKhopSubgraph:
     @pytest.mark.parametrize("k", [0, 2])
     def test_no_centers_is_empty_ball(self, toy_graph, k):
         sub = toy_graph.khop_subgraph((), k)
-        assert sub == Subgraph(nodes=frozenset(), triples=(), centers=(), radius=k)
+        assert sub == Subgraph(nodes=frozenset(), triples=())
         assert not sub.has_node(0)
 
     def test_k0_keeps_edges_between_centers(self, toy_graph):

@@ -11,14 +11,13 @@ from kgfaith.dialogue import DialogueRecord
 from kgfaith.embeddings import EmbeddingTable, distmult_score
 from kgfaith.errors import (
     DimensionMismatch,
+    LengthMismatch,
     MalformedLine,
     RetrievalImpossible,
-    SourceExhausted,
 )
 from kgfaith.kg import AliasTable
 from kgfaith.retriever import (
     Edit,
-    ExternalQueries,
     Failure,
     RefineConfig,
     build_query,
@@ -91,38 +90,53 @@ def toy_table() -> EmbeddingTable:
 
 
 class TestExternalQueries:
+    """A record's query vectors: one per flagged span, in text order."""
+
+    def refine(self, queries):
+        # e0 (the history anchor) links to e1 and e2; both ghost spans are
+        # flagged extrinsic. From e0, [1, 0] ranks e1 first, [0, 1] e2.
+        g = graph_of(3, [(0, 0, 1), (0, 0, 2)])
+        aliases = AliasTable.from_names(["e0", "e1", "e2"])
+        rec = DialogueRecord(
+            history=["e0"], triples=[], response="xA and xB",
+            spans=[("ghost_a", 0, 2), ("ghost_b", 7, 9)],
+        )
+        report = Critic(g, aliases, anchor_source="history").critique(rec)
+        return refine_response(
+            rec, report, g, table_of([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]]),
+            RefineConfig(mode="external", chain=False, anchor_source="history"),
+            aliases=aliases, queries=queries,
+        )
+
     def test_take_in_order(self):
-        src = ExternalQueries([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        assert np.array_equal(src.take(2), [1.0, 2.0])
-        assert np.array_equal(src.take(2), [3.0, 4.0])
+        out = self.refine([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        assert [e.new_entity for e in out.edits] == ["e1", "e2"]
+        out = self.refine([np.array([0.0, 1.0]), np.array([1.0, 0.0])])
+        assert [e.new_entity for e in out.edits] == ["e2", "e1"]
 
     def test_exhausted(self):
-        src = ExternalQueries([np.zeros(2)])
-        src.take(2)
-        with pytest.raises(SourceExhausted):
-            src.take(2)
+        # Too few vectors for the spans, or too many, is refused.
+        for n in (0, 1, 3):
+            with pytest.raises(LengthMismatch, match=rf"^{n} query vector\(s\), 2 flagged"):
+                self.refine([np.zeros(2)] * n)
 
     def test_dimension_mismatch(self):
-        src = ExternalQueries([np.zeros(3)])
-        with pytest.raises(DimensionMismatch):
-            src.take(2)
+        with pytest.raises(DimensionMismatch, match=r"query vector 1 has shape \(3,\)"):
+            self.refine([np.zeros(2), np.zeros(3)])
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "queries.txt"
         path.write_text("# two 2-d vectors\n1.0 2.0\n\n-0.5 0.25\n")
-        src = load_query_vectors(path)
-        assert np.array_equal(src.take(2), [1.0, 2.0])
-        assert np.array_equal(src.take(2), [-0.5, 0.25])
-        with pytest.raises(SourceExhausted):
-            src.take(2)
+        vectors = load_query_vectors(path, 2)
+        assert [vec.tolist() for vec in vectors] == [[1.0, 2.0], [-0.5, 0.25]]
 
-    @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan", "inf 0.5"])
+    @pytest.mark.parametrize("bad", ["0.5 half", "0.5 nan", "inf 0.5", "0.5 0.5 0.5", "0.5"])
     def test_bad_value_reports_line(self, tmp_path, bad):
         path = tmp_path / "queries.txt"
         path.write_text(f"# header\n1.0 2.0\n{bad}\n")
         with pytest.raises(MalformedLine) as exc:
-            load_query_vectors(path)
-        assert exc.value.line_number == 3
+            load_query_vectors(path, 2)
+        assert str(exc.value) == "line 3: expected a vector of 2 finite numbers"
 
 
 class TestOracleGroundingTriple:
@@ -204,7 +218,7 @@ class TestInferRelation:
         assert infer_relation(sub, table, anchor=0, candidates=candidate_ids([1, 2])) == 0
 
     def test_no_edges_raises(self):
-        sub = Subgraph(nodes=frozenset({0}), triples=(), centers=(0,), radius=1)
+        sub = Subgraph(nodes=frozenset({0}), triples=())
         table = table_of([[1.0]], [[1.0]])
         with pytest.raises(RetrievalImpossible, match="no edges"):
             infer_relation(sub, table, anchor=0, candidates=candidate_ids([]))
@@ -253,31 +267,23 @@ class TestBuildQuery:
         q = build_query(table, sub, 0, cands, grounding=None, supplied=None)
         assert np.array_equal(q, table.relations[0])
 
-    def test_external_consumes_source(self, toy_graph, toy_aliases):
-        rec = table_record()
-        report = Critic(toy_graph, toy_aliases).critique(rec)
-        assert len(report.flagged_spans) == 2
-        src = ExternalQueries([np.array([0.5, -0.5]), np.array([1.0, 1.0])])
-        refine_response(
-            rec, report, toy_graph, toy_table(),
-            RefineConfig(mode="external"), aliases=toy_aliases, external=src,
-        )
-        with pytest.raises(SourceExhausted):
-            src.take(2)
+    def test_external_consumes_source(self, toy_graph):
         sub = toy_graph.khop_subgraph([0, 1], 2)
         supplied = np.array([0.5, -0.5])
         q = build_query(toy_table(), sub, 0, candidate_ids(sub.nodes - {0, 1}), None, supplied)
         assert q is supplied
 
     def test_external_without_source(self, toy_graph, toy_aliases):
-        # Checked once per refine_response call, before any span.
+        # Checked once per refine_response call, before any span; vectors
+        # outside the external mode are refused alike.
         rec = table_record()
         report = Critic(toy_graph, toy_aliases).critique(rec)
-        with pytest.raises(ValueError, match="needs a query-vector source"):
-            refine_response(
-                rec, report, toy_graph, toy_table(),
-                RefineConfig(mode="external"), aliases=toy_aliases,
-            )
+        for mode, queries in (("external", None), ("oracle", [np.zeros(2)] * 2)):
+            with pytest.raises(ValueError, match="query vectors go with the external mode"):
+                refine_response(
+                    rec, report, toy_graph, toy_table(),
+                    RefineConfig(mode=mode), aliases=toy_aliases, queries=queries,
+                )
 
 
 class TestRankCandidates:
@@ -333,7 +339,7 @@ class TestRankCandidates:
         assert ranked.candidates == [(1, 2.0), (2, 2.0)]
 
     def test_anchor_only_subgraph(self):
-        sub = Subgraph(nodes=frozenset({0}), triples=(), centers=(0,), radius=2)
+        sub = Subgraph(nodes=frozenset({0}), triples=())
         q = np.array([1.0])
         with pytest.raises(RetrievalImpossible, match="no candidate entities besides"):
             rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table_of([[1.0]], [[1.0]]))
@@ -514,14 +520,14 @@ class TestRefineResponse:
             response="Try The Hobbit.",
         )
         report = self.report_for(rec, toy_graph, toy_aliases, source="history")
-        src = ExternalQueries([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        cfg = RefineConfig(mode="external", anchor_source="history")
         out = refine_response(
-            rec, report, toy_graph, toy_table(),
-            RefineConfig(mode="external", anchor_source="history"),
-            aliases=toy_aliases, external=src,
+            rec, report, toy_graph, toy_table(), cfg,
+            aliases=toy_aliases, queries=[np.array([1.0, 0.0])],
         )
         assert [f.reason for f in out.failures] == ["anchor set is empty"]
-        assert np.array_equal(src.take(2), [0.0, 1.0])
+        with pytest.raises(LengthMismatch):
+            refine_response(rec, report, toy_graph, toy_table(), cfg, aliases=toy_aliases, queries=[])
 
     def test_isolated_anchor_is_annotated(self):
         ents, rels = Vocabulary(), Vocabulary()
@@ -535,11 +541,10 @@ class TestRefineResponse:
         )
         report = Critic(g, aliases, anchor_source="history").critique(rec)
         assert report.flagged
-        src = ExternalQueries([np.array([1.0])])
         out = refine_response(
             rec, report, g, table_of([[1.0], [1.0], [1.0]], [[1.0]]),
             RefineConfig(mode="external", anchor_source="history"),
-            aliases=aliases, external=src,
+            aliases=aliases, queries=[np.array([1.0])],
         )
         assert out.response == "e1 here"
         assert len(out.failures) == 1
@@ -556,38 +561,33 @@ class TestRefineResponse:
         )
         report = Critic(g, aliases, anchor_source="history").critique(rec)
         assert len(report.flagged_spans) == 2
-        src = ExternalQueries([np.array([3.0]), np.array([3.0])])
         out = refine_response(
             rec, report, g, table_of([[1.0], [2.0]], [[1.0]]),
             RefineConfig(mode="external", anchor_source="history"),
-            aliases=aliases, external=src,
+            aliases=aliases, queries=[np.array([3.0]), np.array([3.0])],
         )
         assert out.response == "e1 then xBB"
         assert len(out.edits) == 1 and len(out.failures) == 1
         assert (out.edits[0].begin, out.edits[0].end) == (0, 2)
         assert out.edits[0].rank1_score == 6.0
         assert (out.failures[0].begin, out.failures[0].end) == (8, 11)
-        with pytest.raises(SourceExhausted):
-            src.take(1)
 
     def test_external_source_exhaustion_propagates(self, toy_graph, toy_aliases):
         rec = table_record()
         report = self.report_for(rec, toy_graph, toy_aliases)
-        src = ExternalQueries([np.array([1.0, 1.0])])
-        with pytest.raises(SourceExhausted):
+        with pytest.raises(LengthMismatch, match="1 query vector"):
             refine_response(
-                rec, report, toy_graph, toy_table(),
-                RefineConfig(mode="external"), aliases=toy_aliases, external=src,
+                rec, report, toy_graph, toy_table(), RefineConfig(mode="external"),
+                aliases=toy_aliases, queries=[np.array([1.0, 1.0])],
             )
 
     def test_external_dimension_mismatch_propagates(self, toy_graph, toy_aliases):
         rec = table_record()
         report = self.report_for(rec, toy_graph, toy_aliases)
-        src = ExternalQueries([np.array([1.0, 1.0, 1.0])])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="query vector 0"):
             refine_response(
-                rec, report, toy_graph, toy_table(),
-                RefineConfig(mode="external"), aliases=toy_aliases, external=src,
+                rec, report, toy_graph, toy_table(), RefineConfig(mode="external"),
+                aliases=toy_aliases, queries=[np.array([1.0, 1.0, 1.0])] * 2,
             )
 
     def test_merged_json_shape(self, toy_graph, toy_aliases):
