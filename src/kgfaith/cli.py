@@ -256,7 +256,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         corrupted, summary = build_synthetic_dataset(
             records, graph, types, cfg, aliases=aliases
         )
-        text = json.dumps(summary.to_json(), indent=2)
+        text = json.dumps(dataclasses.asdict(summary), indent=2)
         write_dialogues(out, (rec.to_json() for rec in corrupted))
         if summary_out:
             summary_out.write_text(text + "\n", encoding="utf-8")
@@ -425,11 +425,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 critic = Critic(graph, aliases, k=args.k)
                 flags = []
                 for rec in records:
-                    probe = DialogueRecord(
-                        history=rec.history,
-                        triples=rec.triples,
+                    probe = dataclasses.replace(
+                        rec,
                         response=rec.extra.get("refined_response", rec.response),
-                        gold_response=rec.gold_response,
+                        spans=None,
+                        extra={},
                     )
                     flags.append(critic.critique(probe).flagged)
                 rate = hallucination_rate(flags)

@@ -21,12 +21,12 @@ import logging
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .critic import derive_anchors, response_mentions
+from .critic import EXTRINSIC, INTRINSIC, derive_anchors, response_mentions
 from .dialogue import DialogueRecord, MentionSpan, splice
 from .errors import (
     AllRecordsDropped,
@@ -37,9 +37,6 @@ from .errors import (
 from .kg import AliasTable, KnowledgeGraph, Subgraph, Vocabulary, canonical, check_radius
 
 logger = logging.getLogger(__name__)
-
-KIND_EXTRINSIC = "extrinsic"
-KIND_INTRINSIC = "intrinsic"
 
 POLICIES = ("fallback", "drop")
 
@@ -249,21 +246,10 @@ def corrupt_extrinsic(
     return CorruptedRecord(
         original=record,
         response=corrupted,
-        kind=KIND_EXTRINSIC,
+        kind=EXTRINSIC,
         labels=new_spans,
         replacements=replacements,
     )
-
-
-def _is_bidirectional(
-    s: str, p: str, o: str, graph: KnowledgeGraph
-) -> bool:
-    sid, oid = graph.entities.get(s), graph.entities.get(o)
-    pid = graph.relations.get(p)
-    if sid is None or oid is None or pid is None:
-        return False
-    reverse = graph.direct_edges(oid, sid)
-    return any(t.p == pid for t in reverse)
 
 
 def corrupt_intrinsic(
@@ -299,7 +285,12 @@ def corrupt_intrinsic(
         a, b = ms[0], mo[0]
         if a.begin in used or b.begin in used:
             continue
-        if _is_bidirectional(s, p, o, graph):
+        pid = graph.relations.get(p)
+        if (
+            a.entity_id is not None
+            and b.entity_id is not None
+            and any(t.p == pid for t in graph.direct_edges(b.entity_id, a.entity_id))
+        ):
             logger.debug("skipping bidirectional pair (%s, %s, %s)", s, p, o)
             continue
         used.add(a.begin)
@@ -324,7 +315,7 @@ def corrupt_intrinsic(
     return CorruptedRecord(
         original=record,
         response=corrupted,
-        kind=KIND_INTRINSIC,
+        kind=INTRINSIC,
         labels=[new_spans[i] for i in order],
         replacements=[replacements[i] for i in order],
     )
@@ -341,9 +332,6 @@ class DatasetSummary:
     fallback_to_intrinsic: int = 0
     dropped: int = 0
     drop_reasons: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def build_synthetic_dataset(
@@ -385,14 +373,14 @@ def build_synthetic_dataset(
 
     out: list[CorruptedRecord] = []
     for idx, rec in enumerate(records):
-        assigned = KIND_EXTRINSIC if idx in extrinsic_assigned else KIND_INTRINSIC
+        assigned = EXTRINSIC if idx in extrinsic_assigned else INTRINSIC
         plan = [assigned]
         if cfg.policy == "fallback":
-            plan.append(KIND_INTRINSIC if assigned == KIND_EXTRINSIC else KIND_EXTRINSIC)
+            plan.append(INTRINSIC if assigned == EXTRINSIC else EXTRINSIC)
         produced: CorruptedRecord | None = None
         for attempt, kind in enumerate(plan):
             try:
-                if kind == KIND_EXTRINSIC:
+                if kind == EXTRINSIC:
                     produced = try_extrinsic(rec, idx)
                 else:
                     produced = corrupt_intrinsic(rec, graph, aliases)
@@ -400,7 +388,7 @@ def build_synthetic_dataset(
                 logger.debug("record %d: %s corruption failed: %s", idx, kind, err)
                 continue
             if attempt > 0:
-                if kind == KIND_EXTRINSIC:
+                if kind == EXTRINSIC:
                     summary.fallback_to_extrinsic += 1
                 else:
                     summary.fallback_to_intrinsic += 1
@@ -409,7 +397,7 @@ def build_synthetic_dataset(
             summary.dropped += 1
             summary.drop_reasons.append(f"record {idx}: no strategy applicable")
             continue
-        if produced.kind == KIND_EXTRINSIC:
+        if produced.kind == EXTRINSIC:
             summary.realized_extrinsic += 1
         else:
             summary.realized_intrinsic += 1

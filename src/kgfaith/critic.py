@@ -208,7 +208,7 @@ def critique_response(
         )
 
     labels = [FAITHFUL] * len(mentions)
-    in_sub = [m.entity_id is not None and sub.has_node(m.entity_id) for m in mentions]
+    in_sub = [m.entity_id in sub.nodes for m in mentions]
 
     folded_history = [canonical(turn) for turn in record.history]
     for i, m in enumerate(mentions):

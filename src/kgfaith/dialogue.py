@@ -106,7 +106,7 @@ class DialogueRecord:
 
 
 def check_spans(spans: list[tuple[Any, Any]], response: str) -> None:
-    """Refuse [begin, end) spans of a response read from outside the program.
+    """The one check of [begin, end) spans of a response: read from a file or spliced.
 
     Offsets must be JSON integers (not booleans, not 0.0) with
     0 <= begin < end <= len(response), and spans may touch but not
@@ -128,25 +128,19 @@ def splice(
 ) -> tuple[str, list[tuple[int, int]]]:
     """Apply non-overlapping span replacements left to right.
 
-    Each edit is (begin, end, replacement). Returns the new text and the
-    new [begin, end) span of every replacement, in edit order, with all
-    offsets shifted to account for earlier edits.
+    Each edit is (begin, end, replacement), its span one that check_spans
+    accepts. Returns the new text and the new [begin, end) span of every
+    replacement, in edit order, with all offsets shifted to account for
+    earlier edits.
     """
+    check_spans([(begin, end) for begin, end, _ in edits], text)
     ordered = sorted(range(len(edits)), key=lambda i: edits[i][0])
-    for a, b in zip(ordered, ordered[1:]):
-        if edits[a][1] > edits[b][0]:
-            raise ValueError(
-                f"overlapping edits at [{edits[a][0]}, {edits[a][1]}) "
-                f"and [{edits[b][0]}, {edits[b][1]})"
-            )
     pieces: list[str] = []
     new_spans: dict[int, tuple[int, int]] = {}
     cursor = 0
     delta = 0
     for i in ordered:
         begin, end, repl = edits[i]
-        if not 0 <= begin <= end <= len(text):
-            raise ValueError(f"edit [{begin}, {end}) out of range")
         pieces.append(text[cursor:begin])
         pieces.append(repl)
         new_begin = begin + delta

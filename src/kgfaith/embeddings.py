@@ -29,7 +29,7 @@ from .errors import (
     MalformedLine,
     ZeroDimension,
 )
-from .kg import KnowledgeGraph, Subgraph, Triple, read_lines
+from .kg import KnowledgeGraph, Subgraph, Triple, check_radius, read_lines
 from .metrics import RankingSummary, ranking_metrics
 
 logger = logging.getLogger(__name__)
@@ -326,6 +326,7 @@ class TrainingConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
+        check_radius(self.sans_k)
         if self.sampler == "in_batch" and self.batch_size < 2:
             raise ValueError(
                 f"the in-batch sampler needs batch size >= 2, got {self.batch_size}"
@@ -554,7 +555,10 @@ def parse_vector(tokens: list[str], dim: int, lineno: int) -> np.ndarray:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read a snapshot back, validating counts, dimensions, and finiteness."""
+    """Read a snapshot back, validating counts, dimensions, names and finiteness.
+
+    Every count in the header is at least 1, and a name is given once per kind.
+    """
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].rstrip("\r\n").split(" ")
     if len(header) != 5 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
@@ -563,35 +567,32 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         n_ent, n_rel, d = (int(x) for x in header[2:])
     except ValueError:
         raise MalformedLine(1, "integer entity, relation and dimension counts") from None
-    ent_rows: list[np.ndarray] = []
-    rel_rows: list[np.ndarray] = []
-    ent_names: list[str] = []
-    rel_names: list[str] = []
+    if min(n_ent, n_rel, d) < 1:
+        raise MalformedLine(1, "entity, relation and dimension counts of at least 1")
+    rows: dict[str, dict[str, np.ndarray]] = {"E": {}, "R": {}}  # kind -> name -> vector
     for lineno, raw in lines:
         line = raw.rstrip("\r\n")
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 3 or parts[0] not in ("E", "R"):
+        if len(parts) != 3 or parts[0] not in rows:
             raise MalformedLine(lineno, "E or R, name and vector, tab-separated")
-        vec = parse_vector(parts[2].split(" "), d, lineno)
-        if parts[0] == "E":
-            ent_names.append(parts[1])
-            ent_rows.append(vec)
-        else:
-            rel_names.append(parts[1])
-            rel_rows.append(vec)
-    if len(ent_rows) != n_ent or len(rel_rows) != n_rel:
+        kind, name, values = parts
+        if name in rows[kind]:
+            raise MalformedLine(lineno, f"an {kind} name not given on an earlier row")
+        rows[kind][name] = parse_vector(values.split(" "), d, lineno)
+    ents, rels = rows["E"], rows["R"]
+    if len(ents) != n_ent or len(rels) != n_rel:
         raise MalformedLine(
             1,
-            f"entity/relation counts {len(ent_rows)}/{len(rel_rows)} to match "
+            f"entity/relation counts {len(ents)}/{len(rels)} to match "
             f"the rows below it, not {n_ent}/{n_rel}",
         )
     return EmbeddingTable(
-        entities=np.vstack(ent_rows),
-        relations=np.vstack(rel_rows),
-        entity_names=ent_names,
-        relation_names=rel_names,
+        entities=np.vstack(list(ents.values())),
+        relations=np.vstack(list(rels.values())),
+        entity_names=list(ents),
+        relation_names=list(rels),
     )
 
 

@@ -41,7 +41,7 @@ class UnknownEntity(KgFaithError, KeyError):
 
 
 class UnknownRelation(KgFaithError, KeyError):
-    """A relation id or name is not in the vocabulary."""
+    """A relation name is not in the vocabulary."""
 
 
 # --- critic --------------------------------------------------------------

@@ -64,8 +64,6 @@ def _substrings_in(
     key (``starts``) once per key length, so the cost follows the text
     and the number of distinct lengths, not the number of keys.
     """
-    if "" in keys:  # an empty key occurs in every text
-        yield ""
     for i, char in enumerate(text):
         if char in starts:
             for n in lengths:
@@ -123,9 +121,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return canonical(name) in self._ids
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
 
@@ -145,9 +140,6 @@ class Subgraph:
 
     nodes: frozenset[int]
     triples: tuple[Triple, ...]
-
-    def has_node(self, entity: int) -> bool:
-        return entity in self.nodes
 
 
 class KnowledgeGraph:
@@ -186,15 +178,11 @@ class KnowledgeGraph:
             raise UnknownEntity(entity)
         return entity
 
-    def resolve_relation(self, relation: int | str) -> int:
-        if isinstance(relation, str):
-            idx = self.relations.get(relation)
-            if idx is None:
-                raise UnknownRelation(relation)
-            return idx
-        if not 0 <= relation < len(self.relations):
+    def resolve_relation(self, relation: str) -> int:
+        idx = self.relations.get(relation)
+        if idx is None:
             raise UnknownRelation(relation)
-        return relation
+        return idx
 
     # --- adjacency ---------------------------------------------------
 
@@ -459,9 +447,6 @@ class AliasTable:
         found = _substrings_in(folded, index.owners, index.owner_lengths, index.owner_starts)
         return {entity for key in found for entity in index.owners[key]}
 
-    def surfaces_of(self, entity: str) -> list[str]:
-        return list(self._surfaces.get(entity, []))
-
     def preferred(self, entity: str) -> str:
         forms = self._surfaces.get(entity)
         return forms[0] if forms else entity
@@ -474,9 +459,6 @@ class AliasTable:
         for entity, forms in self._surfaces.items():
             for surface in forms:
                 yield entity, surface
-
-    def __contains__(self, entity: str) -> bool:
-        return entity in self._surfaces
 
 
 def load_aliases(path: str | Path) -> AliasTable:

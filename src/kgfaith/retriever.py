@@ -13,7 +13,7 @@ neighborhood and earlier picks are excluded from later candidate sets.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Collection, Sequence
 
@@ -35,10 +35,6 @@ class RankedCandidates:
     """(entity, score) pairs, scores nonincreasing, ties by ascending id."""
 
     candidates: list[tuple[int, float]]
-
-    @property
-    def top(self) -> tuple[int, float]:
-        return self.candidates[0]
 
 
 def load_query_vectors(path: str | Path, dim: int) -> list[np.ndarray]:
@@ -183,9 +179,6 @@ class Edit:
     new_entity: str
     rank1_score: float
 
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class Failure:
@@ -195,22 +188,18 @@ class Failure:
     end: int
     reason: str
 
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class RefinementOutcome:
     response: str
     edits: list[Edit]
     failures: list[Failure]
-    anchor_trace: list[tuple[int, ...]] = field(default_factory=list)
 
     def merged_json(self, record: DialogueRecord) -> dict[str, Any]:
         out = record.to_json()
         out["refined_response"] = self.response
-        out["edits"] = [e.to_json() for e in self.edits]
-        out["failures"] = [f.to_json() for f in self.failures]
+        out["edits"] = [asdict(e) for e in self.edits]
+        out["failures"] = [asdict(f) for f in self.failures]
         return out
 
 
@@ -250,7 +239,6 @@ def refine_response(
                     f"query vector {i} has shape {np.shape(vec)}, expected ({table.dim},)"
                 )
     anchors = list(derive_anchors(record, graph, aliases, cfg.anchor_source))
-    trace: list[tuple[int, ...]] = [tuple(anchors)]
     replaced: list[tuple[int, int, str]] = []  # (begin, end, new text) per flagged span
     outcomes: list[Edit | Failure] = []  # original-text offsets until the splice below
     for lab, supplied in zip(flagged, [None] * len(flagged) if queries is None else queries):
@@ -266,13 +254,12 @@ def refine_response(
             replaced.append((lab.begin, lab.end, old))
             outcomes.append(Failure(lab.begin, lab.end, str(err)))
         else:
-            top_id, top_score = ranked.top
+            top_id, top_score = ranked.candidates[0]
             entity_name = graph.entities.name_of(top_id)
             replaced.append((lab.begin, lab.end, aliases.preferred(entity_name)))
             outcomes.append(Edit(lab.begin, lab.end, old, entity_name, top_score))
             if cfg.chain and top_id not in anchors:
                 anchors.append(top_id)
-        trace.append(tuple(anchors))
 
     refined, new_spans = splice(record.response, replaced)
     for outcome, (begin, end) in zip(outcomes, new_spans):
@@ -281,5 +268,4 @@ def refine_response(
         response=refined,
         edits=[o for o in outcomes if isinstance(o, Edit)],
         failures=[o for o in outcomes if isinstance(o, Failure)],
-        anchor_trace=trace,
     )

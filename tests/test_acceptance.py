@@ -42,6 +42,7 @@ from kgfaith.dialogue import DialogueRecord
 from kgfaith.embeddings import (
     EmbeddingTable,
     TrainingConfig,
+    batch_nce_loss_and_grad,
     evaluate_link_prediction,
     nce_loss_and_grad,
     sample_negatives,
@@ -214,6 +215,74 @@ def test_gate3_gradients_match_finite_differences():
     gate("gate3", f"100 random instances, worst relative error {worst:.2e} < 1e-4")
 
 
+def test_batch_kernel_gradients_match_finite_differences():
+    """Gate 3's check on batch_nce_loss_and_grad, the kernel train() steps with.
+
+    100 instances drawn the way gate 3 draws them, each a batch of 1-4
+    rows whose masks keep 1-6 negatives. The few ids make rows share
+    subjects and objects, so the kernel must sum their gradients. Every
+    row of both matrices is differentiated, so a touched row left out of
+    the returned ids shows up as well.
+    """
+    h = 1e-5
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    shared = 0
+    for _ in range(100):
+        n_ent = int(rng.integers(2, 8))
+        n_rel = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 7))
+        table = EmbeddingTable(
+            entities=rng.normal(scale=0.5, size=(n_ent, d)),
+            relations=rng.normal(scale=0.5, size=(n_rel, d)),
+        )
+        rows = int(rng.integers(1, 5))
+        width = 1 + int(rng.integers(1, 7))
+        subjects = rng.integers(n_ent, size=rows)
+        predicates = rng.integers(n_rel, size=rows)
+        mask = np.arange(width) < 1 + rng.integers(1, width, size=rows)[:, None]
+        objects = rng.integers(n_ent, size=(rows, width))
+        objects = np.where(mask, objects, objects[:, :1])  # masked cells hold the positive
+        per_row = sum(len({int(subjects[i]), *objects[i].tolist()}) for i in range(rows))
+        shared += per_row > len(np.unique(np.concatenate([subjects, objects.ravel()])))
+
+        def kernel():
+            return batch_nce_loss_and_grad(subjects, predicates, objects, mask, table)
+
+        def loss() -> float:
+            return float(kernel()[0].sum())
+
+        _, (ent_ids, ent_grad), (rel_ids, rel_grad) = kernel()
+        analytic = (np.zeros_like(table.entities), np.zeros_like(table.relations))
+        analytic[0][ent_ids] = ent_grad
+        analytic[1][rel_ids] = rel_grad
+        for mat, grads in zip((table.entities, table.relations), analytic):
+            for idx, g in enumerate(grads):
+                ref = np.zeros(d)
+                for j in range(d):
+                    orig = mat[idx, j]
+                    mat[idx, j] = orig + h
+                    lp = loss()
+                    mat[idx, j] = orig - h
+                    lm = loss()
+                    mat[idx, j] = orig
+                    ref[j] = (lp - lm) / (2 * h)
+                if not ref.any():
+                    # The loss does not depend on this row: untouched, or every
+                    # kept negative of its batch rows is the positive. The
+                    # gradient is then the rounding of softmax weights summing
+                    # to zero, which a relative error cannot measure; it must
+                    # stay below the 1e-12 that gate 3 counts as zero.
+                    assert np.linalg.norm(g) < 1e-12
+                    continue
+                err = float(np.linalg.norm(g - ref) / (np.linalg.norm(g) + np.linalg.norm(ref)))
+                worst = max(worst, err)
+                assert err < 1e-4
+    assert shared >= 50
+    print(f"batch kernel: {shared}/100 instances share ids across rows, "
+          f"worst relative error {worst:.2e} < 1e-4")
+
+
 def test_gate4_extrinsic_corruptions_sound_and_detected(sparse_dataset):
     """Mass-generated extrinsic corruptions: quota, soundness, recall."""
     graph, _, aliases, records, out, summary = sparse_dataset
@@ -233,7 +302,7 @@ def test_gate4_extrinsic_corruptions_sound_and_detected(sparse_dataset):
         history = [canonical(turn) for turn in c.original.history]
         for _, new in c.replacements:
             nid = graph.entities.get(new)
-            in_sub = nid is None or sub.has_node(nid)
+            in_sub = nid is None or nid in sub.nodes
             in_hist = any(canonical(new) in turn for turn in history)
             if in_sub or in_hist:
                 unsound += 1

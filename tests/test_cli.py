@@ -381,6 +381,14 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {rule}, got {value}"]
         assert not out.exists()
 
+    def test_negative_sans_radius_refused(self, data_dir, tmp_path, capsys):
+        # Refused with the config, before the stage-seed line and any work.
+        out, trace = tmp_path / "emb.tsv", tmp_path / "loss.csv"
+        argv = self.train_args(data_dir, out, trace, extra=["--sampler", "sans:-1"])
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: k must be >= 0, got -1"]
+        assert not out.exists() and not trace.exists()
+
     def test_in_batch_sampler_with_batch_of_one_refused(self, data_dir, tmp_path, capsys):
         # Every batch would be skipped: nothing trains.
         out, trace = tmp_path / "emb.tsv", tmp_path / "loss.csv"
@@ -858,9 +866,13 @@ class TestAtomicOutputs:
 class TestSnapshotErrors:
     """A snapshot line that does not parse is a runtime error naming the line."""
 
-    @pytest.fixture(params=["non-numeric", "non-finite", "bad-count", "truncated"])
+    @pytest.fixture(params=[
+        "non-numeric", "non-finite", "bad-count", "truncated", "zero-relations",
+        "duplicate-name", "bad-kind",
+    ])
     def broken_snapshot(self, request, tmp_path, trained_snapshot):
         lines = trained_snapshot.read_text().splitlines()
+        assert lines[0] == "pathhunter-emb v1 8 3 8"
         if request.param == "bad-count":
             lines[0] = lines[0].rsplit(" ", 1)[0] + " eight"
             line = 1
@@ -868,6 +880,17 @@ class TestSnapshotErrors:
             # The header promises 8 entity and 3 relation rows; 4 and 0 remain.
             lines = lines[:5]
             line = 1
+        elif request.param == "zero-relations":
+            # Header and rows agree on 0 relation rows; no table has none.
+            lines = ["pathhunter-emb v1 8 0 8", *lines[1:9]]
+            line = 1
+        elif request.param == "duplicate-name":
+            # A second roald_dahl row, counted in the header, on line 13.
+            lines = ["pathhunter-emb v1 9 3 8", *lines[1:], lines[1]]
+            line = 13
+        elif request.param == "bad-kind":
+            lines[3] = "X" + lines[3][1:]
+            line = 4
         else:
             kind, name, vec = lines[3].split("\t")
             bad = "bogus" if request.param == "non-numeric" else "nan"

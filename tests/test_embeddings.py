@@ -338,6 +338,7 @@ class TestTrainingConfig:
             {"optimizer": "newton"},
             {"l2": -1.0},
             {"sampler": "in_batch", "batch_size": 1},
+            {"sampler": "sans", "sans_k": -1},
         ],
     )
     def test_validation(self, kwargs):

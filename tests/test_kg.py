@@ -28,7 +28,7 @@ class TestVocabulary:
         v = Vocabulary()
         v.add("The  BFG")
         assert v.id_of("the bfg") == 0
-        assert "THE BFG" in v
+        assert v.get("THE BFG") == 0
         assert v.name_of(0) == "The  BFG"
 
     def test_get_missing_returns_none(self):
@@ -124,7 +124,7 @@ class TestKhopSubgraph:
     def test_no_centers_is_empty_ball(self, toy_graph, k):
         sub = toy_graph.khop_subgraph((), k)
         assert sub == Subgraph(nodes=frozenset(), triples=())
-        assert not sub.has_node(0)
+        assert 0 not in sub.nodes
 
     def test_k0_keeps_edges_between_centers(self, toy_graph):
         sub = toy_graph.khop_subgraph(["roald_dahl", "the_witches"], 0)
@@ -140,7 +140,7 @@ class TestKhopSubgraph:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
         assert sub.nodes == {0, 1, 2, 3, 4, 5}
         assert len(sub.triples) == 5
-        assert not sub.has_node(toy_graph.entities.id_of("the_hobbit"))
+        assert toy_graph.entities.id_of("the_hobbit") not in sub.nodes
 
     def test_k3_reaches_the_hobbit_not_tolkien(self, toy_graph):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 3)
@@ -288,10 +288,8 @@ class TestAliasTable:
             toy_aliases.preferred("charlie_and_the_chocolate_factory")
             == "Charlie and the Chocolate Factory"
         )
-        assert toy_aliases.surfaces_of("charlie_and_the_chocolate_factory") == [
-            "Charlie and the Chocolate Factory",
-            "Charlie",
-        ]
+        forms = [s for e, s in toy_aliases.items() if e == "charlie_and_the_chocolate_factory"]
+        assert forms == ["Charlie and the Chocolate Factory", "Charlie"]
 
     def test_surface_lookup_case_insensitive(self, toy_aliases):
         assert toy_aliases.entity_of("the bfg") == "the_bfg"
@@ -299,7 +297,7 @@ class TestAliasTable:
         assert toy_aliases.entity_of("unknown surface") is None
 
     def test_alias_only_entities_listed(self, toy_aliases):
-        assert "the_time_machine" in toy_aliases
+        assert "the_time_machine" in {e for e, _ in toy_aliases.items()}
         assert toy_aliases.preferred("the_time_machine") == "The Time Machine"
 
     def test_fallback_to_entity_name(self, toy_aliases):
