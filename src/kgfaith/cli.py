@@ -23,26 +23,20 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .corruptor import CorruptionConfig, build_synthetic_dataset
+# corruptor, embeddings and retriever import numpy, so only the commands
+# that use them import them: kg stats, subgraph, critique and an eval
+# without --emb start without numpy.
+from .choices import OPTIMIZERS, QUERY_MODES
 from .critic import ANCHOR_SOURCES, Critic, CriticReport, load_relation_phrases
 from .dialogue import DialogueRecord, read_dialogues, write_dialogues
-from .embeddings import (
-    OPTIMIZERS,
-    EmbeddingTable,
-    TrainingConfig,
-    align_table,
-    evaluate_link_prediction,
-    load_embeddings,
-    save_embeddings,
-    save_loss_trace,
-    train,
-)
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import EvalSummary, bleu, hallucination_rate
-from .retriever import QUERY_MODES, RefineConfig, load_query_vectors, refine_response
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingTable
 
 
 def stage_seed(root: int, stage: str) -> int:
@@ -191,6 +185,8 @@ def _load_table(path: str, graph) -> EmbeddingTable:
     A malformed line stays a runtime error; a snapshot that parses but
     does not fit (missing names) is a validation error.
     """
+    from .embeddings import align_table, load_embeddings
+
     return align_table(load_embeddings(_require_file(path, "--emb")), graph)
 
 
@@ -243,6 +239,8 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    from .corruptor import CorruptionConfig, build_synthetic_dataset
+
     with _atomic_outputs(args.out, args.summary) as (out, summary_out):
         seed = stage_seed(args.seed, "corrupt")
         cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
@@ -266,6 +264,8 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .embeddings import TrainingConfig, save_embeddings, save_loss_trace, train
+
     with _atomic_outputs(args.out, args.trace) as (out, trace_out):
         sampler, sans_hops = _parse_sampler(args.sampler)
         seed = stage_seed(args.seed, "train")
@@ -294,22 +294,27 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _critic(args: argparse.Namespace, graph) -> Critic:
+    """The critic of --aliases, --k, --phrases and --anchors (critique and eval)."""
+    aliases = load_aliases(_require_file(args.aliases, "--aliases"))
+    phrases = (
+        load_relation_phrases(_require_file(args.phrases, "--phrases"))
+        if args.phrases
+        else None
+    )
+    return Critic(
+        graph,
+        aliases,
+        k=args.k,
+        relation_phrases=phrases,
+        anchor_source=args.anchors,
+    )
+
+
 def _cmd_critique(args: argparse.Namespace) -> int:
     with _atomic_outputs(args.out) as (out,):
         graph = load_triples(_require_file(args.kg, "--kg"))
-        aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-        phrases = (
-            load_relation_phrases(_require_file(args.phrases, "--phrases"))
-            if args.phrases
-            else None
-        )
-        critic = Critic(
-            graph,
-            aliases,
-            k=args.k,
-            relation_phrases=phrases,
-            anchor_source=args.anchors,
-        )
+        critic = _critic(args, graph)
         records = read_dialogues(_require_file(args.input, "--in"))
         flagged = 0
 
@@ -340,6 +345,8 @@ def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    from .retriever import RefineConfig, load_query_vectors, refine_response
+
     with _atomic_outputs(args.out) as (out,):
         if (args.mode == "external") != (args.queries is not None):
             raise ConfigValidation("--queries goes with --mode external, and only with it")
@@ -394,6 +401,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         if args.ranks_csv is not None and not want_ranking:
             raise ConfigValidation("--ranks-csv needs --emb and --heldout")
+        if args.phrases is not None and args.aliases is None:
+            raise ConfigValidation("--phrases needs --aliases")
         graph = load_triples(_require_file(args.kg, "--kg"))
         counts: dict[str, int] = {}
         ranking = None
@@ -401,6 +410,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rate = None
 
         if want_ranking:
+            from .embeddings import evaluate_link_prediction
+
             table = _load_table(args.emb, graph)
             heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
             ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
@@ -421,8 +432,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             else:
                 print("eval: no gold responses, skipping BLEU", file=sys.stderr)
             if args.aliases:
-                aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-                critic = Critic(graph, aliases, k=args.k)
+                critic = _critic(args, graph)
                 flags = []
                 for rec in records:
                     probe = dataclasses.replace(
@@ -503,7 +513,7 @@ def build_parser(opts: _Options) -> _Parser:
     opts.add(tr, "--epochs", type=int, default=50, help="training epochs (tool default 50)")
     opts.add(tr, "--batch", type=int, default=32, help="mini-batch size (tool default 32)")
     opts.add(tr, "--lr", type=float, default=1e-2, help="learning rate (tool default 0.01)")
-    opts.add(tr, "--optimizer", choices=tuple(OPTIMIZERS), default="sgd", help="update rule (tool default sgd)")
+    opts.add(tr, "--optimizer", choices=OPTIMIZERS, default="sgd", help="update rule (tool default sgd)")
     opts.add(tr, "--l2", type=float, default=1e-4, help="L2 coefficient on touched rows (tool default 1e-4)")
     opts.add(tr, "--seed", type=int, default=0, help="root seed (tool default 0)")
     opts.add(tr, "--out", required=True, help="embedding snapshot output path")
@@ -545,6 +555,8 @@ def build_parser(opts: _Options) -> _Parser:
     opts.add(ev, "--aliases", default=None, help="alias TSV (enables hallucination rate on refined text)")
     opts.add(ev, "--bleu-level", choices=("corpus", "sentence"), default="corpus", help="BLEU pooling (tool default corpus)")
     opts.add(ev, "--k", type=int, default=2, help="critic radius for the hallucination rate on --refined (method default 2)")
+    opts.add(ev, "--phrases", default=None, help="relation-phrase TSV; turns on the orientation check (optional)")
+    opts.add(ev, "--anchors", choices=ANCHOR_SOURCES, default="kn", help="anchor entities from grounding triples (kn) or history (tool default kn)")
     opts.add(ev, "--ranks-csv", default=None, help="per-item rank CSV output path")
     opts.add(ev, "--out", default=None, help="summary JSON path (default stdout)")
     ev.set_defaults(func=_cmd_eval)

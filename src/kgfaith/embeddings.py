@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .choices import OPTIMIZERS
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -35,7 +36,6 @@ from .metrics import RankingSummary, ranking_metrics
 logger = logging.getLogger(__name__)
 
 SAMPLERS = ("uniform", "sans", "in_batch")
-OPTIMIZERS = ("sgd", "adam")
 
 SNAPSHOT_MAGIC = "pathhunter-emb"
 SNAPSHOT_VERSION = "v1"

@@ -19,6 +19,7 @@ from typing import Any, Collection, Sequence
 
 import numpy as np
 
+from .choices import QUERY_MODES
 from .critic import CriticReport, check_anchor_source, derive_anchors
 from .dialogue import DialogueRecord, splice
 from .embeddings import EmbeddingTable, parse_vector, trilinear
@@ -26,8 +27,6 @@ from .errors import DimensionMismatch, LengthMismatch, RetrievalImpossible
 from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, check_radius, read_lines
 
 logger = logging.getLogger(__name__)
-
-QUERY_MODES = ("oracle", "inferred", "external")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,113 @@ class TestDispatch:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "{entities: 8, relations: 3, triples: 7}"
+
+
+# main() on its arguments in a fresh interpreter where numpy cannot be
+# imported: a None entry in sys.modules makes `import numpy` raise.
+WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from kgfaith.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_without_numpy(argv, code=WITHOUT_NUMPY):
+    env = {**os.environ, "PYTHONPATH": str(Path(kgfaith.__file__).parents[1]), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-c", code, *[str(a) for a in argv]], capture_output=True, env=env
+    )
+
+
+class TestWithoutNumpy:
+    """kg stats, subgraph, critique and a text-only eval never import numpy.
+
+    Only a fresh process can show it: pytest has imported numpy by now.
+    Each command must still write the bytes it wrote when the CLI
+    imported numpy at the top (the digests of test_golden.py and the
+    parent's eval summary).
+    """
+
+    def test_importing_the_cli_leaves_numpy_out(self):
+        proc = run_without_numpy(
+            [], "import sys, kgfaith.cli; print('numpy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"
+
+    @pytest.mark.parametrize(
+        "case", ["kg-stats", "subgraph", "critique", "critique-phrases", "eval-text"]
+    )
+    def test_command_runs_and_writes_the_same_bytes(self, case, data_dir, tmp_path):
+        kg, aliases = data_dir / "toy_kg.tsv", data_dir / "toy_aliases.tsv"
+        records = data_dir / "toy_dialogues.jsonl"
+        out = tmp_path / "out"
+        crit = ["critique", "--in", records, "--kg", kg, "--aliases", aliases]
+        argv, written, digest, err = {
+            "kg-stats": (
+                ["kg", "stats", "--kg", kg, "--json"], False,
+                "e864a3881573ce8b2eb4e01477895ed601ed555149518aa1463a12cc5f2cdee2", b"",
+            ),
+            "subgraph": (
+                ["subgraph", "--kg", kg, "--center", "roald_dahl,fantasy", "--k", "2",
+                 "--out", out], True,
+                "8e44f1fcafc668c4c78a22cac00fd7b8eaa47a2f78fe59302fa99bcc5e2b0c88", b"",
+            ),
+            "critique": (
+                crit + ["--out", out], True,
+                "44209552c8e4d6ca0ee76789a225454c5c4c2c23400ed11f003afb51aa766e87",
+                b"critique: 3 records, 1 flagged\n",
+            ),
+            "critique-phrases": (
+                crit + ["--phrases", data_dir / "toy_relation_phrases.tsv", "--out", out],
+                True,
+                "3d3a3e67a6fcd1d74eedb3f973f78b2ff272cacdd13477e00ed1f07f2937148c",
+                b"critique: 3 records, 2 flagged\n",
+            ),
+            "eval-text": (
+                ["eval", "--kg", kg, "--refined", records, "--aliases", aliases], False,
+                "4a51ce9e2bef5e5133c15f4fe0682feedf7b625a3d7489a0021db39b582d2c2c", b"",
+            ),
+        }[case]
+        proc = run_without_numpy(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == err
+        data = out.read_bytes() if written else proc.stdout
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_the_block_holds(self, data_dir, tmp_path):
+        # train needs numpy, so under the same block it cannot run.
+        proc = run_without_numpy(["train", "--kg", data_dir / "toy_kg.tsv", "--epochs", "1",
+                                  "--out", tmp_path / "emb.txt"])
+        assert proc.returncode != 0
+        assert b"import of numpy halted" in proc.stderr
+        assert not (tmp_path / "emb.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--kg", "kg.tsv", "--out", "emb.txt", "--optimizer", "bogus"],
+         ["refine", "--mode", "bogus"]],
+        ids=["train-optimizer", "refine-mode"],
+    )
+    def test_bad_choice_is_refused_before_numpy(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {argv[-2]}: invalid choice: 'bogus'")
+        assert len(err.splitlines()) == 1
+        proc = run_without_numpy(argv)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == err
+
+    @pytest.mark.parametrize(
+        "command, choices", [("train", "{sgd,adam}"), ("refine", "{oracle,inferred,external}")]
+    )
+    def test_help_needs_no_numpy(self, command, choices, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert choices in text
+        proc = run_without_numpy([command, "--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == text
 
 
 class TestStageSeed:
@@ -968,6 +1076,34 @@ class TestEvalCommand:
             "error: --ranks-csv needs --emb and --heldout"
         ]
         assert not ranks.exists()
+
+    def test_phrases_judge_refined_text_as_critique_does(self, data_dir, tmp_path):
+        # critique --phrases flags 2 toy records; refine rewrites them with a
+        # 2-epoch snapshot, and critique --phrases on the refined responses
+        # still flags 2 of 3. eval's critic takes the same flags.
+        kg, aliases = data_dir / "toy_kg.tsv", data_dir / "toy_aliases.tsv"
+        phrases = data_dir / "toy_relation_phrases.tsv"
+        labelled = critique(data_dir, tmp_path / "labelled.jsonl", "--phrases", phrases)
+        emb, refined = tmp_path / "emb.txt", tmp_path / "refined.jsonl"
+        assert run(["train", "--kg", kg, "--epochs", "2", "--dim", "4", "--out", emb]) == 0
+        assert run(["refine", "--in", labelled, "--kg", kg, "--emb", emb,
+                    "--aliases", aliases, "--out", refined]) == 0
+
+        def rate(*flags):
+            out = tmp_path / "summary.json"
+            assert run(["eval", "--kg", kg, "--refined", refined, "--aliases", aliases,
+                        *flags, "--out", out]) == 0
+            return json.loads(out.read_text())["hallucination_rate"]
+
+        assert rate() == pytest.approx(1 / 3)
+        assert rate("--phrases", phrases) == pytest.approx(2 / 3)
+
+    def test_phrases_need_aliases(self, data_dir, capsys):
+        code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
+                    "--refined", data_dir / "toy_dialogues.jsonl",
+                    "--phrases", data_dir / "toy_relation_phrases.tsv"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --phrases needs --aliases"]
 
     def test_negative_k_is_validation_error(self, data_dir, capsys):
         code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
