@@ -23,7 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
 # corruptor, embeddings and retriever import numpy, so only the commands
 # that use them import them: kg stats, subgraph, critique and an eval
@@ -34,9 +34,6 @@ from .dialogue import DialogueRecord, read_dialogues, write_dialogues
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import EvalSummary, bleu, hallucination_rate
-
-if TYPE_CHECKING:
-    from .embeddings import EmbeddingTable
 
 
 def stage_seed(root: int, stage: str) -> int:
@@ -179,7 +176,7 @@ def _load_heldout_triples(path: Path, graph) -> list[Triple]:
     ]
 
 
-def _load_table(path: str, graph) -> EmbeddingTable:
+def _load_table(path: str, graph):
     """Load the --emb snapshot aligned to the graph.
 
     A malformed line stays a runtime error; a snapshot that parses but
@@ -401,8 +398,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         if args.ranks_csv is not None and not want_ranking:
             raise ConfigValidation("--ranks-csv needs --emb and --heldout")
-        if args.phrases is not None and args.aliases is None:
-            raise ConfigValidation("--phrases needs --aliases")
         graph = load_triples(_require_file(args.kg, "--kg"))
         counts: dict[str, int] = {}
         ranking = None

@@ -1098,12 +1098,25 @@ class TestEvalCommand:
         assert rate() == pytest.approx(1 / 3)
         assert rate("--phrases", phrases) == pytest.approx(2 / 3)
 
-    def test_phrases_need_aliases(self, data_dir, capsys):
-        code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
-                    "--refined", data_dir / "toy_dialogues.jsonl",
-                    "--phrases", data_dir / "toy_relation_phrases.tsv"])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["error: --phrases needs --aliases"]
+    def test_anchors_judge_text_as_critique_does(self, data_dir, tmp_path):
+        # The Hobbit is three hops from the grounding triple's entities but
+        # one from J. R. R. Tolkien in the history: kn flags the response,
+        # history does not, in critique and in eval alike.
+        kg, aliases = data_dir / "toy_kg.tsv", data_dir / "toy_aliases.tsv"
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps({
+            "history": ["Tell me about J. R. R. Tolkien."],
+            "triples": [["roald_dahl", "wrote", "the_bfg"]],
+            "response": "He wrote The Hobbit.",
+        }) + "\n")
+        for anchors, want in (("kn", 1.0), ("history", 0.0)):
+            labelled, out = tmp_path / f"{anchors}.jsonl", tmp_path / f"{anchors}.json"
+            assert run(["critique", "--in", path, "--kg", kg, "--aliases", aliases,
+                        "--anchors", anchors, "--out", labelled]) == 0
+            flagged = json.loads(labelled.read_text())["flagged"]
+            assert run(["eval", "--kg", kg, "--refined", path, "--aliases", aliases,
+                        "--anchors", anchors, "--out", out]) == 0
+            assert json.loads(out.read_text())["hallucination_rate"] == float(flagged) == want
 
     def test_negative_k_is_validation_error(self, data_dir, capsys):
         code = run(["eval", "--kg", data_dir / "toy_kg.tsv",
