@@ -177,7 +177,10 @@ class TestReplacementPoolOnSparseCorpus:
 
 
 class CountingIds(Sequence):
-    """A candidate id list that counts the ids read from it."""
+    """A candidate id list, or a graph's triples, that counts the items read from it.
+
+    Iteration goes through __getitem__, so every item iterated over counts too.
+    """
 
     def __init__(self, ids: list[int], reads: list[int]) -> None:
         self.ids, self.reads = ids, reads

@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from synthetic import sparse_corpus
+from test_corruptor import CountingIds
+
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.embeddings import (
     EmbeddingTable,
@@ -535,8 +538,39 @@ class TestLinkPrediction:
 
     def test_filtered_overlap_rejected(self, toy_graph):
         table = init_embeddings(8, 3, 4, seed=0)
-        with pytest.raises(ValueError):
-            evaluate_link_prediction(table, [toy_graph.triples[0]], toy_graph)
+        # A graph triple held out twice is one overlapping triple.
+        for copies in (1, 2):
+            with pytest.raises(ValueError, match=r"^1 held-out triples also appear in the graph$"):
+                evaluate_link_prediction(table, [toy_graph.triples[0]] * copies, toy_graph)
+
+
+class TestLinkPredictionCost:
+    """The filter reads the held-out subjects' edges, not the whole graph.
+
+    Counts, not timings, so the check holds on any host. A filter built
+    from every graph triple reads ten times as many per held-out row at
+    6,000 entities as at 600; the held-out subjects' out-degree does not
+    grow with the vocabulary, and the bound is 2x for the sampling noise
+    in it.
+    """
+
+    @staticmethod
+    def triples_read_per_row(n: int) -> float:
+        full, _, _, _ = sparse_corpus(n, n_triples=3 * n // 2)
+        rng = np.random.default_rng(0)
+        picked = set(rng.choice(len(full.triples), size=100, replace=False).tolist())
+        heldout = [t for i, t in enumerate(full.triples) if i in picked]
+        rest = [t for i, t in enumerate(full.triples) if i not in picked]
+        graph = KnowledgeGraph(rest, full.entities, full.relations)
+        reads = [0]
+        graph.triples = CountingIds(graph.triples, reads)
+        table = init_embeddings(n, len(graph.relations), 4, seed=0)
+        evaluate_link_prediction(table, heldout, graph, mode="filtered")
+        return reads[0] / len(heldout)
+
+    def test_filtered_reads_follow_the_heldout_degree(self):
+        small, big = self.triples_read_per_row(600), self.triples_read_per_row(6000)
+        assert 0 < big <= 2 * small
 
 
 class TestSnapshot:

@@ -3,12 +3,13 @@
 The references below redo the work the indexes save: k-hop balls and
 induced edges from passes over every triple, a mention pattern compiled
 afresh for every call, replacement pools built by scanning every
-candidate, and the filtered ranking's set lookup per candidate. The
-batched trilinear scorer is checked against one distmult_score call per
-triple, and relation inference and candidate ranking against loops
-over those single scores. The batched training
-loss and gradients are checked against nce_loss_and_grad summed over
-the rows, and the batched samplers against their per-row contracts.
+candidate, and the filtered ranking's set lookup per candidate (also
+with the ranking's blocks cut to one and two rows). The batched
+trilinear scorer is checked against one distmult_score call per triple,
+and relation inference and candidate ranking against loops over those
+single scores. The batched training loss and gradients are checked
+against nce_loss_and_grad summed over the rows, and the batched
+samplers against their per-row contracts.
 Multi-span splice, which refinement and corruption use to place every
 edit and failure, is checked against its offset contract. On small
 random sparse corpora, extrinsic corruptions are checked to be sound and
@@ -34,7 +35,7 @@ from synthetic import sparse_corpus
 from test_corruptor import scan_pool
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
-from kgfaith import corruptor
+from kgfaith import corruptor, embeddings
 from kgfaith.corruptor import (
     CorruptionConfig,
     build_synthetic_dataset,
@@ -375,6 +376,36 @@ def test_filtered_ranks_match_per_candidate_scan(data):
     )
     report = evaluate_link_prediction(table, heldout, graph, mode="filtered")
     assert report.ranks == scan_ranks(table, heldout, graph)
+
+
+@PROPERTY
+@given(data=st.data(), rows=st.sampled_from([1, 2]))
+def test_ranks_across_block_boundaries(data, rows):
+    drawn = data.draw(graphs(max_entities=8, max_relations=2, max_triples=20))
+    n, r = len(drawn.entities), len(drawn.relations)
+    triple = st.builds(Triple, st.integers(0, n - 1), st.integers(0, r - 1), st.integers(0, n - 1))
+    heldout = data.draw(st.lists(triple, min_size=1, max_size=5))
+    # One row sharing (s, p) with a drawn row, one repeating its object.
+    first = heldout[0]
+    heldout.append(Triple(first.s, first.p, data.draw(st.integers(0, n - 1))))
+    heldout.append(Triple(data.draw(st.integers(0, n - 1)), first.p, first.o))
+    graph = KnowledgeGraph(
+        [t for t in drawn.triples if t not in heldout], drawn.entities, drawn.relations
+    )
+    values = st.lists(st.integers(-1, 1), min_size=3, max_size=3)
+    table = EmbeddingTable(
+        entities=np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=float),
+        relations=np.array(data.draw(st.lists(values, min_size=r, max_size=r)), dtype=float),
+    )
+    ids = np.arange(n)
+    with patch.object(embeddings, "_BLOCK_CELLS", rows * n):
+        filtered = evaluate_link_prediction(table, heldout, graph, mode="filtered")
+        raw = evaluate_link_prediction(table, heldout, graph, mode="raw")
+    assert filtered.ranks == scan_ranks(table, heldout, graph)
+    assert raw.ranks == [
+        rank_of_gold(table.entities @ (table.entities[t.s] * table.relations[t.p]), ids, t.o)
+        for t in heldout
+    ]
 
 
 # --- trilinear scoring --------------------------------------------------------
