@@ -28,12 +28,12 @@ from typing import Any, Iterator
 # corruptor, embeddings and retriever import numpy, so only the commands
 # that use them import them: kg stats, subgraph, critique and an eval
 # without --emb start without numpy.
-from .choices import OPTIMIZERS, QUERY_MODES
+from .choices import OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
 from .critic import ANCHOR_SOURCES, Critic, CriticReport, load_relation_phrases
 from .dialogue import DialogueRecord, read_dialogues, write_dialogues
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
-from .metrics import EvalSummary, bleu, hallucination_rate
+from .metrics import BLEU_LEVELS, bleu, hallucination_rate
 
 
 def stage_seed(root: int, stage: str) -> int:
@@ -291,6 +291,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _critic_flags(opts: _Options, p: argparse.ArgumentParser) -> None:
+    """Declare the flags that _critic reads besides --aliases (critique and eval)."""
+    opts.add(p, "--k", type=int, default=2, help="neighborhood radius (method default 2)")
+    opts.add(p, "--phrases", default=None, help="relation-phrase TSV; turns on the orientation check (optional)")
+    opts.add(p, "--anchors", choices=ANCHOR_SOURCES, default="kn", help="anchor entities from grounding triples (kn) or history (tool default kn)")
+
+
 def _critic(args: argparse.Namespace, graph) -> Critic:
     """The critic of --aliases, --k, --phrases and --anchors (critique and eval)."""
     aliases = load_aliases(_require_file(args.aliases, "--aliases"))
@@ -439,16 +446,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                     flags.append(critic.critique(probe).flagged)
                 rate = hallucination_rate(flags)
 
-        summary = EvalSummary(
-            counts=counts, ranking=ranking, bleu_score=bleu_score, hallucination=rate
-        )
         if ranks_out:
             with open(ranks_out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["item", "rank"])
                 for i, rank in enumerate(ranking.ranks, start=1):
                     writer.writerow([i, rank])
-        _emit(summary.to_json(), out)
+        # A block that was not asked for is null.
+        blob = ranking.to_json() if ranking else dict.fromkeys(("hits", "mr", "mrr"))
+        blob.update(bleu=bleu_score, hallucination_rate=rate, counts=counts)
+        _emit(blob, out)
     return 0
 
 
@@ -466,42 +473,41 @@ def build_parser(opts: _Options) -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, source: str | None) -> None:
+        """--config, --in (help ``source``, if given) and --kg, the order argparse reports them in."""
         opts.add(p, "--config", default=None, help="JSON file of flag values; explicit flags win")
+        if source:
+            opts.add(p, "--in", dest="input", required=True, help=source)
+        opts.add(p, "--kg", required=True, help="triple file (TSV)")
 
     kg = sub.add_parser("kg", help="triple-store inspection")
     kg_sub = kg.add_subparsers(dest="kg_command", required=True, metavar="SUBCOMMAND")
     stats = kg_sub.add_parser("stats", help="print graph size counters")
-    common(stats)
-    opts.add(stats, "--kg", required=True, help="triple file (TSV)")
+    common(stats, None)
     opts.add(stats, "--json", action="store_true", default=False, help="emit full stats as JSON")
     stats.set_defaults(func=_cmd_kg_stats)
 
     sg = sub.add_parser("subgraph", help="extract a k-hop neighborhood as JSON")
-    common(sg)
-    opts.add(sg, "--kg", required=True, help="triple file (TSV)")
+    common(sg, None)
     opts.add(sg, "--center", required=True, help="comma-separated center entity names")
     opts.add(sg, "--k", type=int, default=2, help="hop radius (method default 2)")
     opts.add(sg, "--out", default=None, help="output JSON path (default stdout)")
     sg.set_defaults(func=_cmd_subgraph)
 
     co = sub.add_parser("corrupt", help="generate labeled hallucinated responses")
-    common(co)
-    opts.add(co, "--in", dest="input", required=True, help="dialogue JSONL input")
-    opts.add(co, "--kg", required=True, help="triple file (TSV)")
+    common(co, "dialogue JSONL input")
     opts.add(co, "--types", required=True, help="entity-type TSV (entity<TAB>type)")
     opts.add(co, "--aliases", default=None, help="alias TSV for mention linking (optional)")
     opts.add(co, "--frac", type=float, default=0.6, help="extrinsic share of records (method default 0.6)")
     opts.add(co, "--seed", type=int, default=0, help="root seed (tool default 0)")
-    opts.add(co, "--policy", choices=("fallback", "drop"), default="fallback", help="when the assigned strategy does not apply (tool default fallback)")
+    opts.add(co, "--policy", choices=POLICIES, default="fallback", help="when the assigned strategy does not apply (tool default fallback)")
     opts.add(co, "--k", type=int, default=2, help="exclusion-subgraph radius (method default 2)")
     opts.add(co, "--out", required=True, help="corrupted JSONL output")
     opts.add(co, "--summary", default=None, help="summary JSON path (default stderr)")
     co.set_defaults(func=_cmd_corrupt)
 
     tr = sub.add_parser("train", help="train the entity/relation embedding table")
-    common(tr)
-    opts.add(tr, "--kg", required=True, help="triple file (TSV)")
+    common(tr, None)
     opts.add(tr, "--dim", type=int, default=64, help="embedding dimension (tool default 64)")
     opts.add(tr, "--sampler", default="uniform", help="negative sampler: uniform | sans[:K] | inbatch (tool default uniform)")
     opts.add(tr, "--neg", type=int, default=50, help="negatives per positive (method default 50)")
@@ -516,20 +522,14 @@ def build_parser(opts: _Options) -> _Parser:
     tr.set_defaults(func=_cmd_train)
 
     cr = sub.add_parser("critique", help="label hallucinated mentions in responses")
-    common(cr)
-    opts.add(cr, "--in", dest="input", required=True, help="dialogue JSONL input")
-    opts.add(cr, "--kg", required=True, help="triple file (TSV)")
+    common(cr, "dialogue JSONL input")
     opts.add(cr, "--aliases", required=True, help="alias TSV for mention linking")
-    opts.add(cr, "--k", type=int, default=2, help="neighborhood radius (method default 2)")
-    opts.add(cr, "--phrases", default=None, help="relation-phrase TSV; turns on the orientation check (optional)")
-    opts.add(cr, "--anchors", choices=ANCHOR_SOURCES, default="kn", help="anchor entities from grounding triples (kn) or history (tool default kn)")
+    _critic_flags(opts, cr)
     opts.add(cr, "--out", required=True, help="labeled JSONL output")
     cr.set_defaults(func=_cmd_critique)
 
     rf = sub.add_parser("refine", help="replace flagged mentions with supported entities")
-    common(rf)
-    opts.add(rf, "--in", dest="input", required=True, help="labelled JSONL input, as critique writes it")
-    opts.add(rf, "--kg", required=True, help="triple file (TSV)")
+    common(rf, "labelled JSONL input, as critique writes it")
     opts.add(rf, "--emb", required=True, help="embedding snapshot")
     opts.add(rf, "--aliases", required=True, help="alias TSV for linking and surface forms")
     opts.add(rf, "--k", type=int, default=2, help="neighborhood radius (method default 2)")
@@ -541,17 +541,14 @@ def build_parser(opts: _Options) -> _Parser:
     rf.set_defaults(func=_cmd_refine)
 
     ev = sub.add_parser("eval", help="aggregate ranking and text metrics")
-    common(ev)
-    opts.add(ev, "--kg", required=True, help="triple file (TSV)")
+    common(ev, None)
     opts.add(ev, "--emb", default=None, help="embedding snapshot (enables link prediction)")
     opts.add(ev, "--heldout", default=None, help="held-out triple TSV (enables link prediction)")
-    opts.add(ev, "--rank-mode", choices=("raw", "filtered"), default="filtered", help="candidate filtering (method default filtered)")
+    opts.add(ev, "--rank-mode", choices=RANK_MODES, default="filtered", help="candidate filtering (method default filtered)")
     opts.add(ev, "--refined", default=None, help="refined JSONL (enables text metrics)")
     opts.add(ev, "--aliases", default=None, help="alias TSV (enables hallucination rate on refined text)")
-    opts.add(ev, "--bleu-level", choices=("corpus", "sentence"), default="corpus", help="BLEU pooling (tool default corpus)")
-    opts.add(ev, "--k", type=int, default=2, help="critic radius for the hallucination rate on --refined (method default 2)")
-    opts.add(ev, "--phrases", default=None, help="relation-phrase TSV; turns on the orientation check (optional)")
-    opts.add(ev, "--anchors", choices=ANCHOR_SOURCES, default="kn", help="anchor entities from grounding triples (kn) or history (tool default kn)")
+    opts.add(ev, "--bleu-level", choices=BLEU_LEVELS, default="corpus", help="BLEU pooling (tool default corpus)")
+    _critic_flags(opts, ev)
     opts.add(ev, "--ranks-csv", default=None, help="per-item rank CSV output path")
     opts.add(ev, "--out", default=None, help="summary JSON path (default stdout)")
     ev.set_defaults(func=_cmd_eval)

@@ -26,6 +26,7 @@ from typing import Any
 
 import numpy as np
 
+from .choices import POLICIES
 from .critic import EXTRINSIC, INTRINSIC, derive_anchors, response_mentions
 from .dialogue import DialogueRecord, MentionSpan, splice
 from .errors import (
@@ -37,8 +38,6 @@ from .errors import (
 from .kg import AliasTable, KnowledgeGraph, Subgraph, Vocabulary, canonical, check_radius
 
 logger = logging.getLogger(__name__)
-
-POLICIES = ("fallback", "drop")
 
 
 def round_half_up(x: float) -> int:
@@ -373,34 +372,31 @@ def build_synthetic_dataset(
 
     out: list[CorruptedRecord] = []
     for idx, rec in enumerate(records):
-        assigned = EXTRINSIC if idx in extrinsic_assigned else INTRINSIC
-        plan = [assigned]
-        if cfg.policy == "fallback":
-            plan.append(INTRINSIC if assigned == EXTRINSIC else EXTRINSIC)
+        assigned, other = (
+            (EXTRINSIC, INTRINSIC) if idx in extrinsic_assigned else (INTRINSIC, EXTRINSIC)
+        )
+        plan = (assigned, other) if cfg.policy == "fallback" else (assigned,)
         produced: CorruptedRecord | None = None
-        for attempt, kind in enumerate(plan):
+        for kind in plan:
             try:
                 if kind == EXTRINSIC:
                     produced = try_extrinsic(rec, idx)
                 else:
                     produced = corrupt_intrinsic(rec, graph, aliases)
+                break
             except (NoEligibleReplacement, NotApplicable, UnknownEntity) as err:
                 logger.debug("record %d: %s corruption failed: %s", idx, kind, err)
-                continue
-            if attempt > 0:
-                if kind == EXTRINSIC:
-                    summary.fallback_to_extrinsic += 1
-                else:
-                    summary.fallback_to_intrinsic += 1
-            break
         if produced is None:
             summary.dropped += 1
             summary.drop_reasons.append(f"record {idx}: no strategy applicable")
             continue
+        fallback = produced.kind != assigned
         if produced.kind == EXTRINSIC:
             summary.realized_extrinsic += 1
+            summary.fallback_to_extrinsic += fallback
         else:
             summary.realized_intrinsic += 1
+            summary.fallback_to_intrinsic += fallback
         out.append(produced)
 
     if not out:

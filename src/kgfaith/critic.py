@@ -225,18 +225,14 @@ def critique_response(
         first, second = mentions[i], mentions[j]
         if first.entity_id == second.entity_id:
             continue
-        bad = not (
-            graph.direct_edges(first.entity_id, second.entity_id)
-            or graph.direct_edges(second.entity_id, first.entity_id)
-        )
+        forward = graph.direct_edges(first.entity_id, second.entity_id)
+        bad = not (forward or graph.direct_edges(second.entity_id, first.entity_id))
         if not bad and phrase_to_relation:
             between = canonical(record.response[first.end : second.begin])
             matched = [rel for form, rel in phrase_to_relation if form in between]
             if matched:
-                forward = {
-                    t.p for t in graph.direct_edges(first.entity_id, second.entity_id)
-                }
-                bad = not any(graph.relations.get(rel) in forward for rel in matched)
+                relations = {t.p for t in forward}
+                bad = not any(graph.relations.get(rel) in relations for rel in matched)
         if bad:
             labels[i] = INTRINSIC
             labels[j] = INTRINSIC

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .choices import OPTIMIZERS
+from .choices import OPTIMIZERS, RANK_MODES
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -495,7 +495,7 @@ def evaluate_link_prediction(
     raw rank counts the entities ahead of the gold in it; the filtered
     rank subtracts the filtered-out entities among those.
     """
-    if mode not in ("raw", "filtered"):
+    if mode not in RANK_MODES:
         raise ValueError(f"mode must be raw or filtered, got {mode!r}")
     heldout = list(heldout)
     if not heldout:

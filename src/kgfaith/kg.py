@@ -105,9 +105,6 @@ class Vocabulary:
             self._names.append(name.strip())
         return idx
 
-    def id_of(self, name: str) -> int:
-        return self._ids[canonical(name)]
-
     def get(self, name: str) -> int | None:
         return self._ids.get(canonical(name))
 

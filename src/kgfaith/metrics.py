@@ -140,28 +140,3 @@ def hallucination_rate(flags: Sequence[bool]) -> float:
     if not flags:
         raise EmptyInput("no flags")
     return sum(flags) / len(flags)
-
-
-@dataclass
-class EvalSummary:
-    """One evaluation run: ranking block, text block, and input counts.
-
-    Blocks are independent; a block that was not requested stays None
-    and serializes as null.
-    """
-
-    counts: dict[str, int]
-    ranking: RankingSummary | None = None
-    bleu_score: float | None = None
-    hallucination: float | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        ranking = self.ranking.to_json() if self.ranking else None
-        return {
-            "hits": ranking["hits"] if ranking else None,
-            "mr": ranking["mr"] if ranking else None,
-            "mrr": ranking["mrr"] if ranking else None,
-            "bleu": self.bleu_score,
-            "hallucination_rate": self.hallucination,
-            "counts": dict(self.counts),
-        }

@@ -158,16 +158,15 @@ def chain_graph(
         names.append(f"lab_{j}")
     for x in range(isolated):
         names.append(f"iso_{x}")
-    for name in names:
-        ents.add(name)
+    ids = {name: ents.add(name) for name in names}
     rels.add("links")
     rels.add("tags")
     triples = []
     for i in range(n_pairs):
-        src = ents.id_of(f"src_{i}")
-        dst = ents.id_of(f"dst_{i}")
-        lab = ents.id_of(f"lab_{i % n_labels}")
-        other = ents.id_of(f"lab_{(i + 1) % n_labels}")
+        src = ids[f"src_{i}"]
+        dst = ids[f"dst_{i}"]
+        lab = ids[f"lab_{i % n_labels}"]
+        other = ids[f"lab_{(i + 1) % n_labels}"]
         triples.append(Triple(src, 0, dst))
         triples.append(Triple(dst, 1, lab))
         triples.append(Triple(src, 1, other))

@@ -4,8 +4,9 @@
 ``critique`` writes) and ``eval`` (filtered and raw link prediction: the summary JSON
 and the per-item ranks CSV) run on the toy data with a snapshot written
 by ``init_embeddings`` and ``save_embeddings`` at a fixed seed. Nothing
-is trained. The bytes hold
-across machines because:
+is trained. Two more ``eval`` summaries pin the text block: one with
+both blocks on the oracle refinement, one text-only (``hits``, ``mr``
+and ``mrr`` null). The bytes hold across machines because:
 
 - the table comes from numpy's seeded PCG64 stream, and the snapshot's
   ``.17g`` text round-trips every float64 exactly;
@@ -16,7 +17,10 @@ across machines because:
   by exact integer counts and one division per rank, so a different
   BLAS could change them only by reordering two scores equal to the
   last bit, which random vectors do not produce;
-- no exp or log (training loss, BLEU) reaches these files.
+- no exp or log reaches these files except BLEU's. Its value is one
+  ``math.exp`` of a mean of ``math.log``s of exact fractions, which the
+  platform's C library rounds the same way run to run (the text-only
+  summary is the one ``TestWithoutNumpy`` pins as well).
 
 A digest may change only on purpose, with the reason in CHANGES.md.
 """
@@ -39,6 +43,8 @@ GOLDEN = {
     "eval-filtered-ranks.csv": "008c793fdf5719b32d504da7423dffd18cb47a6cb4f1436de1b9e9663e6de6bb",
     "eval-raw.json": "90fbd1c78ad6102a0d8abb7b9b444856e6c07d0edc7cefaad37eae7c3c0a0c0e",
     "eval-raw-ranks.csv": "06fe8f4c15374de6387ffba18af2ba91fd05b8c1a11de43208d5eabe1f01456e",
+    "eval-both.json": "ce42e193e34363289a0b1fbac5d8e13031b1342dd93b82021b75fbe0dd7515f1",
+    "eval-text.json": "4a51ce9e2bef5e5133c15f4fe0682feedf7b625a3d7489a0021db39b582d2c2c",
 }
 
 # Not in toy_kg.tsv; (roald_dahl, wrote) and (the_witches, has_genre)
@@ -88,6 +94,14 @@ def test_cli_outputs_match_golden_digests(data_dir: Path, tmp_path: Path):
                 "--rank-mode", mode, "--ranks-csv", out / f"eval-{mode}-ranks.csv",
                 "--out", out / f"eval-{mode}.json"]
         assert main([str(a) for a in argv]) == 0, argv
+    aliases = data_dir / "toy_aliases.tsv"
+    argv = ["eval", "--kg", kg, "--emb", emb, "--heldout", heldout,
+            "--refined", out / "refine-oracle.jsonl", "--aliases", aliases,
+            "--out", out / "eval-both.json"]
+    assert main([str(a) for a in argv]) == 0, argv
+    argv = ["eval", "--kg", kg, "--refined", data_dir / "toy_dialogues.jsonl",
+            "--aliases", aliases, "--out", out / "eval-text.json"]
+    assert main([str(a) for a in argv]) == 0, argv
 
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN

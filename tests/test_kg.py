@@ -27,7 +27,7 @@ class TestVocabulary:
     def test_lookup_folds_case_and_whitespace(self):
         v = Vocabulary()
         v.add("The  BFG")
-        assert v.id_of("the bfg") == 0
+        assert v.get("the bfg") == 0
         assert v.get("THE BFG") == 0
         assert v.name_of(0) == "The  BFG"
 
@@ -40,7 +40,7 @@ class TestLoadTriples:
     """The toy graph pins the id assignment contract."""
 
     def test_entity_ids_first_seen(self, toy_graph):
-        ids = {name: toy_graph.entities.id_of(name) for name in toy_graph.entities}
+        ids = {name: toy_graph.entities.get(name) for name in toy_graph.entities}
         assert ids == {
             "roald_dahl": 0,
             "the_witches": 1,
@@ -53,9 +53,9 @@ class TestLoadTriples:
         }
 
     def test_relation_ids_first_seen(self, toy_graph):
-        assert toy_graph.relations.id_of("wrote") == 0
-        assert toy_graph.relations.id_of("has_genre") == 1
-        assert toy_graph.relations.id_of("illustrated") == 2
+        assert toy_graph.relations.get("wrote") == 0
+        assert toy_graph.relations.get("has_genre") == 1
+        assert toy_graph.relations.get("illustrated") == 2
 
     def test_counts(self, toy_graph):
         st = toy_graph.stats()
@@ -140,7 +140,7 @@ class TestKhopSubgraph:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
         assert sub.nodes == {0, 1, 2, 3, 4, 5}
         assert len(sub.triples) == 5
-        assert toy_graph.entities.id_of("the_hobbit") not in sub.nodes
+        assert 7 not in sub.nodes  # the_hobbit
 
     def test_k3_reaches_the_hobbit_not_tolkien(self, toy_graph):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 3)

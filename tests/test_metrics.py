@@ -9,8 +9,6 @@ import pytest
 
 from kgfaith.errors import EmptyInput, LengthMismatch
 from kgfaith.metrics import (
-    EvalSummary,
-    RankingSummary,
     bleu,
     hallucination_rate,
     ranking_metrics,
@@ -158,23 +156,3 @@ class TestHallucinationRate:
         with pytest.raises(EmptyInput):
             hallucination_rate([])
 
-
-class TestEvalSummary:
-    def test_all_blocks(self):
-        summary = EvalSummary(
-            counts={"records": 4, "ranks": 3},
-            ranking=RankingSummary(hits={1: 0.5}, mr=2.0, mrr=0.75),
-            bleu_score=0.9,
-            hallucination=0.25,
-        )
-        blob = summary.to_json()
-        assert blob["hits"] == {"1": 0.5}
-        assert blob["mr"] == 2.0 and blob["mrr"] == 0.75
-        assert blob["bleu"] == 0.9
-        assert blob["hallucination_rate"] == 0.25
-        assert blob["counts"] == {"records": 4, "ranks": 3}
-
-    def test_missing_blocks_serialize_null(self):
-        blob = EvalSummary(counts={"records": 0}).to_json()
-        assert blob["hits"] is None and blob["mr"] is None and blob["mrr"] is None
-        assert blob["bleu"] is None and blob["hallucination_rate"] is None
