@@ -2,10 +2,12 @@
 
 Entities and relations live in one d-dimensional space. A triple
 (u, r, v) scores as the trilinear form sum_i u_i r_i v_i, which is
-symmetric in u and v. Training minimizes a sampled-softmax contrastive
-loss: the positive competes against n corrupted triples drawn by one of
-three strategies (uniform over the vocabulary, from the positive's
-neighborhood subgraph, or from the other positives in the batch).
+symmetric in u and v. Training and link prediction score a row's
+candidate objects with one product (u * r) @ E.T; trilinear scores single
+triples and retrieval's candidates. Training minimizes a sampled-softmax
+contrastive loss: the positive competes against n corrupted triples drawn
+by one of three strategies (uniform over the vocabulary, from the
+positive's neighborhood subgraph, or from the other positives in the batch).
 
 A filtered/raw link-prediction evaluator reports Hits@k, MR, and MRR.
 """
@@ -96,11 +98,12 @@ def init_embeddings(
 def trilinear(u: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Trilinear scores sum_i u_i * r_i * v_i over the last axis, broadcasting.
 
-    The one scoring kernel of training, the per-triple scorer and
-    retrieval. The two entity vectors are multiplied first, so swapping
-    u and v gives a bitwise-identical result (elementwise products
-    commute; a different grouping would only be equal up to rounding),
-    and each row of a batched call equals the same row scored alone.
+    The scorer of single triples (nce_loss_and_grad) and of retrieval;
+    training batches and link prediction use a matrix product instead.
+    The two entity vectors are multiplied first, so swapping u and v
+    gives a bitwise-identical result (elementwise products commute; a
+    different grouping would only be equal up to rounding), and each
+    row of a batched call equals the same row scored alone.
     """
     prod = u * v
     if np.broadcast_shapes(prod.shape, r.shape) == prod.shape:
@@ -110,18 +113,6 @@ def trilinear(u: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     else:
         prod = prod * r
     return np.sum(prod, axis=-1)
-
-
-def distmult_score(z_u: np.ndarray, z_r: np.ndarray, z_v: np.ndarray) -> float:
-    """Trilinear score of one triple (symmetric in u and v)."""
-    z_u = np.asarray(z_u, dtype=np.float64)
-    z_r = np.asarray(z_r, dtype=np.float64)
-    z_v = np.asarray(z_v, dtype=np.float64)
-    if not (z_u.shape == z_r.shape == z_v.shape) or z_u.ndim != 1:
-        raise DimensionMismatch(
-            f"shapes {z_u.shape}, {z_r.shape}, {z_v.shape} must be equal 1-d"
-        )
-    return float(trilinear(z_u, z_r, z_v))
 
 
 RowKey = tuple[str, int]  # ("e", entity id) or ("r", relation id)
@@ -274,9 +265,11 @@ def batch_nce_loss_and_grad(
     column j that ``mask`` keeps; column 0 is the positive, and masked
     cells must hold it. Returns the per-row losses and, for the entity
     and the relation matrix, the ascending touched row ids with their
-    gradients summed over the batch. With C the (rows, touched
-    entities) softmax coefficients, sum_j c_ij v_ij = C @ E and the
-    object gradients are C.T @ (u * r): no per-column gradient is built.
+    gradients summed over the batch. The scores are read from one
+    (rows, touched entities) product (u * r) @ E.T, so no candidate
+    vector is gathered. With C the softmax coefficients on the same
+    grid, sum_j c_ij v_ij = C @ E and the object gradients are
+    C.T @ (u * r); one-hot products sum the subject and relation rows.
     """
     rows = len(subjects)
     ent_ids, inv = np.unique(np.concatenate([subjects, objects.ravel()]), return_inverse=True)
@@ -284,7 +277,8 @@ def batch_nce_loss_and_grad(
     rel_ids, rel = np.unique(predicates, return_inverse=True)
     E = table.entities[ent_ids]
     U, R = E[subj], table.relations[predicates]
-    scores = np.where(mask, trilinear(U[:, None], R[:, None], E[obj]), -np.inf)
+    UR = U * R
+    scores = np.where(mask, np.take_along_axis(UR @ E.T, obj, axis=1), -np.inf)
     m = scores.max(axis=1, keepdims=True)
     shifted = np.exp(scores - m)
     total = shifted.sum(axis=1, keepdims=True)
@@ -292,13 +286,16 @@ def batch_nce_loss_and_grad(
     coeff = shifted / total
     coeff[:, 0] -= 1.0
 
-    C = np.zeros((rows, len(ent_ids)))
-    np.add.at(C, (np.arange(rows)[:, None], obj), coeff)
+    cells = (np.arange(rows)[:, None] * len(ent_ids) + obj).ravel()
+    C = np.bincount(cells, coeff.ravel(), rows * len(ent_ids)).reshape(rows, -1)
     CV = C @ E
-    ent_grad = C.T @ (U * R)
-    np.add.at(ent_grad, subj, R * CV)
-    rel_grad = np.zeros((len(rel_ids), table.dim))
-    np.add.at(rel_grad, rel, U * CV)
+    S = np.zeros_like(C)
+    S[np.arange(rows), subj] = 1.0
+    ent_grad = C.T @ UR
+    ent_grad += S.T @ (R * CV)
+    P = np.zeros((rows, len(rel_ids)))
+    P[np.arange(rows), rel] = 1.0
+    rel_grad = P.T @ (U * CV)
     return losses, (ent_ids, ent_grad), (rel_ids, rel_grad)
 
 

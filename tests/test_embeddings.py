@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from synthetic import sparse_corpus
+from synthetic import block_split, sparse_corpus
 from test_corruptor import CountingIds
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
@@ -17,7 +18,7 @@ from kgfaith.embeddings import (
     _AdamStep,
     align_table,
     batch_negatives,
-    distmult_score,
+    batch_nce_loss_and_grad,
     evaluate_link_prediction,
     init_embeddings,
     load_embeddings,
@@ -27,9 +28,9 @@ from kgfaith.embeddings import (
     save_embeddings,
     save_loss_trace,
     train,
+    trilinear,
 )
 from kgfaith.errors import (
-    DimensionMismatch,
     DivergenceDetected,
     EmptyHoldout,
     EmptyPool,
@@ -87,32 +88,28 @@ class TestInit:
 
 class TestDistmult:
     def test_hand_value(self):
-        assert distmult_score(
+        assert float(trilinear(
             np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.array([3.0, 1.0])
-        ) == 3.0
+        )) == 3.0
 
     def test_zero_argument(self):
         z = np.zeros(3)
         v = np.ones(3)
-        assert distmult_score(z, v, v) == 0.0
+        assert float(trilinear(z, v, v)) == 0.0
 
     def test_symmetry_hand_case(self):
         u = np.array([1.0, 2.0])
         r = np.array([2.0, 2.0])
         v = np.array([3.0, 1.0])
-        assert distmult_score(u, r, v) == 10.0
-        assert distmult_score(v, r, u) == 10.0
+        assert float(trilinear(u, r, v)) == 10.0
+        assert float(trilinear(v, r, u)) == 10.0
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             d = int(rng.integers(1, 9))
             u, r, v = rng.normal(size=(3, d))
-            assert distmult_score(u, r, v) == distmult_score(v, r, u)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            distmult_score(np.ones(2), np.ones(3), np.ones(2))
+            assert float(trilinear(u, r, v)) == float(trilinear(v, r, u))
 
 
 class TestNceLoss:
@@ -207,6 +204,27 @@ class TestGradients:
         numeric = numeric_grads(pos, negs, table, grads.keys())
         for key, g in grads.items():
             assert relative_error(g, numeric[key]) < 1e-4
+
+
+class TestBatchKernelMemory:
+    def test_peak_below_one_candidate_gather(self):
+        """One train-block-shaped batch (B=32, n=50, d=32, uniform draws on
+        block_split's 60 entities) allocates less than one (B, n+1, d)
+        float64 array: the scores come from a matrix product over the
+        touched entities, and no candidate vector is gathered."""
+        graph, _ = block_split(0)
+        rng = np.random.default_rng(0)
+        s, p, o = np.array(graph.triples[:32], dtype=np.int64).T
+        negs, mask = batch_negatives("uniform", o, 50, rng, len(graph.entities), None)
+        objects = np.concatenate([o[:, None], negs], axis=1)
+        table = init_embeddings(len(graph.entities), len(graph.relations), 32, seed=0)
+        tracemalloc.start()
+        try:
+            batch_nce_loss_and_grad(s, p, objects, mask, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 51 * 32 * 8  # 417,792 B
 
 
 class TestSampleNegatives:

@@ -5,7 +5,7 @@ induced edges from passes over every triple, a mention pattern compiled
 afresh for every call, replacement pools built by scanning every
 candidate, and the filtered ranking's set lookup per candidate (also
 with the ranking's blocks cut to one and two rows). The batched
-trilinear scorer is checked against one distmult_score call per triple,
+trilinear scorer is checked against one single-triple call per triple,
 and relation inference and candidate ranking against loops over those
 single scores. The batched training loss and gradients are checked
 against nce_loss_and_grad summed over the rows, and the batched
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from synthetic import sparse_corpus
+from synthetic import block_split, sparse_corpus
 from test_corruptor import scan_pool
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
@@ -51,7 +51,6 @@ from kgfaith.embeddings import (
     EmbeddingTable,
     batch_negatives,
     batch_nce_loss_and_grad,
-    distmult_score,
     evaluate_link_prediction,
     init_embeddings,
     nce_loss_and_grad,
@@ -443,7 +442,7 @@ def test_trilinear_rows_match_single_scores(seed, n, k, d):
     scores = trilinear(U, R, V)
     assert scores.shape == (n,)
     for i in range(n):
-        assert scores[i] == distmult_score(U[i], R[i], V[i])
+        assert scores[i] == float(trilinear(U[i], R[i], V[i]))
     assert np.array_equal(trilinear(V, R, U), scores)
     # The (relations, candidates) broadcast that relation inference uses.
     rels = score_values(rng, k, d)
@@ -451,7 +450,7 @@ def test_trilinear_rows_match_single_scores(seed, n, k, d):
     assert grid.shape == (k, n)
     for a in range(k):
         for c in range(n):
-            assert grid[a, c] == distmult_score(U[0], rels[a], V[c])
+            assert grid[a, c] == float(trilinear(U[0], rels[a], V[c]))
 
 
 def integer_table(data, graph: KnowledgeGraph, d: int = 3) -> EmbeddingTable:
@@ -486,7 +485,7 @@ def test_infer_relation_matches_per_relation_loop(data):
     best_rel, best = -1, -np.inf
     for rel in sorted({t.p for t in sub.triples}):
         top = max(
-            distmult_score(table.entities[anchor], table.relations[rel], table.entities[c])
+            float(trilinear(table.entities[anchor], table.relations[rel], table.entities[c]))
             for c in cand
         )
         if top > best:  # strict: a tie keeps the lower relation id
@@ -509,7 +508,7 @@ def test_rank_candidates_matches_sorted_scores(data):
             rank_candidates(query, anchor, candidates, table)
         return
     scored = [
-        (c, distmult_score(table.entities[anchor], query, table.entities[c])) for c in cand
+        (c, float(trilinear(table.entities[anchor], query, table.entities[c]))) for c in cand
     ]
     expected = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
     assert rank_candidates(query, anchor, candidates, table).candidates == expected
@@ -597,6 +596,10 @@ def test_batch_gradients_match_summed_reference(case):
         relations=rng.normal(scale=0.7, size=(2, 4)),
     )
     negs, mask = batch_negatives(strategy, golds, n, rng, n_ent, pool)
+    assert_matches_summed_reference(subjects, predicates, golds, negs, mask, table)
+
+
+def assert_matches_summed_reference(subjects, predicates, golds, negs, mask, table):
     objects = np.concatenate([golds[:, None], negs], axis=1)
     losses, *grads = batch_nce_loss_and_grad(subjects, predicates, objects, mask, table)
     ref_losses, ref = summed_reference(subjects, predicates, objects, mask, table)
@@ -611,6 +614,30 @@ def test_batch_gradients_match_summed_reference(case):
     assert relative_error(
         np.concatenate([got[k] for k in keys]), np.concatenate([ref[k] for k in keys])
     ) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "corpus, strategy",
+    [("block", strategy) for strategy in SAMPLERS] + [("sparse", "uniform")],
+)
+def test_batch_gradients_match_summed_reference_at_training_shapes(corpus, strategy):
+    """One batch the size train-block trains with: B=32, n=50, d=32.
+
+    Products this large take BLAS's blocked paths, which the few ids and
+    d=4 above never reach. The uniform batch touches all of block_split's
+    60 entities, and 570 of the sparse corpus's 600.
+    """
+    graph = block_split(0)[0] if corpus == "block" else sparse_corpus(600, 4, 900)[0]
+    rng = np.random.default_rng(7)
+    picked = np.array(graph.triples, dtype=np.int64)[rng.permutation(len(graph.triples))[:32]]
+    subjects, predicates, golds = picked.T
+    pool = golds
+    if strategy == "sans":  # train's sans k=2 balls
+        pool = padded([sorted(graph.khop_subgraph([s], 2).nodes) for s in subjects.tolist()])
+    n_ent = len(graph.entities)
+    table = init_embeddings(n_ent, len(graph.relations), 32, seed=3)
+    negs, mask = batch_negatives(strategy, golds, 50, rng, n_ent, pool)
+    assert_matches_summed_reference(subjects, predicates, golds, negs, mask, table)
 
 
 @st.composite

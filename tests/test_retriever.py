@@ -8,7 +8,7 @@ import pytest
 from kgfaith import KnowledgeGraph, Subgraph, Triple, Vocabulary
 from kgfaith.critic import Critic
 from kgfaith.dialogue import DialogueRecord
-from kgfaith.embeddings import EmbeddingTable, distmult_score
+from kgfaith.embeddings import EmbeddingTable, trilinear
 from kgfaith.errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -204,7 +204,7 @@ class TestInferRelation:
             sorted({t.p for t in sub.triples}),
             key=lambda r: (
                 max(
-                    distmult_score(table.entities[0], table.relations[r], table.entities[c])
+                    float(trilinear(table.entities[0], table.relations[r], table.entities[c]))
                     for c in cands
                 ),
                 -r,
@@ -308,9 +308,7 @@ class TestRankCandidates:
             q = rng.normal(size=d)
             ranked = rank_candidates(q, 0, candidate_ids(sub.nodes - {0}), table)
             for ent, score in ranked.candidates:
-                direct = distmult_score(
-                    table.entities[0], q, table.entities[ent]
-                )
+                direct = float(trilinear(table.entities[0], q, table.entities[ent]))
                 assert score == direct
 
     def test_order_nonincreasing_and_anchor_excluded(self):
