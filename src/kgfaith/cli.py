@@ -422,29 +422,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.refined is not None:
             records = read_dialogues(_require_file(args.refined, "--refined"))
             counts["records"] = len(records)
-            hyps = []
-            refs = []
-            for rec in records:
-                if rec.gold_response is None:
-                    continue
-                hyps.append(rec.extra.get("refined_response", rec.response))
-                refs.append(rec.gold_response)
-            if hyps:
+            texts = [rec.extra.get("refined_response", rec.response) for rec in records]
+            golds = [(text, rec.gold_response) for text, rec in zip(texts, records)
+                     if rec.gold_response is not None]
+            if golds:
+                hyps, refs = zip(*golds)
                 bleu_score = bleu(hyps, refs, level=args.bleu_level)
             else:
                 print("eval: no gold responses, skipping BLEU", file=sys.stderr)
             if args.aliases:
                 critic = _critic(args, graph)
-                flags = []
-                for rec in records:
-                    probe = dataclasses.replace(
-                        rec,
-                        response=rec.extra.get("refined_response", rec.response),
-                        spans=None,
-                        extra={},
-                    )
-                    flags.append(critic.critique(probe).flagged)
-                rate = hallucination_rate(flags)
+                probes = (dataclasses.replace(rec, response=text, spans=None, extra={})
+                          for rec, text in zip(records, texts))
+                rate = hallucination_rate([critic.critique(p).flagged for p in probes])
 
         if ranks_out:
             with open(ranks_out, "w", encoding="utf-8", newline="") as fh:

@@ -212,6 +212,17 @@ def replacement_pool(
     return _Pool(candidate_ids, excluded, graph.entities)
 
 
+def _spliced(
+    record: DialogueRecord, kind: str, edits: list[tuple[int, int, str]],
+    replacements: list[tuple[str, str]],
+) -> CorruptedRecord:
+    """Splice edits[i], which puts in replacements[i], into the response; all in text order."""
+    corrupted, spans = splice(record.response, edits)
+    order = sorted(range(len(spans)), key=lambda i: spans[i][0])
+    labels = [spans[i] for i in order]
+    return CorruptedRecord(record, corrupted, kind, labels, [replacements[i] for i in order])
+
+
 def corrupt_extrinsic(
     record: DialogueRecord,
     graph: KnowledgeGraph,
@@ -241,14 +252,7 @@ def corrupt_extrinsic(
         raise NoEligibleReplacement(
             "every mention has an empty replacement pool"
         )
-    corrupted, new_spans = splice(record.response, edits)
-    return CorruptedRecord(
-        original=record,
-        response=corrupted,
-        kind=EXTRINSIC,
-        labels=new_spans,
-        replacements=replacements,
-    )
+    return _spliced(record, EXTRINSIC, edits, replacements)
 
 
 def corrupt_intrinsic(
@@ -309,15 +313,7 @@ def corrupt_intrinsic(
         replacements.append((first.entity, second.entity))
         edits.append((second.begin, second.end, first.surface))
         replacements.append((second.entity, first.entity))
-    corrupted, new_spans = splice(record.response, edits)
-    order = sorted(range(len(new_spans)), key=lambda i: new_spans[i][0])
-    return CorruptedRecord(
-        original=record,
-        response=corrupted,
-        kind=INTRINSIC,
-        labels=[new_spans[i] for i in order],
-        replacements=[replacements[i] for i in order],
-    )
+    return _spliced(record, INTRINSIC, edits, replacements)
 
 
 @dataclass

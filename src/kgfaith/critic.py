@@ -83,6 +83,11 @@ class CriticReport:
         return [lab for lab in self.labels if lab.label != FAITHFUL]
 
 
+def _mention(text: str, begin: int, end: int, entity: str, graph: KnowledgeGraph) -> MentionSpan:
+    """The mention of ``entity`` at text[begin:end], with its graph id or None."""
+    return MentionSpan(begin, end, text[begin:end], entity, graph.entities.get(entity))
+
+
 def link_mentions(
     text: str, aliases: AliasTable, graph: KnowledgeGraph
 ) -> list[MentionSpan]:
@@ -93,21 +98,12 @@ def link_mentions(
     """
     spans: list[MentionSpan] = []
     for begin, end in aliases.match_spans(text):
-        surface = text[begin:end]
-        entity = aliases.entity_of(surface)
+        entity = aliases.entity_of(text[begin:end])
         if entity is None:
             # Equal to a surface case-insensitively but not once lowercased
             # ("İ" matches "i"): no mention, and the scan resumed after it.
             continue
-        spans.append(
-            MentionSpan(
-                begin=begin,
-                end=end,
-                surface=surface,
-                entity=entity,
-                entity_id=graph.entities.get(entity),
-            )
-        )
+        spans.append(_mention(text, begin, end, entity, graph))
     return spans
 
 
@@ -130,18 +126,8 @@ def response_mentions(
     """
     if record.spans is None:
         return link_mentions(record.response, aliases, graph)
-    mentions = [
-        MentionSpan(
-            begin=begin,
-            end=end,
-            surface=record.response[begin:end],
-            entity=entity,
-            entity_id=graph.entities.get(entity),
-        )
-        for entity, begin, end in record.spans
-    ]
-    mentions.sort(key=lambda m: m.begin)
-    return mentions
+    mentions = [_mention(record.response, b, e, entity, graph) for entity, b, e in record.spans]
+    return sorted(mentions, key=lambda m: m.begin)
 
 
 def check_anchor_source(source: str) -> None:

@@ -105,14 +105,7 @@ def trilinear(u: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     different grouping would only be equal up to rounding), and each
     row of a batched call equals the same row scored alone.
     """
-    prod = u * v
-    if np.broadcast_shapes(prod.shape, r.shape) == prod.shape:
-        # The same products in the same order, without a second
-        # temporary the size of the batch.
-        prod *= r
-    else:
-        prod = prod * r
-    return np.sum(prod, axis=-1)
+    return np.sum((u * v) * r, axis=-1)
 
 
 RowKey = tuple[str, int]  # ("e", entity id) or ("r", relation id)
@@ -132,15 +125,7 @@ def nce_loss_and_grad(
     """
     if not negs:
         raise ValueError("need at least one negative")
-    subjects = np.fromiter(
-        (t.s for t in (pos, *negs)), dtype=np.int64, count=len(negs) + 1
-    )
-    predicates = np.fromiter(
-        (t.p for t in (pos, *negs)), dtype=np.int64, count=len(negs) + 1
-    )
-    objects = np.fromiter(
-        (t.o for t in (pos, *negs)), dtype=np.int64, count=len(negs) + 1
-    )
+    subjects, predicates, objects = np.array([pos, *negs], dtype=np.int64).T
     U = table.entities[subjects]
     R = table.relations[predicates]
     V = table.entities[objects]
@@ -626,11 +611,9 @@ def align_table(table: EmbeddingTable, graph: KnowledgeGraph) -> EmbeddingTable:
     missing += [n for n in graph.relations.names if n not in rel_pos]
     if missing:
         raise ValueError(f"snapshot lacks vectors for: {', '.join(missing[:5])}")
-    ent = np.vstack([table.entities[ent_pos[n]] for n in graph.entities.names])
-    rel = np.vstack([table.relations[rel_pos[n]] for n in graph.relations.names])
     return EmbeddingTable(
-        entities=ent,
-        relations=rel,
+        entities=table.entities[[ent_pos[n] for n in graph.entities.names]],
+        relations=table.relations[[rel_pos[n] for n in graph.relations.names]],
         entity_names=graph.entities.names,
         relation_names=graph.relations.names,
     )

@@ -788,16 +788,19 @@ def test_replacement_pool_matches_scan(case):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 100), k=st.integers(0, 2))
 def test_extrinsic_corruptions_sound_and_flagged(seed, n, k):
     """Gate 4 on random corpora: each replacement lies outside the record's
-    k-hop ball and history, and the critic at the same k flags each span."""
+    k-hop ball and history, its preferred surface fills its label (labels in
+    text order), and the critic at the same k flags each span."""
     graph, types, aliases, records = sparse_corpus(n, n_triples=n, seed=seed)
     cfg = CorruptionConfig(fraction=1.0, seed=seed, policy="drop", k=k)
     corrupted, _ = build_synthetic_dataset(records, graph, types, cfg, aliases)
     critic = Critic(graph, aliases, k=k)
     for c in corrupted:
         assert c.kind == "extrinsic"
+        assert c.labels == sorted(c.labels)
         ball = graph.khop_subgraph(derive_anchors(c.original, graph, aliases, "kn"), k)
         history = [canonical(turn) for turn in c.original.history]
-        for _, new in c.replacements:
+        for (b, e), (_, new) in zip(c.labels, c.replacements, strict=True):
+            assert c.response[b:e] == aliases.preferred(new)
             assert graph.entities.get(new) not in ball.nodes
             assert not any(canonical(new) in turn for turn in history)
         report = critic.critique(c.as_record())
@@ -835,6 +838,9 @@ def test_intrinsic_swap_is_an_involution(case):
         once = corrupt_intrinsic(record, graph, aliases)
     except NotApplicable:
         return
+    assert once.labels == sorted(once.labels)
+    for (b, e), (_, new) in zip(once.labels, once.replacements, strict=True):
+        assert aliases.entity_of(once.response[b:e]) == new
     twice = corrupt_intrinsic(once.as_record(), graph, aliases)
     assert once.response != record.response
     assert twice.response == record.response
