@@ -9,7 +9,9 @@ A JSON config file (--config) supplies values for the command's flags;
 each is parsed like the flag itself, and explicit flags override it.
 Randomized stages derive their working seed from the root
 --seed hashed with the stage name, so each stage is independently
-reproducible from one number.
+reproducible from one number. The commands that use numpy run BLAS on
+one thread unless the environment names a count, so trained bytes do
+not depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -26,14 +28,27 @@ from pathlib import Path
 from typing import Any, Iterator
 
 # corruptor, embeddings and retriever import numpy, so only the commands
-# that use them import them: kg stats, subgraph, critique and an eval
-# without --emb start without numpy.
+# that use them import them, after _numpy_on_one_thread(): kg stats,
+# subgraph, critique and an eval without --emb start without numpy.
 from .choices import OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
 from .critic import ANCHOR_SOURCES, Critic, CriticReport, load_relation_phrases
 from .dialogue import DialogueRecord, read_dialogues, write_dialogues
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 from .metrics import BLEU_LEVELS, bleu, hallucination_rate
+
+
+def _numpy_on_one_thread() -> None:
+    """Set each unset BLAS thread variable to 1, if numpy is not loaded yet.
+
+    BLAS reads them once, when numpy first loads it. Left unset, it runs
+    one thread per core, and batch products round differently on another
+    count. A process that imported numpy before calling main() keeps its
+    own settings.
+    """
+    if "numpy" not in sys.modules:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
 
 
 def stage_seed(root: int, stage: str) -> int:
@@ -236,6 +251,7 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    _numpy_on_one_thread()
     from .corruptor import CorruptionConfig, build_synthetic_dataset
 
     with _atomic_outputs(args.out, args.summary) as (out, summary_out):
@@ -261,6 +277,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    _numpy_on_one_thread()
     from .embeddings import TrainingConfig, save_embeddings, save_loss_trace, train
 
     with _atomic_outputs(args.out, args.trace) as (out, trace_out):
@@ -349,6 +366,7 @@ def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    _numpy_on_one_thread()
     from .retriever import RefineConfig, load_query_vectors, refine_response
 
     with _atomic_outputs(args.out) as (out,):
@@ -412,6 +430,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rate = None
 
         if want_ranking:
+            _numpy_on_one_thread()
             from .embeddings import evaluate_link_prediction
 
             table = _load_table(args.emb, graph)

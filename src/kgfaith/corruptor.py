@@ -4,7 +4,7 @@ Turns faithful grounded responses into labelled negatives two ways:
 
 * extrinsic: swap each entity mention for a same-type entity whose
   preferred surface links back to it, drawn uniformly from outside the
-  local subgraph and the dialogue history, so the replacement is
+  local k-hop ball and the dialogue history, so the replacement is
   guaranteed to be a detectable hallucination;
 * intrinsic: exchange the subject and object surfaces of a grounding
   triple in place, producing a reversed (unsupported) assertion while
@@ -35,7 +35,7 @@ from .errors import (
     NotApplicable,
     UnknownEntity,
 )
-from .kg import AliasTable, KnowledgeGraph, Subgraph, Vocabulary, canonical, check_radius
+from .kg import AliasTable, KnowledgeGraph, Vocabulary, canonical, check_radius
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,7 @@ class CorruptionConfig:
     go intrinsic. policy says what to do when the assigned strategy is
     not applicable to a record: try the other one ("fallback") or drop
     the record ("drop"). k is the neighborhood radius used to build the
-    exclusion subgraph for extrinsic replacements; keep it at least as
+    exclusion ball for extrinsic replacements; keep it at least as
     large as the critic's radius so generated negatives stay detectable.
     """
 
@@ -112,11 +112,6 @@ def _history_hits(history: list[str], graph: KnowledgeGraph, aliases: AliasTable
     return hits
 
 
-def _links_back(name: str, aliases: AliasTable) -> bool:
-    """The critic links the surface spliced in for this entity back to it."""
-    return aliases.entity_of(aliases.preferred(name)) == name
-
-
 class _Pool(Sequence[str]):
     """Names of sorted candidate ids minus some of them, looked up lazily.
 
@@ -171,10 +166,11 @@ def same_type_ids(
     links back to it. Every name in the type map gets an entry, also one
     the graph lacks; names of one type share one list.
     """
+    links_back = aliases.links_back
     members: dict[str, list[int]] = {}
     for i, name in enumerate(graph.entities):
         kind = types.get(name)
-        if kind is not None and _links_back(name, aliases):
+        if kind is not None and name in links_back:
             members.setdefault(kind, []).append(i)
     return {name: members.get(kind, []) for name, kind in types.items()}
 
@@ -182,7 +178,7 @@ def same_type_ids(
 def replacement_pool(
     mention_entity: str,
     graph: KnowledgeGraph,
-    sub: Subgraph,
+    ball: frozenset[int],
     same_type: dict[str, list[int]],
     history: list[str],
     aliases: AliasTable,
@@ -192,7 +188,8 @@ def replacement_pool(
     Eligible means: a graph entity of the same declared type (from
     ``same_type``, built by same_type_ids; when it misses the mention,
     one sharing a predicate-and-slot with it), whose preferred surface
-    links back to it, not the mention itself, not a subgraph node, and
+    links back to it, not the mention itself, not in the record's k-hop
+    ``ball``, and
     with no surface form occurring anywhere in the history. The pool is
     a lazy sequence over the candidate list: building it and drawing
     from it cost the excluded entities, not the candidates.
@@ -203,9 +200,10 @@ def replacement_pool(
         if eid is None:
             return ()
         peers = _positional_peers(eid, graph)
-        candidate_ids = sorted(i for i in peers if _links_back(graph.entities.name_of(i), aliases))
+        links_back = aliases.links_back
+        candidate_ids = sorted(i for i in peers if graph.entities.name_of(i) in links_back)
     excluded = _history_hits(history, graph, aliases)
-    excluded.update(sub.nodes)
+    excluded.update(ball)
     self_id = graph.entities.get(mention_entity)
     if self_id is not None:
         excluded.add(self_id)
@@ -226,7 +224,7 @@ def _spliced(
 def corrupt_extrinsic(
     record: DialogueRecord,
     graph: KnowledgeGraph,
-    sub: Subgraph,
+    ball: frozenset[int],
     same_type: dict[str, list[int]],
     rng: np.random.Generator,
     aliases: AliasTable,
@@ -242,7 +240,7 @@ def corrupt_extrinsic(
     edits: list[tuple[int, int, str]] = []
     replacements: list[tuple[str, str]] = []
     for m in mentions:
-        pool = replacement_pool(m.entity, graph, sub, same_type, record.history, aliases)
+        pool = replacement_pool(m.entity, graph, ball, same_type, record.history, aliases)
         if not pool:
             continue
         choice = pool[int(rng.integers(len(pool)))]
@@ -343,7 +341,7 @@ def build_synthetic_dataset(
     randomness comes from a substream keyed by (seed, record index),
     making output byte-identical across runs and worker schedules. A
     record grounded on an entity the graph lacks has no exclusion
-    subgraph, so its extrinsic attempt fails with UnknownEntity and
+    ball, so its extrinsic attempt fails with UnknownEntity and
     takes the fallback-or-drop path. Without an alias table, every
     entity name is its own surface form.
     """
@@ -363,8 +361,8 @@ def build_synthetic_dataset(
 
     def try_extrinsic(rec: DialogueRecord, idx: int) -> CorruptedRecord:
         rng = np.random.default_rng([cfg.seed, idx])
-        sub = graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), cfg.k)
-        return corrupt_extrinsic(rec, graph, sub, same_type, rng, aliases)
+        ball = graph.ball(derive_anchors(rec, graph, aliases, "kn"), cfg.k)
+        return corrupt_extrinsic(rec, graph, ball, same_type, rng, aliases)
 
     out: list[CorruptedRecord] = []
     for idx, rec in enumerate(records):

@@ -4,9 +4,9 @@ Links entity mentions in a response against an alias table, then labels
 each mention by checking it against the local graph neighborhood and the
 dialogue history:
 
-* extrinsic: the entity is not a node of the subgraph and its surface
+* extrinsic: the entity is not in the k-hop ball and its surface
   never appears in the history;
-* intrinsic: two subgraph entities co-occur in the response without a
+* intrinsic: two entities of the ball co-occur in the response without a
   direct edge between them (given relation phrases, the edge must also
   have the right orientation whenever a phrase links the pair in text);
 * faithful: everything else.
@@ -22,7 +22,7 @@ from typing import Any
 
 from .dialogue import DialogueRecord, MentionSpan, check_spans
 from .errors import UnlinkedResponse
-from .kg import AliasTable, KnowledgeGraph, Subgraph, _read_tsv, canonical, check_radius
+from .kg import AliasTable, KnowledgeGraph, _read_tsv, canonical, check_radius
 
 logger = logging.getLogger(__name__)
 
@@ -170,21 +170,23 @@ def _check_phrases(relation_phrases: dict[str, list[str]] | None) -> None:
 
 def critique_response(
     record: DialogueRecord,
-    sub: Subgraph,
+    ball: frozenset[int],
     graph: KnowledgeGraph,
     aliases: AliasTable,
     relation_phrases: dict[str, list[str]] | None = None,
 ) -> CriticReport:
     """Label every mention of the response as faithful/extrinsic/intrinsic.
 
-    Pre-linked spans on the record win over fresh linking. Two subgraph
-    mentions pass the pair check when the graph has an edge between them
-    in either direction; a ball from khop_subgraph keeps every edge
-    induced on its nodes, so that is an edge of the subgraph. Relation
-    phrases (an empty table raises ValueError) make the check directed:
-    when a phrase of relation r occurs in the text between two subgraph
-    mentions, some matched relation must hold as the oriented triple
-    (first mention, r, second mention), otherwise the pair is intrinsic.
+    ``ball`` is the record's k-hop ball (KnowledgeGraph.ball). Pre-linked
+    spans on the record win over fresh linking. Two mentions inside the
+    ball pass the pair check when the graph has an edge between them in
+    either direction; the edge joins two ball nodes, so it is an edge
+    induced on the ball, and the graph's edge index answers without
+    building those edges. Relation phrases (an empty table raises
+    ValueError) make the check directed: when a phrase of relation r
+    occurs in the text between two mentions inside the ball, some matched
+    relation must hold as the oriented triple (first mention, r, second
+    mention), otherwise the pair is intrinsic.
     """
     _check_phrases(relation_phrases)
     mentions = response_mentions(record, aliases, graph)
@@ -194,11 +196,11 @@ def critique_response(
         )
 
     labels = [FAITHFUL] * len(mentions)
-    in_sub = [m.entity_id in sub.nodes for m in mentions]
+    in_ball = [m.entity_id in ball for m in mentions]
 
     folded_history = [canonical(turn) for turn in record.history]
     for i, m in enumerate(mentions):
-        if not in_sub[i] and not _surface_in_history(m.surface, folded_history):
+        if not in_ball[i] and not _surface_in_history(m.surface, folded_history):
             labels[i] = EXTRINSIC
 
     phrase_to_relation = [
@@ -207,7 +209,7 @@ def critique_response(
         for form in forms
     ]
 
-    for i, j in combinations([i for i, inside in enumerate(in_sub) if inside], 2):
+    for i, j in combinations([i for i, inside in enumerate(in_ball) if inside], 2):
         first, second = mentions[i], mentions[j]
         if first.entity_id == second.entity_id:
             continue
@@ -251,7 +253,7 @@ class Critic:
         anchors = derive_anchors(record, self.graph, self.aliases, self.anchor_source)
         return critique_response(
             record,
-            self.graph.khop_subgraph(anchors, self.k),
+            self.graph.ball(anchors, self.k),
             self.graph,
             self.aliases,
             relation_phrases=self.relation_phrases,

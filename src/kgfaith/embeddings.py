@@ -364,7 +364,7 @@ class _AdamStep:
 def _ball_rows(graph: KnowledgeGraph, k: int) -> np.ndarray:
     """Every subject's k-hop ball as one row of ascending ids, padded with -1."""
     subjects = sorted({t.s for t in graph.triples})
-    balls = [sorted(graph.khop_subgraph([s], k).nodes) for s in subjects]
+    balls = [sorted(graph.ball([s], k)) for s in subjects]
     out = np.full((len(graph.entities), max(map(len, balls), default=0)), -1, dtype=np.int64)
     for s, ball in zip(subjects, balls):
         out[s, : len(ball)] = ball

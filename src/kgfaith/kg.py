@@ -2,9 +2,9 @@
 
 Entities and relations are interned into contiguous integer ids in
 first-seen order. The graph is immutable after construction and keeps
-both out-edge and in-edge indexes so neighborhood expansion, a
-subgraph's induced edges and direct edge queries cost the degrees they
-touch, not the size of the graph.
+both out-edge and in-edge indexes, plus an undirected adjacency built on
+first use, so a k-hop ball, its induced edges and direct edge queries
+cost the degrees they touch, not the size of the graph.
 """
 
 from __future__ import annotations
@@ -133,7 +133,12 @@ class GraphStats:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """A k-hop neighborhood: node set plus every edge induced on it."""
+    """A k-hop ball plus every edge induced on it.
+
+    Only the callers that read edges build one (``kgfaith subgraph`` and
+    inferred-relation retrieval); the others take the ball alone from
+    KnowledgeGraph.ball.
+    """
 
     nodes: frozenset[int]
     triples: tuple[Triple, ...]
@@ -193,12 +198,24 @@ class KnowledgeGraph:
         triples = self.triples
         return tuple((triples[i].s, triples[i].p) for i in self._in.get(entity, ()))
 
-    def neighbors(self, entity: int) -> set[int]:
-        """Adjacent entities ignoring edge direction."""
+    @cached_property
+    def _adjacency(self) -> list[tuple[int, ...]]:
+        """Entity id -> its distinct neighbors ignoring edge direction.
+
+        Built on first use, so loading a graph does not pay for it. Tuples
+        hold a neighbor list in less memory than sets.
+        """
         triples = self.triples
-        adj = {triples[i].o for i in self._out.get(entity, ())}
-        adj.update(triples[i].s for i in self._in.get(entity, ()))
-        return adj
+        adjacency = []
+        for v in range(len(self.entities)):
+            near = {triples[i].o for i in self._out.get(v, ())}
+            near.update(triples[i].s for i in self._in.get(v, ()))
+            adjacency.append(tuple(near))
+        return adjacency
+
+    def neighbors(self, entity: int) -> set[int]:
+        """Adjacent entities of a graph entity id, ignoring edge direction."""
+        return set(self._adjacency[entity])
 
     def degree(self, entity: int) -> int:
         return len(self._out.get(entity, ())) + len(self._in.get(entity, ()))
@@ -215,36 +232,39 @@ class KnowledgeGraph:
 
     # --- queries -----------------------------------------------------
 
-    def khop_subgraph(self, centers: Iterable[int | str], k: int) -> Subgraph:
-        """BFS ball of radius k around the centers, with induced edges.
+    def ball(self, centers: Iterable[int | str], k: int) -> frozenset[int]:
+        """The entities within k hops of the centers, edge direction ignored.
 
-        Hop distance ignores edge direction. The subgraph keeps every
-        triple of the full graph whose both endpoints fall inside the
-        ball, including edges between two frontier nodes.
+        Every center is resolved (an unknown one raises UnknownEntity)
+        before the breadth-first expansion.
         """
         check_radius(k)
-        frontier = list(dict.fromkeys(self.resolve_entity(c) for c in centers))
-        seen: set[int] = set(frontier)
+        seen = {self.resolve_entity(c) for c in centers}
+        frontier = seen
+        adjacency = self._adjacency
         for _ in range(k):
             if not frontier:
                 break
-            nxt: list[int] = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        # Each induced edge leaves a ball node, so the ball's out-edges
+            frontier = set().union(*map(adjacency.__getitem__, frontier)) - seen
+            seen |= frontier
+        return frozenset(seen)
+
+    def induced(self, nodes: frozenset[int]) -> Subgraph:
+        """The nodes with every triple whose both endpoints are among them, in graph order."""
+        # Each induced edge leaves a node of the set, so their out-edges
         # hold them all; sorting the positions keeps graph order.
         triples = self.triples
-        induced = tuple(
-            triples[i]
-            for i in sorted(
-                i for v in seen for i in self._out.get(v, ()) if triples[i].o in seen
-            )
+        positions = sorted(
+            i for v in nodes for i in self._out.get(v, ()) if triples[i].o in nodes
         )
-        return Subgraph(nodes=frozenset(seen), triples=induced)
+        return Subgraph(nodes=nodes, triples=tuple(triples[i] for i in positions))
+
+    def khop_subgraph(self, centers: Iterable[int | str], k: int) -> Subgraph:
+        """The k-hop ball around the centers with its induced edges.
+
+        Edges between two frontier nodes count too.
+        """
+        return self.induced(self.ball(centers, k))
 
     def direct_edges(self, a: int | str, b: int | str) -> list[Triple]:
         """Triples a -> b, in graph order."""
@@ -361,14 +381,15 @@ class AliasTable:
     The first surface listed for an entity is its preferred rendering.
     Surface lookup is case- and whitespace-insensitive; when two
     entities claim one surface the first mapping wins. The surface
-    index behind match_spans and entities_in is built on first use and
-    dropped by the next add().
+    index behind match_spans and entities_in, and the links_back set,
+    are each built on first use and dropped by the next add().
     """
 
     def __init__(self) -> None:
         self._surfaces: dict[str, list[str]] = {}
         self._entity_of: dict[str, str] = {}
         self._index: _SurfaceIndex | None = None
+        self._back: frozenset[str] | None = None
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> AliasTable:
@@ -380,6 +401,7 @@ class AliasTable:
 
     def add(self, entity: str, surface: str) -> None:
         self._index = None
+        self._back = None
         entity = entity.strip()
         surface = " ".join(surface.split())
         if not entity or not surface:
@@ -443,6 +465,22 @@ class AliasTable:
         index = self._surface_index()
         found = _substrings_in(folded, index.owners, index.owner_lengths, index.owner_starts)
         return {entity for key in found for entity in index.owners[key]}
+
+    @property
+    def links_back(self) -> frozenset[str]:
+        """Entities whose preferred surface resolves back to them.
+
+        Those are the names for which entity_of(preferred(name)) == name:
+        a surface spliced in for one of them links to it again.
+        """
+        if self._back is None:
+            entity_of = self._entity_of
+            self._back = frozenset(
+                entity
+                for entity, forms in self._surfaces.items()
+                if entity_of[canonical(forms[0])] == entity
+            )
+        return self._back
 
     def preferred(self, entity: str) -> str:
         forms = self._surfaces.get(entity)

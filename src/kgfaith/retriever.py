@@ -118,13 +118,14 @@ def infer_relation(
 
 
 def build_query(
-    table: EmbeddingTable, sub: Subgraph, anchor: int, candidates: np.ndarray,
+    table: EmbeddingTable, sub: Subgraph | None, anchor: int, candidates: np.ndarray,
     grounding: Triple | None, supplied: np.ndarray | None,
 ) -> np.ndarray:
     """Craft the query vector for one flagged mention.
 
     external: the supplied vector; oracle: the relation of the grounding
-    triple; inferred: the relation infer_relation picks.
+    triple; inferred: the relation infer_relation picks from ``sub``, the
+    ball with its induced edges, which only this mode reads.
     """
     if supplied is not None:
         return supplied
@@ -215,8 +216,9 @@ def refine_response(
 
     Mentions go left to right, each in one step: the scoring anchor (in
     oracle mode with its grounding triple), the k-hop ball around the
-    current anchor set, the candidates (ball minus anchors, ascending),
-    the query, the ranking. The winner's preferred surface is spliced
+    current anchor set (with its induced edges in inferred mode only),
+    the candidates (ball minus anchors, ascending), the query, the
+    ranking. The winner's preferred surface is spliced
     over the span and, with chaining on, the winner joins the anchors.
     External mode, and only it, takes ``queries``: this record's vectors,
     one per flagged span in text order, whatever the span's outcome; a
@@ -244,8 +246,9 @@ def refine_response(
         old = record.response[lab.begin:lab.end]
         try:
             anchor, grounding = scoring_anchor(cfg.mode, record, graph, anchors)
-            sub = graph.khop_subgraph(anchors, cfg.k)
-            candidates = np.array(sorted(sub.nodes.difference(anchors)), dtype=np.int64)
+            ball = graph.ball(anchors, cfg.k)
+            sub = graph.induced(ball) if cfg.mode == "inferred" else None
+            candidates = np.array(sorted(ball.difference(anchors)), dtype=np.int64)
             query = build_query(table, sub, anchor, candidates, grounding, supplied)
             ranked = rank_candidates(query, anchor, candidates, table)
         except RetrievalImpossible as err:

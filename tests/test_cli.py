@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from synthetic import sparse_corpus
 
 import kgfaith
 from kgfaith.cli import _load_config, _Options, _parse_sampler, build_parser, main, stage_seed
@@ -452,6 +453,46 @@ class TestTrainCommand:
             assert proc.returncode == 0, proc.stderr
             outputs.append((out.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs that a child process can be pinned to",
+    )
+    def test_snapshot_does_not_depend_on_the_core_count(self, tmp_path):
+        """A host with two cores writes the snapshot OPENBLAS_NUM_THREADS=1 writes.
+
+        The second process has no thread variable set and two CPUs in its
+        affinity mask, which is what OpenBLAS counts as the cores it may
+        use. Left to pick its own count, it scores each batch with two
+        threads, which round this graph's batch products otherwise.
+        """
+        graph = sparse_corpus(600, 4, 900)[0]
+        kg = tmp_path / "kg.tsv"
+        kg.write_text("".join("\t".join(graph.name_triple(t)) + "\n" for t in graph.triples))
+        package_root = str(Path(kgfaith.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        two_cpus = sorted(os.sched_getaffinity(0))[:2]
+        snapshots = []
+        for name, threads in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("unpinned", {})):
+            out = tmp_path / f"{name}.tsv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "kgfaith.cli", "train", "--kg", str(kg),
+                 "--sampler", "uniform", "--dim", "32", "--epochs", "2", "--seed", "1",
+                 "--out", str(out)],
+                env={**env, **threads}, capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: os.sched_setaffinity(0, two_cpus),
+            )
+            assert proc.returncode == 0, proc.stderr
+            snapshots.append(out.read_bytes())
+        assert snapshots[0] == snapshots[1]
+
+    def test_numpy_loaded_first_keeps_the_thread_settings(self, data_dir, tmp_path, monkeypatch):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        assert run(self.train_args(data_dir, tmp_path / "emb.tsv")) == 0
+        assert [name for name in names if name in os.environ] == []
 
     def test_seed_changes_output(self, data_dir, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -49,13 +49,13 @@ class TestReplacementPool:
         self, toy_graph, toy_same_type, toy_aliases
     ):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        pool = replacement_pool("the_bfg", toy_graph, sub, toy_same_type, [], toy_aliases)
+        pool = replacement_pool("the_bfg", toy_graph, sub.nodes, toy_same_type, [], toy_aliases)
         assert list(pool) == ["the_hobbit"]
 
     def test_history_surface_excluded(self, toy_graph, toy_same_type, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         pool = replacement_pool(
-            "the_bfg", toy_graph, sub, toy_same_type,
+            "the_bfg", toy_graph, sub.nodes, toy_same_type,
             ["Have you read The Hobbit?"], toy_aliases,
         )
         assert list(pool) == []
@@ -64,12 +64,12 @@ class TestReplacementPool:
         # With no type entry, peers are entities used with the same
         # predicate in the same slot: books that are written, here.
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        pool = replacement_pool("the_bfg", toy_graph, sub, {}, [], toy_aliases)
+        pool = replacement_pool("the_bfg", toy_graph, sub.nodes, {}, [], toy_aliases)
         assert list(pool) == ["the_hobbit"]
 
     def test_unknown_untyped_entity_has_empty_pool(self, toy_graph, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        assert list(replacement_pool("narnia", toy_graph, sub, {}, [], toy_aliases)) == []
+        assert list(replacement_pool("narnia", toy_graph, sub.nodes, {}, [], toy_aliases)) == []
 
 
 class TestReplacementsLinkBack:
@@ -96,7 +96,8 @@ class TestReplacementsLinkBack:
         graph, aliases, types = books
         sub = graph.khop_subgraph(["alice"], 1)
         same_type = same_type_ids(types, graph, aliases) if typed else {}
-        assert list(replacement_pool("book_a", graph, sub, same_type, [], aliases)) == ["book_b"]
+        pool = replacement_pool("book_a", graph, sub.nodes, same_type, [], aliases)
+        assert list(pool) == ["book_b"]
 
     def test_critique_flags_every_labelled_span(self, books):
         graph, aliases, types = books
@@ -111,7 +112,7 @@ class TestReplacementsLinkBack:
             assert [(lab.begin, lab.end) for lab in report.flagged_spans] == out.labels
 
 
-def scan_pool(mention, graph, sub, types, history, aliases):
+def scan_pool(mention, graph, ball, types, history, aliases):
     """replacement_pool by full scans: the vocabulary for a type, every triple for peers."""
     kind = types.get(mention)
     eid = graph.entities.get(mention)
@@ -126,15 +127,17 @@ def scan_pool(mention, graph, sub, types, history, aliases):
         peers |= {t.o for t in graph.triples if t.p in obj_rels}
         candidates = sorted(peers - {eid})
     turns = [canonical(t) for t in history]
+    forms_of: dict[str, list[str]] = {}
+    for e, s in aliases.items():
+        forms_of.setdefault(e, []).append(s)
     pool = []
     for i in candidates:
         name = graph.entities.name_of(i)
-        if i == eid or i in sub.nodes or name == mention:
+        if i == eid or i in ball or name == mention:
             continue
         if [m.entity for m in link_mentions(aliases.preferred(name), aliases, graph)] != [name]:
             continue  # critique could not link the spliced-in surface back
-        forms = [s for e, s in aliases.items() if e == name]
-        if any(canonical(f) in turn for f in forms for turn in turns):
+        if any(canonical(f) in turn for f in forms_of.get(name, ()) for turn in turns):
             continue
         pool.append(name)
     return pool
@@ -163,8 +166,8 @@ class TestReplacementPoolOnSparseCorpus:
         graph, _, aliases, _ = corpus
         sizes = []
         for mention, sub, history in self.cases(corpus):
-            pool = replacement_pool(mention, graph, sub, {}, history, aliases)
-            assert list(pool) == scan_pool(mention, graph, sub, {}, history, aliases)
+            pool = replacement_pool(mention, graph, sub.nodes, {}, history, aliases)
+            assert list(pool) == scan_pool(mention, graph, sub.nodes, {}, history, aliases)
             sizes.append(len(pool))
         assert min(sizes) > 0
 
@@ -172,8 +175,8 @@ class TestReplacementPoolOnSparseCorpus:
         graph, types, aliases, _ = corpus
         same_type = same_type_ids(types, graph, aliases)
         for mention, sub, history in self.cases(corpus):
-            pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
-            assert list(pool) == scan_pool(mention, graph, sub, types, history, aliases)
+            pool = replacement_pool(mention, graph, sub.nodes, same_type, history, aliases)
+            assert list(pool) == scan_pool(mention, graph, sub.nodes, types, history, aliases)
 
 
 class CountingIds(Sequence):
@@ -225,7 +228,9 @@ class TestCostFollowsTheRecord:
             for rec in records[:40]:
                 sub = graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), 2)
                 for mention in (rec.triples[0][0], rec.triples[0][2]):
-                    pool = replacement_pool(mention, graph, sub, same_type, rec.history, aliases)
+                    pool = replacement_pool(
+                        mention, graph, sub.nodes, same_type, rec.history, aliases
+                    )
                     pool[int(rng.integers(len(pool)))]
                     pools += 1
         return named[0] / pools, reads[0] / pools
@@ -259,7 +264,7 @@ class TestCorruptExtrinsic:
         rec = record([], [("roald_dahl", "wrote", "the_bfg")], "I love The BFG")
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         rng = np.random.default_rng(0)
-        out = corrupt_extrinsic(rec, toy_graph, sub, toy_same_type, rng, toy_aliases)
+        out = corrupt_extrinsic(rec, toy_graph, sub.nodes, toy_same_type, rng, toy_aliases)
         assert out.response == "I love The Hobbit"
         assert out.kind == "extrinsic"
         assert out.labels == [(7, 17)]
@@ -272,7 +277,7 @@ class TestCorruptExtrinsic:
                      "Roald Dahl wrote The BFG.")
         sub = toy_graph.khop_subgraph(["roald_dahl", "the_bfg"], 2)
         rng = np.random.default_rng(1)
-        out = corrupt_extrinsic(rec, toy_graph, sub, toy_same_type, rng, toy_aliases)
+        out = corrupt_extrinsic(rec, toy_graph, sub.nodes, toy_same_type, rng, toy_aliases)
         for (b, e), (_, new) in zip(out.labels, out.replacements):
             assert out.response[b:e] == toy_aliases.preferred(new)
 
@@ -287,7 +292,7 @@ class TestCorruptExtrinsic:
         history_folded = [canonical(t) for t in rec.history]
         for seed in range(30):
             out = corrupt_extrinsic(
-                rec, toy_graph, sub, toy_same_type, np.random.default_rng(seed), toy_aliases
+                rec, toy_graph, sub.nodes, toy_same_type, np.random.default_rng(seed), toy_aliases
             )
             for _, new in out.replacements:
                 nid = toy_graph.entities.get(new)
@@ -300,7 +305,7 @@ class TestCorruptExtrinsic:
                      "Roald Dahl wrote The BFG.")
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
         out = corrupt_extrinsic(
-            rec, toy_graph, sub, toy_same_type, np.random.default_rng(7), toy_aliases
+            rec, toy_graph, sub.nodes, toy_same_type, np.random.default_rng(7), toy_aliases
         )
         for old, new in out.replacements:
             assert toy_types[old] == toy_types[new]
@@ -310,7 +315,7 @@ class TestCorruptExtrinsic:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
         with pytest.raises(NoEligibleReplacement):
             corrupt_extrinsic(
-                rec, toy_graph, sub, toy_same_type, np.random.default_rng(0), toy_aliases
+                rec, toy_graph, sub.nodes, toy_same_type, np.random.default_rng(0), toy_aliases
             )
 
     def test_all_pools_empty_rejected(self, toy_graph, toy_same_type, toy_aliases):
@@ -320,7 +325,7 @@ class TestCorruptExtrinsic:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 3)
         with pytest.raises(NoEligibleReplacement):
             corrupt_extrinsic(
-                rec, toy_graph, sub, toy_same_type, np.random.default_rng(0), toy_aliases
+                rec, toy_graph, sub.nodes, toy_same_type, np.random.default_rng(0), toy_aliases
             )
 
     def test_critic_flags_every_corruption(self, toy_graph, toy_same_type, toy_aliases):
@@ -333,7 +338,7 @@ class TestCorruptExtrinsic:
         critic = Critic(toy_graph, toy_aliases, k=2)
         for seed in range(20):
             out = corrupt_extrinsic(
-                rec, toy_graph, sub, toy_same_type, np.random.default_rng(seed), toy_aliases
+                rec, toy_graph, sub.nodes, toy_same_type, np.random.default_rng(seed), toy_aliases
             )
             report = critic.critique(out.as_record())
             flagged = {(lab.begin, lab.end) for lab in report.labels

@@ -120,7 +120,7 @@ class TestExtrinsicLabels:
     def test_one_hop_subgraph_same_verdict(self, toy_graph, toy_aliases):
         rec = record(TABLE_HISTORY, [("roald_dahl", "wrote", "the_witches")], TABLE_RESPONSE)
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        report = critique_response(rec, sub, graph=toy_graph, aliases=toy_aliases)
+        report = critique_response(rec, sub.nodes, graph=toy_graph, aliases=toy_aliases)
         assert [lab.label for lab in report.labels] == [EXTRINSIC, EXTRINSIC]
 
     def test_history_surface_exempts(self, toy_graph, toy_aliases):
@@ -292,7 +292,7 @@ class TestCriticConfig:
         sub = toy_graph.khop_subgraph(["roald_dahl"], 2)
         with pytest.raises(ValueError, match="relation-phrase table is empty"):
             critique_response(
-                rec, sub, graph=toy_graph, aliases=toy_aliases, relation_phrases={}
+                rec, sub.nodes, graph=toy_graph, aliases=toy_aliases, relation_phrases={}
             )
 
 

@@ -2,9 +2,10 @@
 
 The references below redo the work the indexes save: k-hop balls and
 induced edges from passes over every triple, a mention pattern compiled
-afresh for every call, replacement pools built by scanning every
-candidate, and the filtered ranking's set lookup per candidate (also
-with the ranking's blocks cut to one and two rows). The batched
+afresh for every call, the links-back set from one preferred-surface
+lookup per name, replacement pools built by scanning every candidate,
+and the filtered ranking's set lookup per candidate (also with the
+ranking's blocks cut to one and two rows). The batched
 trilinear scorer is checked against one single-triple call per triple,
 and relation inference and candidate ranking against loops over those
 single scores. The batched training loss and gradients are checked
@@ -57,7 +58,13 @@ from kgfaith.embeddings import (
     rank_of_gold,
     trilinear,
 )
-from kgfaith.errors import EmptyPool, NoEligibleReplacement, NotApplicable, RetrievalImpossible
+from kgfaith.errors import (
+    EmptyPool,
+    NoEligibleReplacement,
+    NotApplicable,
+    RetrievalImpossible,
+    UnknownEntity,
+)
 from kgfaith.kg import AliasTable, canonical, fold
 from kgfaith.retriever import RefineConfig, infer_relation, rank_candidates, refine_response
 
@@ -119,6 +126,26 @@ def test_khop_matches_full_scan(data):
     nodes, induced = scan_khop(graph, centers, k)
     assert sub.nodes == nodes
     assert sub.triples == induced
+
+
+@PROPERTY
+@given(data=st.data())
+def test_ball_matches_full_scan(data):
+    """The ball alone, from centers that repeat, by id and by name."""
+    graph = data.draw(graphs())
+    n = len(graph.entities)
+    centers = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    centers = data.draw(st.permutations(centers + data.draw(st.lists(st.sampled_from(centers)))))
+    k = data.draw(st.integers(0, 3))
+    nodes, _ = scan_khop(graph, centers, k)
+    assert graph.ball(centers, k) == nodes
+    assert graph.ball([graph.entities.name_of(c) for c in centers], k) == nodes
+
+    # One unknown center, by name or by id, anywhere among them raises.
+    unknown = data.draw(st.sampled_from(["x9", "e", n, -1]))
+    at = data.draw(st.integers(0, len(centers)))
+    with pytest.raises(UnknownEntity):
+        graph.ball(centers[:at] + [unknown] + centers[at:], k)
 
 
 @PROPERTY
@@ -230,6 +257,30 @@ def test_link_mentions_matches_fresh_pattern(data):
     table.add(entity, surface)
     text = data.draw(texts(surfaces + [surface]))
     assert linked(text, table, LINK_GRAPH) == scan_links(text, table, LINK_GRAPH)
+
+
+def scan_links_back(table: AliasTable, names: list[str]) -> set[str]:
+    return {name for name in names if table.entity_of(table.preferred(name)) == name}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_links_back_matches_preferred_surface_scan(data):
+    names = ["p", "q", "r", "s", "t", "x9"]
+    table, _ = data.draw(alias_tables())
+    assert table.links_back == scan_links_back(table, names)
+    # A surface added after the set is read is seen by the next read.
+    entity, surface = data.draw(st.tuples(st.sampled_from(["q", "t"]), SURFACE))
+    table.add(entity, surface)
+    assert table.links_back == scan_links_back(table, names)
+
+
+def test_add_after_links_back_is_seen():
+    table = AliasTable.from_names(["Roald Dahl"])
+    assert table.links_back == {"Roald Dahl"}
+    table.add("ghost", "ROALD DAHL")  # the surface stays Roald Dahl's
+    table.add("the_bfg", "The BFG")
+    assert table.links_back == {"Roald Dahl", "the_bfg"}
 
 
 def test_add_after_link_is_seen():
@@ -745,13 +796,14 @@ def every_pool_rule():
 def test_every_pool_rule():
     graph, aliases, types, sub, history, mention, _, _ = every_pool_rule()
     same_type = same_type_ids(types, graph, aliases)
-    pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
+    pool = replacement_pool(mention, graph, sub.nodes, same_type, history, aliases)
     assert list(pool) == ["e7", "e8"]
 
 
-def extrinsic_outcome(record, graph, sub, same_type, seed, aliases):
+def extrinsic_outcome(record, graph, ball, same_type, seed, aliases):
+    rng = np.random.default_rng(seed)
     try:
-        out = corrupt_extrinsic(record, graph, sub, same_type, np.random.default_rng(seed), aliases)
+        out = corrupt_extrinsic(record, graph, ball, same_type, rng, aliases)
     except NoEligibleReplacement:
         return None
     return out.response, out.labels, out.replacements
@@ -763,8 +815,8 @@ def extrinsic_outcome(record, graph, sub, same_type, seed, aliases):
 def test_replacement_pool_matches_scan(case):
     graph, aliases, types, sub, history, mention, response, seed = case
     same_type = same_type_ids(types, graph, aliases)
-    pool = replacement_pool(mention, graph, sub, same_type, history, aliases)
-    want = scan_pool(mention, graph, sub, types, history, aliases)
+    pool = replacement_pool(mention, graph, sub.nodes, same_type, history, aliases)
+    want = scan_pool(mention, graph, sub.nodes, types, history, aliases)
     assert list(pool) == want
     assert len(pool) == len(want)
     assert [pool[j] for j in range(-len(want), len(want))] == want + want
@@ -772,13 +824,13 @@ def test_replacement_pool_matches_scan(case):
         pool[len(want)]
 
     # corrupt_extrinsic draws the same entities from a list pool.
-    def list_pool(mention, graph, sub, same_type, history, aliases):
-        return scan_pool(mention, graph, sub, types, history, aliases)
+    def list_pool(mention, graph, ball, same_type, history, aliases):
+        return scan_pool(mention, graph, ball, types, history, aliases)
 
     record = DialogueRecord(history=history, triples=[], response=response)
-    drawn = extrinsic_outcome(record, graph, sub, same_type, seed, aliases)
+    drawn = extrinsic_outcome(record, graph, sub.nodes, same_type, seed, aliases)
     with patch.object(corruptor, "replacement_pool", list_pool):
-        assert extrinsic_outcome(record, graph, sub, same_type, seed, aliases) == drawn
+        assert extrinsic_outcome(record, graph, sub.nodes, same_type, seed, aliases) == drawn
 
 
 # --- corruption ---------------------------------------------------------------
