@@ -142,19 +142,29 @@ class _Pool(Sequence[str]):
         return self._names.name_of(self._ids[p])
 
 
-def _positional_peers(entity_id: int, graph: KnowledgeGraph) -> set[int]:
-    """Entities appearing with one of this entity's predicates in the same slot.
+def _positional_ids(
+    entity_id: int, graph: KnowledgeGraph, same_type: dict[Any, list[int]],
+    aliases: AliasTable,
+) -> list[int]:
+    """Ids sharing a predicate-and-slot with the entity and linking back, ascending.
 
-    Coarse stand-in for a type when the type map has no entry.
+    Coarse stand-in for a type when the type map has no entry. Entities
+    with the same relation slots share one list, which includes them. It
+    is built on first use and kept in ``same_type`` under that slot set,
+    so each is checked against the alias table once per map.
     """
-    slots = graph.relation_slots
-    peers: set[int] = set()
-    for p, _ in graph.out_edges(entity_id):
-        peers |= slots[p][0]
-    for _, p in graph.in_edges(entity_id):
-        peers |= slots[p][1]
-    peers.discard(entity_id)
-    return peers
+    signature = frozenset(
+        [(p, 0) for p, _ in graph.out_edges(entity_id)]
+        + [(p, 1) for _, p in graph.in_edges(entity_id)]
+    )
+    ids = same_type.get(signature)
+    if ids is None:
+        slots = graph.relation_slots
+        peers = set().union(*(slots[p][slot] for p, slot in signature))
+        names, links_back = graph.entities, aliases.links_back
+        ids = sorted(i for i in peers if names.name_of(i) in links_back)
+        same_type[signature] = ids
+    return ids
 
 
 def same_type_ids(
@@ -187,21 +197,19 @@ def replacement_pool(
 
     Eligible means: a graph entity of the same declared type (from
     ``same_type``, built by same_type_ids; when it misses the mention,
-    one sharing a predicate-and-slot with it), whose preferred surface
-    links back to it, not the mention itself, not in the record's k-hop
-    ``ball``, and
-    with no surface form occurring anywhere in the history. The pool is
-    a lazy sequence over the candidate list: building it and drawing
-    from it cost the excluded entities, not the candidates.
+    one sharing a predicate-and-slot with it, a list ``same_type`` then
+    keeps), whose preferred surface links back to it, not the mention
+    itself, not in the record's k-hop ``ball``, and with no surface form
+    occurring anywhere in the history. The pool is a lazy sequence over
+    the candidate list: building it and drawing from it cost the
+    excluded entities, not the candidates.
     """
     candidate_ids = same_type.get(mention_entity)
     if candidate_ids is None:
         eid = graph.entities.get(mention_entity)
         if eid is None:
             return ()
-        peers = _positional_peers(eid, graph)
-        links_back = aliases.links_back
-        candidate_ids = sorted(i for i in peers if graph.entities.name_of(i) in links_back)
+        candidate_ids = _positional_ids(eid, graph, same_type, aliases)
     excluded = _history_hits(history, graph, aliases)
     excluded.update(ball)
     self_id = graph.entities.get(mention_entity)

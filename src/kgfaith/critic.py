@@ -15,7 +15,7 @@ dialogue history:
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Any
@@ -41,7 +41,7 @@ class SpanLabel:
     label: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"begin": self.begin, "end": self.end, "label": self.label}
 
 
 @dataclass

@@ -185,15 +185,16 @@ def batch_negatives(
         if not sizes.all():
             raise EmptyPool("subgraph offers no alternative entity")
         keys = np.where(valid, rng.random(pool.shape), np.inf)
+        starts = np.arange(rows)[:, None] * pool.shape[1]  # row starts in the flat pool
         # The first sizes[i] cells of row i hold its pool in random order.
-        shuffled = np.take_along_axis(pool, np.argsort(keys, axis=1), axis=1)
+        shuffled = pool.ravel()[np.argsort(keys, axis=1) + starts]
         cols = np.tile(np.arange(n), (rows, 1))
         short = sizes < n
         if short.any():
             logger.debug("%d of %d pools smaller than n=%d; drawing with replacement",
                          short.sum(), rows, n)
         cols[short] = rng.integers(0, sizes[short, None], size=(int(short.sum()), n))
-        return np.take_along_axis(shuffled, cols, axis=1), np.ones((rows, n + 1), dtype=bool)
+        return shuffled.ravel()[cols + starts], np.ones((rows, n + 1), dtype=bool)
 
     # in_batch
     if len(pool) < 2:
@@ -240,6 +241,30 @@ def sample_negatives(
     return [Triple(pos.s, pos.p, int(o)) for o in negs[0][mask[0, 1:]]]
 
 
+class TouchedRows:
+    """The batch's distinct ids, ascending, and each id's place among them.
+
+    What np.unique(ids, return_inverse=True) returns for ids below n, at a
+    cost that follows len(ids) and not n: the ids are sorted, the first of
+    each run kept, and each kept id's place written into an array of n
+    slots that the inverse is read back from. The array is kept across
+    calls and never cleared, because a call reads only the slots it has
+    just written. (np.unique also argsorts and scatters for the inverse;
+    a vocabulary-sized mask would cost O(n) per call.)
+    """
+
+    def __init__(self, n: int) -> None:
+        self._place = np.empty(n, dtype=np.intp)
+
+    def __call__(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ordered = np.sort(ids)
+        first = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        self._place[distinct] = np.arange(len(distinct))
+        return distinct, self._place[ids]
+
+
 def batch_nce_loss_and_grad(
     subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray,
     mask: np.ndarray, table: EmbeddingTable,
@@ -250,20 +275,35 @@ def batch_nce_loss_and_grad(
     column j that ``mask`` keeps; column 0 is the positive, and masked
     cells must hold it. Returns the per-row losses and, for the entity
     and the relation matrix, the ascending touched row ids with their
-    gradients summed over the batch. The scores are read from one
-    (rows, touched entities) product (u * r) @ E.T, so no candidate
-    vector is gathered. With C the softmax coefficients on the same
-    grid, sum_j c_ij v_ij = C @ E and the object gradients are
-    C.T @ (u * r); one-hot products sum the subject and relation rows.
+    gradients summed over the batch. One call of the kernel train()
+    steps with; train keeps one TouchedRows across its batches.
+    """
+    touched = TouchedRows(max(len(table.entities), len(table.relations)))
+    return _nce_batch(subjects, predicates, objects, mask, table, touched)
+
+
+def _nce_batch(
+    subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray,
+    mask: np.ndarray, table: EmbeddingTable, touched: TouchedRows,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """batch_nce_loss_and_grad, finding the touched rows with ``touched``.
+
+    The scores are read from one (rows, touched entities) product
+    (u * r) @ E.T, so no candidate vector is gathered. With C the softmax
+    coefficients on the same grid, sum_j c_ij v_ij = C @ E and the object
+    gradients are C.T @ (u * r); one-hot products sum the subject and
+    relation rows.
     """
     rows = len(subjects)
-    ent_ids, inv = np.unique(np.concatenate([subjects, objects.ravel()]), return_inverse=True)
+    ent_ids, inv = touched(np.concatenate([subjects, objects.ravel()]))
     subj, obj = inv[:rows], inv[rows:].reshape(objects.shape)
-    rel_ids, rel = np.unique(predicates, return_inverse=True)
+    rel_ids, rel = touched(predicates)
     E = table.entities[ent_ids]
     U, R = E[subj], table.relations[predicates]
     UR = U * R
-    scores = np.where(mask, np.take_along_axis(UR @ E.T, obj, axis=1), -np.inf)
+    # Each (row, candidate) cell's offset in the flattened (rows, touched) grid.
+    cells = np.arange(rows)[:, None] * len(ent_ids) + obj
+    scores = np.where(mask, (UR @ E.T).ravel()[cells], -np.inf)
     m = scores.max(axis=1, keepdims=True)
     shifted = np.exp(scores - m)
     total = shifted.sum(axis=1, keepdims=True)
@@ -271,8 +311,7 @@ def batch_nce_loss_and_grad(
     coeff = shifted / total
     coeff[:, 0] -= 1.0
 
-    cells = (np.arange(rows)[:, None] * len(ent_ids) + obj).ravel()
-    C = np.bincount(cells, coeff.ravel(), rows * len(ent_ids)).reshape(rows, -1)
+    C = np.bincount(cells.ravel(), coeff.ravel(), rows * len(ent_ids)).reshape(rows, -1)
     CV = C @ E
     S = np.zeros_like(C)
     S[np.arange(rows), subj] = 1.0
@@ -352,8 +391,9 @@ class _AdamStep:
         self.t = np.zeros(shape[0], dtype=np.int64)
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
-        self.t[rows] += 1
-        t = self.t[rows][:, None]
+        t = self.t[rows] + 1
+        self.t[rows] = t
+        t = t[:, None]
         self.m[rows] = m = self.m[rows] * self.beta1 + (1 - self.beta1) * grad
         self.v[rows] = v = self.v[rows] * self.beta2 + (1 - self.beta2) * grad * grad
         m_hat = m / (1 - self.beta1**t)
@@ -391,6 +431,7 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
     rng = np.random.default_rng([cfg.seed, 1])
     balls = _ball_rows(graph, cfg.sans_k) if cfg.sampler == "sans" else None
     step = _SgdStep if cfg.optimizer == "sgd" else _AdamStep
+    touched = TouchedRows(max(len(table.entities), len(table.relations)))
     steppers = (
         (table.entities, step(cfg.lr, table.entities.shape)),
         (table.relations, step(cfg.lr, table.relations.shape)),
@@ -412,8 +453,8 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
             negs, mask = batch_negatives(
                 cfg.sampler, o, cfg.negatives, rng, len(graph.entities), pool
             )
-            losses, *grads = batch_nce_loss_and_grad(
-                s, p, np.concatenate([o[:, None], negs], axis=1), mask, table
+            losses, *grads = _nce_batch(
+                s, p, np.concatenate([o[:, None], negs], axis=1), mask, table, touched
             )
             epoch_loss += float(losses.sum())
             seen += len(losses)

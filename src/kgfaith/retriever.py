@@ -13,7 +13,7 @@ neighborhood and earlier picks are excluded from later candidate sets.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Collection, Sequence
 
@@ -179,6 +179,12 @@ class Edit:
     new_entity: str
     rank1_score: float
 
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "begin": self.begin, "end": self.end, "old": self.old,
+            "new_entity": self.new_entity, "rank1_score": self.rank1_score,
+        }
+
 
 @dataclass
 class Failure:
@@ -187,6 +193,9 @@ class Failure:
     begin: int
     end: int
     reason: str
+
+    def to_json(self) -> dict[str, Any]:
+        return {"begin": self.begin, "end": self.end, "reason": self.reason}
 
 
 @dataclass
@@ -198,8 +207,8 @@ class RefinementOutcome:
     def merged_json(self, record: DialogueRecord) -> dict[str, Any]:
         out = record.to_json()
         out["refined_response"] = self.response
-        out["edits"] = [asdict(e) for e in self.edits]
-        out["failures"] = [asdict(f) for f in self.failures]
+        out["edits"] = [e.to_json() for e in self.edits]
+        out["failures"] = [f.to_json() for f in self.failures]
         return out
 
 

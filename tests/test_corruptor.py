@@ -207,14 +207,29 @@ class TestCostFollowsTheRecord:
     """
 
     @staticmethod
-    def pool_costs(n: int) -> tuple[float, float]:
-        """Mean Vocabulary.name_of calls and candidate ids read per pool plus one draw."""
+    def pool_costs(n: int, typed: bool = True) -> tuple[float, float]:
+        """Mean Vocabulary.name_of calls and candidate ids read per pool plus one draw.
+
+        The candidate lists are built before counting, as one corpus build
+        does once: same_type_ids's, or, with an empty type map, the
+        positional lists replacement_pool keeps in the map, from a first
+        pass over the same pools.
+        """
         graph, types, aliases, records = sparse_corpus(n, n_triples=3 * n // 2)
+        cases = [
+            (mention, graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), 2), rec)
+            for rec in records[:40]
+            for mention in (rec.triples[0][0], rec.triples[0][2])
+        ]
+        lists = same_type_ids(types, graph, aliases) if typed else {}
+        if not typed:
+            for mention, sub, rec in cases:
+                replacement_pool(mention, graph, sub.nodes, lists, rec.history, aliases)
         reads, named = [0], [0]
         wrapped: dict[int, CountingIds] = {}
         same_type = {
-            name: wrapped.setdefault(id(ids), CountingIds(ids, reads))
-            for name, ids in same_type_ids(types, graph, aliases).items()
+            key: wrapped.setdefault(id(ids), CountingIds(ids, reads))
+            for key, ids in lists.items()
         }
         name_of = Vocabulary.name_of
 
@@ -223,20 +238,21 @@ class TestCostFollowsTheRecord:
             return name_of(self, idx)
 
         rng = np.random.default_rng(0)
-        pools = 0
         with patch.object(Vocabulary, "name_of", counted_name_of):
-            for rec in records[:40]:
-                sub = graph.khop_subgraph(derive_anchors(rec, graph, aliases, "kn"), 2)
-                for mention in (rec.triples[0][0], rec.triples[0][2]):
-                    pool = replacement_pool(
-                        mention, graph, sub.nodes, same_type, rec.history, aliases
-                    )
-                    pool[int(rng.integers(len(pool)))]
-                    pools += 1
-        return named[0] / pools, reads[0] / pools
+            for mention, sub, rec in cases:
+                pool = replacement_pool(mention, graph, sub.nodes, same_type, rec.history, aliases)
+                pool[int(rng.integers(len(pool)))]
+        return named[0] / len(cases), reads[0] / len(cases)
 
     def test_pool_and_draw(self):
         small, big = self.pool_costs(600), self.pool_costs(6000)
+        assert big[0] <= 2 * small[0]
+        assert big[1] <= 2 * small[1]
+
+    def test_positional_pool_and_draw(self):
+        """With an empty type map every mention takes the positional list,
+        checked against the alias table once per relation-slot set."""
+        small, big = self.pool_costs(600, typed=False), self.pool_costs(6000, typed=False)
         assert big[0] <= 2 * small[0]
         assert big[1] <= 2 * small[1]
 

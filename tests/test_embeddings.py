@@ -13,9 +13,13 @@ from test_corruptor import CountingIds
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith.embeddings import (
+    SAMPLERS,
     EmbeddingTable,
+    TouchedRows,
     TrainingConfig,
     _AdamStep,
+    _ball_rows,
+    _nce_batch,
     align_table,
     batch_negatives,
     batch_nce_loss_and_grad,
@@ -225,6 +229,115 @@ class TestBatchKernelMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 51 * 32 * 8  # 417,792 B
+
+
+def unique_kernel(subjects, predicates, objects, mask, table):
+    """The batch kernel as it found its touched rows with np.unique and read
+    its scores with take_along_axis: the oracle for TouchedRows and the
+    flat score gather, which must give the same bytes."""
+    rows = len(subjects)
+    ent_ids, inv = np.unique(np.concatenate([subjects, objects.ravel()]), return_inverse=True)
+    subj, obj = inv[:rows], inv[rows:].reshape(objects.shape)
+    rel_ids, rel = np.unique(predicates, return_inverse=True)
+    E = table.entities[ent_ids]
+    U, R = E[subj], table.relations[predicates]
+    UR = U * R
+    scores = np.where(mask, np.take_along_axis(UR @ E.T, obj, axis=1), -np.inf)
+    m = scores.max(axis=1, keepdims=True)
+    shifted = np.exp(scores - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    losses = (m - scores[:, :1] + np.log(total))[:, 0]
+    coeff = shifted / total
+    coeff[:, 0] -= 1.0
+
+    cells = (np.arange(rows)[:, None] * len(ent_ids) + obj).ravel()
+    C = np.bincount(cells, coeff.ravel(), rows * len(ent_ids)).reshape(rows, -1)
+    CV = C @ E
+    S = np.zeros_like(C)
+    S[np.arange(rows), subj] = 1.0
+    ent_grad = C.T @ UR
+    ent_grad += S.T @ (R * CV)
+    P = np.zeros((rows, len(rel_ids)))
+    P[np.arange(rows), rel] = 1.0
+    rel_grad = P.T @ (U * CV)
+    return losses, (ent_ids, ent_grad), (rel_ids, rel_grad)
+
+
+def take_along_sans(golds, n, rng, pool):
+    """The sans draws as take_along_axis gathered them: the flat gathers' oracle."""
+    valid = (pool >= 0) & (pool != golds[:, None])
+    sizes = valid.sum(axis=1)
+    keys = np.where(valid, rng.random(pool.shape), np.inf)
+    shuffled = np.take_along_axis(pool, np.argsort(keys, axis=1), axis=1)
+    cols = np.tile(np.arange(n), (len(golds), 1))
+    short = sizes < n
+    cols[short] = rng.integers(0, sizes[short, None], size=(int(short.sum()), n))
+    return np.take_along_axis(shuffled, cols, axis=1)
+
+
+def assert_same_batch(got, want):
+    (losses, *grads), (ref_losses, *ref_grads) = got, want
+    assert np.array_equal(losses, ref_losses)
+    for (ids, grad), (ref_ids, ref_grad) in zip(grads, ref_grads):
+        assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
+        assert np.array_equal(grad, ref_grad)
+
+
+class TestTouchedRowKernel:
+    """The kernel train() steps with gives the np.unique kernel's bytes.
+
+    One TouchedRows serves several batches, as in train(), so a slot an
+    earlier batch wrote must never reach a later batch's inverse.
+    """
+
+    @pytest.mark.parametrize("strategy", SAMPLERS)
+    @pytest.mark.parametrize("corpus", ["block", "sparse"])
+    def test_training_batches_match_unique_kernel(self, corpus, strategy):
+        graph = block_split(0)[0] if corpus == "block" else sparse_corpus(600, 4, 900)[0]
+        n_ent = len(graph.entities)
+        triples = np.array(graph.triples, dtype=np.int64)
+        table = init_embeddings(n_ent, len(graph.relations), 32, seed=3)
+        balls = _ball_rows(graph, 2) if strategy == "sans" else None
+        touched = TouchedRows(max(n_ent, len(graph.relations)))
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            s, p, o = triples[rng.permutation(len(triples))[:32]].T
+            pool = o if balls is None else balls[s]
+            negs, mask = batch_negatives(strategy, o, 50, rng, n_ent, pool)
+            objects = np.concatenate([o[:, None], negs], axis=1)
+            want = unique_kernel(s, p, objects, mask, table)
+            assert_same_batch(_nce_batch(s, p, objects, mask, table, touched), want)
+            assert_same_batch(batch_nce_loss_and_grad(s, p, objects, mask, table), want)
+
+    @pytest.mark.parametrize(
+        "subjects, predicates, objects, mask",
+        [
+            ([4], [1], [[2, 0, 5, 2]], [[True, True, True, False]]),
+            # Subject 3 twice; its rows share object 1, and subject 0 is an object too.
+            ([3, 3, 0], [0, 1, 0], [[1, 3, 0], [5, 1, 5], [3, 3, 4]],
+             [[True, True, True], [True, True, False], [True, True, True]]),
+        ],
+        ids=["one-row", "repeated-subject"],
+    )
+    def test_small_batches_match_unique_kernel(self, subjects, predicates, objects, mask):
+        rng = np.random.default_rng(1)
+        table = EmbeddingTable(entities=rng.normal(size=(6, 4)), relations=rng.normal(size=(2, 4)))
+        args = (np.array(subjects), np.array(predicates), np.array(objects), np.array(mask))
+        touched = TouchedRows(6)
+        touched(np.arange(6)[::-1])  # every slot holds an earlier batch's place
+        assert_same_batch(_nce_batch(*args, table, touched), unique_kernel(*args, table))
+
+    @pytest.mark.parametrize("n", [1, 3, 6], ids=["full", "mixed", "short"])
+    def test_sans_flat_gather_matches_take_along_axis(self, n):
+        """Pools left with 4, 1 and 5 ids: n=1 draws every row without
+        replacement, n=6 every row with it, n=3 some rows each way."""
+        pool = np.array([[0, 1, 2, 3, 4, -1], [2, 4, -1, -1, -1, -1], [0, 1, 2, 3, 4, 5]])
+        golds = np.array([2, 2, 0])
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            negs, _ = batch_negatives("sans", golds, n, rng, 0, pool)
+            assert np.array_equal(negs, take_along_sans(golds, n, ref, pool))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSampleNegatives:

@@ -9,8 +9,8 @@ ranking's blocks cut to one and two rows). The batched
 trilinear scorer is checked against one single-triple call per triple,
 and relation inference and candidate ranking against loops over those
 single scores. The batched training loss and gradients are checked
-against nce_loss_and_grad summed over the rows, and the batched
-samplers against their per-row contracts.
+against nce_loss_and_grad summed over the rows, the batched samplers
+against their per-row contracts, and TouchedRows against np.unique.
 Multi-span splice, which refinement and corruption use to place every
 edit and failure, is checked against its offset contract. On small
 random sparse corpora, extrinsic corruptions are checked to be sound and
@@ -50,6 +50,7 @@ from kgfaith.dialogue import DialogueRecord, splice
 from kgfaith.embeddings import (
     SAMPLERS,
     EmbeddingTable,
+    TouchedRows,
     batch_negatives,
     batch_nce_loss_and_grad,
     evaluate_link_prediction,
@@ -736,6 +737,31 @@ def test_in_batch_mask_drops_equal_golds(pool, golds):
     for g, row, keep in zip(golds, negs.tolist(), mask[:, 1:].tolist()):
         assert row == pool
         assert keep == [o != g for o in pool]
+
+
+@st.composite
+def id_batches(draw):
+    """A vocabulary size n and a few id arrays below it, some empty."""
+    n = draw(st.integers(1, 40))
+    batch = st.lists(st.integers(0, n - 1), max_size=30).map(ids)
+    return n, draw(st.lists(batch, min_size=1, max_size=4))
+
+
+@PROPERTY
+@given(case=id_batches())
+@example(case=(1, [ids([0])]))
+@example(case=(9, [ids([4])]))
+@example(case=(5, [ids([3, 3, 3, 3])]))
+@example(case=(7, [ids([6, 0, 6]), ids([0])]))
+def test_touched_rows_equal_unique(case):
+    """One TouchedRows over successive batches, as train() keeps it, gives
+    np.unique's ids and inverse for each batch."""
+    n, batches = case
+    touched = TouchedRows(n)
+    for batch in batches:
+        got, want = touched(batch), np.unique(batch, return_inverse=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # --- replacement pools --------------------------------------------------------
