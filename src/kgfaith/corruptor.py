@@ -150,8 +150,10 @@ def _positional_ids(
 
     Coarse stand-in for a type when the type map has no entry. Entities
     with the same relation slots share one list, which includes them. It
-    is built on first use and kept in ``same_type`` under that slot set,
-    so each is checked against the alias table once per map.
+    is built on first use and kept in ``same_type`` under that slot set.
+    Each (relation, slot) pair's linking-back entities are kept there
+    too, under the pair, so an entity is checked against the alias table
+    once per slot it fills and per map, whatever sets the slot is part of.
     """
     signature = frozenset(
         [(p, 0) for p, _ in graph.out_edges(entity_id)]
@@ -159,10 +161,15 @@ def _positional_ids(
     )
     ids = same_type.get(signature)
     if ids is None:
-        slots = graph.relation_slots
-        peers = set().union(*(slots[p][slot] for p, slot in signature))
         names, links_back = graph.entities, aliases.links_back
-        ids = sorted(i for i in peers if names.name_of(i) in links_back)
+        peers: set[int] = set()
+        for p, slot in signature:
+            linked = same_type.get((p, slot))
+            if linked is None:
+                linked = [i for i in graph.relation_slots[p][slot] if names.name_of(i) in links_back]
+                same_type[(p, slot)] = linked
+            peers.update(linked)
+        ids = sorted(peers)
         same_type[signature] = ids
     return ids
 

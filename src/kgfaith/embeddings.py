@@ -159,15 +159,16 @@ def nce_loss_and_grad(
 def batch_negatives(
     strategy: str, golds: np.ndarray, n: int, rng: np.random.Generator | None,
     n_entities: int, pool: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Corrupted objects for every row of a batch: (B, k) ids, (B, k + 1) mask.
 
     Mask column 0 stands for the gold; a masked-out cell holds the row's
-    gold. uniform: n draws from the n_entities ids other than the gold.
-    sans: n draws from the row's ball in ``pool`` (padded with -1) minus
-    the gold; without replacement (the top n of random keys) when that
-    leaves n ids, with replacement otherwise. in_batch: the batch's gold
-    objects ``pool``, masked where they equal the row's gold.
+    gold. A mask of None keeps every cell. uniform: n draws from the
+    n_entities ids other than the gold. sans: n draws from the row's ball
+    in ``pool`` (padded with -1) minus the gold; without replacement (the
+    top n of random keys) when that leaves n ids, with replacement
+    otherwise. Neither masks a cell. in_batch: the batch's gold objects
+    ``pool``, masked where they equal the row's gold.
     """
     rows = len(golds)
     if strategy == "uniform":
@@ -177,7 +178,7 @@ def batch_negatives(
         # 0..n_entities-2 and shift the draws at or above gold up by one.
         draws = rng.integers(0, n_entities - 1, size=(rows, n))
         draws += draws >= golds[:, None]
-        return draws, np.ones((rows, n + 1), dtype=bool)
+        return draws, None
 
     if strategy == "sans":
         valid = (pool >= 0) & (pool != golds[:, None])
@@ -188,13 +189,14 @@ def batch_negatives(
         starts = np.arange(rows)[:, None] * pool.shape[1]  # row starts in the flat pool
         # The first sizes[i] cells of row i hold its pool in random order.
         shuffled = pool.ravel()[np.argsort(keys, axis=1) + starts]
-        cols = np.tile(np.arange(n), (rows, 1))
+        cols = np.arange(n)[None].repeat(rows, axis=0)
         short = sizes < n
-        if short.any():
+        n_short = int(short.sum())
+        if n_short:
             logger.debug("%d of %d pools smaller than n=%d; drawing with replacement",
-                         short.sum(), rows, n)
-        cols[short] = rng.integers(0, sizes[short, None], size=(int(short.sum()), n))
-        return shuffled.ravel()[cols + starts], np.ones((rows, n + 1), dtype=bool)
+                         n_short, rows, n)
+        cols[short] = rng.integers(0, sizes[short, None], size=(n_short, n))
+        return shuffled.ravel()[cols + starts], None
 
     # in_batch
     if len(pool) < 2:
@@ -238,7 +240,8 @@ def sample_negatives(
         pool = np.array([t.o for t in batch or ()], dtype=np.int64)
     n_entities = len(graph.entities) if graph is not None else 0
     negs, mask = batch_negatives(strategy, np.array([pos.o]), n, rng, n_entities, pool)
-    return [Triple(pos.s, pos.p, int(o)) for o in negs[0][mask[0, 1:]]]
+    kept = negs[0] if mask is None else negs[0][mask[0, 1:]]
+    return [Triple(pos.s, pos.p, int(o)) for o in kept]
 
 
 class TouchedRows:
@@ -267,43 +270,53 @@ class TouchedRows:
 
 def batch_nce_loss_and_grad(
     subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray,
-    mask: np.ndarray, table: EmbeddingTable,
+    mask: np.ndarray | None, table: EmbeddingTable,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The loss of nce_loss_and_grad for every row of a batch, in one pass.
 
     Row i scores (subjects[i], predicates[i], objects[i, j]) for each
-    column j that ``mask`` keeps; column 0 is the positive, and masked
-    cells must hold it. Returns the per-row losses and, for the entity
-    and the relation matrix, the ascending touched row ids with their
-    gradients summed over the batch. One call of the kernel train()
-    steps with; train keeps one TouchedRows across its batches.
+    column j that ``mask`` keeps (every column when it is None); column 0
+    is the positive, and masked cells must hold it. Returns the per-row
+    losses and, for the entity and the relation matrix, the ascending
+    touched row ids with their gradients summed over the batch. One call
+    of the kernel train() steps with, split at the first relation row.
     """
-    touched = TouchedRows(max(len(table.entities), len(table.relations)))
-    return _nce_batch(subjects, predicates, objects, mask, table, touched)
+    n_e = len(table.entities)
+    losses, ids, grad = _nce_batch(
+        subjects, predicates, objects, mask, table.entities, table.relations,
+        TouchedRows(n_e + len(table.relations)),
+    )
+    n_ent = int(np.searchsorted(ids, n_e))
+    return losses, (ids[:n_ent], grad[:n_ent]), (ids[n_ent:] - n_e, grad[n_ent:])
 
 
 def _nce_batch(
     subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray,
-    mask: np.ndarray, table: EmbeddingTable, touched: TouchedRows,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """batch_nce_loss_and_grad, finding the touched rows with ``touched``.
+    mask: np.ndarray | None, entities: np.ndarray, relations: np.ndarray,
+    touched: TouchedRows,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch's losses, touched rows and their gradients, in one parameter space.
 
-    The scores are read from one (rows, touched entities) product
-    (u * r) @ E.T, so no candidate vector is gathered. With C the softmax
-    coefficients on the same grid, sum_j c_ij v_ij = C @ E and the object
-    gradients are C.T @ (u * r); one-hot products sum the subject and
-    relation rows.
+    Row ids count the entities first and then the relations, offset by
+    len(entities), as train() stacks the two matrices; one ``touched``
+    call finds both kinds. The scores are read from one (rows, touched
+    entities) product (u * r) @ E.T, so no candidate vector is gathered.
+    With C the softmax coefficients on the same grid, sum_j c_ij v_ij =
+    C @ E and the object gradients are C.T @ (u * r); one-hot products
+    sum the subject and relation rows.
     """
-    rows = len(subjects)
-    ent_ids, inv = touched(np.concatenate([subjects, objects.ravel()]))
-    subj, obj = inv[:rows], inv[rows:].reshape(objects.shape)
-    rel_ids, rel = touched(predicates)
-    E = table.entities[ent_ids]
-    U, R = E[subj], table.relations[predicates]
+    rows, n_e = len(subjects), len(entities)
+    ids, inv = touched(np.concatenate([subjects, objects.ravel(), predicates + n_e]))
+    n_ent = int(np.searchsorted(ids, n_e))
+    subj, obj = inv[:rows], inv[rows:-rows].reshape(objects.shape)
+    E = entities[ids[:n_ent]]
+    U, R = E[subj], relations[predicates]
     UR = U * R
     # Each (row, candidate) cell's offset in the flattened (rows, touched) grid.
-    cells = np.arange(rows)[:, None] * len(ent_ids) + obj
-    scores = np.where(mask, (UR @ E.T).ravel()[cells], -np.inf)
+    cells = np.arange(rows)[:, None] * n_ent + obj
+    scores = (UR @ E.T).ravel()[cells]
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
     m = scores.max(axis=1, keepdims=True)
     shifted = np.exp(scores - m)
     total = shifted.sum(axis=1, keepdims=True)
@@ -311,16 +324,16 @@ def _nce_batch(
     coeff = shifted / total
     coeff[:, 0] -= 1.0
 
-    C = np.bincount(cells.ravel(), coeff.ravel(), rows * len(ent_ids)).reshape(rows, -1)
+    C = np.bincount(cells.ravel(), coeff.ravel(), rows * n_ent).reshape(rows, -1)
     CV = C @ E
     S = np.zeros_like(C)
     S[np.arange(rows), subj] = 1.0
     ent_grad = C.T @ UR
     ent_grad += S.T @ (R * CV)
-    P = np.zeros((rows, len(rel_ids)))
-    P[np.arange(rows), rel] = 1.0
+    P = np.zeros((rows, len(ids) - n_ent))
+    P[np.arange(rows), inv[-rows:] - n_ent] = 1.0
     rel_grad = P.T @ (U * CV)
-    return losses, (ent_ids, ent_grad), (rel_ids, rel_grad)
+    return losses, ids, np.concatenate([ent_grad, rel_grad])
 
 
 @dataclass(frozen=True)
@@ -417,51 +430,51 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
     Triples are shuffled each epoch. Each mini-batch draws its negatives,
     scores and differentiates all its rows at once, adds an L2 pull of
     2*l2*row to every touched row, and takes one optimizer step on the
-    touched rows. The per-epoch mean loss is returned as the trace. An
-    epoch that trains no triple raises EmptyPool; a non-finite mean
-    raises DivergenceDetected. Single-worker, fully seeded: identical
-    config gives identical tables and traces. The sans sampler draws
-    from the sans_k-hop ball around each triple's subject, built once per
-    run for every subject.
+    touched rows. The entity and relation matrices are the two row
+    blocks of one parameter matrix, so a batch finds its touched rows,
+    pulls them and steps them once. The per-epoch mean loss is returned
+    as the trace. An epoch that trains no triple raises EmptyPool; a
+    non-finite mean raises DivergenceDetected. Single-worker, fully
+    seeded: identical config gives identical tables and traces. The sans
+    sampler draws from the sans_k-hop ball around each triple's subject,
+    built once per run for every subject.
     """
-    table = init_embeddings(len(graph.entities), len(graph.relations), cfg.d, cfg.seed)
+    n_e = len(graph.entities)
+    table = init_embeddings(n_e, len(graph.relations), cfg.d, cfg.seed)
+    params = np.concatenate([table.entities, table.relations])
+    table.entities, table.relations = params[:n_e], params[n_e:]
     table.entity_names = graph.entities.names
     table.relation_names = graph.relations.names
     triples = np.array(graph.triples, dtype=np.int64).reshape(-1, 3)
     rng = np.random.default_rng([cfg.seed, 1])
     balls = _ball_rows(graph, cfg.sans_k) if cfg.sampler == "sans" else None
     step = _SgdStep if cfg.optimizer == "sgd" else _AdamStep
-    touched = TouchedRows(max(len(table.entities), len(table.relations)))
-    steppers = (
-        (table.entities, step(cfg.lr, table.entities.shape)),
-        (table.relations, step(cfg.lr, table.relations.shape)),
-    )
+    stepper = step(cfg.lr, params.shape)
+    touched = TouchedRows(len(params))
     trace: list[float] = []
     n = len(triples)
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
+        shuffled = triples[rng.permutation(n)].T
         epoch_loss = 0.0
         seen = 0
         for start in range(0, n, cfg.batch_size):
-            s, p, o = triples[order[start : start + cfg.batch_size]].T
+            s, p, o = shuffled[:, start : start + cfg.batch_size]
             if cfg.sampler == "in_batch" and len(o) < 2:
                 logger.debug("skipping remainder batch of 1 (in-batch sampler)")
                 continue
             # sans draws from the subjects' balls, in_batch from the batch's
             # golds; uniform reads no pool.
             pool = o if balls is None else balls[s]
-            negs, mask = batch_negatives(
-                cfg.sampler, o, cfg.negatives, rng, len(graph.entities), pool
-            )
-            losses, *grads = _nce_batch(
-                s, p, np.concatenate([o[:, None], negs], axis=1), mask, table, touched
+            negs, mask = batch_negatives(cfg.sampler, o, cfg.negatives, rng, n_e, pool)
+            losses, rows, grad = _nce_batch(
+                s, p, np.concatenate([o[:, None], negs], axis=1), mask,
+                table.entities, table.relations, touched,
             )
             epoch_loss += float(losses.sum())
             seen += len(losses)
-            for (params, stepper), (rows, grad) in zip(steppers, grads):
-                if cfg.l2 > 0:
-                    grad += 2.0 * cfg.l2 * params[rows]
-                stepper.apply(params, rows, grad)
+            if cfg.l2 > 0:
+                grad += 2.0 * cfg.l2 * params[rows]
+            stepper.apply(params, rows, grad)
         if not seen:
             raise EmptyPool(f"epoch {epoch} trained no triple")
         mean_loss = epoch_loss / seen
@@ -547,16 +560,26 @@ def evaluate_link_prediction(
         block = heldout[start : start + rows]
         s, p, o = np.array(block, dtype=np.int32).T
         scores = (E[s] * table.relations[p]) @ E.T
-        gold = scores[np.arange(len(block)), o][:, None]
+        r = np.arange(len(block))
+        gold = scores[r, o][:, None]
         ahead = scores > gold
-        ahead |= (scores == gold) & (ids < o[:, None])
-        block_ranks = 1 + ahead.sum(axis=1)
+        ties = scores == gold
+        ties[r, o] = False
+        if ties.any():  # only an entity that ties the gold with a lower id is ahead
+            ahead |= ties & (ids < o[:, None])
+        block_ranks = 1 + ahead.sum(axis=1, dtype=np.int32)
         if known is not None:
+            ri, ci = [], []  # each row's filtered-out entities, as (row, entity) cells
             for i, t in enumerate(block):
-                dropped = [e for e in known[(t.s, t.p)] if e != t.o]
-                if dropped:
-                    block_ranks[i] -= np.count_nonzero(ahead[i, dropped])
+                for e in known[(t.s, t.p)]:
+                    if e != t.o:
+                        ri.append(i)
+                        ci.append(e)
+            if ri:
+                ri = np.array(ri)
+                block_ranks -= np.bincount(ri[ahead[ri, ci]], minlength=len(block))
         ranks.extend(block_ranks.tolist())
+        del scores, ahead, ties  # before the next block's product is allocated
 
     summary = ranking_metrics(ranks)
     return LinkPredictionReport(
@@ -579,10 +602,11 @@ def save_embeddings(path: str | Path, table: EmbeddingTable) -> None:
             f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "
             f"{len(table.entities)} {len(table.relations)} {table.dim}\n"
         )
-        for name, row in zip(table.entity_names, table.entities):
-            fh.write(f"E\t{name}\t{' '.join(format(x, '.17g') for x in row)}\n")
-        for name, row in zip(table.relation_names, table.relations):
-            fh.write(f"R\t{name}\t{' '.join(format(x, '.17g') for x in row)}\n")
+        vector = " ".join(["%.17g"] * table.dim)  # format(x, ".17g") for each entry
+        for name, row in zip(table.entity_names, table.entities.tolist()):
+            fh.write(f"E\t{name}\t{vector % tuple(row)}\n")
+        for name, row in zip(table.relation_names, table.relations.tolist()):
+            fh.write(f"R\t{name}\t{vector % tuple(row)}\n")
 
 
 def parse_vector(tokens: list[str], dim: int, lineno: int) -> np.ndarray:

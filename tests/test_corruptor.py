@@ -256,6 +256,30 @@ class TestCostFollowsTheRecord:
         assert big[0] <= 2 * small[0]
         assert big[1] <= 2 * small[1]
 
+    @pytest.mark.parametrize("n", [600, 6000])
+    def test_positional_checks_follow_the_triples(self, n):
+        """Filling an empty type map checks an entity against the alias
+        table once per (relation, slot) pair it fills: at most twice per
+        triple, however many slot sets the pools need. Checking each new
+        set's peers would check every peer again for each set it is in."""
+        graph, _, aliases, records = sparse_corpus(n, n_triples=3 * n // 2)
+        links_back = aliases.links_back
+        checks = [0]
+
+        class CountingSet(frozenset):
+            def __contains__(self, name):
+                checks[0] += 1
+                return frozenset.__contains__(self, name)
+
+        same_type: dict = {}
+        with patch.object(AliasTable, "links_back", CountingSet(links_back)):
+            for rec in records[:100]:
+                for mention in (rec.triples[0][0], rec.triples[0][2]):
+                    replacement_pool(mention, graph, frozenset(), same_type, rec.history, aliases)
+        signatures = sum(isinstance(key, frozenset) for key in same_type)
+        assert signatures > 8  # several slot sets share each of the 4 x 2 pairs
+        assert 0 < checks[0] <= 2 * len(graph.triples)
+
     def test_linking_compiles_no_pattern(self):
         graph, _, _, records = sparse_corpus(600)
         aliases = AliasTable.from_names(graph.entities.names)

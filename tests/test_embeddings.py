@@ -18,6 +18,7 @@ from kgfaith.embeddings import (
     TouchedRows,
     TrainingConfig,
     _AdamStep,
+    _SgdStep,
     _ball_rows,
     _nce_batch,
     align_table,
@@ -242,7 +243,9 @@ def unique_kernel(subjects, predicates, objects, mask, table):
     E = table.entities[ent_ids]
     U, R = E[subj], table.relations[predicates]
     UR = U * R
-    scores = np.where(mask, np.take_along_axis(UR @ E.T, obj, axis=1), -np.inf)
+    scores = np.take_along_axis(UR @ E.T, obj, axis=1)
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
     m = scores.max(axis=1, keepdims=True)
     shifted = np.exp(scores - m)
     total = shifted.sum(axis=1, keepdims=True)
@@ -283,6 +286,24 @@ def assert_same_batch(got, want):
         assert np.array_equal(grad, ref_grad)
 
 
+def stacked(batch, n_ent):
+    """A two-matrix kernel result as train() steps it: losses, row ids with
+    the relations offset by n_ent, and the gradients in that order."""
+    losses, (ent_ids, ent_grad), (rel_ids, rel_grad) = batch
+    return losses, np.concatenate([ent_ids, rel_ids + n_ent]), np.concatenate([ent_grad, rel_grad])
+
+
+def assert_same_stacked(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def one_matrix_kernel(subjects, predicates, objects, mask, table, touched):
+    return _nce_batch(
+        subjects, predicates, objects, mask, table.entities, table.relations, touched
+    )
+
+
 class TestTouchedRowKernel:
     """The kernel train() steps with gives the np.unique kernel's bytes.
 
@@ -298,7 +319,7 @@ class TestTouchedRowKernel:
         triples = np.array(graph.triples, dtype=np.int64)
         table = init_embeddings(n_ent, len(graph.relations), 32, seed=3)
         balls = _ball_rows(graph, 2) if strategy == "sans" else None
-        touched = TouchedRows(max(n_ent, len(graph.relations)))
+        touched = TouchedRows(n_ent + len(graph.relations))
         rng = np.random.default_rng(7)
         for _ in range(4):
             s, p, o = triples[rng.permutation(len(triples))[:32]].T
@@ -306,7 +327,9 @@ class TestTouchedRowKernel:
             negs, mask = batch_negatives(strategy, o, 50, rng, n_ent, pool)
             objects = np.concatenate([o[:, None], negs], axis=1)
             want = unique_kernel(s, p, objects, mask, table)
-            assert_same_batch(_nce_batch(s, p, objects, mask, table, touched), want)
+            assert_same_stacked(
+                one_matrix_kernel(s, p, objects, mask, table, touched), stacked(want, n_ent)
+            )
             assert_same_batch(batch_nce_loss_and_grad(s, p, objects, mask, table), want)
 
     @pytest.mark.parametrize(
@@ -323,9 +346,11 @@ class TestTouchedRowKernel:
         rng = np.random.default_rng(1)
         table = EmbeddingTable(entities=rng.normal(size=(6, 4)), relations=rng.normal(size=(2, 4)))
         args = (np.array(subjects), np.array(predicates), np.array(objects), np.array(mask))
-        touched = TouchedRows(6)
-        touched(np.arange(6)[::-1])  # every slot holds an earlier batch's place
-        assert_same_batch(_nce_batch(*args, table, touched), unique_kernel(*args, table))
+        touched = TouchedRows(8)
+        touched(np.arange(8)[::-1])  # every slot holds an earlier batch's place
+        want = unique_kernel(*args, table)
+        assert_same_stacked(one_matrix_kernel(*args, table, touched), stacked(want, 6))
+        assert_same_batch(batch_nce_loss_and_grad(*args, table), want)
 
     @pytest.mark.parametrize("n", [1, 3, 6], ids=["full", "mixed", "short"])
     def test_sans_flat_gather_matches_take_along_axis(self, n):
@@ -536,6 +561,65 @@ class TestTrain:
             train(g, TrainingConfig(d=4, epochs=1, sampler="sans", negatives=2))
 
 
+def two_matrix_train(graph, cfg):
+    """train() as it stepped the entity and the relation matrix apart: a
+    kernel call that finds each matrix's touched rows, then an L2 pull
+    and an optimizer step per matrix. The oracle for the one-matrix step,
+    which must give the same bytes."""
+    table = init_embeddings(len(graph.entities), len(graph.relations), cfg.d, cfg.seed)
+    triples = np.array(graph.triples, dtype=np.int64).reshape(-1, 3)
+    rng = np.random.default_rng([cfg.seed, 1])
+    balls = _ball_rows(graph, cfg.sans_k) if cfg.sampler == "sans" else None
+    step = _SgdStep if cfg.optimizer == "sgd" else _AdamStep
+    steppers = [(m, step(cfg.lr, m.shape)) for m in (table.entities, table.relations)]
+    trace = []
+    n = len(triples)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss, seen = 0.0, 0
+        for start in range(0, n, cfg.batch_size):
+            s, p, o = triples[order[start : start + cfg.batch_size]].T
+            if cfg.sampler == "in_batch" and len(o) < 2:
+                continue
+            pool = o if balls is None else balls[s]
+            negs, mask = batch_negatives(cfg.sampler, o, cfg.negatives, rng, len(graph.entities), pool)
+            losses, *grads = unique_kernel(
+                s, p, np.concatenate([o[:, None], negs], axis=1), mask, table
+            )
+            epoch_loss += float(losses.sum())
+            seen += len(losses)
+            for (params, stepper), (rows, grad) in zip(steppers, grads):
+                if cfg.l2 > 0:
+                    grad += 2.0 * cfg.l2 * params[rows]
+                stepper.apply(params, rows, grad)
+        trace.append(epoch_loss / seen)
+    return table, trace
+
+
+class TestOneMatrixStep:
+    """train() steps one stacked parameter matrix; the bytes are those of
+    stepping the two matrices apart, for every sampler and optimizer, with
+    and without the L2 pull."""
+
+    @pytest.mark.parametrize("l2", [1e-4, 0.0])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize(
+        "sampler", [("uniform", 1), ("sans", 2), ("in_batch", 1)], ids=["uniform", "sans2", "in_batch"]
+    )
+    @pytest.mark.parametrize("corpus", ["block", "sparse"])
+    def test_tables_and_trace_match_two_matrix_oracle(self, corpus, sampler, optimizer, l2):
+        graph = block_split(1)[0] if corpus == "block" else sparse_corpus(600, 4, 900)[0]
+        cfg = TrainingConfig(
+            d=32, epochs=2, negatives=50, batch_size=32, lr=8e-2, seed=5,
+            sampler=sampler[0], sans_k=sampler[1], optimizer=optimizer, l2=l2,
+        )
+        table, trace = train(graph, cfg)
+        want, want_trace = two_matrix_train(graph, cfg)
+        assert trace == want_trace
+        assert table.entities.tobytes() == want.entities.tobytes()
+        assert table.relations.tobytes() == want.relations.tobytes()
+
+
 class DictAdam:
     """The Adam step that kept its moments and step counts in dicts keyed
     by row: the oracle for the dense state."""
@@ -647,6 +731,9 @@ class TestLinkPrediction:
         report = evaluate_link_prediction(table, [Triple(0, 0, 3)], g, mode="raw")
         # All scores tie at 0; ids 0,1,2 precede the gold id 3.
         assert report.ranks == [4]
+        # Filtered, the known object 1 is dropped though it ties ahead of the gold.
+        report = evaluate_link_prediction(table, [Triple(0, 0, 3)], g, mode="filtered")
+        assert report.ranks == [3]
 
     def test_metric_aggregation(self):
         # Hand-set table giving gold ranks [1, 2, 4] over 5 candidates.
@@ -716,6 +803,23 @@ class TestSnapshot:
         assert loaded.entity_names == toy_graph.entities.names
         np.testing.assert_array_equal(loaded.entities, table.entities)
         np.testing.assert_array_equal(loaded.relations, table.relations)
+
+    def test_bytes_match_per_float_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, 0.1, -1 / 3]
+        table = EmbeddingTable(
+            entities=np.array([values, values[::-1]]), relations=np.array([values[1:] + [0.0]]),
+            entity_names=["a", "b"], relation_names=["r"],
+        )
+        path = tmp_path / "emb.tsv"
+        save_embeddings(path, table)
+        rows = [("E", table.entity_names, table.entities), ("R", table.relation_names, table.relations)]
+        want = "pathhunter-emb v1 2 1 5\n" + "".join(
+            f"{kind}\t{name}\t{' '.join(format(x, '.17g') for x in row)}\n"
+            for kind, names, matrix in rows
+            for name, row in zip(names, matrix)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+        assert "-0 4.9406564584124654e-324 1e+308 0.10000000000000001" in want
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "emb.tsv"

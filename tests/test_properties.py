@@ -613,6 +613,8 @@ def nce_batches(draw):
 def summed_reference(subjects, predicates, objects, mask, table):
     """nce_loss_and_grad row by row on the kept columns, gradients summed per row key."""
     losses, total = [], {}
+    if mask is None:  # every cell kept
+        mask = np.ones(objects.shape, dtype=bool)
     for s, p, row, keep in zip(subjects, predicates, objects, mask):
         negs = [Triple(int(s), int(p), int(o)) for o in row[1:][keep[1:]]]
         loss, grads = nce_loss_and_grad(Triple(int(s), int(p), int(row[0])), negs, table)
@@ -714,7 +716,7 @@ def test_sans_draws_stay_in_ball(case, seed):
         return
     negs, mask = batch_negatives("sans", golds, n, rng, 0, padded(balls))
     assert negs.shape == (len(balls), n)
-    assert mask.shape == (len(balls), n + 1) and mask.all()
+    assert mask is None  # sans keeps every draw
     for row, pool in zip(negs.tolist(), allowed):
         assert set(row) <= pool
         if len(pool) >= n:
