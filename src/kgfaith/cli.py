@@ -17,25 +17,25 @@ not depend on the host's core count.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import hashlib
 import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-# corruptor, embeddings and retriever import numpy, so only the commands
-# that use them import them, after _numpy_on_one_thread(): kg stats,
-# subgraph, critique and an eval without --emb start without numpy.
-from .choices import OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
-from .critic import ANCHOR_SOURCES, Critic, CriticReport, load_relation_phrases
-from .dialogue import DialogueRecord, read_dialogues, write_dialogues
+# Each command imports the modules it runs, so kg stats and subgraph load
+# only kg. corruptor, embeddings and retriever import numpy, and are
+# imported after _numpy_on_one_thread(): kg stats, subgraph, critique and
+# an eval without --emb start without numpy.
+from .choices import ANCHOR_SOURCES, BLEU_LEVELS, OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
-from .metrics import BLEU_LEVELS, bleu, hallucination_rate
+
+if TYPE_CHECKING:
+    from .critic import Critic, CriticReport
+    from .dialogue import DialogueRecord
 
 
 def _numpy_on_one_thread() -> None:
@@ -57,6 +57,8 @@ def stage_seed(root: int, stage: str) -> int:
     The stage name is hashed together with the root, so stages never
     share a stream yet each is reproducible from the root alone.
     """
+    import hashlib
+
     digest = hashlib.sha256(f"{root}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -253,6 +255,7 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     _numpy_on_one_thread()
     from .corruptor import CorruptionConfig, build_synthetic_dataset
+    from .dialogue import read_dialogues, write_dialogues
 
     with _atomic_outputs(args.out, args.summary) as (out, summary_out):
         seed = stage_seed(args.seed, "corrupt")
@@ -317,6 +320,8 @@ def _critic_flags(opts: _Options, p: argparse.ArgumentParser) -> None:
 
 def _critic(args: argparse.Namespace, graph) -> Critic:
     """The critic of --aliases, --k, --phrases and --anchors (critique and eval)."""
+    from .critic import Critic, load_relation_phrases
+
     aliases = load_aliases(_require_file(args.aliases, "--aliases"))
     phrases = (
         load_relation_phrases(_require_file(args.phrases, "--phrases"))
@@ -333,6 +338,8 @@ def _critic(args: argparse.Namespace, graph) -> Critic:
 
 
 def _cmd_critique(args: argparse.Namespace) -> int:
+    from .dialogue import read_dialogues, write_dialogues
+
     with _atomic_outputs(args.out) as (out,):
         graph = load_triples(_require_file(args.kg, "--kg"))
         critic = _critic(args, graph)
@@ -354,6 +361,8 @@ def _cmd_critique(args: argparse.Namespace) -> int:
 
 def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
     """The report each record carries as the ``labels`` that ``critique`` wrote."""
+    from .critic import CriticReport
+
     reports = []
     for number, record in enumerate(records, start=1):
         if "labels" not in record.extra:
@@ -367,6 +376,7 @@ def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
 
 def _cmd_refine(args: argparse.Namespace) -> int:
     _numpy_on_one_thread()
+    from .dialogue import read_dialogues, write_dialogues
     from .retriever import RefineConfig, load_query_vectors, refine_response
 
     with _atomic_outputs(args.out) as (out,):
@@ -439,6 +449,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             counts["ranks"] = len(ranking.ranks)
 
         if args.refined is not None:
+            from .dialogue import read_dialogues
+            from .metrics import bleu, hallucination_rate
+
             records = read_dialogues(_require_file(args.refined, "--refined"))
             counts["records"] = len(records)
             texts = [rec.extra.get("refined_response", rec.response) for rec in records]
@@ -456,6 +469,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 rate = hallucination_rate([critic.critique(p).flagged for p in probes])
 
         if ranks_out:
+            import csv
+
             with open(ranks_out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["item", "rank"])

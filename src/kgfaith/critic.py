@@ -20,6 +20,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Any
 
+from .choices import ANCHOR_SOURCES
 from .dialogue import DialogueRecord, MentionSpan, check_spans
 from .errors import UnlinkedResponse
 from .kg import AliasTable, KnowledgeGraph, _read_tsv, canonical, check_radius
@@ -30,8 +31,6 @@ FAITHFUL = "faithful"
 EXTRINSIC = "extrinsic"
 INTRINSIC = "intrinsic"
 LABELS = (FAITHFUL, EXTRINSIC, INTRINSIC)
-
-ANCHOR_SOURCES = ("kn", "history")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -527,9 +528,10 @@ def evaluate_link_prediction(
     the gold itself always stays. Ties go to the lower entity id
     (rank_of_gold).
 
-    A block of held-out rows is scored by one matrix product. A row's
-    raw rank counts the entities ahead of the gold in it; the filtered
-    rank subtracts the filtered-out entities among those.
+    A block of held-out rows is scored by one matrix product. In the
+    filtered mode each row's filtered-out cells are set to NaN, which is
+    never ahead of the gold and never tied with it, whatever the gold
+    score is; a row's rank counts the entities ahead of the gold.
     """
     if mode not in RANK_MODES:
         raise ValueError(f"mode must be raw or filtered, got {mode!r}")
@@ -544,7 +546,7 @@ def evaluate_link_prediction(
         held: dict[tuple[int, int], set[int]] = {}
         for s, p, o in heldout:
             held.setdefault((s, p), set()).add(o)
-        known = {(s, p): {o for q, o in graph.out_edges(s) if q == p} for s, p in held}
+        known = {pair: graph.objects(*pair) for pair in held}
         overlap = sum(len(objects & known[pair]) for pair, objects in held.items())
         if overlap:
             raise ValueError(f"{overlap} held-out triples also appear in the graph")
@@ -558,27 +560,23 @@ def evaluate_link_prediction(
     ranks: list[int] = []
     for start in range(0, len(heldout), rows):
         block = heldout[start : start + rows]
-        s, p, o = np.array(block, dtype=np.int32).T
+        flat = np.fromiter(chain.from_iterable(block), np.int32, 3 * len(block))
+        s, p, o = flat.reshape(-1, 3).T
         scores = (E[s] * table.relations[p]) @ E.T
         r = np.arange(len(block))
         gold = scores[r, o][:, None]
+        if known is not None:
+            # A row's known objects include its gold, whose cell never
+            # counts: nothing is ahead of itself, and its tie is cleared.
+            objects = [known[t[0], t[1]] for t in block]
+            cells = np.fromiter(chain.from_iterable(objects), np.intp)
+            scores[np.repeat(r, [len(k) for k in objects]), cells] = np.nan
         ahead = scores > gold
         ties = scores == gold
         ties[r, o] = False
         if ties.any():  # only an entity that ties the gold with a lower id is ahead
             ahead |= ties & (ids < o[:, None])
-        block_ranks = 1 + ahead.sum(axis=1, dtype=np.int32)
-        if known is not None:
-            ri, ci = [], []  # each row's filtered-out entities, as (row, entity) cells
-            for i, t in enumerate(block):
-                for e in known[(t.s, t.p)]:
-                    if e != t.o:
-                        ri.append(i)
-                        ci.append(e)
-            if ri:
-                ri = np.array(ri)
-                block_ranks -= np.bincount(ri[ahead[ri, ci]], minlength=len(block))
-        ranks.extend(block_ranks.tolist())
+        ranks.extend((1 + ahead.sum(axis=1, dtype=np.int32)).tolist())
         del scores, ahead, ties  # before the next block's product is allocated
 
     summary = ranking_metrics(ranks)

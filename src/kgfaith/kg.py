@@ -193,6 +193,11 @@ class KnowledgeGraph:
         triples = self.triples
         return tuple((triples[i].p, triples[i].o) for i in self._out.get(entity, ()))
 
+    def objects(self, subject: int, relation: int) -> set[int]:
+        """Objects of the edges leaving the subject under the relation, as a new set."""
+        triples = self.triples
+        return {triples[i].o for i in self._out.get(subject, ()) if triples[i].p == relation}
+
     def in_edges(self, entity: int) -> tuple[tuple[int, int], ...]:
         """(subject, relation) pairs for edges entering the entity."""
         triples = self.triples

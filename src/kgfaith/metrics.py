@@ -13,9 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .choices import BLEU_LEVELS
 from .errors import EmptyInput, LengthMismatch
 
-BLEU_LEVELS = ("corpus", "sentence")
 BLEU_ORDER = 4
 HITS_AT = (1, 3, 10)
 

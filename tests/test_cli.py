@@ -109,6 +109,42 @@ def run_without_numpy(argv, code=WITHOUT_NUMPY):
     )
 
 
+# main() as WITHOUT_NUMPY runs it, then one more stdout line: the
+# kgfaith modules it loaded, and hashlib and csv if it loaded them.
+LOADED = (
+    "import json, sys; sys.modules['numpy'] = None; "
+    "from kgfaith.cli import main; code = main(sys.argv[1:]); "
+    "names = ('kgfaith', 'hashlib', 'csv'); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith(names)))); "
+    "sys.exit(code)"
+)
+
+
+class TestImportsOnlyWhatItRuns:
+    """A command loads the package modules it runs and no others.
+
+    A fresh process again: pytest has imported every module by now.
+    """
+
+    def test_kg_stats_loads_only_kg(self, data_dir):
+        proc = run_without_numpy(["kg", "stats", "--kg", data_dir / "toy_kg.tsv"], LOADED)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            "kgfaith", "kgfaith.choices", "kgfaith.cli", "kgfaith.errors", "kgfaith.kg"
+        ]
+
+    def test_critique_leaves_metrics_out(self, data_dir, tmp_path):
+        proc = run_without_numpy(
+            ["critique", "--in", data_dir / "toy_dialogues.jsonl", "--kg", data_dir / "toy_kg.tsv",
+             "--aliases", data_dir / "toy_aliases.tsv", "--out", tmp_path / "out"],
+            LOADED,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "kgfaith.critic" in loaded
+        assert "kgfaith.metrics" not in loaded
+
+
 class TestWithoutNumpy:
     """kg stats, subgraph, critique and a text-only eval never import numpy.
 

@@ -11,7 +11,7 @@ import pytest
 from synthetic import block_split, sparse_corpus
 from test_corruptor import CountingIds
 
-from kgfaith import KnowledgeGraph, Triple, Vocabulary
+from kgfaith import KnowledgeGraph, Triple, Vocabulary, embeddings
 from kgfaith.embeddings import (
     SAMPLERS,
     EmbeddingTable,
@@ -693,6 +693,48 @@ def brute_force_rank(table, graph, triple, known, mode, cand_ids):
     return scored.index(triple.o) + 1
 
 
+def bincount_ranks(table, heldout, graph, mode):
+    """evaluate_link_prediction's ranks as they were counted before the
+    NaN mask: each row's raw rank, less the filtered-out entities ahead
+    of the gold, found per (row, entity) cell and subtracted with one
+    bincount. The oracle for the masked filter, which must give the
+    same ranks; it cuts blocks by the module's _BLOCK_CELLS, as the
+    evaluator does."""
+    heldout = list(heldout)
+    known = None
+    if mode == "filtered":
+        known = {(s, p): {o for q, o in graph.out_edges(s) if q == p} for s, p, _ in heldout}
+        for s, p, o in heldout:
+            known[s, p].add(o)
+    E = table.entities
+    ids = np.arange(len(E), dtype=np.int32)
+    rows = max(1, embeddings._BLOCK_CELLS // len(E))
+    ranks = []
+    for start in range(0, len(heldout), rows):
+        block = heldout[start : start + rows]
+        s, p, o = np.array(block, dtype=np.int32).T
+        scores = (E[s] * table.relations[p]) @ E.T
+        r = np.arange(len(block))
+        gold = scores[r, o][:, None]
+        ahead = scores > gold
+        ties = scores == gold
+        ties[r, o] = False
+        ahead |= ties & (ids < o[:, None])
+        block_ranks = 1 + ahead.sum(axis=1, dtype=np.int32)
+        if known is not None:
+            ri, ci = [], []
+            for i, t in enumerate(block):
+                for e in known[(t.s, t.p)]:
+                    if e != t.o:
+                        ri.append(i)
+                        ci.append(e)
+            if ri:
+                ri = np.array(ri)
+                block_ranks -= np.bincount(ri[ahead[ri, ci]], minlength=len(block))
+        ranks.extend(block_ranks.tolist())
+    return ranks
+
+
 class TestLinkPrediction:
     def make_setup(self, seed):
         rng = np.random.default_rng(seed)
@@ -724,6 +766,13 @@ class TestLinkPrediction:
                     for t in heldout
                 ]
                 assert report.ranks == expected
+
+    def test_generator_ranks_as_list(self):
+        g, table, heldout = self.make_setup(3)
+        for mode in ("raw", "filtered"):
+            want = evaluate_link_prediction(table, heldout, g, mode=mode)
+            got = evaluate_link_prediction(table, (t for t in heldout), g, mode=mode)
+            assert got.ranks == want.ranks
 
     def test_tie_broken_by_ascending_id(self):
         g = graph_of(5, [(0, 0, 1)])

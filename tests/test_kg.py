@@ -260,6 +260,27 @@ class TestDirectEdges:
         assert not toy_graph.direct_edges(0, 4) and not toy_graph.direct_edges(4, 0)
 
 
+class TestObjects:
+    def test_relation_filter(self, toy_graph):
+        dahl, wrote = toy_graph.resolve_entity("roald_dahl"), toy_graph.resolve_relation("wrote")
+        books = {toy_graph.resolve_entity(b) for b in
+                 ("the_witches", "the_bfg", "charlie_and_the_chocolate_factory")}
+        assert toy_graph.objects(dahl, wrote) == books
+        assert toy_graph.objects(dahl, toy_graph.resolve_relation("has_genre")) == set()
+
+    def test_entity_without_out_edges(self, toy_graph):
+        fantasy = toy_graph.resolve_entity("fantasy")
+        assert toy_graph.in_edges(fantasy) and not toy_graph.out_edges(fantasy)
+        assert toy_graph.objects(fantasy, toy_graph.resolve_relation("has_genre")) == set()
+
+    def test_fresh_set_each_call(self, toy_graph):
+        # The filtered ranking unions the held-out objects into it.
+        first = toy_graph.objects(0, 0)
+        first.add(7)
+        assert 7 not in toy_graph.objects(0, 0)
+        assert toy_graph.objects(0, 0) is not toy_graph.objects(0, 0)
+
+
 class TestIndexes:
     def test_index_sizes_sum_to_twice_triples(self, toy_graph):
         total = sum(

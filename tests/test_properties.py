@@ -5,7 +5,9 @@ induced edges from passes over every triple, a mention pattern compiled
 afresh for every call, the links-back set from one preferred-surface
 lookup per name, replacement pools built by scanning every candidate,
 and the filtered ranking's set lookup per candidate (also with the
-ranking's blocks cut to one and two rows). The batched
+ranking's blocks cut to one and two rows); the NaN-masked ranking is
+checked against the bincount correction it replaced on tables whose
+scores overflow to infinities and NaN. The batched
 trilinear scorer is checked against one single-triple call per triple,
 and relation inference and candidate ranking against loops over those
 single scores. The batched training loss and gradients are checked
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 
 from synthetic import block_split, sparse_corpus
 from test_corruptor import scan_pool
+from test_embeddings import bincount_ranks
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith import corruptor, embeddings
@@ -156,6 +159,8 @@ def test_adjacency_matches_full_scan(graph):
         assert graph.out_edges(e) == tuple((t.p, t.o) for t in graph.triples if t.s == e)
         assert graph.in_edges(e) == tuple((t.s, t.p) for t in graph.triples if t.o == e)
         assert graph.degree(e) == len(graph.out_edges(e)) + len(graph.in_edges(e))
+        for p in range(len(graph.relations)):
+            assert graph.objects(e, p) == {t.o for t in graph.triples if t.s == e and t.p == p}
     for p, (subjects, objects) in graph.relation_slots.items():
         assert subjects == {t.s for t in graph.triples if t.p == p}
         assert objects == {t.o for t in graph.triples if t.p == p}
@@ -457,6 +462,31 @@ def test_ranks_across_block_boundaries(data, rows):
         rank_of_gold(table.entities @ (table.entities[t.s] * table.relations[t.p]), ids, t.o)
         for t in heldout
     ]
+
+
+@PROPERTY
+@given(data=st.data(), rows=st.sampled_from([None, 1, 2]))
+def test_masked_ranks_match_bincount_oracle(data, rows):
+    """Entries of +-1e200 overflow products to +-inf and sums of opposite
+    infinities to NaN, so gold and filtered-out scores take each of
+    those values; the NaN mask must rank as the bincount correction did,
+    in one block (rows None) and in blocks of one and two rows."""
+    drawn = data.draw(graphs(max_entities=8, max_relations=2, max_triples=20))
+    n, r = len(drawn.entities), len(drawn.relations)
+    triple = st.builds(Triple, st.integers(0, n - 1), st.integers(0, r - 1), st.integers(0, n - 1))
+    heldout = data.draw(st.lists(triple, min_size=1, max_size=6))
+    graph = KnowledgeGraph(
+        [t for t in drawn.triples if t not in heldout], drawn.entities, drawn.relations
+    )
+    values = st.sampled_from([-1.0, 0.0, 1.0, 1e200, -1e200])
+    table = EmbeddingTable(
+        entities=matrices(data.draw, values, n, 3), relations=matrices(data.draw, values, r, 3)
+    )
+    cells = embeddings._BLOCK_CELLS if rows is None else rows * n
+    with patch.object(embeddings, "_BLOCK_CELLS", cells), np.errstate(over="ignore", invalid="ignore"):
+        for mode in ("raw", "filtered"):
+            report = evaluate_link_prediction(table, heldout, graph, mode=mode)
+            assert report.ranks == bincount_ranks(table, heldout, graph, mode)
 
 
 # --- trilinear scoring --------------------------------------------------------
