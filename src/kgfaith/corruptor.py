@@ -359,12 +359,25 @@ def build_synthetic_dataset(
     ball, so its extrinsic attempt fails with UnknownEntity and
     takes the fallback-or-drop path. Without an alias table, every
     entity name is its own surface form.
+
+    The candidate lists (same_type_ids, and the positional lists
+    replacement_pool adds) depend only on the graph, the type map and the
+    links-back set, so the graph keeps them (KnowledgeGraph.memo), as it
+    keeps the identity table: a later call with an equal type map and
+    links-back set reuses them.
     """
     if not records:
         raise AllRecordsDropped("no input records")
     if aliases is None:
-        aliases = AliasTable.from_names(graph.entities.names)
-    same_type = same_type_ids(types, graph, aliases)
+        aliases = graph.memo(
+            "identity_aliases", None, lambda: AliasTable.from_names(graph.entities.names)
+        )
+    # The key copies the type map: the caller may edit it in place.
+    same_type = graph.memo(
+        "same_type_ids",
+        (aliases.links_back, dict(types)),
+        lambda: same_type_ids(types, graph, aliases),
+    )
 
     n = len(records)
     quota = round_half_up(cfg.fraction * n)

@@ -514,6 +514,38 @@ def rank_of_gold(
     return 1 + better + tied_lower
 
 
+def _filter_cells(
+    heldout: list[Triple], graph: KnowledgeGraph, rows: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each block's filtered-out (row, entity) cells, blocks of ``rows`` held-out rows.
+
+    A row's cells are the objects completing a known-true triple
+    (training or held-out) with its subject and relation, its gold
+    included. Raises ValueError when a held-out triple is in the graph.
+    """
+    # (subject, relation) -> every object completing a known-true
+    # triple, for the held-out pairs only: read from the subject's
+    # out-edges, so the cost follows its degree, not the graph's size.
+    held: dict[tuple[int, int], set[int]] = {}
+    for s, p, o in heldout:
+        held.setdefault((s, p), set()).add(o)
+    known: dict[tuple[int, int], set[int]] = {}
+    overlap = 0
+    for pair, objects in held.items():
+        known[pair] = graph.objects(*pair)
+        overlap += len(objects & known[pair])
+        known[pair] |= objects
+    if overlap:
+        raise ValueError(f"{overlap} held-out triples also appear in the graph")
+    cells = []
+    for start in range(0, len(heldout), rows):
+        objects = [known[t[0], t[1]] for t in heldout[start : start + rows]]
+        counts = [len(k) for k in objects]
+        columns = np.fromiter(chain.from_iterable(objects), np.intp, sum(counts))
+        cells.append((np.repeat(np.arange(len(counts)), counts), columns))
+    return cells
+
+
 def evaluate_link_prediction(
     table: EmbeddingTable,
     heldout: Sequence[Triple],
@@ -525,52 +557,46 @@ def evaluate_link_prediction(
     Each triple (s, p, o) scores every entity e as the object of
     (s, p, e). The filtered mode drops the entities that complete
     another known-true triple (training or held-out) before ranking;
-    the gold itself always stays. Ties go to the lower entity id
-    (rank_of_gold).
+    the gold itself always stays. A triple's rank is 1 plus the number
+    of entities scoring above the gold plus those tying it with a lower
+    entity id, so it does not depend on the order entities are scored in.
 
     A block of held-out rows is scored by one matrix product. In the
     filtered mode each row's filtered-out cells are set to NaN, which is
     never ahead of the gold and never tied with it, whatever the gold
-    score is; a row's rank counts the entities ahead of the gold.
+    score is; a row's rank counts the entities ahead of the gold. Those
+    cells depend only on the graph, the held-out list and the block
+    height, so the graph keeps them (KnowledgeGraph.memo): a second
+    filtered call with the same held-out list and table size reuses them.
     """
     if mode not in RANK_MODES:
         raise ValueError(f"mode must be raw or filtered, got {mode!r}")
     heldout = list(heldout)
     if not heldout:
         raise EmptyHoldout("no held-out triples to evaluate")
-    known = None
-    if mode == "filtered":
-        # (subject, relation) -> every object completing a known-true
-        # triple, for the held-out pairs only: read from the subject's
-        # out-edges, so the cost follows its degree, not the graph's size.
-        held: dict[tuple[int, int], set[int]] = {}
-        for s, p, o in heldout:
-            held.setdefault((s, p), set()).add(o)
-        known = {pair: graph.objects(*pair) for pair in held}
-        overlap = sum(len(objects & known[pair]) for pair, objects in held.items())
-        if overlap:
-            raise ValueError(f"{overlap} held-out triples also appear in the graph")
-        for pair, objects in held.items():
-            known[pair] |= objects
-
     E = table.entities
     # With 32-bit ids the id compare below runs about 3x faster than with 64-bit.
     ids = np.arange(len(E), dtype=np.int32)
     rows = max(1, _BLOCK_CELLS // len(E))
+    filtered = None
+    if mode == "filtered":
+        filtered = graph.memo(
+            "link_prediction_filter",
+            (tuple(heldout), rows),
+            lambda: _filter_cells(heldout, graph, rows),
+        )
     ranks: list[int] = []
-    for start in range(0, len(heldout), rows):
+    for b, start in enumerate(range(0, len(heldout), rows)):
         block = heldout[start : start + rows]
         flat = np.fromiter(chain.from_iterable(block), np.int32, 3 * len(block))
         s, p, o = flat.reshape(-1, 3).T
         scores = (E[s] * table.relations[p]) @ E.T
         r = np.arange(len(block))
         gold = scores[r, o][:, None]
-        if known is not None:
+        if filtered is not None:
             # A row's known objects include its gold, whose cell never
             # counts: nothing is ahead of itself, and its tie is cleared.
-            objects = [known[t[0], t[1]] for t in block]
-            cells = np.fromiter(chain.from_iterable(objects), np.intp)
-            scores[np.repeat(r, [len(k) for k in objects]), cells] = np.nan
+            scores[filtered[b]] = np.nan
         ahead = scores > gold
         ties = scores == gold
         ties[r, o] = False

@@ -13,11 +13,13 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import EmptyGraph, MalformedLine, UnknownEntity, UnknownRelation
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 
 def canonical(name: str) -> str:
@@ -149,6 +151,7 @@ class KnowledgeGraph:
 
     Both indexes hold positions into ``triples``, in graph order, so a
     neighborhood's edges can be read off its nodes without a scan.
+    Values derived from the graph plus other inputs are kept by memo().
     """
 
     def __init__(
@@ -167,6 +170,22 @@ class KnowledgeGraph:
             inc.setdefault(t.o, []).append(i)
         self._out = {s: tuple(v) for s, v in out.items()}
         self._in = {o: tuple(v) for o, v in inc.items()}
+        self._memo: dict[str, tuple[object, object]] = {}
+
+    def memo(self, name: str, key: object, build: Callable[[], _T]) -> _T:
+        """The value build() derives from this graph and the inputs ``key`` stands for.
+
+        Each name keeps one slot: the value is built again only when the
+        key differs (by ==) from the one it was built under. The key must
+        be a snapshot the caller cannot change, such as a tuple or a copy.
+        A build that raises leaves the slot as it was.
+        """
+        slot = self._memo.get(name)
+        if slot is not None and slot[0] == key:
+            return slot[1]  # type: ignore[return-value]
+        value = build()
+        self._memo[name] = (key, value)
+        return value
 
     # --- resolution -------------------------------------------------
 

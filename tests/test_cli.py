@@ -7,9 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synthetic import sparse_corpus
 
 import kgfaith
@@ -1230,3 +1233,112 @@ class TestEvalCommand:
             f"error: MalformedLine: line 1: expected a JSON dialogue record "
             f"({field} must be a string)"
         ]
+
+
+# --- malformed input ----------------------------------------------------------
+
+# Values a mutated JSON field takes: wrong types, empty and out-of-range ones.
+ODD_VALUES = (None, 7, -1, 1.5, "", "x", [], {}, [[0, 1]], [[-1, 99, "x"]], [["a", "b"]], ["e", 1, 2])
+# Values a mutated TSV or snapshot field takes.
+ODD_FIELDS = ("", "x", "nan", "inf", "1e999", "-0", "the_bfg", "\u00e9")
+# Text a mutated line may gain: delimiters, digits, a non-ASCII letter, a carriage return.
+ODD_TEXT = st.text(alphabet="\t,:[]{}\"\\ 019e\u00e9\r#", max_size=6)
+
+
+@st.composite
+def mutated(draw, lines: list[str]) -> list[str]:
+    """The lines with one of them dropped, repeated, cut short, grown, or with a field replaced."""
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    op = draw(st.sampled_from(["drop", "repeat", "cut", "insert", "field"]))
+    if op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, line)
+    elif op == "cut":
+        lines[i] = line[: draw(st.integers(0, len(line)))]
+    elif op == "insert":
+        at = draw(st.integers(0, len(line)))
+        lines[i] = line[:at] + draw(ODD_TEXT) + line[at:]
+    elif line.startswith("{"):
+        blob = json.loads(line)
+        blob[draw(st.sampled_from(sorted(blob)))] = draw(st.sampled_from(ODD_VALUES))
+        lines[i] = json.dumps(blob)
+    else:
+        fields = line.split("\t")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        lines[i] = "\t".join(fields)
+    return lines
+
+
+def fuzz_argv(command: str, inputs: dict[str, Path], out: Path) -> list:
+    kg, aliases = inputs["kg"], inputs["aliases"]
+    if command == "kg stats":
+        return ["kg", "stats", "--kg", kg, "--json"]
+    if command == "critique":
+        return ["critique", "--in", inputs["records"], "--kg", kg, "--aliases", aliases,
+                "--out", out / "labelled.jsonl"]
+    if command == "corrupt":
+        return ["corrupt", "--in", inputs["records"], "--kg", kg, "--types", inputs["types"],
+                "--aliases", aliases, "--out", out / "corrupt.jsonl", "--summary", out / "summary.json"]
+    if command == "train":
+        return ["train", "--kg", kg, "--dim", "4", "--epochs", "1", "--out", out / "emb.tsv"]
+    if command.startswith("refine"):
+        return ["refine", "--in", inputs["labelled"], "--kg", kg, "--emb", inputs["snapshot"],
+                "--aliases", aliases, "--mode", command.split()[1], "--out", out / "refined.jsonl"]
+    return ["eval", "--kg", kg, "--emb", inputs["snapshot"], "--heldout", inputs["heldout"],
+            "--ranks-csv", out / "ranks.csv", "--out", out / "eval.json"]
+
+
+# The input a run mutates -> the commands that read it.
+FUZZ_CASES = {
+    "records": ("critique", "corrupt"),
+    "labelled": ("refine oracle", "refine inferred"),
+    "snapshot": ("refine oracle", "eval"),
+    "kg": ("kg stats", "critique", "train", "refine oracle", "eval"),
+    "aliases": ("critique", "corrupt"),
+    "types": ("corrupt",),
+    "heldout": ("eval",),
+}
+
+
+class TestMalformedInput:
+    """Any one mutated input line ends in exit 0, 1 or 2, never in an
+    escaped exception, and a failed run leaves no output behind."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, data_dir, tmp_path_factory) -> dict[str, Path]:
+        base = tmp_path_factory.mktemp("fuzz")
+        inputs = {
+            "records": data_dir / "toy_dialogues.jsonl",
+            "kg": data_dir / "toy_kg.tsv",
+            "aliases": data_dir / "toy_aliases.tsv",
+            "types": data_dir / "toy_types.tsv",
+            "labelled": critique(data_dir, base / "labelled.jsonl"),
+            "snapshot": base / "emb.tsv",
+            "heldout": base / "heldout.tsv",
+        }
+        assert run(["train", "--kg", inputs["kg"], "--dim", "4", "--epochs", "2",
+                    "--out", inputs["snapshot"]]) == 0
+        inputs["heldout"].write_text(
+            "roald_dahl\twrote\tthe_hobbit\njrr_tolkien\twrote\tthe_witches\n", encoding="utf-8"
+        )
+        return inputs
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([(name, c) for name, commands in FUZZ_CASES.items() for c in commands]),
+        data=st.data(),
+    )
+    def test_exit_code_and_no_partial_output(self, inputs, case, data):
+        name, command = case
+        lines = inputs[name].read_text(encoding="utf-8").splitlines()
+        work = Path(tempfile.mkdtemp(dir=inputs["snapshot"].parent))
+        source, out = work / f"in-{inputs[name].name}", work / "out"
+        out.mkdir()
+        source.write_text("".join(f"{line}\n" for line in data.draw(mutated(lines))), encoding="utf-8")
+        code = run(fuzz_argv(command, {**inputs, name: source}, out))
+        assert code in (0, 1, 2)
+        if code:
+            assert list(out.iterdir()) == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from synthetic import sparse_corpus
 
-from kgfaith import KnowledgeGraph, Triple, Vocabulary
+from kgfaith import KnowledgeGraph, Triple, Vocabulary, corruptor, load_triples
 from kgfaith.corruptor import (
     CorruptionConfig,
     build_synthetic_dataset,
@@ -576,6 +576,49 @@ class TestBuildSyntheticDataset:
     def test_empty_input_rejected(self, toy_graph, toy_types):
         with pytest.raises(AllRecordsDropped):
             build_synthetic_dataset([], toy_graph, toy_types, CorruptionConfig())
+
+    def test_type_pools_built_once(self, data_dir, toy_types, toy_aliases):
+        """Two calls on unchanged tables join the type map to the graph once.
+
+        A graph of its own: the session's toy graph may already hold the pools."""
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        real = corruptor.same_type_ids
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        cfg = CorruptionConfig(fraction=0.6, seed=5)
+        with patch.object(corruptor, "same_type_ids", spy):
+            out1, s1 = build_synthetic_dataset(corpus(12), graph, toy_types, cfg, toy_aliases)
+            out2, s2 = build_synthetic_dataset(corpus(12), graph, toy_types, cfg, toy_aliases)
+        assert len(calls) == 1
+        assert [r.to_json() for r in out1] == [r.to_json() for r in out2]
+        assert s1 == s2
+
+    def test_identity_aliases_built_once(self, data_dir, toy_types):
+        """Without an alias table every name is its own surface; the graph
+        builds that table once for both calls."""
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        real = AliasTable.from_names
+        calls = []
+
+        def counted(names):
+            calls.append(names)
+            return real(names)
+
+        recs = [
+            record([], [("roald_dahl", "wrote", book)], f"roald_dahl wrote {book} .")
+            for book in ("the_witches", "the_bfg", "charlie_and_the_chocolate_factory")
+        ]
+        cfg = CorruptionConfig(fraction=0.6, seed=4, k=1)
+        with patch.object(AliasTable, "from_names", counted):
+            out1, s1 = build_synthetic_dataset(recs, graph, toy_types, cfg)
+            out2, s2 = build_synthetic_dataset(recs, graph, toy_types, cfg)
+        assert len(calls) == 1
+        assert s1.dropped == 0 and s1 == s2
+        assert [r.to_json() for r in out1] == [r.to_json() for r in out2]
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

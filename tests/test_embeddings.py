@@ -812,7 +812,8 @@ class TestLinkPrediction:
 
 
 class TestLinkPredictionCost:
-    """The filter reads the held-out subjects' edges, not the whole graph.
+    """The filter reads the held-out subjects' edges, not the whole graph,
+    and only on the first call for a graph and held-out list.
 
     Counts, not timings, so the check holds on any host. A filter built
     from every graph triple reads ten times as many per held-out row at
@@ -822,7 +823,8 @@ class TestLinkPredictionCost:
     """
 
     @staticmethod
-    def triples_read_per_row(n: int) -> float:
+    def counted_split(n: int):
+        """(graph whose triples count their reads, the read counter, 100 held-out triples, table)."""
         full, _, _, _ = sparse_corpus(n, n_triples=3 * n // 2)
         rng = np.random.default_rng(0)
         picked = set(rng.choice(len(full.triples), size=100, replace=False).tolist())
@@ -832,12 +834,29 @@ class TestLinkPredictionCost:
         reads = [0]
         graph.triples = CountingIds(graph.triples, reads)
         table = init_embeddings(n, len(graph.relations), 4, seed=0)
+        return graph, reads, heldout, table
+
+    def triples_read_per_row(self, n: int) -> float:
+        graph, reads, heldout, table = self.counted_split(n)
         evaluate_link_prediction(table, heldout, graph, mode="filtered")
         return reads[0] / len(heldout)
 
     def test_filtered_reads_follow_the_heldout_degree(self):
         small, big = self.triples_read_per_row(600), self.triples_read_per_row(6000)
         assert 0 < big <= 2 * small
+
+    def test_second_call_reads_no_triples(self):
+        """The filter is built once per graph and held-out list: another
+        table of the same size, and an equal copy of the list, reuse it."""
+        graph, reads, heldout, table = self.counted_split(600)
+        first = evaluate_link_prediction(table, heldout, graph, mode="filtered")
+        assert reads[0] > 0
+        reads[0] = 0
+        other = init_embeddings(600, len(graph.relations), 4, seed=1)
+        second = evaluate_link_prediction(other, list(heldout), graph, mode="filtered")
+        assert reads[0] == 0
+        assert first.ranks == evaluate_link_prediction(table, heldout, graph, mode="filtered").ranks
+        assert second.ranks == bincount_ranks(other, heldout, graph, "filtered")
 
 
 class TestSnapshot:

@@ -303,6 +303,39 @@ class TestIndexes:
         )
 
 
+class TestMemo:
+    """One slot per name, rebuilt when the key differs; a failed build stores nothing."""
+
+    def test_slot_rebuilt_only_when_its_key_differs(self, data_dir):
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        built = []
+
+        def build(value):
+            def run():
+                built.append(value)
+                return value
+            return run
+
+        assert graph.memo("a", (1, "x"), build("a1")) == "a1"
+        assert graph.memo("a", (1, "x"), build("a2")) == "a1"
+        assert graph.memo("b", (1, "x"), build("b1")) == "b1"
+        assert graph.memo("a", (2, "x"), build("a3")) == "a3"
+        assert graph.memo("a", (1, "x"), build("a4")) == "a4"  # one slot: the first key is gone
+        assert graph.memo("b", (1, "x"), build("b2")) == "b1"
+        assert built == ["a1", "b1", "a3", "a4"]
+
+    def test_failed_build_keeps_the_slot(self, data_dir):
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        graph.memo("a", 1, lambda: "kept")
+
+        def fail():
+            raise ValueError("no")
+
+        with pytest.raises(ValueError):
+            graph.memo("a", 2, fail)
+        assert graph.memo("a", 1, lambda: "rebuilt") == "kept"
+
+
 class TestAliasTable:
     def test_preferred_is_first_listed(self, toy_aliases):
         assert (

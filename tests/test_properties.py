@@ -63,6 +63,7 @@ from kgfaith.embeddings import (
     trilinear,
 )
 from kgfaith.errors import (
+    AllRecordsDropped,
     EmptyPool,
     NoEligibleReplacement,
     NotApplicable,
@@ -487,6 +488,75 @@ def test_masked_ranks_match_bincount_oracle(data, rows):
         for mode in ("raw", "filtered"):
             report = evaluate_link_prediction(table, heldout, graph, mode=mode)
             assert report.ranks == bincount_ranks(table, heldout, graph, mode)
+
+
+def memo_case(data):
+    """A small graph, held-out triples it lacks (two sharing a subject and
+    relation), and a draw of {-1, 0, 1} tables for its relations."""
+    drawn = data.draw(graphs(max_entities=8, max_relations=2, max_triples=20))
+    n, r = len(drawn.entities), len(drawn.relations)
+    triple = st.builds(Triple, st.integers(0, n - 1), st.integers(0, r - 1), st.integers(0, n - 1))
+    heldout = data.draw(st.lists(triple, min_size=1, max_size=5))
+    first = heldout[0]
+    heldout.append(Triple(first.s, first.p, data.draw(st.integers(0, n - 1))))
+    graph = KnowledgeGraph(
+        [t for t in drawn.triples if t not in heldout], drawn.entities, drawn.relations
+    )
+    values = st.lists(st.integers(-1, 1), min_size=3, max_size=3)
+
+    def table(rows: int) -> EmbeddingTable:
+        return EmbeddingTable(
+            entities=np.array(data.draw(st.lists(values, min_size=rows, max_size=rows)), dtype=float),
+            relations=np.array(data.draw(st.lists(values, min_size=r, max_size=r)), dtype=float),
+        )
+
+    return graph, heldout, table
+
+
+def fresh(graph: KnowledgeGraph) -> KnowledgeGraph:
+    """The same tables in a new graph, whose memo is empty."""
+    return KnowledgeGraph(graph.triples, graph.entities, graph.relations)
+
+
+def assert_filtered_ranks_fresh(table, heldout, graph):
+    """Filtered ranks equal the bincount oracle's and a fresh graph's."""
+    ranks = evaluate_link_prediction(table, heldout, graph, mode="filtered").ranks
+    assert ranks == bincount_ranks(table, heldout, graph, "filtered")
+    assert ranks == evaluate_link_prediction(table, heldout, fresh(graph), mode="filtered").ranks
+
+
+@PROPERTY
+@given(data=st.data())
+def test_second_filtered_call_ranks_as_a_fresh_graph(data):
+    """The second call reuses the first call's filter, with another table of the same size."""
+    graph, heldout, table = memo_case(data)
+    n = len(graph.entities)
+    for _ in range(2):
+        assert_filtered_ranks_fresh(table(n), heldout, graph)
+
+
+@PROPERTY
+@given(data=st.data(), change=st.sampled_from(["heldout", "block", "size"]))
+def test_filter_rebuilt_when_its_key_changes(data, change):
+    """After a call in blocks of two rows: another held-out list (rows of the
+    first, so none is in the graph), blocks of one row, or a table with more
+    entities (which gives blocks of one row) must not reuse the filter."""
+    graph, heldout, table = memo_case(data)
+    n = len(graph.entities)
+    cells = 2 * n
+    with patch.object(embeddings, "_BLOCK_CELLS", cells):
+        evaluate_link_prediction(table(n), heldout, graph, mode="filtered")
+    rows = n
+    if change == "heldout":
+        other = data.draw(st.lists(st.sampled_from(heldout), min_size=1, max_size=6))
+        assume(other != heldout)
+        heldout = other
+    elif change == "block":
+        cells = n
+    else:
+        rows = n + data.draw(st.integers(1, 3))
+    with patch.object(embeddings, "_BLOCK_CELLS", cells):
+        assert_filtered_ranks_fresh(table(rows), heldout, graph)
 
 
 # --- trilinear scoring --------------------------------------------------------
@@ -916,6 +986,51 @@ def test_extrinsic_corruptions_sound_and_flagged(seed, n, k):
         report = critic.critique(c.as_record())
         flagged = {(s.begin, s.end) for s in report.flagged_spans if s.label == "extrinsic"}
         assert set(c.labels) <= flagged
+
+
+def dataset_outcome(records, graph, types, cfg, aliases):
+    """The corrupted records and summary as JSON, or the error type when every record drops."""
+    try:
+        out, summary = build_synthetic_dataset(records, graph, types, cfg, aliases)
+    except AllRecordsDropped:
+        return "AllRecordsDropped"
+    return [c.to_json() for c in out], summary
+
+
+@settings(PROPERTY, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 60), data=st.data())
+def test_corruption_after_table_edits_matches_fresh_tables(seed, n, data):
+    """The graph keeps the type pools across calls; after the caller edits
+    the type map in place (retyping and untyping entities, which sends them
+    to the positional fallback), and after AliasTable.add puts entities the
+    table lacked into its links-back set, a call yields the records that new
+    tables, type map and graph yield."""
+    graph, types, _, records = sparse_corpus(n, n_triples=n, seed=seed)
+    records = records[:20]
+    names = graph.entities.names
+    missing = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=5))
+    aliases = AliasTable.from_names([name for name in names if name not in missing])
+    cfg = CorruptionConfig(fraction=0.7, seed=seed, k=1)
+
+    def check():
+        new_aliases = AliasTable()
+        for entity, surface in aliases.items():
+            new_aliases.add(entity, surface)
+        assert dataset_outcome(records, graph, types, cfg, aliases) == dataset_outcome(
+            records, fresh(graph), dict(types), cfg, new_aliases
+        )
+
+    check()
+    for name in data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=8)):
+        kind = data.draw(st.sampled_from([None, "type0", "type1", "other"]))
+        if kind is None:
+            types.pop(name, None)
+        else:
+            types[name] = kind
+    check()
+    for name in missing:
+        aliases.add(name, name)
+    check()
 
 
 FILLER_WORDS = ("the", "and", "wrote", "after", "of", "a", ".")
