@@ -169,7 +169,31 @@ def batch_negatives(
     in ``pool`` (padded with -1) minus the gold; without replacement (the
     top n of random keys) when that leaves n ids, with replacement
     otherwise. Neither masks a cell. in_batch: the batch's gold objects
-    ``pool``, masked where they equal the row's gold.
+    ``pool``, masked where they equal the row's gold. The one-batch call
+    of group_negatives.
+    """
+    if strategy == "in_batch":
+        pool = pool[None]
+    return group_negatives(strategy, golds, n, rng, n_entities, pool, max(len(golds), 1))
+
+
+def group_negatives(
+    strategy: str, golds: np.ndarray, n: int, rng: np.random.Generator | None,
+    n_entities: int, pool: np.ndarray | None, batch: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """batch_negatives for consecutive batches of ``batch`` rows, in one pass.
+
+    The last batch may be shorter. The generator is read in the order
+    that one batch_negatives call per batch reads it, so the group gets
+    those calls' draws, row for row, and leaves the generator in their
+    state. uniform makes one rng.integers call for the group: a draw of
+    R rows equals its row chunks drawn in turn. sans makes each batch's
+    rng.random call for its keys, then its rng.integers call for its
+    rows whose pool is shorter than n, and masks, sorts and gathers the
+    whole group at once. in_batch reads no generator: ``pool`` holds one
+    row of candidates per batch, the batches are equal in size, and
+    their masks are built at once. A row without an alternative raises
+    EmptyPool before anything is drawn.
     """
     rows = len(golds)
     if strategy == "uniform":
@@ -186,27 +210,32 @@ def batch_negatives(
         sizes = valid.sum(axis=1)
         if not sizes.all():
             raise EmptyPool("subgraph offers no alternative entity")
-        keys = np.where(valid, rng.random(pool.shape), np.inf)
+        keys = np.empty(pool.shape)
+        cols = np.arange(n)[None].repeat(rows, axis=0)
+        short = sizes < n
+        for start in range(0, rows, batch):
+            rng.random(out=keys[start : start + batch])
+            drawn = np.flatnonzero(short[start : start + batch]) + start
+            if len(drawn):
+                logger.debug("%d of %d pools smaller than n=%d; drawing with replacement",
+                             len(drawn), min(batch, rows - start), n)
+                cols[drawn] = rng.integers(0, sizes[drawn, None], size=(len(drawn), n))
+        keys[~valid] = np.inf
         starts = np.arange(rows)[:, None] * pool.shape[1]  # row starts in the flat pool
         # The first sizes[i] cells of row i hold its pool in random order.
         shuffled = pool.ravel()[np.argsort(keys, axis=1) + starts]
-        cols = np.arange(n)[None].repeat(rows, axis=0)
-        short = sizes < n
-        n_short = int(short.sum())
-        if n_short:
-            logger.debug("%d of %d pools smaller than n=%d; drawing with replacement",
-                         n_short, rows, n)
-        cols[short] = rng.integers(0, sizes[short, None], size=(n_short, n))
         return shuffled.ravel()[cols + starts], None
 
     # in_batch
-    if len(pool) < 2:
+    batches, width = pool.shape
+    if width < 2:
         raise EmptyPool("in-batch sampling needs a batch of at least 2")
-    mask = np.ones((rows, len(pool) + 1), dtype=bool)
-    mask[:, 1:] = pool != golds[:, None]
+    keep = pool[:, None, :] != golds.reshape(batches, -1)[:, :, None]
+    mask = np.ones((rows, width + 1), dtype=bool)
+    mask[:, 1:] = keep.reshape(rows, width)
     if not mask[:, 1:].any(axis=1).all():
         raise EmptyPool("no distinct gold entities in the batch")
-    return np.broadcast_to(pool, (rows, len(pool))), mask
+    return pool.repeat(rows // batches, axis=0), mask
 
 
 def sample_negatives(
@@ -391,7 +420,11 @@ class _AdamStep:
 
     The moments are dense arrays shaped like the matrix; each row keeps
     its own step count, which advances only when the row is touched.
-    ``rows`` must be distinct.
+    ``rows`` must be distinct. The bias corrections 1 - beta**t are read
+    from tables indexed by t, computed by the same elementwise power and
+    doubled in length when the steps taken reach it (no row's count
+    exceeds them). The gathered moments are updated in place, in the
+    order of operations of m * beta1 + (1 - beta1) * grad.
     """
 
     beta1 = 0.9
@@ -403,16 +436,36 @@ class _AdamStep:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = np.zeros(shape[0], dtype=np.int64)
+        self.steps = 0
+        self._tabulate(64)
+
+    def _tabulate(self, size: int) -> None:
+        t = np.arange(size)
+        self.corr1 = 1 - self.beta1**t
+        self.corr2 = 1 - self.beta2**t
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
+        self.steps += 1
+        if self.steps == len(self.corr1):
+            self._tabulate(2 * self.steps)
         t = self.t[rows] + 1
         self.t[rows] = t
-        t = t[:, None]
-        self.m[rows] = m = self.m[rows] * self.beta1 + (1 - self.beta1) * grad
-        self.v[rows] = v = self.v[rows] * self.beta2 + (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        params[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m = self.m[rows]
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        self.m[rows] = m
+        v = self.v[rows]
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
+        self.v[rows] = v
+        # m and v now hold copies; the step lr * m_hat / (sqrt(v_hat) + eps) reuses them.
+        m /= self.corr1[t, None]
+        m *= self.lr
+        v /= self.corr2[t, None]
+        np.sqrt(v, out=v)
+        v += self.eps
+        m /= v
+        params[rows] -= m
 
 
 def _ball_rows(graph: KnowledgeGraph, k: int) -> np.ndarray:
@@ -425,20 +478,41 @@ def _ball_rows(graph: KnowledgeGraph, k: int) -> np.ndarray:
     return out
 
 
+def _batch_groups(n: int, batch: int, width: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of an epoch's batch groups.
+
+    A group holds as many whole batches as keep its (rows, width)
+    matrices within _BLOCK_CELLS cells, at least one; the short last
+    batch, if any, is a group of its own.
+    """
+    full = n - n % batch
+    span = max(1, _BLOCK_CELLS // (width * batch)) * batch
+    groups = [(start, min(start + span, full)) for start in range(0, full, span)]
+    if full < n:
+        groups.append((full, n))
+    return groups
+
+
 def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, list[float]]:
     """Mini-batch contrastive training over the graph's triples.
 
-    Triples are shuffled each epoch. Each mini-batch draws its negatives,
-    scores and differentiates all its rows at once, adds an L2 pull of
-    2*l2*row to every touched row, and takes one optimizer step on the
-    touched rows. The entity and relation matrices are the two row
-    blocks of one parameter matrix, so a batch finds its touched rows,
-    pulls them and steps them once. The per-epoch mean loss is returned
-    as the trace. An epoch that trains no triple raises EmptyPool; a
-    non-finite mean raises DivergenceDetected. Single-worker, fully
-    seeded: identical config gives identical tables and traces. The sans
-    sampler draws from the sans_k-hop ball around each triple's subject,
-    built once per run for every subject.
+    Triples are shuffled each epoch. Each mini-batch scores and
+    differentiates all its rows at once, adds an L2 pull of 2*l2*row to
+    every touched row, and takes one optimizer step on the touched rows.
+    The entity and relation matrices are the two row blocks of one
+    parameter matrix, so a batch finds its touched rows, pulls them and
+    steps them once. The negatives depend on no parameter, so they are
+    drawn for a group of consecutive batches at once (group_negatives),
+    with the draws and generator order of one draw per batch; a group
+    spans as many batches as keep its largest per-row matrix (the
+    candidates, or the sans keys) within _BLOCK_CELLS cells. The
+    per-epoch mean loss is returned as the trace. An epoch that trains
+    no triple raises EmptyPool, as does a row without an alternative
+    object (before its group's first step); a non-finite mean raises
+    DivergenceDetected. Single-worker, fully seeded: identical config
+    gives identical tables and traces. The sans sampler draws from the
+    sans_k-hop ball around each triple's subject, built once per run for
+    every subject.
     """
     n_e = len(graph.entities)
     table = init_embeddings(n_e, len(graph.relations), cfg.d, cfg.seed)
@@ -454,28 +528,36 @@ def train(graph: KnowledgeGraph, cfg: TrainingConfig) -> tuple[EmbeddingTable, l
     touched = TouchedRows(len(params))
     trace: list[float] = []
     n = len(triples)
+    width = cfg.batch_size + 1 if cfg.sampler == "in_batch" else cfg.negatives + 1
+    if balls is not None:
+        width = max(width, balls.shape[1])
+    groups = _batch_groups(n, cfg.batch_size, width)
     for epoch in range(1, cfg.epochs + 1):
         shuffled = triples[rng.permutation(n)].T
         epoch_loss = 0.0
         seen = 0
-        for start in range(0, n, cfg.batch_size):
-            s, p, o = shuffled[:, start : start + cfg.batch_size]
+        for start, stop in groups:
+            s, p, o = shuffled[:, start:stop]
             if cfg.sampler == "in_batch" and len(o) < 2:
                 logger.debug("skipping remainder batch of 1 (in-batch sampler)")
                 continue
-            # sans draws from the subjects' balls, in_batch from the batch's
-            # golds; uniform reads no pool.
-            pool = o if balls is None else balls[s]
-            negs, mask = batch_negatives(cfg.sampler, o, cfg.negatives, rng, n_e, pool)
-            losses, rows, grad = _nce_batch(
-                s, p, np.concatenate([o[:, None], negs], axis=1), mask,
-                table.entities, table.relations, touched,
-            )
-            epoch_loss += float(losses.sum())
-            seen += len(losses)
-            if cfg.l2 > 0:
-                grad += 2.0 * cfg.l2 * params[rows]
-            stepper.apply(params, rows, grad)
+            batch = min(cfg.batch_size, len(o))
+            # sans draws from the subjects' balls, in_batch from each
+            # batch's golds; uniform reads no pool.
+            pool = o.reshape(-1, batch) if balls is None else balls[s]
+            negs, mask = group_negatives(cfg.sampler, o, cfg.negatives, rng, n_e, pool, batch)
+            objects = np.concatenate([o[:, None], negs], axis=1)
+            for first in range(0, len(o), batch):
+                rows = slice(first, first + batch)
+                losses, ids, grad = _nce_batch(
+                    s[rows], p[rows], objects[rows], None if mask is None else mask[rows],
+                    table.entities, table.relations, touched,
+                )
+                epoch_loss += float(losses.sum())
+                seen += len(losses)
+                if cfg.l2 > 0:
+                    grad += 2.0 * cfg.l2 * params[ids]
+                stepper.apply(params, ids, grad)
         if not seen:
             raise EmptyPool(f"epoch {epoch} trained no triple")
         mean_loss = epoch_loss / seen
@@ -546,6 +628,17 @@ def _filter_cells(
     return cells
 
 
+def _block_ids(heldout: list[Triple], rows: int) -> list[np.ndarray]:
+    """Each block's subject, relation and object ids as the rows of one
+    array, blocks of ``rows`` held-out rows."""
+    blocks = []
+    for start in range(0, len(heldout), rows):
+        block = heldout[start : start + rows]
+        flat = np.fromiter(chain.from_iterable(block), np.int32, 3 * len(block))
+        blocks.append(flat.reshape(-1, 3).T.copy())
+    return blocks
+
+
 def evaluate_link_prediction(
     table: EmbeddingTable,
     heldout: Sequence[Triple],
@@ -568,6 +661,8 @@ def evaluate_link_prediction(
     cells depend only on the graph, the held-out list and the block
     height, so the graph keeps them (KnowledgeGraph.memo): a second
     filtered call with the same held-out list and table size reuses them.
+    Each block's subject, relation and object id arrays are kept under
+    the same key, in both modes.
     """
     if mode not in RANK_MODES:
         raise ValueError(f"mode must be raw or filtered, got {mode!r}")
@@ -578,20 +673,17 @@ def evaluate_link_prediction(
     # With 32-bit ids the id compare below runs about 3x faster than with 64-bit.
     ids = np.arange(len(E), dtype=np.int32)
     rows = max(1, _BLOCK_CELLS // len(E))
+    key = (tuple(heldout), rows)
+    blocks = graph.memo("link_prediction_blocks", key, lambda: _block_ids(heldout, rows))
     filtered = None
     if mode == "filtered":
         filtered = graph.memo(
-            "link_prediction_filter",
-            (tuple(heldout), rows),
-            lambda: _filter_cells(heldout, graph, rows),
+            "link_prediction_filter", key, lambda: _filter_cells(heldout, graph, rows)
         )
     ranks: list[int] = []
-    for b, start in enumerate(range(0, len(heldout), rows)):
-        block = heldout[start : start + rows]
-        flat = np.fromiter(chain.from_iterable(block), np.int32, 3 * len(block))
-        s, p, o = flat.reshape(-1, 3).T
+    for b, (s, p, o) in enumerate(blocks):
         scores = (E[s] * table.relations[p]) @ E.T
-        r = np.arange(len(block))
+        r = np.arange(len(o))
         gold = scores[r, o][:, None]
         if filtered is not None:
             # A row's known objects include its gold, whose cell never

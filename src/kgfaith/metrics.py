@@ -9,8 +9,11 @@ and no smoothing is applied at corpus level.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 from typing import Any, Sequence
 
 from .choices import BLEU_LEVELS
@@ -37,17 +40,22 @@ class RankingSummary:
 
 
 def ranking_metrics(ranks: Sequence[int]) -> RankingSummary:
-    """Aggregate positive integer ranks into Hits@1/3/10, MR, and MRR."""
+    """Aggregate positive integer ranks into Hits@1/3/10, MR, and MRR.
+
+    The loops run in C: one sort gives the smallest rank and each
+    Hits@k count (by bisection), and the sums read the ranks in their
+    given order, so MR and MRR are the floats a Python loop would sum.
+    """
     ranks = list(ranks)
     if not ranks:
         raise EmptyInput("no ranks to aggregate")
-    for r in ranks:
-        if r < 1:
-            raise EmptyInput(f"ranks must be >= 1, got {r}")
+    ordered = sorted(ranks)
+    if ordered[0] < 1:
+        raise EmptyInput(f"ranks must be >= 1, got {next(r for r in ranks if r < 1)}")
     n = len(ranks)
-    hits = {k: sum(1 for r in ranks if r <= k) / n for k in HITS_AT}
+    hits = {k: bisect_right(ordered, k) / n for k in HITS_AT}
     mr = sum(ranks) / n
-    mrr = sum(1.0 / r for r in ranks) / n
+    mrr = sum(map(truediv, repeat(1.0), ranks)) / n
     return RankingSummary(hits=hits, mr=mr, mrr=mrr)
 
 

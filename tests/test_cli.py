@@ -1246,13 +1246,16 @@ ODD_TEXT = st.text(alphabet="\t,:[]{}\"\\ 019e\u00e9\r#", max_size=6)
 
 
 @st.composite
-def mutated(draw, lines: list[str]) -> list[str]:
-    """The lines with one of them dropped, repeated, cut short, grown, or with a field replaced."""
+def mutated(draw, lines: list[str], borrowed: list[str]) -> list[str]:
+    """The lines with one of them dropped, repeated, cut short, grown, with a
+    field replaced, or (when ``borrowed`` has lines) replaced by one of those."""
     lines = list(lines)
     i = draw(st.integers(0, len(lines) - 1))
     line = lines[i]
-    op = draw(st.sampled_from(["drop", "repeat", "cut", "insert", "field"]))
-    if op == "drop":
+    op = draw(st.sampled_from(["drop", "repeat", "cut", "insert", "field"] + ["borrow"] * bool(borrowed)))
+    if op == "borrow":
+        lines[i] = draw(st.sampled_from(borrowed))
+    elif op == "drop":
         del lines[i]
     elif op == "repeat":
         lines.insert(i, line)
@@ -1281,7 +1284,8 @@ def fuzz_argv(command: str, inputs: dict[str, Path], out: Path) -> list:
                 "--out", out / "labelled.jsonl"]
     if command == "corrupt":
         return ["corrupt", "--in", inputs["records"], "--kg", kg, "--types", inputs["types"],
-                "--aliases", aliases, "--out", out / "corrupt.jsonl", "--summary", out / "summary.json"]
+                "--aliases", aliases, "--config", inputs["config"],
+                "--out", out / "corrupt.jsonl", "--summary", out / "summary.json"]
     if command == "train":
         return ["train", "--kg", kg, "--dim", "4", "--epochs", "1", "--out", out / "emb.tsv"]
     if command.startswith("refine"):
@@ -1300,12 +1304,18 @@ FUZZ_CASES = {
     "aliases": ("critique", "corrupt"),
     "types": ("corrupt",),
     "heldout": ("eval",),
+    "config": ("corrupt",),
 }
+# The input a run mutates -> the input whose lines may replace one of its
+# lines: a held-out line that repeats a graph triple fails validation.
+BORROWED = {"heldout": "kg"}
 
 
 class TestMalformedInput:
     """Any one mutated input line ends in exit 0, 1 or 2, never in an
-    escaped exception, and a failed run leaves no output behind."""
+    escaped exception, and a failed run leaves no output behind. Some
+    mutations must fail validation (exit 1): a held-out triple the graph
+    holds, or an out-of-range config value such as a frac of 7."""
 
     @pytest.fixture(scope="class")
     def inputs(self, data_dir, tmp_path_factory) -> dict[str, Path]:
@@ -1318,7 +1328,9 @@ class TestMalformedInput:
             "labelled": critique(data_dir, base / "labelled.jsonl"),
             "snapshot": base / "emb.tsv",
             "heldout": base / "heldout.tsv",
+            "config": base / "corrupt-config.json",
         }
+        inputs["config"].write_text('{"frac": 0.5, "seed": 3}\n', encoding="utf-8")
         assert run(["train", "--kg", inputs["kg"], "--dim", "4", "--epochs", "2",
                     "--out", inputs["snapshot"]]) == 0
         inputs["heldout"].write_text(
@@ -1326,19 +1338,42 @@ class TestMalformedInput:
         )
         return inputs
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(
-        case=st.sampled_from([(name, c) for name, commands in FUZZ_CASES.items() for c in commands]),
-        data=st.data(),
+    def test_exit_code_and_no_partial_output(self, inputs):
+        codes = []
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(
+            case=st.sampled_from([(name, c) for name, commands in FUZZ_CASES.items() for c in commands]),
+            data=st.data(),
+        )
+        def fuzz(case, data):
+            name, command = case
+            lines = inputs[name].read_text(encoding="utf-8").splitlines()
+            borrowed = inputs[BORROWED[name]].read_text(encoding="utf-8").splitlines() if name in BORROWED else []
+            work = Path(tempfile.mkdtemp(dir=inputs["snapshot"].parent))
+            source, out = work / f"in-{inputs[name].name}", work / "out"
+            out.mkdir()
+            source.write_text("".join(f"{line}\n" for line in data.draw(mutated(lines, borrowed))), encoding="utf-8")
+            code = run(fuzz_argv(command, {**inputs, name: source}, out))
+            assert code in (0, 1, 2)
+            if code:
+                assert list(out.iterdir()) == []
+            codes.append(code)
+
+        fuzz()
+        assert 1 in codes, codes
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("heldout", "roald_dahl\twrote\tthe_bfg\njrr_tolkien\twrote\tthe_witches\n"),
+         ("config", '{"frac": 2, "seed": 3}\n')],
+        ids=["heldout-in-graph", "frac-out-of-range"],
     )
-    def test_exit_code_and_no_partial_output(self, inputs, case, data):
-        name, command = case
-        lines = inputs[name].read_text(encoding="utf-8").splitlines()
+    def test_validation_mutation_exits_1(self, inputs, name, text):
+        """The two mutations the fuzz draws that must fail validation, each once."""
         work = Path(tempfile.mkdtemp(dir=inputs["snapshot"].parent))
         source, out = work / f"in-{inputs[name].name}", work / "out"
         out.mkdir()
-        source.write_text("".join(f"{line}\n" for line in data.draw(mutated(lines))), encoding="utf-8")
-        code = run(fuzz_argv(command, {**inputs, name: source}, out))
-        assert code in (0, 1, 2)
-        if code:
-            assert list(out.iterdir()) == []
+        source.write_text(text, encoding="utf-8")
+        assert run(fuzz_argv(FUZZ_CASES[name][0], {**inputs, name: source}, out)) == 1
+        assert list(out.iterdir()) == []

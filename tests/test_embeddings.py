@@ -561,16 +561,65 @@ class TestTrain:
             train(g, TrainingConfig(d=4, epochs=1, sampler="sans", negatives=2))
 
 
+def per_batch_negatives(strategy, golds, n, rng, n_entities, pool):
+    """batch_negatives as it drew one batch at a time, before the group
+    drawer: the oracle for group_negatives, which must give the same
+    draws and leave the generator in the same state."""
+    rows = len(golds)
+    if strategy == "uniform":
+        if n_entities < 2:
+            raise EmptyPool("vocabulary has no alternative entity")
+        draws = rng.integers(0, n_entities - 1, size=(rows, n))
+        draws += draws >= golds[:, None]
+        return draws, None
+    if strategy == "sans":
+        valid = (pool >= 0) & (pool != golds[:, None])
+        sizes = valid.sum(axis=1)
+        if not sizes.all():
+            raise EmptyPool("subgraph offers no alternative entity")
+        keys = np.where(valid, rng.random(pool.shape), np.inf)
+        starts = np.arange(rows)[:, None] * pool.shape[1]
+        shuffled = pool.ravel()[np.argsort(keys, axis=1) + starts]
+        cols = np.arange(n)[None].repeat(rows, axis=0)
+        short = sizes < n
+        cols[short] = rng.integers(0, sizes[short, None], size=(int(short.sum()), n))
+        return shuffled.ravel()[cols + starts], None
+    if len(pool) < 2:
+        raise EmptyPool("in-batch sampling needs a batch of at least 2")
+    mask = np.ones((rows, len(pool) + 1), dtype=bool)
+    mask[:, 1:] = pool != golds[:, None]
+    if not mask[:, 1:].any(axis=1).all():
+        raise EmptyPool("no distinct gold entities in the batch")
+    return np.broadcast_to(pool, (rows, len(pool))), mask
+
+
+class PowAdam(_AdamStep):
+    """The Adam step as it evaluated 1 - beta**t on every call and wrote
+    fresh moment arrays: the oracle for the tabled, in-place step."""
+
+    def apply(self, params: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
+        t = self.t[rows] + 1
+        self.t[rows] = t
+        t = t[:, None]
+        self.m[rows] = m = self.m[rows] * self.beta1 + (1 - self.beta1) * grad
+        self.v[rows] = v = self.v[rows] * self.beta2 + (1 - self.beta2) * grad * grad
+        m_hat = m / (1 - self.beta1**t)
+        v_hat = v / (1 - self.beta2**t)
+        params[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def two_matrix_train(graph, cfg):
-    """train() as it stepped the entity and the relation matrix apart: a
-    kernel call that finds each matrix's touched rows, then an L2 pull
-    and an optimizer step per matrix. The oracle for the one-matrix step,
-    which must give the same bytes."""
+    """train() as it stepped the entity and the relation matrix apart,
+    drawing each batch's negatives alone (per_batch_negatives) and
+    stepping Adam with PowAdam: a kernel call that finds each matrix's
+    touched rows, then an L2 pull and an optimizer step per matrix. The
+    oracle for the one-matrix step and the group draws, which must give
+    the same bytes."""
     table = init_embeddings(len(graph.entities), len(graph.relations), cfg.d, cfg.seed)
     triples = np.array(graph.triples, dtype=np.int64).reshape(-1, 3)
     rng = np.random.default_rng([cfg.seed, 1])
     balls = _ball_rows(graph, cfg.sans_k) if cfg.sampler == "sans" else None
-    step = _SgdStep if cfg.optimizer == "sgd" else _AdamStep
+    step = _SgdStep if cfg.optimizer == "sgd" else PowAdam
     steppers = [(m, step(cfg.lr, m.shape)) for m in (table.entities, table.relations)]
     trace = []
     n = len(triples)
@@ -582,7 +631,7 @@ def two_matrix_train(graph, cfg):
             if cfg.sampler == "in_batch" and len(o) < 2:
                 continue
             pool = o if balls is None else balls[s]
-            negs, mask = batch_negatives(cfg.sampler, o, cfg.negatives, rng, len(graph.entities), pool)
+            negs, mask = per_batch_negatives(cfg.sampler, o, cfg.negatives, rng, len(graph.entities), pool)
             losses, *grads = unique_kernel(
                 s, p, np.concatenate([o[:, None], negs], axis=1), mask, table
             )
@@ -597,9 +646,10 @@ def two_matrix_train(graph, cfg):
 
 
 class TestOneMatrixStep:
-    """train() steps one stacked parameter matrix; the bytes are those of
-    stepping the two matrices apart, for every sampler and optimizer, with
-    and without the L2 pull."""
+    """train() steps one stacked parameter matrix and draws negatives for
+    groups of batches; the bytes are those of stepping the two matrices
+    apart with per-batch draws, for every sampler and optimizer, with and
+    without the L2 pull."""
 
     @pytest.mark.parametrize("l2", [1e-4, 0.0])
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -667,6 +717,27 @@ class TestAdamState:
         assert dense.t.tolist() == [2, 1, 4, 0, 2]
         assert np.array_equal(dense_params[3], start[3])
         assert not dense.m[3].any() and not dense.v[3].any()
+
+    def test_table_equals_power_past_growth(self):
+        """The tabled corrections are 1 - beta**t bit for bit, read past the
+        table's first growth, and the steps give PowAdam's bytes."""
+        rng = np.random.default_rng(8)
+        start = rng.normal(size=(6, 4))
+        tabled_params, pow_params = start.copy(), start.copy()
+        tabled, pow_step = _AdamStep(0.05, start.shape), PowAdam(0.05, start.shape)
+        first = len(tabled.corr1)
+        for _ in range(3 * first):
+            rows = np.flatnonzero(rng.random(6) < 0.8)
+            grad = rng.normal(size=(len(rows), 4))
+            tabled.apply(tabled_params, rows, grad)
+            pow_step.apply(pow_params, rows, grad.copy())
+            assert tabled_params.tobytes() == pow_params.tobytes()
+        assert len(tabled.corr1) > 2 * first and tabled.t.max() > first
+        t = np.arange(len(tabled.corr1))[:, None]
+        for table, beta in ((tabled.corr1, _AdamStep.beta1), (tabled.corr2, _AdamStep.beta2)):
+            assert table.tobytes() == (1 - beta**t).ravel().tobytes()
+        for name in ("m", "v", "t"):
+            assert getattr(tabled, name).tobytes() == getattr(pow_step, name).tobytes()
 
 
 def brute_force_rank(table, graph, triple, known, mode, cand_ids):

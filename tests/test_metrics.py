@@ -4,15 +4,40 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from kgfaith.errors import EmptyInput, LengthMismatch
 from kgfaith.metrics import (
+    HITS_AT,
+    RankingSummary,
     bleu,
     hallucination_rate,
     ranking_metrics,
 )
+
+
+def generator_metrics(ranks):
+    """ranking_metrics as it aggregated with one generator pass per figure:
+    the oracle for the sorted, C-level aggregate, which must give the
+    same floats and the same errors."""
+    ranks = list(ranks)
+    if not ranks:
+        raise EmptyInput("no ranks to aggregate")
+    for r in ranks:
+        if r < 1:
+            raise EmptyInput(f"ranks must be >= 1, got {r}")
+    n = len(ranks)
+    hits = {k: sum(1 for r in ranks if r <= k) / n for k in HITS_AT}
+    mr = sum(ranks) / n
+    mrr = sum(1.0 / r for r in ranks) / n
+    return RankingSummary(hits=hits, mr=mr, mrr=mrr)
+
+
+def math_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 class TestRankingMetrics:
@@ -50,6 +75,26 @@ class TestRankingMetrics:
                 assert out.hits[k] == len([r for r in ranks if r <= k]) / n
             assert out.mr == sum(ranks) / n
             assert out.mrr == sum(1 / r for r in ranks) / n
+
+    def test_same_floats_as_generator_passes(self):
+        """Long lists of ranks up to 6,000, whose MRR sums depend on the
+        order they are added in, and the int32 ranks of a numpy array."""
+        rng = random.Random(29)
+        for _ in range(300):
+            ranks = [rng.randint(1, rng.choice([12, 6000])) for _ in range(rng.randint(1, 400))]
+            for given in (ranks, iter(ranks), np.array(ranks, dtype=np.int32)):
+                got = ranking_metrics(given)
+                want = generator_metrics(ranks)
+                assert got.hits == want.hits
+                assert math_bits(got.mr) == math_bits(want.mr)
+                assert math_bits(got.mrr) == math_bits(want.mrr)
+
+    @pytest.mark.parametrize("ranks", [[], [0], [3, 0, 1], [2, 0, -4], [-4, 0]])
+    def test_same_error_text_as_generator_passes(self, ranks):
+        with pytest.raises(EmptyInput) as want:
+            generator_metrics(ranks)
+        with pytest.raises(EmptyInput, match=f"^{want.value}$"):
+            ranking_metrics(ranks)
 
     def test_json_shape(self):
         blob = ranking_metrics([2, 2]).to_json()

@@ -12,7 +12,9 @@ trilinear scorer is checked against one single-triple call per triple,
 and relation inference and candidate ranking against loops over those
 single scores. The batched training loss and gradients are checked
 against nce_loss_and_grad summed over the rows, the batched samplers
-against their per-row contracts, and TouchedRows against np.unique.
+against their per-row contracts, a group of batches drawn in one pass
+against one draw per batch, train() in batch groups against the
+per-batch training oracle, and TouchedRows against np.unique.
 Multi-span splice, which refinement and corruption use to place every
 edit and failure, is checked against its offset contract. On small
 random sparse corpora, extrinsic corruptions are checked to be sound and
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 
 from synthetic import block_split, sparse_corpus
 from test_corruptor import scan_pool
-from test_embeddings import bincount_ranks
+from test_embeddings import bincount_ranks, per_batch_negatives, two_matrix_train
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith import corruptor, embeddings
@@ -54,12 +56,15 @@ from kgfaith.embeddings import (
     SAMPLERS,
     EmbeddingTable,
     TouchedRows,
+    TrainingConfig,
     batch_negatives,
     batch_nce_loss_and_grad,
     evaluate_link_prediction,
+    group_negatives,
     init_embeddings,
     nce_loss_and_grad,
     rank_of_gold,
+    train,
     trilinear,
 )
 from kgfaith.errors import (
@@ -839,6 +844,125 @@ def test_in_batch_mask_drops_equal_golds(pool, golds):
     for g, row, keep in zip(golds, negs.tolist(), mask[:, 1:].tolist()):
         assert row == pool
         assert keep == [o != g for o in pool]
+
+
+@st.composite
+def negative_groups(draw):
+    """(sampler, golds, n, pool, batch, entities, seed) for one group of batches.
+
+    Batches hold 1-5 rows; for uniform and sans the last may be shorter.
+    Sans balls hold from one id to the whole vocabulary, so rows whose
+    pool is shorter than n and rows whose pool is longer both occur.
+    in_batch batches are of one size, as train() groups them, each
+    batch's pool its golds; a batch of one row must raise.
+    """
+    strategy = draw(st.sampled_from(SAMPLERS))
+    n_ent = draw(st.integers(1, 8))
+    batch = draw(st.integers(1, 5))
+    batches = draw(st.integers(1, 4))
+    rows = batch * (batches - 1) + (batch if strategy == "in_batch" else draw(st.integers(1, batch)))
+    golds = ids(draw(st.lists(st.integers(0, n_ent - 1), min_size=rows, max_size=rows)))
+    pool = None
+    if strategy == "sans":
+        ball = st.sets(st.integers(0, n_ent - 1), min_size=1).map(sorted)
+        pool = padded(draw(st.lists(ball, min_size=rows, max_size=rows)))
+    elif strategy == "in_batch":
+        pool = golds.reshape(batches, batch)
+    return strategy, golds, draw(st.integers(1, 6)), pool, batch, n_ent, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(case=negative_groups())
+@example(case=("uniform", ids([3, 0, 7, 7, 1]), 5, None, 2, 8, 1))
+# Row 0 draws with replacement from {1, 2} between the keys of batch 0 and batch 1.
+@example(case=("sans", ids([0, 1, 2]), 3, padded([[0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]), 2, 5, 2))
+@example(case=("in_batch", ids([1, 2]), 4, ids([[1], [2]]), 1, 3, 0))
+def test_group_draws_equal_per_batch_draws(case):
+    """One group_negatives call gives the draws of one call per batch,
+    concatenated, and leaves the generator where they leave it; a group
+    with a batch the per-batch draws refuse raises their EmptyPool."""
+    strategy, golds, n, pool, batch, n_ent, seed = case
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    per_batch = []
+    try:
+        for b, start in enumerate(range(0, len(golds), batch)):
+            rows = slice(start, start + batch)
+            batch_pool = None if pool is None else pool[b] if strategy == "in_batch" else pool[rows]
+            per_batch.append(per_batch_negatives(strategy, golds[rows], n, ref, n_ent, batch_pool))
+    except EmptyPool as error:
+        with pytest.raises(EmptyPool, match=f"^{error}$"):
+            group_negatives(strategy, golds, n, rng, n_ent, pool, batch)
+        return
+    negs, mask = group_negatives(strategy, golds, n, rng, n_ent, pool, batch)
+    assert negs.dtype == np.int64
+    assert np.array_equal(negs, np.concatenate([want for want, _ in per_batch]))
+    if strategy == "in_batch":
+        assert np.array_equal(mask, np.concatenate([want for _, want in per_batch]))
+    else:
+        assert mask is None
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def chain_graph(n_triples: int) -> KnowledgeGraph:
+    """Triples i -r0-> i + 1: every gold differs, so in_batch never runs dry."""
+    ents, rels = Vocabulary(), Vocabulary()
+    for i in range(n_triples + 1):
+        ents.add(f"e{i}")
+    rels.add("r0")
+    return KnowledgeGraph([Triple(i, 0, i + 1) for i in range(n_triples)], ents, rels)
+
+
+@st.composite
+def training_graphs(draw):
+    """A graph of 4-30 triples over 3-10 entities, few of whose batches run dry."""
+    n = draw(st.integers(3, 10))
+    triple = st.builds(Triple, st.integers(0, n - 1), st.integers(0, 1), st.integers(0, n - 1))
+    triples = draw(st.lists(triple, min_size=4, max_size=30, unique=True))
+    ents, rels = Vocabulary(), Vocabulary()
+    for i in range(n):
+        ents.add(f"e{i}")
+    rels.add("r0")
+    rels.add("r1")
+    return KnowledgeGraph(triples, ents, rels)
+
+
+@pytest.mark.parametrize(
+    "sampler", [("uniform", 1), ("sans", 1), ("sans", 2), ("in_batch", 1)],
+    ids=["uniform", "sans1", "sans2", "in_batch"],
+)
+@PROPERTY
+@given(
+    graph=training_graphs(),
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    batch=st.integers(2, 7),
+    n=st.integers(1, 8),
+    cells=st.sampled_from([1, 40, 100, 250, 1 << 17]),
+)
+@example(graph=chain_graph(7), optimizer="sgd", batch=3, n=1, cells=40)
+@example(graph=chain_graph(7), optimizer="adam", batch=2, n=3, cells=1)
+def test_train_in_groups_gives_per_batch_bytes(sampler, graph, optimizer, batch, n, cells):
+    """train() with _BLOCK_CELLS cut so that an epoch spans one batch per
+    group (1), a few (40 to 250) or all of them, batch sizes that leave
+    remainders (an in_batch remainder of one is skipped), and n on both
+    sides of the sans pool sizes: the tables and trace of per-batch
+    draws (two_matrix_train), or an EmptyPool where those run dry. The
+    chain graph's 7 triples in batches of 3 leave a remainder of one."""
+    cfg = TrainingConfig(
+        d=4, epochs=2, negatives=n, batch_size=batch, lr=5e-2, seed=3,
+        sampler=sampler[0], sans_k=sampler[1], optimizer=optimizer,
+    )
+    with patch.object(embeddings, "_BLOCK_CELLS", cells):
+        try:
+            table, trace = train(graph, cfg)
+        except EmptyPool:
+            # The oracle runs an epoch that trains nothing into a division by zero.
+            with pytest.raises((EmptyPool, ZeroDivisionError)):
+                two_matrix_train(graph, cfg)
+            return
+    want, want_trace = two_matrix_train(graph, cfg)
+    assert trace == want_trace
+    assert table.entities.tobytes() == want.entities.tobytes()
+    assert table.relations.tobytes() == want.relations.tobytes()
 
 
 @st.composite
