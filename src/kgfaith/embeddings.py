@@ -157,43 +157,29 @@ def nce_loss_and_grad(
     return loss, grads
 
 
-def batch_negatives(
-    strategy: str, golds: np.ndarray, n: int, rng: np.random.Generator | None,
-    n_entities: int, pool: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Corrupted objects for every row of a batch: (B, k) ids, (B, k + 1) mask.
-
-    Mask column 0 stands for the gold; a masked-out cell holds the row's
-    gold. A mask of None keeps every cell. uniform: n draws from the
-    n_entities ids other than the gold. sans: n draws from the row's ball
-    in ``pool`` (padded with -1) minus the gold; without replacement (the
-    top n of random keys) when that leaves n ids, with replacement
-    otherwise. Neither masks a cell. in_batch: the batch's gold objects
-    ``pool``, masked where they equal the row's gold. The one-batch call
-    of group_negatives.
-    """
-    if strategy == "in_batch":
-        pool = pool[None]
-    return group_negatives(strategy, golds, n, rng, n_entities, pool, max(len(golds), 1))
-
-
 def group_negatives(
     strategy: str, golds: np.ndarray, n: int, rng: np.random.Generator | None,
     n_entities: int, pool: np.ndarray | None, batch: int,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """batch_negatives for consecutive batches of ``batch`` rows, in one pass.
+    """Corrupted objects for consecutive batches of ``batch`` rows, in one pass.
 
-    The last batch may be shorter. The generator is read in the order
-    that one batch_negatives call per batch reads it, so the group gets
-    those calls' draws, row for row, and leaves the generator in their
-    state. uniform makes one rng.integers call for the group: a draw of
-    R rows equals its row chunks drawn in turn. sans makes each batch's
-    rng.random call for its keys, then its rng.integers call for its
-    rows whose pool is shorter than n, and masks, sorts and gathers the
-    whole group at once. in_batch reads no generator: ``pool`` holds one
-    row of candidates per batch, the batches are equal in size, and
-    their masks are built at once. A row without an alternative raises
-    EmptyPool before anything is drawn.
+    Returns (R, k) ids and an (R, k + 1) mask for the R golds: column 0
+    stands for the gold, a masked-out cell holds the row's gold, and a
+    mask of None keeps every cell. uniform: n draws from the n_entities
+    ids other than the gold. sans: n draws from the row's ball in
+    ``pool`` (padded with -1) minus the gold; without replacement (the
+    top n of random keys) when that leaves n ids, with replacement
+    otherwise. in_batch: its batch's gold objects, one ``pool`` row per
+    batch (the batches equal in size), masked where they equal the
+    row's gold; it reads no generator.
+
+    The last batch may be shorter. The generator is read as one call per
+    batch would read it, so the group gets those draws, row for row, and
+    leaves the generator in their state: uniform makes one rng.integers
+    call (a draw of R rows equals its row chunks drawn in turn); sans
+    makes each batch's rng.random call for its keys, then its
+    rng.integers call for its rows whose pool is shorter than n. A row
+    without an alternative raises EmptyPool before anything is drawn.
     """
     rows = len(golds)
     if strategy == "uniform":
@@ -249,12 +235,12 @@ def sample_negatives(
 ) -> list[Triple]:
     """Draw corrupted triples for one positive by replacing its object.
 
-    One row of batch_negatives. uniform: n draws from the full entity
-    vocabulary minus the gold object. sans: n draws from the positive's
-    subgraph nodes minus the gold; without replacement when the pool is
-    large enough, otherwise with replacement. in_batch: the other batch
-    members' gold objects, giving batch-size - 1 negatives (duplicate
-    golds filtered).
+    One group_negatives call over a single one-row batch. uniform: n
+    draws from the full entity vocabulary minus the gold object. sans: n
+    draws from the positive's subgraph nodes minus the gold; without
+    replacement when the pool is large enough, otherwise with
+    replacement. in_batch: the other batch members' gold objects, giving
+    batch-size - 1 negatives (duplicate golds filtered).
     """
     if strategy not in SAMPLERS:
         raise ValueError(f"strategy must be one of {SAMPLERS}, got {strategy!r}")
@@ -267,9 +253,9 @@ def sample_negatives(
     if strategy == "sans":
         pool = np.array([sorted(sub.nodes)], dtype=np.int64)
     else:  # the batch's golds; uniform reads none
-        pool = np.array([t.o for t in batch or ()], dtype=np.int64)
+        pool = np.array([[t.o for t in batch or ()]], dtype=np.int64)
     n_entities = len(graph.entities) if graph is not None else 0
-    negs, mask = batch_negatives(strategy, np.array([pos.o]), n, rng, n_entities, pool)
+    negs, mask = group_negatives(strategy, np.array([pos.o]), n, rng, n_entities, pool, 1)
     kept = negs[0] if mask is None else negs[0][mask[0, 1:]]
     return [Triple(pos.s, pos.p, int(o)) for o in kept]
 

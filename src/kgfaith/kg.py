@@ -135,11 +135,10 @@ class GraphStats:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """A k-hop ball plus every edge induced on it.
+    """A k-hop ball plus every edge induced on it, as khop_subgraph returns it.
 
-    Only the callers that read edges build one (``kgfaith subgraph`` and
-    inferred-relation retrieval); the others take the ball alone from
-    KnowledgeGraph.ball.
+    Only ``kgfaith subgraph`` builds one; the library's stages take the
+    ball alone from KnowledgeGraph.ball.
     """
 
     nodes: frozenset[int]
@@ -237,10 +236,6 @@ class KnowledgeGraph:
             adjacency.append(tuple(near))
         return adjacency
 
-    def neighbors(self, entity: int) -> set[int]:
-        """Adjacent entities of a graph entity id, ignoring edge direction."""
-        return set(self._adjacency[entity])
-
     def degree(self, entity: int) -> int:
         return len(self._out.get(entity, ())) + len(self._in.get(entity, ()))
 
@@ -273,22 +268,19 @@ class KnowledgeGraph:
             seen |= frontier
         return frozenset(seen)
 
-    def induced(self, nodes: frozenset[int]) -> Subgraph:
-        """The nodes with every triple whose both endpoints are among them, in graph order."""
-        # Each induced edge leaves a node of the set, so their out-edges
+    def khop_subgraph(self, centers: Iterable[int | str], k: int) -> Subgraph:
+        """The k-hop ball around the centers with its induced edges, in graph order.
+
+        Edges between two frontier nodes count too.
+        """
+        nodes = self.ball(centers, k)
+        # Each induced edge leaves a node of the ball, so their out-edges
         # hold them all; sorting the positions keeps graph order.
         triples = self.triples
         positions = sorted(
             i for v in nodes for i in self._out.get(v, ()) if triples[i].o in nodes
         )
         return Subgraph(nodes=nodes, triples=tuple(triples[i] for i in positions))
-
-    def khop_subgraph(self, centers: Iterable[int | str], k: int) -> Subgraph:
-        """The k-hop ball around the centers with its induced edges.
-
-        Edges between two frontier nodes count too.
-        """
-        return self.induced(self.ball(centers, k))
 
     def direct_edges(self, a: int | str, b: int | str) -> list[Triple]:
         """Triples a -> b, in graph order."""

@@ -24,7 +24,7 @@ from .critic import CriticReport, check_anchor_source, derive_anchors
 from .dialogue import DialogueRecord, splice
 from .embeddings import EmbeddingTable, parse_vector, trilinear
 from .errors import DimensionMismatch, LengthMismatch, RetrievalImpossible
-from .kg import AliasTable, KnowledgeGraph, Subgraph, Triple, check_radius, read_lines
+from .kg import AliasTable, KnowledgeGraph, Triple, check_radius, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -96,42 +96,43 @@ def scoring_anchor(
 
 
 def infer_relation(
-    sub: Subgraph, table: EmbeddingTable, anchor: int, candidates: np.ndarray
+    graph: KnowledgeGraph, ball: frozenset[int], table: EmbeddingTable, anchor: int,
+    candidates: np.ndarray,
 ) -> int:
     """Relation r* whose best candidate score from the anchor is highest.
 
-    Relations are those appearing on subgraph edges; candidates are the
-    entity ids to score. Ties go to the lowest relation id.
+    Relations are those on edges joining two ball nodes, frontier ones
+    too; candidates are the entity ids to score. Ties go to the lowest id.
     """
-    if not sub.triples:
+    rels = sorted({p for v in ball for p, o in graph.out_edges(v) if o in ball})
+    if not rels:
         raise RetrievalImpossible("subgraph has no edges to infer a relation from")
     if not len(candidates):
         raise RetrievalImpossible("no candidate entities to infer against")
-    rels = np.array(sorted({t.p for t in sub.triples}), dtype=np.int64)
     # (relations, candidates) scores; argmax keeps the first, lowest-id best.
     scores = trilinear(
         table.entities[anchor],
         table.relations[rels][:, None, :],
         table.entities[candidates],
     )
-    return int(rels[np.argmax(scores.max(axis=1))])
+    return rels[int(np.argmax(scores.max(axis=1)))]
 
 
 def build_query(
-    table: EmbeddingTable, sub: Subgraph | None, anchor: int, candidates: np.ndarray,
-    grounding: Triple | None, supplied: np.ndarray | None,
+    table: EmbeddingTable, graph: KnowledgeGraph, ball: frozenset[int], anchor: int,
+    candidates: np.ndarray, grounding: Triple | None, supplied: np.ndarray | None,
 ) -> np.ndarray:
     """Craft the query vector for one flagged mention.
 
     external: the supplied vector; oracle: the relation of the grounding
-    triple; inferred: the relation infer_relation picks from ``sub``, the
-    ball with its induced edges, which only this mode reads.
+    triple; inferred: the relation infer_relation picks from the edges
+    of ``graph`` inside ``ball``, which only this mode reads.
     """
     if supplied is not None:
         return supplied
     if grounding is not None:
         return table.relations[grounding.p].copy()
-    return table.relations[infer_relation(sub, table, anchor, candidates)].copy()
+    return table.relations[infer_relation(graph, ball, table, anchor, candidates)].copy()
 
 
 def rank_candidates(
@@ -225,10 +226,10 @@ def refine_response(
 
     Mentions go left to right, each in one step: the scoring anchor (in
     oracle mode with its grounding triple), the k-hop ball around the
-    current anchor set (with its induced edges in inferred mode only),
-    the candidates (ball minus anchors, ascending), the query, the
-    ranking. The winner's preferred surface is spliced
-    over the span and, with chaining on, the winner joins the anchors.
+    current anchor set, the candidates (ball minus anchors, ascending),
+    the query (inferred mode reads the ball's edges), the ranking. The
+    winner's preferred surface is spliced over the span and, with
+    chaining on, the winner joins the anchors.
     External mode, and only it, takes ``queries``: this record's vectors,
     one per flagged span in text order, whatever the span's outcome; a
     wrong count raises LengthMismatch and a wrong shape DimensionMismatch,
@@ -256,9 +257,8 @@ def refine_response(
         try:
             anchor, grounding = scoring_anchor(cfg.mode, record, graph, anchors)
             ball = graph.ball(anchors, cfg.k)
-            sub = graph.induced(ball) if cfg.mode == "inferred" else None
             candidates = np.array(sorted(ball.difference(anchors)), dtype=np.int64)
-            query = build_query(table, sub, anchor, candidates, grounding, supplied)
+            query = build_query(table, graph, ball, anchor, candidates, grounding, supplied)
             ranked = rank_candidates(query, anchor, candidates, table)
         except RetrievalImpossible as err:
             logger.debug("span [%d, %d): %s", lab.begin, lab.end, err)

@@ -22,9 +22,9 @@ from kgfaith.embeddings import (
     _ball_rows,
     _nce_batch,
     align_table,
-    batch_negatives,
     batch_nce_loss_and_grad,
     evaluate_link_prediction,
+    group_negatives,
     init_embeddings,
     load_embeddings,
     nce_loss_and_grad,
@@ -220,7 +220,7 @@ class TestBatchKernelMemory:
         graph, _ = block_split(0)
         rng = np.random.default_rng(0)
         s, p, o = np.array(graph.triples[:32], dtype=np.int64).T
-        negs, mask = batch_negatives("uniform", o, 50, rng, len(graph.entities), None)
+        negs, mask = one_batch_negatives("uniform", o, 50, rng, len(graph.entities), None)
         objects = np.concatenate([o[:, None], negs], axis=1)
         table = init_embeddings(len(graph.entities), len(graph.relations), 32, seed=0)
         tracemalloc.start()
@@ -324,7 +324,7 @@ class TestTouchedRowKernel:
         for _ in range(4):
             s, p, o = triples[rng.permutation(len(triples))[:32]].T
             pool = o if balls is None else balls[s]
-            negs, mask = batch_negatives(strategy, o, 50, rng, n_ent, pool)
+            negs, mask = one_batch_negatives(strategy, o, 50, rng, n_ent, pool)
             objects = np.concatenate([o[:, None], negs], axis=1)
             want = unique_kernel(s, p, objects, mask, table)
             assert_same_stacked(
@@ -360,7 +360,7 @@ class TestTouchedRowKernel:
         golds = np.array([2, 2, 0])
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            negs, _ = batch_negatives("sans", golds, n, rng, 0, pool)
+            negs, _ = one_batch_negatives("sans", golds, n, rng, 0, pool)
             assert np.array_equal(negs, take_along_sans(golds, n, ref, pool))
             assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -429,11 +429,11 @@ class TestSampleNegatives:
         pool = np.tile(np.array([3, 0, 4, 1, 2, -1]), (rows, 1))
         golds = np.full(rows, 2)
         rng = np.random.default_rng(4)
-        negs, _ = batch_negatives("sans", golds, 2, rng, 0, pool)
+        negs, _ = one_batch_negatives("sans", golds, 2, rng, 0, pool)
         _, counts = np.unique(negs[:, 0] * 5 + negs[:, 1], return_counts=True)
         assert len(counts) == 4 * 3  # ordered pairs of {0, 1, 3, 4}, no repeats
         assert np.all(np.abs(counts - rows / 12) < 150)
-        negs, _ = batch_negatives("sans", golds, 6, rng, 0, pool)
+        negs, _ = one_batch_negatives("sans", golds, 6, rng, 0, pool)
         ids, counts = np.unique(negs, return_counts=True)
         assert ids.tolist() == [0, 1, 3, 4]
         assert np.all(np.abs(counts - rows * 6 / 4) < 400)
@@ -561,10 +561,18 @@ class TestTrain:
             train(g, TrainingConfig(d=4, epochs=1, sampler="sans", negatives=2))
 
 
+def one_batch_negatives(strategy, golds, n, rng, n_entities, pool):
+    """group_negatives over one batch that holds every row; in_batch's
+    ``pool`` is that batch's one row of candidates."""
+    if strategy == "in_batch":
+        pool = pool[None]
+    return group_negatives(strategy, golds, n, rng, n_entities, pool, max(len(golds), 1))
+
+
 def per_batch_negatives(strategy, golds, n, rng, n_entities, pool):
-    """batch_negatives as it drew one batch at a time, before the group
-    drawer: the oracle for group_negatives, which must give the same
-    draws and leave the generator in the same state."""
+    """One batch's draw as it was written before the group drawer: the
+    oracle for group_negatives, which must give the same draws and leave
+    the generator in the same state."""
     rows = len(golds)
     if strategy == "uniform":
         if n_entities < 2:

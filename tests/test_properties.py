@@ -38,7 +38,12 @@ from hypothesis import strategies as st
 
 from synthetic import block_split, sparse_corpus
 from test_corruptor import scan_pool
-from test_embeddings import bincount_ranks, per_batch_negatives, two_matrix_train
+from test_embeddings import (
+    bincount_ranks,
+    one_batch_negatives,
+    per_batch_negatives,
+    two_matrix_train,
+)
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith import corruptor, embeddings
@@ -57,7 +62,6 @@ from kgfaith.embeddings import (
     EmbeddingTable,
     TouchedRows,
     TrainingConfig,
-    batch_negatives,
     batch_nce_loss_and_grad,
     evaluate_link_prediction,
     group_negatives,
@@ -622,9 +626,9 @@ def integer_table(data, graph: KnowledgeGraph, d: int = 3) -> EmbeddingTable:
 def draw_ball(data, graph: KnowledgeGraph):
     n = len(graph.entities)
     anchor = data.draw(st.integers(0, n - 1))
-    sub = graph.khop_subgraph([anchor], data.draw(st.integers(0, 2)))
+    ball = graph.ball([anchor], data.draw(st.integers(0, 2)))
     exclude = frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
-    return anchor, sub, exclude
+    return anchor, ball, exclude
 
 
 @PROPERTY
@@ -632,22 +636,24 @@ def draw_ball(data, graph: KnowledgeGraph):
 def test_infer_relation_matches_per_relation_loop(data):
     graph = data.draw(graphs(max_entities=8, max_relations=4))
     table = integer_table(data, graph)
-    anchor, sub, exclude = draw_ball(data, graph)
-    cand = sorted(sub.nodes - {anchor} - exclude)
+    anchor, ball, exclude = draw_ball(data, graph)
+    cand = sorted(ball - {anchor} - exclude)
     candidates = np.array(cand, dtype=np.int64)
-    if not sub.triples or not cand:
-        with pytest.raises(RetrievalImpossible):
-            infer_relation(sub, table, anchor, candidates)
+    # Every edge with both endpoints in the ball, by a full scan.
+    rels = sorted({t.p for t in graph.triples if t.s in ball and t.o in ball})
+    if not rels or not cand:
+        with pytest.raises(RetrievalImpossible, match="no edges" if not rels else "no candidate"):
+            infer_relation(graph, ball, table, anchor, candidates)
         return
     best_rel, best = -1, -np.inf
-    for rel in sorted({t.p for t in sub.triples}):
+    for rel in rels:
         top = max(
             float(trilinear(table.entities[anchor], table.relations[rel], table.entities[c]))
             for c in cand
         )
         if top > best:  # strict: a tie keeps the lower relation id
             best_rel, best = rel, top
-    assert infer_relation(sub, table, anchor, candidates) == best_rel
+    assert infer_relation(graph, ball, table, anchor, candidates) == best_rel
 
 
 @PROPERTY
@@ -655,8 +661,8 @@ def test_infer_relation_matches_per_relation_loop(data):
 def test_rank_candidates_matches_sorted_scores(data):
     graph = data.draw(graphs(max_entities=8))
     table = integer_table(data, graph)
-    anchor, sub, exclude = draw_ball(data, graph)
-    cand = sorted(sub.nodes - {anchor} - exclude)
+    anchor, ball, exclude = draw_ball(data, graph)
+    cand = sorted(ball - {anchor} - exclude)
     # Given in any order, ties still come out by ascending id.
     candidates = np.array(data.draw(st.permutations(cand)), dtype=np.int64)
     query = matrices(data.draw, st.integers(-1, 1), 1, table.dim)[0]
@@ -754,7 +760,7 @@ def test_batch_gradients_match_summed_reference(case):
         entities=rng.normal(scale=0.7, size=(n_ent, 4)),
         relations=rng.normal(scale=0.7, size=(2, 4)),
     )
-    negs, mask = batch_negatives(strategy, golds, n, rng, n_ent, pool)
+    negs, mask = one_batch_negatives(strategy, golds, n, rng, n_ent, pool)
     assert_matches_summed_reference(subjects, predicates, golds, negs, mask, table)
 
 
@@ -795,7 +801,7 @@ def test_batch_gradients_match_summed_reference_at_training_shapes(corpus, strat
         pool = padded([sorted(graph.khop_subgraph([s], 2).nodes) for s in subjects.tolist()])
     n_ent = len(graph.entities)
     table = init_embeddings(n_ent, len(graph.relations), 32, seed=3)
-    negs, mask = batch_negatives(strategy, golds, 50, rng, n_ent, pool)
+    negs, mask = one_batch_negatives(strategy, golds, 50, rng, n_ent, pool)
     assert_matches_summed_reference(subjects, predicates, golds, negs, mask, table)
 
 
@@ -817,9 +823,9 @@ def test_sans_draws_stay_in_ball(case, seed):
     allowed = [set(ball) - {int(g)} for ball, g in zip(balls, golds)]
     if not all(allowed):
         with pytest.raises(EmptyPool):
-            batch_negatives("sans", golds, n, rng, 0, padded(balls))
+            one_batch_negatives("sans", golds, n, rng, 0, padded(balls))
         return
-    negs, mask = batch_negatives("sans", golds, n, rng, 0, padded(balls))
+    negs, mask = one_batch_negatives("sans", golds, n, rng, 0, padded(balls))
     assert negs.shape == (len(balls), n)
     assert mask is None  # sans keeps every draw
     for row, pool in zip(negs.tolist(), allowed):
@@ -837,9 +843,9 @@ def test_sans_draws_stay_in_ball(case, seed):
 def test_in_batch_mask_drops_equal_golds(pool, golds):
     if len(pool) < 2 or any(all(o == g for o in pool) for g in golds):
         with pytest.raises(EmptyPool):
-            batch_negatives("in_batch", ids(golds), 50, None, 0, ids(pool))
+            one_batch_negatives("in_batch", ids(golds), 50, None, 0, ids(pool))
         return
-    negs, mask = batch_negatives("in_batch", ids(golds), 50, None, 0, ids(pool))
+    negs, mask = one_batch_negatives("in_batch", ids(golds), 50, None, 0, ids(pool))
     assert mask.shape == (len(golds), len(pool) + 1) and mask[:, 0].all()
     for g, row, keep in zip(golds, negs.tolist(), mask[:, 1:].tolist()):
         assert row == pool

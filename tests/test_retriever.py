@@ -193,15 +193,15 @@ class TestOracleGroundingTriple:
 
 class TestInferRelation:
     def test_matches_brute_force(self, toy_graph):
-        sub = toy_graph.khop_subgraph([0, 1], 2)
+        ball = toy_graph.ball([0, 1], 2)
         table = EmbeddingTable(
             entities=np.random.default_rng(3).normal(size=(8, 4)),
             relations=np.random.default_rng(4).normal(size=(3, 4)),
         )
-        cands = sorted(sub.nodes - {0, 1})
-        got = infer_relation(sub, table, anchor=0, candidates=candidate_ids(cands))
+        cands = sorted(ball - {0, 1})
+        got = infer_relation(toy_graph, ball, table, anchor=0, candidates=candidate_ids(cands))
         best = max(
-            sorted({t.p for t in sub.triples}),
+            sorted({t.p for t in toy_graph.triples if t.s in ball and t.o in ball}),
             key=lambda r: (
                 max(
                     float(trilinear(table.entities[0], table.relations[r], table.entities[c]))
@@ -214,22 +214,33 @@ class TestInferRelation:
 
     def test_tie_takes_lowest_relation(self):
         g = graph_of(3, [(0, 0, 1), (0, 1, 2)])
-        sub = g.khop_subgraph([0], 1)
+        ball = g.ball([0], 1)
         table = table_of([[1.0], [1.0], [1.0]], [[2.0], [2.0]])
-        assert infer_relation(sub, table, anchor=0, candidates=candidate_ids([1, 2])) == 0
+        assert infer_relation(g, ball, table, anchor=0, candidates=candidate_ids([1, 2])) == 0
+
+    def test_edge_between_frontier_nodes_counts(self):
+        # r1 joins the two frontier nodes 1 and 2 and no edge of the anchor
+        # carries it; its vector scores 2 against r0's 1.
+        g = graph_of(3, [(0, 0, 1), (0, 0, 2), (1, 1, 2)])
+        ball = g.ball([0], 1)
+        table = table_of([[1.0], [1.0], [1.0]], [[1.0], [2.0]])
+        assert infer_relation(g, ball, table, anchor=0, candidates=candidate_ids([1, 2])) == 1
 
     def test_no_edges_raises(self):
-        sub = Subgraph(nodes=frozenset({0}), triples=())
-        table = table_of([[1.0]], [[1.0]])
+        # Entity 2 has no edge, so its ball is {2} alone; with no candidates
+        # either, the missing edges are reported first.
+        g = graph_of(3, [(0, 0, 1)])
+        ball = g.ball([2], 1)
+        table = table_of([[1.0], [1.0], [1.0]], [[1.0]])
         with pytest.raises(RetrievalImpossible, match="no edges"):
-            infer_relation(sub, table, anchor=0, candidates=candidate_ids([]))
+            infer_relation(g, ball, table, anchor=2, candidates=candidate_ids([]))
 
     def test_no_candidates_raises(self):
         g = graph_of(2, [(0, 0, 1)])
-        sub = g.khop_subgraph([0, 1], 1)
+        ball = g.ball([0, 1], 1)
         table = table_of([[1.0], [1.0]], [[1.0]])
         with pytest.raises(RetrievalImpossible, match="no candidate entities to infer"):
-            infer_relation(sub, table, anchor=0, candidates=candidate_ids([]))
+            infer_relation(g, ball, table, anchor=0, candidates=candidate_ids([]))
 
 
 class TestScoringAnchor:
@@ -254,24 +265,24 @@ class TestScoringAnchor:
 
 class TestBuildQuery:
     def test_oracle_returns_relation_row(self, toy_graph):
-        sub = toy_graph.khop_subgraph([0, 1], 2)
+        ball = toy_graph.ball([0, 1], 2)
         table = toy_table()
-        cands = candidate_ids(sub.nodes - {0, 1})
-        q = build_query(table, sub, 0, cands, grounding=Triple(0, 0, 1), supplied=None)
+        cands = candidate_ids(ball - {0, 1})
+        q = build_query(table, toy_graph, ball, 0, cands, grounding=Triple(0, 0, 1), supplied=None)
         assert np.array_equal(q, table.relations[0])
         assert not np.shares_memory(q, table.relations)
 
     def test_inferred_provenance(self, toy_graph):
-        sub = toy_graph.khop_subgraph([0, 1], 2)
+        ball = toy_graph.ball([0, 1], 2)
         table = toy_table()
-        cands = candidate_ids(sub.nodes - {0, 1})
-        q = build_query(table, sub, 0, cands, grounding=None, supplied=None)
+        cands = candidate_ids(ball - {0, 1})
+        q = build_query(table, toy_graph, ball, 0, cands, grounding=None, supplied=None)
         assert np.array_equal(q, table.relations[0])
 
     def test_external_consumes_source(self, toy_graph):
-        sub = toy_graph.khop_subgraph([0, 1], 2)
+        ball = toy_graph.ball([0, 1], 2)
         supplied = np.array([0.5, -0.5])
-        q = build_query(toy_table(), sub, 0, candidate_ids(sub.nodes - {0, 1}), None, supplied)
+        q = build_query(toy_table(), toy_graph, ball, 0, candidate_ids(ball - {0, 1}), None, supplied)
         assert q is supplied
 
     def test_external_without_source(self, toy_graph, toy_aliases):
