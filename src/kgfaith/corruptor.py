@@ -156,8 +156,8 @@ def _positional_ids(
     once per slot it fills and per map, whatever sets the slot is part of.
     """
     signature = frozenset(
-        [(p, 0) for p, _ in graph.out_edges(entity_id)]
-        + [(p, 1) for _, p in graph.in_edges(entity_id)]
+        [(t.p, 0) for t in graph.out_edges(entity_id)]
+        + [(t.p, 1) for t in graph.in_edges(entity_id)]
     )
     ids = same_type.get(signature)
     if ids is None:

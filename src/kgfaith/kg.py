@@ -3,8 +3,8 @@
 Entities and relations are interned into contiguous integer ids in
 first-seen order. The graph is immutable after construction and keeps
 both out-edge and in-edge indexes, plus an undirected adjacency built on
-first use, so a k-hop ball, its induced edges and direct edge queries
-cost the degrees they touch, not the size of the graph.
+first use, so a k-hop ball and direct edge queries cost the degrees they
+touch, not the size of the graph.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class Subgraph:
 class KnowledgeGraph:
     """Immutable triple store with out/in adjacency indexes.
 
-    Both indexes hold positions into ``triples``, in graph order, so a
-    neighborhood's edges can be read off its nodes without a scan.
+    Both indexes map an entity to its edges, the Triple objects of
+    ``triples`` in graph order, so a node's edges are read without a scan.
     Values derived from the graph plus other inputs are kept by memo().
     """
 
@@ -162,11 +162,11 @@ class KnowledgeGraph:
         self.triples: tuple[Triple, ...] = tuple(triples)
         self.entities = entities
         self.relations = relations
-        out: dict[int, list[int]] = {}
-        inc: dict[int, list[int]] = {}
-        for i, t in enumerate(self.triples):
-            out.setdefault(t.s, []).append(i)
-            inc.setdefault(t.o, []).append(i)
+        out: dict[int, list[Triple]] = {}
+        inc: dict[int, list[Triple]] = {}
+        for t in self.triples:
+            out.setdefault(t.s, []).append(t)
+            inc.setdefault(t.o, []).append(t)
         self._out = {s: tuple(v) for s, v in out.items()}
         self._in = {o: tuple(v) for o, v in inc.items()}
         self._memo: dict[str, tuple[object, object]] = {}
@@ -206,20 +206,17 @@ class KnowledgeGraph:
 
     # --- adjacency ---------------------------------------------------
 
-    def out_edges(self, entity: int) -> tuple[tuple[int, int], ...]:
-        """(relation, object) pairs for edges leaving the entity."""
-        triples = self.triples
-        return tuple((triples[i].p, triples[i].o) for i in self._out.get(entity, ()))
+    def out_edges(self, entity: int) -> tuple[Triple, ...]:
+        """The triples whose subject is the entity, in graph order (the stored tuple)."""
+        return self._out.get(entity, ())
 
     def objects(self, subject: int, relation: int) -> set[int]:
         """Objects of the edges leaving the subject under the relation, as a new set."""
-        triples = self.triples
-        return {triples[i].o for i in self._out.get(subject, ()) if triples[i].p == relation}
+        return {t.o for t in self._out.get(subject, ()) if t.p == relation}
 
-    def in_edges(self, entity: int) -> tuple[tuple[int, int], ...]:
-        """(subject, relation) pairs for edges entering the entity."""
-        triples = self.triples
-        return tuple((triples[i].s, triples[i].p) for i in self._in.get(entity, ()))
+    def in_edges(self, entity: int) -> tuple[Triple, ...]:
+        """The triples whose object is the entity, in graph order (the stored tuple)."""
+        return self._in.get(entity, ())
 
     @cached_property
     def _adjacency(self) -> list[tuple[int, ...]]:
@@ -228,11 +225,10 @@ class KnowledgeGraph:
         Built on first use, so loading a graph does not pay for it. Tuples
         hold a neighbor list in less memory than sets.
         """
-        triples = self.triples
         adjacency = []
         for v in range(len(self.entities)):
-            near = {triples[i].o for i in self._out.get(v, ())}
-            near.update(triples[i].s for i in self._in.get(v, ()))
+            near = {t.o for t in self._out.get(v, ())}
+            near.update(t.s for t in self._in.get(v, ()))
             adjacency.append(tuple(near))
         return adjacency
 
@@ -271,23 +267,17 @@ class KnowledgeGraph:
     def khop_subgraph(self, centers: Iterable[int | str], k: int) -> Subgraph:
         """The k-hop ball around the centers with its induced edges, in graph order.
 
-        Edges between two frontier nodes count too.
+        Edges between two frontier nodes count too. One scan of every triple
+        finds them, O(|triples|), paid once by its command, ``kgfaith subgraph``.
         """
         nodes = self.ball(centers, k)
-        # Each induced edge leaves a node of the ball, so their out-edges
-        # hold them all; sorting the positions keeps graph order.
-        triples = self.triples
-        positions = sorted(
-            i for v in nodes for i in self._out.get(v, ()) if triples[i].o in nodes
-        )
-        return Subgraph(nodes=nodes, triples=tuple(triples[i] for i in positions))
+        return Subgraph(nodes, tuple(t for t in self.triples if t.s in nodes and t.o in nodes))
 
     def direct_edges(self, a: int | str, b: int | str) -> list[Triple]:
         """Triples a -> b, in graph order."""
         ai = self.resolve_entity(a)
         bi = self.resolve_entity(b)
-        triples = self.triples
-        return [triples[i] for i in self._out.get(ai, ()) if triples[i].o == bi]
+        return [t for t in self._out.get(ai, ()) if t.o == bi]
 
     def stats(self) -> GraphStats:
         n = len(self.entities)

@@ -104,7 +104,7 @@ def infer_relation(
     Relations are those on edges joining two ball nodes, frontier ones
     too; candidates are the entity ids to score. Ties go to the lowest id.
     """
-    rels = sorted({p for v in ball for p, o in graph.out_edges(v) if o in ball})
+    rels = sorted({t.p for v in ball for t in graph.out_edges(v) if t.o in ball})
     if not rels:
         raise RetrievalImpossible("subgraph has no edges to infer a relation from")
     if not len(candidates):

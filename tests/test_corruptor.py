@@ -180,7 +180,7 @@ class TestReplacementPoolOnSparseCorpus:
 
 
 class CountingIds(Sequence):
-    """A candidate id list, or a graph's triples, that counts the items read from it.
+    """A candidate id list, or a graph's triples or edge tuple, that counts the items read from it.
 
     Iteration goes through __getitem__, so every item iterated over counts too.
     """

@@ -782,9 +782,10 @@ def bincount_ranks(table, heldout, graph, mode):
     heldout = list(heldout)
     known = None
     if mode == "filtered":
-        known = {(s, p): {o for q, o in graph.out_edges(s) if q == p} for s, p, _ in heldout}
-        for s, p, o in heldout:
-            known[s, p].add(o)
+        known = {(s, p): set() for s, p, _ in heldout}
+        for s, p, o in (*graph.triples, *heldout):
+            if (s, p) in known:
+                known[s, p].add(o)
     E = table.entities
     ids = np.arange(len(E), dtype=np.int32)
     rows = max(1, embeddings._BLOCK_CELLS // len(E))
@@ -894,16 +895,18 @@ class TestLinkPredictionCost:
     """The filter reads the held-out subjects' edges, not the whole graph,
     and only on the first call for a graph and held-out list.
 
-    Counts, not timings, so the check holds on any host. A filter built
-    from every graph triple reads ten times as many per held-out row at
-    6,000 entities as at 600; the held-out subjects' out-degree does not
-    grow with the vocabulary, and the bound is 2x for the sampling noise
-    in it.
+    Counts, not timings, so the check holds on any host. Triples read
+    from the triple list and from the out-edge index count alike. A
+    filter built from every graph triple, or from every entity's
+    out-edges, reads ten times as many per held-out row at 6,000
+    entities as at 600; the held-out subjects' out-degree does not grow
+    with the vocabulary, and the bound is 2x for the sampling noise in it.
     """
 
     @staticmethod
     def counted_split(n: int):
-        """(graph whose triples count their reads, the read counter, 100 held-out triples, table)."""
+        """(graph whose triple list and out-edge index count their reads,
+        the read counter, 100 held-out triples, table)."""
         full, _, _, _ = sparse_corpus(n, n_triples=3 * n // 2)
         rng = np.random.default_rng(0)
         picked = set(rng.choice(len(full.triples), size=100, replace=False).tolist())
@@ -912,6 +915,7 @@ class TestLinkPredictionCost:
         graph = KnowledgeGraph(rest, full.entities, full.relations)
         reads = [0]
         graph.triples = CountingIds(graph.triples, reads)
+        graph._out = {e: CountingIds(edges, reads) for e, edges in graph._out.items()}
         table = init_embeddings(n, len(graph.relations), 4, seed=0)
         return graph, reads, heldout, table
 

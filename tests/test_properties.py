@@ -166,8 +166,8 @@ def test_ball_matches_full_scan(data):
 @given(graph=graphs())
 def test_adjacency_matches_full_scan(graph):
     for e in range(len(graph.entities)):
-        assert graph.out_edges(e) == tuple((t.p, t.o) for t in graph.triples if t.s == e)
-        assert graph.in_edges(e) == tuple((t.s, t.p) for t in graph.triples if t.o == e)
+        assert graph.out_edges(e) == tuple(t for t in graph.triples if t.s == e)
+        assert graph.in_edges(e) == tuple(t for t in graph.triples if t.o == e)
         assert graph.degree(e) == len(graph.out_edges(e)) + len(graph.in_edges(e))
         for p in range(len(graph.relations)):
             assert graph.objects(e, p) == {t.o for t in graph.triples if t.s == e and t.p == p}

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from synthetic import sparse_corpus
+from test_corruptor import CountingIds
 
 from kgfaith import KnowledgeGraph, Subgraph, Triple, Vocabulary
 from kgfaith.critic import Critic
@@ -191,7 +195,48 @@ class TestOracleGroundingTriple:
             oracle_grounding_triple(only_bad, toy_graph, (0,))
 
 
+class CountingTriples(CountingIds):
+    """CountingIds whose iteration counts the items it yields and nothing
+    more, so a full pass over n triples reads exactly n."""
+
+    def __iter__(self):
+        for t in self.ids:
+            self.reads[0] += 1
+            yield t
+
+
 class TestInferRelation:
+    def test_reads_only_the_balls_out_edges(self):
+        """Counts, not timings: the relation read takes each ball node's
+        out-edges once and no other triple, on a graph where nine in ten
+        edges leave no ball node, and finds the relations a full scan of
+        the triple list finds, not those of edges leaving the ball."""
+        graph, _, _, _ = sparse_corpus(600, n_relations=8, n_triples=900)
+        ball = graph.ball([0, 1], 1)
+        out_degrees = sum(len(graph.out_edges(v)) for v in ball)
+        assert 0 < 10 * out_degrees < len(graph.triples)
+        want = sorted({t.p for t in graph.triples if t.s in ball and t.o in ball})
+        assert {t.p for v in ball for t in graph.out_edges(v)} > set(want)
+        reads = [0]
+        graph.triples = CountingTriples(graph.triples, reads)
+        graph._out = {e: CountingTriples(edges, reads) for e, edges in graph._out.items()}
+        graph._in = {e: CountingTriples(edges, reads) for e, edges in graph._in.items()}
+        # Relation r's row holds r, so the scorer's relation block names them.
+        table = EmbeddingTable(
+            entities=np.ones((600, 2)),
+            relations=np.repeat(np.arange(len(graph.relations), dtype=float)[:, None], 2, axis=1),
+        )
+        scored = []
+
+        def scorer(h, r, t):
+            scored.append(r[:, 0, 0].astype(int).tolist())
+            return trilinear(h, r, t)
+
+        with patch("kgfaith.retriever.trilinear", scorer):
+            infer_relation(graph, ball, table, anchor=0, candidates=candidate_ids(ball - {0}))
+        assert reads[0] == out_degrees
+        assert scored == [want]
+
     def test_matches_brute_force(self, toy_graph):
         ball = toy_graph.ball([0, 1], 2)
         table = EmbeddingTable(
