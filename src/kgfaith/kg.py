@@ -4,7 +4,10 @@ Entities and relations are interned into contiguous integer ids in
 first-seen order. The graph is immutable after construction and keeps
 both out-edge and in-edge indexes, plus an undirected adjacency built on
 first use, so a k-hop ball and direct edge queries cost the degrees they
-touch, not the size of the graph.
+touch, not the size of the graph. A ball asked again for the same centers
+and radius is read back: the graph keeps the balls it has searched while
+they hold at most two elements per triple in all, as many as the edge
+indexes hold.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ class KnowledgeGraph:
 
     Both indexes map an entity to its edges, the Triple objects of
     ``triples`` in graph order, so a node's edges are read without a scan.
-    Values derived from the graph plus other inputs are kept by memo().
+    Values derived from the graph plus other inputs are kept by memo(),
+    and the balls it has searched by ball().
     """
 
     def __init__(
@@ -170,6 +174,10 @@ class KnowledgeGraph:
         self._out = {s: tuple(v) for s, v in out.items()}
         self._in = {o: tuple(v) for o, v in inc.items()}
         self._memo: dict[str, tuple[object, object]] = {}
+        # (center ids, radius) -> ball, and the elements the kept balls
+        # may still add; see ball().
+        self._balls: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+        self._ball_room = 2 * len(self.triples)
 
     def memo(self, name: str, key: object, build: Callable[[], _T]) -> _T:
         """The value build() derives from this graph and the inputs ``key`` stands for.
@@ -250,11 +258,22 @@ class KnowledgeGraph:
     def ball(self, centers: Iterable[int | str], k: int) -> frozenset[int]:
         """The entities within k hops of the centers, edge direction ignored.
 
-        Every center is resolved (an unknown one raises UnknownEntity)
-        before the breadth-first expansion.
+        Every center is resolved (an unknown one raises UnknownEntity, and
+        nothing is kept) before the one breadth-first search from all of
+        them. The graph keeps the ball under its set of center ids and its
+        radius, so a later call with the same set and radius, such as a
+        refiner's after the critic's for one response, returns it without
+        searching. Balls are kept while the kept elements fit in
+        2 * len(triples), as many as the edge indexes hold; a ball that
+        does not fit is returned but not kept, the room is left for smaller
+        ones, and nothing is evicted.
         """
         check_radius(k)
-        seen = {self.resolve_entity(c) for c in centers}
+        ids = frozenset(self.resolve_entity(c) for c in centers)
+        kept = self._balls.get((ids, k))
+        if kept is not None:
+            return kept
+        seen = set(ids)
         frontier = seen
         adjacency = self._adjacency
         for _ in range(k):
@@ -262,7 +281,11 @@ class KnowledgeGraph:
                 break
             frontier = set().union(*map(adjacency.__getitem__, frontier)) - seen
             seen |= frontier
-        return frozenset(seen)
+        near = frozenset(seen)
+        if len(near) <= self._ball_room:
+            self._balls[ids, k] = near
+            self._ball_room -= len(near)
+        return near
 
     def khop_subgraph(self, centers: Iterable[int | str], k: int) -> Subgraph:
         """The k-hop ball around the centers with its induced edges, in graph order.

@@ -1,4 +1,4 @@
-"""Triple store: loading, vocabulary ids, k-hop subgraphs, direct edges."""
+"""Triple store: loading, vocabulary ids, k-hop subgraphs, kept balls, direct edges."""
 
 from __future__ import annotations
 
@@ -239,6 +239,54 @@ class TestSubgraphMatchesBfsReference:
                     t for t in g.triples if t.s in expect_nodes and t.o in expect_nodes
                 ]
                 assert list(sub.triples) == expect_triples
+
+
+def _kept_elements(graph: KnowledgeGraph) -> int:
+    return sum(map(len, graph._balls.values()))
+
+
+class TestKeptBalls:
+    """ball() keeps one ball per (center set, radius) within 2 * len(triples) elements."""
+
+    def test_star_stays_within_budget(self):
+        ents, rels = Vocabulary(), Vocabulary()
+        rels.add("r")
+        hub = ents.add("hub")
+        leaves = [ents.add(f"leaf{i}") for i in range(200)]
+        graph = KnowledgeGraph([Triple(hub, 0, leaf) for leaf in leaves], ents, rels)
+        for _ in range(2):
+            for leaf in leaves:
+                # Every leaf's 2-ball is the whole star: keeping each would cost 200 * 201.
+                assert graph.ball([leaf], 2) == _bfs_ball(list(graph.triples), {leaf}, 2)
+                assert _kept_elements(graph) <= 2 * len(graph.triples)
+        assert len(graph._balls) == 1
+        # The 2-balls that did not fit left their room to smaller balls.
+        assert graph.ball(leaves[:3], 1) == {hub, *leaves[:3]}
+        assert graph._balls[frozenset(leaves[:3]), 1] == {hub, *leaves[:3]}
+        assert _kept_elements(graph) == 201 + 4
+
+    def test_unknown_center_keeps_nothing(self, data_dir):
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        with pytest.raises(UnknownEntity):
+            graph.ball(["roald_dahl", "the_bfg", "narnia"], 2)
+        assert graph._balls == {}
+        assert graph._ball_room == 2 * len(graph.triples)
+
+    def test_each_center_set_and_radius_keeps_its_own_ball(self, data_dir):
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        for _ in range(2):  # cold, then from the kept balls
+            assert graph.ball(["jrr_tolkien", "quentin_blake"], 1) == {2, 5, 6, 7}
+            assert graph.ball(["jrr_tolkien"], 1) == {6, 7}
+            assert graph.ball(["quentin_blake"], 1) == {2, 5}
+            assert graph.ball(["roald_dahl"], 1) == {0, 1, 2, 3}
+            # Six elements with two of the 14 left: returned, not kept.
+            assert graph.ball(["roald_dahl"], 2) == {0, 1, 2, 3, 4, 5}
+            assert graph.ball(["roald_dahl"], 0) == {0}
+        assert set(graph._balls) == {
+            (frozenset({5, 6}), 1), (frozenset({6}), 1), (frozenset({5}), 1),
+            (frozenset({0}), 1), (frozenset({0}), 0),
+        }
+        assert graph._ball_room == 1
 
 
 class TestDirectEdges:

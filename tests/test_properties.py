@@ -1,7 +1,8 @@
 """Property tests: each build-once index against the full scan it replaced.
 
 The references below redo the work the indexes save: k-hop balls and
-induced edges from passes over every triple, a mention pattern compiled
+induced edges from passes over every triple (the graph's kept balls
+cold, warm and with their budget spent), a mention pattern compiled
 afresh for every call, the links-back set from one preferred-surface
 lookup per name, replacement pools built by scanning every candidate,
 and the filtered ranking's set lookup per candidate (also with the
@@ -18,9 +19,10 @@ per-batch training oracle, and TouchedRows against np.unique.
 Multi-span splice, which refinement and corruption use to place every
 edit and failure, is checked against its offset contract. On small
 random sparse corpora, extrinsic corruptions are checked to be sound and
-fully flagged by the critic, the intrinsic swap to undo itself, and
-refinement from labels read back from JSON against refinement from the
-critic's live report.
+fully flagged by the critic, the intrinsic swap to undo itself,
+corruption, critique and refinement on a graph with kept balls against
+a new graph, and refinement from labels read back from JSON against
+refinement from the critic's live report.
 Examples are drawn deterministically, so the suite gives the same
 verdict on every run.
 """
@@ -142,24 +144,46 @@ def test_khop_matches_full_scan(data):
     assert sub.triples == induced
 
 
+def kept_balls(graph: KnowledgeGraph):
+    """The balls the graph keeps, by (center ids, radius), and its remaining budget."""
+    return dict(graph._balls), graph._ball_room
+
+
 @PROPERTY
 @given(data=st.data())
 def test_ball_matches_full_scan(data):
-    """The ball alone, from centers that repeat, by id and by name."""
+    """The ball alone, from centers that repeat, by id and by name, on a
+    graph whose kept balls are cold, warm (radii 0-3 asked of one graph)
+    or whose budget is spent; the kept elements stay within budget."""
     graph = data.draw(graphs())
+    spent = fresh(graph)
+    spent._ball_room = 0
     n = len(graph.entities)
-    centers = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-    centers = data.draw(st.permutations(centers + data.draw(st.lists(st.sampled_from(centers)))))
-    k = data.draw(st.integers(0, 3))
-    nodes, _ = scan_khop(graph, centers, k)
-    assert graph.ball(centers, k) == nodes
-    assert graph.ball([graph.entities.name_of(c) for c in centers], k) == nodes
+    for _ in range(data.draw(st.integers(1, 4))):
+        centers = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        repeats = data.draw(st.lists(st.sampled_from(centers)))
+        centers = data.draw(st.permutations(centers + repeats))
+        k = data.draw(st.integers(0, 3))
+        nodes, _ = scan_khop(graph, centers, k)
+        assert fresh(graph).ball(centers, k) == nodes
+        # Each center alone first, so the joint call finds their balls kept.
+        for c in centers:
+            assert graph.ball([c], k) == scan_khop(graph, [c], k)[0]
+        assert graph.ball(centers, k) == nodes
+        assert graph.ball([graph.entities.name_of(c) for c in centers], k) == nodes
+        assert spent.ball(centers, k) == nodes
+        assert sum(map(len, kept_balls(graph)[0].values())) <= 2 * len(graph.triples)
+        assert kept_balls(spent) == ({}, 0)
 
-    # One unknown center, by name or by id, anywhere among them raises.
-    unknown = data.draw(st.sampled_from(["x9", "e", n, -1]))
-    at = data.draw(st.integers(0, len(centers)))
-    with pytest.raises(UnknownEntity):
-        graph.ball(centers[:at] + [unknown] + centers[at:], k)
+        # One unknown center, by name or by id, anywhere among them raises
+        # before anything is kept, on a cold graph and on a warm one.
+        unknown = data.draw(st.sampled_from(["x9", "e", n, -1]))
+        at = data.draw(st.integers(0, len(centers)))
+        for target in (fresh(graph), graph):
+            before = kept_balls(target)
+            with pytest.raises(UnknownEntity):
+                target.ball(centers[:at] + [unknown] + centers[at:], k)
+            assert kept_balls(target) == before
 
 
 @PROPERTY
@@ -1200,6 +1224,34 @@ def test_intrinsic_swap_is_an_involution(case):
     assert once.response != record.response
     assert twice.response == record.response
     assert twice.replacements == [(new, old) for old, new in once.replacements]
+
+
+@settings(PROPERTY, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 100), k=st.integers(0, 2))
+def test_stages_on_a_warm_graph_match_a_fresh_graph(seed, n, k):
+    """corrupt, critique and oracle refine give on a second pass, which reads
+    the balls the first pass kept, what they give on a new graph."""
+    graph, types, aliases, records = sparse_corpus(n, n_triples=n, seed=seed)
+    table = init_embeddings(len(graph.entities), len(graph.relations), 8, seed=seed)
+    cfg = CorruptionConfig(fraction=0.5, seed=seed, k=k)
+    refine_cfg = RefineConfig(k=k, mode="oracle")
+
+    def outputs(g: KnowledgeGraph):
+        corrupted, summary = build_synthetic_dataset(records, g, dict(types), cfg, aliases)
+        critic = Critic(g, aliases, k=k)
+        reports, refined = [], []
+        for record in records + [c.as_record() for c in corrupted]:
+            report = critic.critique(record)
+            reports.append(report)
+            refined.append(
+                refine_response(record, report, g, table, refine_cfg, aliases).merged_json(record)
+            )
+        return [c.to_json() for c in corrupted], summary, reports, refined
+
+    first = outputs(graph)
+    assert graph._balls
+    assert outputs(graph) == first
+    assert outputs(fresh(graph)) == first
 
 
 # --- refinement ---------------------------------------------------------------
