@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -96,36 +96,55 @@ class CorruptedRecord:
         )
 
 
-def _history_hits(history: list[str], graph: KnowledgeGraph, aliases: AliasTable) -> set[int]:
-    """Ids of graph entities with a surface form occurring in a (canonical) turn.
+def excluded_ids(
+    history: list[str], ball: frozenset[int], graph: KnowledgeGraph, aliases: AliasTable
+) -> set[int]:
+    """Ids no extrinsic replacement of the record may take.
 
-    Raw substrings count: "e1" occurs in "let us discuss e12". A surface
-    several entities list counts for each of them.
+    Those are the record's k-hop ``ball`` and every graph entity with a
+    surface form occurring in a (canonical) history turn. Raw substrings
+    count: "e1" occurs in "let us discuss e12". A surface several
+    entities list counts for each of them.
     """
     names = graph.entities
-    hits: set[int] = set()
+    excluded = set(ball)
     for turn in history:
         for entity in aliases.entities_in(canonical(turn)):
             i = names.get(entity)
             if i is not None and names.name_of(i) == entity:
-                hits.add(i)
-    return hits
+                excluded.add(i)
+    return excluded
+
+
+class Candidates(NamedTuple):
+    """Replacement ids in ascending order, and each one's index among them."""
+
+    ids: Sequence[int]
+    position: dict[int, int]
+
+    @classmethod
+    def of(cls, ids: Sequence[int]) -> Candidates:
+        return cls(ids, {i: p for p, i in enumerate(ids)})
 
 
 class _Pool(Sequence[str]):
-    """Names of sorted candidate ids minus some of them, looked up lazily.
+    """Names of the candidates minus the excluded ids and ``own``, looked up lazily.
 
-    Only the positions of the excluded ids are kept, so len() and each
-    item cost the number of exclusions, not the number of candidates.
+    Only the positions of the excluded candidates are kept, read from the
+    candidates' position map, so building the pool costs the number of
+    exclusions, and len() and each item cost at most that, not the number
+    of candidates.
     """
 
-    def __init__(self, ids: Sequence[int], excluded: Iterable[int], names: Vocabulary) -> None:
-        self._ids = ids
+    def __init__(
+        self, candidates: Candidates, excluded: Set[int], own: int | None, names: Vocabulary
+    ) -> None:
+        self._ids, position = candidates
         self._names = names
-        n = len(ids)
-        self._skipped = sorted(
-            {p for e in excluded if (p := bisect_left(ids, e)) < n and ids[p] == e}
-        )
+        hits = position.keys() & excluded
+        if own in position:
+            hits.add(own)
+        self._skipped = sorted(map(position.__getitem__, hits))
 
     def __len__(self) -> int:
         return len(self._ids) - len(self._skipped)
@@ -143,14 +162,14 @@ class _Pool(Sequence[str]):
 
 
 def _positional_ids(
-    entity_id: int, graph: KnowledgeGraph, same_type: dict[Any, list[int]],
-    aliases: AliasTable,
-) -> list[int]:
+    entity_id: int, graph: KnowledgeGraph, same_type: dict[Any, Any], aliases: AliasTable
+) -> Candidates:
     """Ids sharing a predicate-and-slot with the entity and linking back, ascending.
 
     Coarse stand-in for a type when the type map has no entry. Entities
-    with the same relation slots share one list, which includes them. It
-    is built on first use and kept in ``same_type`` under that slot set.
+    with the same relation slots share one Candidates, which includes
+    them. It is built on first use and kept in ``same_type`` under that
+    slot set.
     Each (relation, slot) pair's linking-back entities are kept there
     too, under the pair, so an entity is checked against the alias table
     once per slot it fills and per map, whatever sets the slot is part of.
@@ -159,8 +178,8 @@ def _positional_ids(
         [(t.p, 0) for t in graph.out_edges(entity_id)]
         + [(t.p, 1) for t in graph.in_edges(entity_id)]
     )
-    ids = same_type.get(signature)
-    if ids is None:
+    kept = same_type.get(signature)
+    if kept is None:
         names, links_back = graph.entities, aliases.links_back
         peers: set[int] = set()
         for p, slot in signature:
@@ -169,19 +188,19 @@ def _positional_ids(
                 linked = [i for i in graph.relation_slots[p][slot] if names.name_of(i) in links_back]
                 same_type[(p, slot)] = linked
             peers.update(linked)
-        ids = sorted(peers)
-        same_type[signature] = ids
-    return ids
+        kept = Candidates.of(sorted(peers))
+        same_type[signature] = kept
+    return kept
 
 
 def same_type_ids(
-    types: dict[str, str], graph: KnowledgeGraph, aliases: AliasTable
-) -> dict[str, list[int]]:
-    """Entity name -> ids of the replacements of its declared type, in id order.
+    types: Mapping[str, str], graph: KnowledgeGraph, aliases: AliasTable
+) -> dict[str, Candidates]:
+    """Entity name -> the replacements of its declared type, in id order.
 
     A replacement is a graph entity of that type whose preferred surface
     links back to it. Every name in the type map gets an entry, also one
-    the graph lacks; names of one type share one list.
+    the graph lacks; names of one type share one Candidates.
     """
     links_back = aliases.links_back
     members: dict[str, list[int]] = {}
@@ -189,40 +208,35 @@ def same_type_ids(
         kind = types.get(name)
         if kind is not None and name in links_back:
             members.setdefault(kind, []).append(i)
-    return {name: members.get(kind, []) for name, kind in types.items()}
+    kept = {kind: Candidates.of(ids) for kind, ids in members.items()}
+    none = Candidates([], {})
+    return {name: kept.get(kind, none) for name, kind in types.items()}
 
 
 def replacement_pool(
     mention_entity: str,
     graph: KnowledgeGraph,
-    ball: frozenset[int],
-    same_type: dict[str, list[int]],
-    history: list[str],
+    excluded: Set[int],
+    same_type: dict[Any, Any],
     aliases: AliasTable,
 ) -> Sequence[str]:
     """Eligible same-type replacements, sorted by entity id.
 
     Eligible means: a graph entity of the same declared type (from
     ``same_type``, built by same_type_ids; when it misses the mention,
-    one sharing a predicate-and-slot with it, a list ``same_type`` then
-    keeps), whose preferred surface links back to it, not the mention
-    itself, not in the record's k-hop ``ball``, and with no surface form
-    occurring anywhere in the history. The pool is a lazy sequence over
-    the candidate list: building it and drawing from it cost the
-    excluded entities, not the candidates.
+    one sharing a predicate-and-slot with it, Candidates ``same_type``
+    then keeps), whose preferred surface links back to it, not the
+    mention itself, and not in ``excluded`` (excluded_ids of the record).
+    The pool is a lazy sequence over the candidate list: building it and
+    drawing from it cost the excluded entities, not the candidates.
     """
-    candidate_ids = same_type.get(mention_entity)
-    if candidate_ids is None:
-        eid = graph.entities.get(mention_entity)
-        if eid is None:
+    candidates = same_type.get(mention_entity)
+    own = graph.entities.get(mention_entity)
+    if candidates is None:
+        if own is None:
             return ()
-        candidate_ids = _positional_ids(eid, graph, same_type, aliases)
-    excluded = _history_hits(history, graph, aliases)
-    excluded.update(ball)
-    self_id = graph.entities.get(mention_entity)
-    if self_id is not None:
-        excluded.add(self_id)
-    return _Pool(candidate_ids, excluded, graph.entities)
+        candidates = _positional_ids(own, graph, same_type, aliases)
+    return _Pool(candidates, excluded, own, graph.entities)
 
 
 def _spliced(
@@ -240,22 +254,24 @@ def corrupt_extrinsic(
     record: DialogueRecord,
     graph: KnowledgeGraph,
     ball: frozenset[int],
-    same_type: dict[str, list[int]],
+    same_type: dict[Any, Any],
     rng: np.random.Generator,
     aliases: AliasTable,
 ) -> CorruptedRecord:
     """Replace every mention that has an eligible out-of-neighborhood peer.
 
     Each replaced mention gets an independent uniform draw from its
-    pool. Raises NoEligibleReplacement when no mention can be replaced.
+    pool; the record's excluded ids are found once for all its mentions.
+    Raises NoEligibleReplacement when no mention can be replaced.
     """
     mentions = response_mentions(record, aliases, graph)
     if not mentions:
         raise NoEligibleReplacement("record has no mention spans")
+    excluded = excluded_ids(record.history, ball, graph, aliases)
     edits: list[tuple[int, int, str]] = []
     replacements: list[tuple[str, str]] = []
     for m in mentions:
-        pool = replacement_pool(m.entity, graph, ball, same_type, record.history, aliases)
+        pool = replacement_pool(m.entity, graph, excluded, same_type, aliases)
         if not pool:
             continue
         choice = pool[int(rng.integers(len(pool)))]
@@ -345,7 +361,7 @@ class DatasetSummary:
 def build_synthetic_dataset(
     records: list[DialogueRecord],
     graph: KnowledgeGraph,
-    types: dict[str, str],
+    types: Mapping[str, str],
     cfg: CorruptionConfig,
     aliases: AliasTable | None = None,
 ) -> tuple[list[CorruptedRecord], DatasetSummary]:
@@ -364,7 +380,9 @@ def build_synthetic_dataset(
     replacement_pool adds) depend only on the graph, the type map and the
     links-back set, so the graph keeps them (KnowledgeGraph.memo), as it
     keeps the identity table: a later call with an equal type map and
-    links-back set reuses them.
+    links-back set reuses them. A read-only type map (a MappingProxyType,
+    which load_entity_types returns) is kept as it is and found equal by
+    identity; its backing dict must not change. Any other map is copied.
     """
     if not records:
         raise AllRecordsDropped("no input records")
@@ -372,10 +390,11 @@ def build_synthetic_dataset(
         aliases = graph.memo(
             "identity_aliases", None, lambda: AliasTable.from_names(graph.entities.names)
         )
-    # The key copies the type map: the caller may edit it in place.
+    # A dict is copied: the caller may edit it in place.
+    kept_types = types if isinstance(types, MappingProxyType) else dict(types)
     same_type = graph.memo(
         "same_type_ids",
-        (aliases.links_back, dict(types)),
+        (aliases.links_back, kept_types),
         lambda: same_type_ids(types, graph, aliases),
     )
 

@@ -18,11 +18,11 @@ import logging
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .choices import ANCHOR_SOURCES
 from .dialogue import DialogueRecord, MentionSpan, check_spans
-from .errors import UnlinkedResponse
+from .errors import UnknownEntity, UnlinkedResponse
 from .kg import AliasTable, KnowledgeGraph, _read_tsv, canonical, check_radius
 
 logger = logging.getLogger(__name__)
@@ -33,8 +33,9 @@ INTRINSIC = "intrinsic"
 LABELS = (FAITHFUL, EXTRINSIC, INTRINSIC)
 
 
-@dataclass(frozen=True)
-class SpanLabel:
+class SpanLabel(NamedTuple):
+    """The label of the mention at [begin, end) of a response."""
+
     begin: int
     end: int
     label: str
@@ -139,13 +140,16 @@ def derive_anchors(
 ) -> tuple[int, ...]:
     """Anchor entities c for the record's neighborhood, in first-seen order.
 
-    "kn" takes subjects and objects of the grounding triples (an unknown
-    name raises UnknownEntity). "history" links mentions over the history
-    turns and keeps those found in the graph.
+    "kn" takes subjects and objects of the grounding triples (the first
+    unknown name raises UnknownEntity). "history" links mentions over the
+    history turns and keeps those found in the graph.
     """
     check_anchor_source(source)
     if source == "kn":
-        found = [graph.resolve_entity(name) for s, _, o in record.triples for name in (s, o)]
+        names = [name for s, _, o in record.triples for name in (s, o)]
+        found = list(map(graph.entities.get, names))
+        if None in found:
+            raise UnknownEntity(names[found.index(None)])
     else:
         found = [
             m.entity_id
@@ -180,8 +184,9 @@ def critique_response(
     spans on the record win over fresh linking. Two mentions inside the
     ball pass the pair check when the graph has an edge between them in
     either direction; the edge joins two ball nodes, so it is an edge
-    induced on the ball, and the graph's edge index answers without
-    building those edges. Relation phrases (an empty table raises
+    induced on the ball, and the out-edges of the two ids answer without
+    building those edges. The history is folded only when a mention lies
+    outside the ball. Relation phrases (an empty table raises
     ValueError) make the check directed: when a phrase of relation r
     occurs in the text between two mentions inside the ball, some matched
     relation must hold as the oriented triple (first mention, r, second
@@ -197,10 +202,11 @@ def critique_response(
     labels = [FAITHFUL] * len(mentions)
     in_ball = [m.entity_id in ball for m in mentions]
 
-    folded_history = [canonical(turn) for turn in record.history]
-    for i, m in enumerate(mentions):
-        if not in_ball[i] and not _surface_in_history(m.surface, folded_history):
-            labels[i] = EXTRINSIC
+    if not all(in_ball):
+        folded_history = [canonical(turn) for turn in record.history]
+        for i, m in enumerate(mentions):
+            if not in_ball[i] and not _surface_in_history(m.surface, folded_history):
+                labels[i] = EXTRINSIC
 
     phrase_to_relation = [
         (canonical(form), rel)
@@ -210,10 +216,11 @@ def critique_response(
 
     for i, j in combinations([i for i, inside in enumerate(in_ball) if inside], 2):
         first, second = mentions[i], mentions[j]
-        if first.entity_id == second.entity_id:
+        a, b = first.entity_id, second.entity_id
+        if a == b:
             continue
-        forward = graph.direct_edges(first.entity_id, second.entity_id)
-        bad = not (forward or graph.direct_edges(second.entity_id, first.entity_id))
+        forward = [t for t in graph.out_edges(a) if t.o == b]
+        bad = not (forward or any(t.o == a for t in graph.out_edges(b)))
         if not bad and phrase_to_relation:
             between = canonical(record.response[first.end : second.begin])
             matched = [rel for form, rel in phrase_to_relation if form in between]

@@ -10,7 +10,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import MalformedLine
 from .kg import read_lines
@@ -18,8 +18,7 @@ from .kg import read_lines
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class MentionSpan:
+class MentionSpan(NamedTuple):
     """A linked entity mention: [begin, end) character offsets into a text."""
 
     begin: int

@@ -16,7 +16,8 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, TypeVar
+from types import MappingProxyType
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import EmptyGraph, MalformedLine, UnknownEntity, UnknownRelation
 
@@ -533,6 +534,10 @@ def load_aliases(path: str | Path) -> AliasTable:
     return table
 
 
-def load_entity_types(path: str | Path) -> dict[str, str]:
-    """Read ``entity<TAB>type`` lines into a dict; last mapping wins."""
-    return {entity: kind for _, (entity, kind) in _read_tsv(path, 2)}
+def load_entity_types(path: str | Path) -> Mapping[str, str]:
+    """Read ``entity<TAB>type`` lines into a read-only map; last mapping wins.
+
+    No one holds the dict behind the map, so it never changes, and
+    corruption's memo keeps it as its key without a copy.
+    """
+    return MappingProxyType({entity: kind for _, (entity, kind) in _read_tsv(path, 2)})

@@ -44,6 +44,10 @@ EDITED_TABLES = "tests/test_properties.py::test_corruption_after_table_edits_mat
 GROUP_DRAWS = "tests/test_properties.py::test_group_draws_equal_per_batch_draws"
 KEPT = "tests/test_kg.py::TestKeptBalls"
 INFER_READS = "tests/test_retriever.py::TestInferRelation::test_reads_only_the_balls_out_edges"
+POOL_LOOKUP = "tests/test_properties.py::test_pool_lookup_matches_brute_force"
+POOL_SCAN = "tests/test_properties.py::test_replacement_pool_matches_scan"
+EXTRINSIC = "tests/test_corruptor.py::TestCorruptExtrinsic"
+DATASET = "tests/test_corruptor.py::TestBuildSyntheticDataset"
 
 MUTANTS = (
     Mutant(
@@ -76,16 +80,70 @@ MUTANTS = (
     Mutant(
         "corruption's memo key holds the caller's type map, not a copy",
         "kgfaith/corruptor.py",
-        "(aliases.links_back, dict(types)),",
-        "(aliases.links_back, types),",
+        "else dict(types)",
+        "else types",
         (EDITED_TABLES,),
     ),
     Mutant(
         "corruption's memo key without the links-back set",
         "kgfaith/corruptor.py",
-        "(aliases.links_back, dict(types)),",
-        "(dict(types),),",
+        "(aliases.links_back, kept_types),",
+        "(kept_types,),",
         (EDITED_TABLES,),
+    ),
+    Mutant(
+        "corruption's memo key copies a read-only type map",
+        "kgfaith/corruptor.py",
+        "kept_types = types if isinstance(types, MappingProxyType) else dict(types)",
+        "kept_types = dict(types)",
+        (f"{DATASET}::test_loaded_type_map_is_its_own_key",),
+    ),
+    Mutant(
+        "kept pool positions one place off",
+        "kgfaith/corruptor.py",
+        "{i: p for p, i in enumerate(ids)}",
+        "{i: p + 1 for p, i in enumerate(ids)}",
+        (POOL_LOOKUP, POOL_SCAN),
+    ),
+    Mutant(
+        "a pool that keeps its own mention",
+        "kgfaith/corruptor.py",
+        "        if own in position:\n            hits.add(own)\n",
+        "",
+        (POOL_LOOKUP, POOL_SCAN),
+    ),
+    Mutant(
+        "a pool adds its mention to the record's shared exclusions",
+        "kgfaith/corruptor.py",
+        "        hits = position.keys() & excluded\n"
+        "        if own in position:\n"
+        "            hits.add(own)\n",
+        "        excluded.add(own)\n"
+        "        hits = position.keys() & excluded\n",
+        (
+            POOL_LOOKUP,
+            f"{EXTRINSIC}::test_a_mention_stays_a_candidate_for_the_others",
+        ),
+    ),
+    Mutant(
+        "each mention scans the history again",
+        "kgfaith/corruptor.py",
+        "    excluded = excluded_ids(record.history, ball, graph, aliases)\n"
+        "    edits: list[tuple[int, int, str]] = []\n"
+        "    replacements: list[tuple[str, str]] = []\n"
+        "    for m in mentions:\n",
+        "    edits: list[tuple[int, int, str]] = []\n"
+        "    replacements: list[tuple[str, str]] = []\n"
+        "    for m in mentions:\n"
+        "        excluded = excluded_ids(record.history, ball, graph, aliases)\n",
+        (f"{EXTRINSIC}::test_history_scanned_once_per_record",),
+    ),
+    Mutant(
+        "the critic's pair check resolves the ids it holds",
+        "kgfaith/critic.py",
+        "forward = [t for t in graph.out_edges(a) if t.o == b]",
+        "forward = graph.direct_edges(a, b)",
+        ("tests/test_critic.py::TestIntrinsicLabels::test_pair_check_resolves_no_id",),
     ),
     Mutant(
         "a failed command leaves its temp files",

@@ -12,15 +12,17 @@ from synthetic import sparse_corpus
 
 from kgfaith import KnowledgeGraph, Triple, Vocabulary, corruptor, load_triples
 from kgfaith.corruptor import (
+    Candidates,
     CorruptionConfig,
     build_synthetic_dataset,
     corrupt_extrinsic,
     corrupt_intrinsic,
+    excluded_ids,
     replacement_pool,
     round_half_up,
     same_type_ids,
 )
-from kgfaith.critic import EXTRINSIC, Critic, derive_anchors, link_mentions
+from kgfaith.critic import EXTRINSIC, Critic, derive_anchors, link_mentions, response_mentions
 from kgfaith.dialogue import DialogueRecord
 from kgfaith.errors import AllRecordsDropped, NoEligibleReplacement, NotApplicable
 from kgfaith.kg import AliasTable, canonical
@@ -49,27 +51,25 @@ class TestReplacementPool:
         self, toy_graph, toy_same_type, toy_aliases
     ):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        pool = replacement_pool("the_bfg", toy_graph, sub.nodes, toy_same_type, [], toy_aliases)
+        pool = replacement_pool("the_bfg", toy_graph, sub.nodes, toy_same_type, toy_aliases)
         assert list(pool) == ["the_hobbit"]
 
     def test_history_surface_excluded(self, toy_graph, toy_same_type, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        pool = replacement_pool(
-            "the_bfg", toy_graph, sub.nodes, toy_same_type,
-            ["Have you read The Hobbit?"], toy_aliases,
-        )
+        excluded = excluded_ids(["Have you read The Hobbit?"], sub.nodes, toy_graph, toy_aliases)
+        pool = replacement_pool("the_bfg", toy_graph, excluded, toy_same_type, toy_aliases)
         assert list(pool) == []
 
     def test_positional_fallback_when_type_missing(self, toy_graph, toy_aliases):
         # With no type entry, peers are entities used with the same
         # predicate in the same slot: books that are written, here.
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        pool = replacement_pool("the_bfg", toy_graph, sub.nodes, {}, [], toy_aliases)
+        pool = replacement_pool("the_bfg", toy_graph, sub.nodes, {}, toy_aliases)
         assert list(pool) == ["the_hobbit"]
 
     def test_unknown_untyped_entity_has_empty_pool(self, toy_graph, toy_aliases):
         sub = toy_graph.khop_subgraph(["roald_dahl"], 1)
-        assert list(replacement_pool("narnia", toy_graph, sub.nodes, {}, [], toy_aliases)) == []
+        assert list(replacement_pool("narnia", toy_graph, sub.nodes, {}, toy_aliases)) == []
 
 
 class TestReplacementsLinkBack:
@@ -96,7 +96,7 @@ class TestReplacementsLinkBack:
         graph, aliases, types = books
         sub = graph.khop_subgraph(["alice"], 1)
         same_type = same_type_ids(types, graph, aliases) if typed else {}
-        pool = replacement_pool("book_a", graph, sub.nodes, same_type, [], aliases)
+        pool = replacement_pool("book_a", graph, sub.nodes, same_type, aliases)
         assert list(pool) == ["book_b"]
 
     def test_critique_flags_every_labelled_span(self, books):
@@ -166,7 +166,8 @@ class TestReplacementPoolOnSparseCorpus:
         graph, _, aliases, _ = corpus
         sizes = []
         for mention, sub, history in self.cases(corpus):
-            pool = replacement_pool(mention, graph, sub.nodes, {}, history, aliases)
+            excluded = excluded_ids(history, sub.nodes, graph, aliases)
+            pool = replacement_pool(mention, graph, excluded, {}, aliases)
             assert list(pool) == scan_pool(mention, graph, sub.nodes, {}, history, aliases)
             sizes.append(len(pool))
         assert min(sizes) > 0
@@ -175,7 +176,8 @@ class TestReplacementPoolOnSparseCorpus:
         graph, types, aliases, _ = corpus
         same_type = same_type_ids(types, graph, aliases)
         for mention, sub, history in self.cases(corpus):
-            pool = replacement_pool(mention, graph, sub.nodes, same_type, history, aliases)
+            excluded = excluded_ids(history, sub.nodes, graph, aliases)
+            pool = replacement_pool(mention, graph, excluded, same_type, aliases)
             assert list(pool) == scan_pool(mention, graph, sub.nodes, types, history, aliases)
 
 
@@ -201,9 +203,9 @@ class TestCostFollowsTheRecord:
 
     Counts, not timings, so the check holds on any host. A pool that
     scans its candidates reads ten times as many ids, and names ten times
-    as many entities, at 6,000 entities as at 600. Bisecting the excluded
-    ids still grows with log2 of the type size, and a history naming e123
-    holds more entity names than one naming e12, so the bound is 2x.
+    as many entities, at 6,000 entities as at 600. Each excluded id is
+    looked up in the candidates' kept position map, and a history naming
+    e123 holds more entity names than one naming e12, so the bound is 2x.
     """
 
     @staticmethod
@@ -224,13 +226,16 @@ class TestCostFollowsTheRecord:
         lists = same_type_ids(types, graph, aliases) if typed else {}
         if not typed:
             for mention, sub, rec in cases:
-                replacement_pool(mention, graph, sub.nodes, lists, rec.history, aliases)
+                replacement_pool(mention, graph, sub.nodes, lists, aliases)
         reads, named = [0], [0]
-        wrapped: dict[int, CountingIds] = {}
-        same_type = {
-            key: wrapped.setdefault(id(ids), CountingIds(ids, reads))
-            for key, ids in lists.items()
-        }
+        wrapped: dict[int, Candidates] = {}
+
+        def counting(kept):
+            if not isinstance(kept, Candidates):
+                return kept
+            return wrapped.setdefault(id(kept), kept._replace(ids=CountingIds(kept.ids, reads)))
+
+        same_type = {key: counting(kept) for key, kept in lists.items()}
         name_of = Vocabulary.name_of
 
         def counted_name_of(self, idx):
@@ -240,7 +245,8 @@ class TestCostFollowsTheRecord:
         rng = np.random.default_rng(0)
         with patch.object(Vocabulary, "name_of", counted_name_of):
             for mention, sub, rec in cases:
-                pool = replacement_pool(mention, graph, sub.nodes, same_type, rec.history, aliases)
+                excluded = excluded_ids(rec.history, sub.nodes, graph, aliases)
+                pool = replacement_pool(mention, graph, excluded, same_type, aliases)
                 pool[int(rng.integers(len(pool)))]
         return named[0] / len(cases), reads[0] / len(cases)
 
@@ -275,7 +281,8 @@ class TestCostFollowsTheRecord:
         with patch.object(AliasTable, "links_back", CountingSet(links_back)):
             for rec in records[:100]:
                 for mention in (rec.triples[0][0], rec.triples[0][2]):
-                    replacement_pool(mention, graph, frozenset(), same_type, rec.history, aliases)
+                    excluded = excluded_ids(rec.history, frozenset(), graph, aliases)
+                    replacement_pool(mention, graph, excluded, same_type, aliases)
         signatures = sum(isinstance(key, frozenset) for key in same_type)
         assert signatures > 8  # several slot sets share each of the 4 x 2 pairs
         assert 0 < checks[0] <= 2 * len(graph.triples)
@@ -384,6 +391,43 @@ class TestCorruptExtrinsic:
             flagged = {(lab.begin, lab.end) for lab in report.labels
                        if lab.label == EXTRINSIC}
             assert set(map(tuple, out.labels)) <= flagged
+
+    def test_history_scanned_once_per_record(self, toy_graph, toy_same_type, toy_aliases):
+        """Both mentions draw from one set of excluded ids: the history turn
+        is searched for surfaces once, not once per mention."""
+        rec = record(
+            ["Tell me about Roald Dahl."],
+            [("roald_dahl", "wrote", "the_bfg")],
+            "Roald Dahl wrote The BFG.",
+        )
+        ball = toy_graph.ball(["roald_dahl", "the_bfg"], 1)
+        real = AliasTable.entities_in
+        calls = []
+
+        def counted(self, folded):
+            calls.append(folded)
+            return real(self, folded)
+
+        with patch.object(AliasTable, "entities_in", counted):
+            out = corrupt_extrinsic(
+                rec, toy_graph, ball, toy_same_type, np.random.default_rng(0), toy_aliases
+            )
+        assert len(response_mentions(rec, toy_aliases, toy_graph)) == 2
+        assert out.replacements
+        assert calls == ["tell me about roald dahl."]
+
+    def test_a_mention_stays_a_candidate_for_the_others(self):
+        """The mentions share the record's excluded ids, and each pool leaves
+        out only its own mention besides them: two out-of-ball books, each
+        the other's only candidate, swap."""
+        graph = small_graph("alice wrote book_a", "bob wrote book_b", "carol wrote book_c")
+        aliases = AliasTable.from_names(graph.entities.names)
+        same_type = same_type_ids({f"book_{x}": "book" for x in "abc"}, graph, aliases)
+        rec = record([], [("alice", "wrote", "book_a")], "book_b and book_c")
+        out = corrupt_extrinsic(
+            rec, graph, graph.ball(["alice"], 1), same_type, np.random.default_rng(0), aliases
+        )
+        assert out.replacements == [("book_b", "book_c"), ("book_c", "book_b")]
 
 
 class TestCorruptIntrinsic:
@@ -596,6 +640,16 @@ class TestBuildSyntheticDataset:
         assert len(calls) == 1
         assert [r.to_json() for r in out1] == [r.to_json() for r in out2]
         assert s1 == s2
+
+    def test_loaded_type_map_is_its_own_key(self, data_dir, toy_types, toy_aliases):
+        """load_entity_types's map is read-only, so the memo keeps that map as
+        its key, not a copy, and a later call matches it by identity."""
+        graph = load_triples(data_dir / "toy_kg.tsv")
+        with pytest.raises(TypeError):
+            toy_types["the_bfg"] = "person"  # type: ignore[index]
+        cfg = CorruptionConfig(fraction=0.6, seed=5)
+        build_synthetic_dataset(corpus(3), graph, toy_types, cfg, toy_aliases)
+        assert graph._memo["same_type_ids"][0][1] is toy_types
 
     def test_identity_aliases_built_once(self, data_dir, toy_types):
         """Without an alias table every name is its own surface; the graph

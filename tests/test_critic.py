@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 
+from kgfaith import KnowledgeGraph
 from kgfaith.critic import (
     EXTRINSIC,
     FAITHFUL,
@@ -93,6 +96,14 @@ class TestDeriveAnchors:
         with pytest.raises(UnknownEntity):
             derive_anchors(rec, toy_graph, toy_aliases, "kn")
 
+    def test_first_unknown_name_is_raised(self, toy_graph, toy_aliases):
+        rec = record(
+            [], [("roald_dahl", "wrote", "narnia"), ("mordor", "wrote", "the_bfg")], "x"
+        )
+        with pytest.raises(UnknownEntity) as raised:
+            derive_anchors(rec, toy_graph, toy_aliases, "kn")
+        assert raised.value.args == ("narnia",)
+
     def test_from_history_keeps_in_graph_mentions(self, toy_graph, toy_aliases):
         rec = record(TABLE_HISTORY, [], "x")
         # the_witches appears first, then roald_dahl; the champion book is
@@ -176,6 +187,32 @@ class TestIntrinsicLabels:
         report = Critic(toy_graph, toy_aliases, k=1).critique(rec)
         assert all(lab.label == FAITHFUL for lab in report.labels)
         assert not report.flagged
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_pair_check_resolves_no_id(self, toy_graph, toy_aliases, data_dir, directed):
+        """The pair check reads the out-edges of the ids the mentions hold:
+        critique_response resolves no entity, in either mode. The pairs take
+        a forward edge (under a phrase), a reverse edge and no edge."""
+        rec = record(
+            [],
+            [("roald_dahl", "wrote", "the_witches"), ("jrr_tolkien", "wrote", "the_hobbit")],
+            "The Hobbit is a fantasy, and so is The Witches.",
+        )
+        ball = toy_graph.ball(derive_anchors(rec, toy_graph, toy_aliases, "kn"), 1)
+        phrases = None
+        if directed:
+            phrases = load_relation_phrases(data_dir / "toy_relation_phrases.tsv")
+        calls = []
+        real = KnowledgeGraph.resolve_entity
+
+        def counted(self, entity):
+            calls.append(entity)
+            return real(self, entity)
+
+        with patch.object(KnowledgeGraph, "resolve_entity", counted):
+            report = critique_response(rec, ball, toy_graph, toy_aliases, phrases)
+        assert calls == []
+        assert [lab.label for lab in report.labels] == [INTRINSIC, FAITHFUL, INTRINSIC]
 
     def test_same_entity_twice_not_paired(self, toy_graph, toy_aliases):
         rec = record(

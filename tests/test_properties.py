@@ -50,12 +50,15 @@ from test_embeddings import (
 from kgfaith import KnowledgeGraph, Triple, Vocabulary
 from kgfaith import corruptor, embeddings
 from kgfaith.corruptor import (
+    Candidates,
     CorruptionConfig,
     build_synthetic_dataset,
     corrupt_extrinsic,
     corrupt_intrinsic,
+    excluded_ids,
     replacement_pool,
     same_type_ids,
+    _Pool,
 )
 from kgfaith.critic import Critic, CriticReport, derive_anchors, link_mentions
 from kgfaith.dialogue import DialogueRecord, splice
@@ -1078,8 +1081,36 @@ def every_pool_rule():
 def test_every_pool_rule():
     graph, aliases, types, sub, history, mention, _, _ = every_pool_rule()
     same_type = same_type_ids(types, graph, aliases)
-    pool = replacement_pool(mention, graph, sub.nodes, same_type, history, aliases)
+    excluded = excluded_ids(history, sub.nodes, graph, aliases)
+    pool = replacement_pool(mention, graph, excluded, same_type, aliases)
     assert list(pool) == ["e7", "e8"]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_pool_lookup_matches_brute_force(data):
+    """A pool finds its excluded candidates in the kept position map: it
+    equals the brute-force filter of the candidate list, for excluded ids in
+    the list and outside it, and leaves the record's shared set as it was."""
+    ids = sorted(data.draw(st.sets(st.integers(0, 49))))
+    listed = st.sampled_from(ids) if ids else st.nothing()
+    excluded = data.draw(st.sets(listed))
+    excluded |= data.draw(st.sets(st.integers(0, 59)))
+    own = data.draw(st.none() | listed | st.integers(0, 59))
+    names = Vocabulary()
+    for i in range(60):
+        names.add(f"e{i}")
+    shared = set(excluded)
+    pool = _Pool(Candidates.of(ids), shared, own, names)
+    want = [names.name_of(i) for i in ids if i not in excluded and i != own]
+    assert shared == excluded
+    assert len(pool) == len(want)
+    assert [pool[j] for j in range(len(want))] == want
+    assert [pool[j] for j in range(-len(want), 0)] == want
+    assert list(pool) == want
+    for j in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            pool[j]
 
 
 def extrinsic_outcome(record, graph, ball, same_type, seed, aliases):
@@ -1097,7 +1128,8 @@ def extrinsic_outcome(record, graph, ball, same_type, seed, aliases):
 def test_replacement_pool_matches_scan(case):
     graph, aliases, types, sub, history, mention, response, seed = case
     same_type = same_type_ids(types, graph, aliases)
-    pool = replacement_pool(mention, graph, sub.nodes, same_type, history, aliases)
+    excluded = excluded_ids(history, sub.nodes, graph, aliases)
+    pool = replacement_pool(mention, graph, excluded, same_type, aliases)
     want = scan_pool(mention, graph, sub.nodes, types, history, aliases)
     assert list(pool) == want
     assert len(pool) == len(want)
@@ -1106,8 +1138,8 @@ def test_replacement_pool_matches_scan(case):
         pool[len(want)]
 
     # corrupt_extrinsic draws the same entities from a list pool.
-    def list_pool(mention, graph, ball, same_type, history, aliases):
-        return scan_pool(mention, graph, ball, types, history, aliases)
+    def list_pool(mention, graph, excluded, same_type, aliases):
+        return scan_pool(mention, graph, sub.nodes, types, history, aliases)
 
     record = DialogueRecord(history=history, triples=[], response=response)
     drawn = extrinsic_outcome(record, graph, sub.nodes, same_type, seed, aliases)
