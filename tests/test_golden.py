@@ -42,6 +42,10 @@ GOLDEN = {
         "critique.jsonl": "771c38aa05e3ac757367639046a67466b0ddd5b95d92d447a87bb7dc5d1fe1d8",
         "critique-history.jsonl": "771c38aa05e3ac757367639046a67466b0ddd5b95d92d447a87bb7dc5d1fe1d8",
         "critique-corrupted.jsonl": "f10cc0c2e12abb55c2baf692168458d3655b325d23343001bbb6924a4a6f2c7a",
+        "corrupt-identity.jsonl": "e75317e5c1d1c60a10ce15e5af1ac24f2e97f1f465b76fac53276ade9abbea69",
+        "corrupt-identity-summary.json": "92807f8022d10de399354ebaeed32f94cb3057eeae810961cb5b03ebd639ebad",
+        "corrupt-untyped.jsonl": "9a1492293bd10b1bf1414fa301d84b694aef0a2f4ee95aaf9fd11cd5cbc20a80",
+        "corrupt-untyped-summary.json": "92807f8022d10de399354ebaeed32f94cb3057eeae810961cb5b03ebd639ebad",
     },
 }
 
@@ -63,6 +67,7 @@ def _sparse_inputs(workdir: Path) -> dict[str, Path]:
         "kg": workdir / "kg.tsv",
         "aliases": workdir / "aliases.tsv",
         "types": workdir / "types.tsv",
+        "no-types": workdir / "no-types.tsv",
         "records": workdir / "records.jsonl",
     }
     files["kg"].write_text(
@@ -75,6 +80,7 @@ def _sparse_inputs(workdir: Path) -> dict[str, Path]:
     files["types"].write_text(
         "".join(f"{e}\t{t}\n" for e, t in types.items()), encoding="utf-8"
     )
+    files["no-types"].write_text("", encoding="utf-8")
     write_dialogues(files["records"], (r.to_json() for r in records))
     return files
 
@@ -109,6 +115,18 @@ def _steps(files: dict[str, Path], out: Path, corpus: str) -> list[list]:
         ["critique", "--in", out / "corrupt.jsonl", "--kg", kg, "--aliases", aliases,
          "--out", out / "critique-corrupted.jsonl"],
     ]
+    if corpus == "sparse":
+        # Without --aliases corruption links through the identity table it
+        # builds from the graph's names; with an empty type map every
+        # mention takes the positional fallback.
+        steps += [
+            ["corrupt", "--in", records, "--kg", kg, "--types", files["types"],
+             "--seed", "3", "--out", out / "corrupt-identity.jsonl",
+             "--summary", out / "corrupt-identity-summary.json"],
+            ["corrupt", "--in", records, "--kg", kg, "--types", files["no-types"],
+             "--aliases", aliases, "--seed", "3", "--out", out / "corrupt-untyped.jsonl",
+             "--summary", out / "corrupt-untyped-summary.json"],
+        ]
     if corpus == "toy":
         steps += [
             ["subgraph", "--kg", kg, "--center", "the_hobbit", "--k", "1",
