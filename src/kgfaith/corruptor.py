@@ -321,7 +321,7 @@ def corrupt_intrinsic(
         if (
             a.entity_id is not None
             and b.entity_id is not None
-            and any(t.p == pid for t in graph.direct_edges(b.entity_id, a.entity_id))
+            and any(t.o == a.entity_id and t.p == pid for t in graph.out_edges(b.entity_id))
         ):
             logger.debug("skipping bidirectional pair (%s, %s, %s)", s, p, o)
             continue
@@ -380,7 +380,9 @@ def build_synthetic_dataset(
     replacement_pool adds) depend only on the graph, the type map and the
     links-back set, so the graph keeps them (KnowledgeGraph.memo), as it
     keeps the identity table: a later call with an equal type map and
-    links-back set reuses them. A read-only type map (a MappingProxyType,
+    links-back set reuses them. An alias table never changes once built
+    and keeps its links-back set, so the same table matches by identity.
+    A read-only type map (a MappingProxyType,
     which load_entity_types returns) is kept as it is and found equal by
     identity; its backing dict must not change. Any other map is copied.
     """

@@ -3,7 +3,7 @@
 Entities and relations are interned into contiguous integer ids in
 first-seen order. The graph is immutable after construction and keeps
 both out-edge and in-edge indexes, plus an undirected adjacency built on
-first use, so a k-hop ball and direct edge queries cost the degrees they
+first use, so a k-hop ball and edge queries cost the degrees they
 touch, not the size of the graph. A ball asked again for the same centers
 and radius is read back: the graph keeps the balls it has searched while
 they hold at most two elements per triple in all, as many as the edge
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import EmptyGraph, MalformedLine, UnknownEntity, UnknownRelation
 
@@ -59,22 +59,6 @@ def fold(text: str) -> str:
 def _is_word(char: str) -> bool:
     """True for what re's \\w matches in a str pattern."""
     return char.isalnum() or char == "_"
-
-
-def _substrings_in(
-    text: str, keys: Collection[str], lengths: Iterable[int], starts: Collection[str]
-) -> Iterator[str]:
-    """Each key occurring in the text as a raw substring (repeats possible).
-
-    Probes every start position that holds the first character of some
-    key (``starts``) once per key length, so the cost follows the text
-    and the number of distinct lengths, not the number of keys.
-    """
-    for i, char in enumerate(text):
-        if char in starts:
-            for n in lengths:
-                if text[i : i + n] in keys:
-                    yield text[i : i + n]
 
 
 def check_radius(k: int) -> None:
@@ -297,12 +281,6 @@ class KnowledgeGraph:
         nodes = self.ball(centers, k)
         return Subgraph(nodes, tuple(t for t in self.triples if t.s in nodes and t.o in nodes))
 
-    def direct_edges(self, a: int | str, b: int | str) -> list[Triple]:
-        """Triples a -> b, in graph order."""
-        ai = self.resolve_entity(a)
-        bi = self.resolve_entity(b)
-        return [t for t in self._out.get(ai, ()) if t.o == bi]
-
     def stats(self) -> GraphStats:
         n = len(self.entities)
         degrees = [self.degree(e) for e in range(n)]
@@ -381,77 +359,61 @@ def load_triples(path: str | Path) -> KnowledgeGraph:
     return KnowledgeGraph(triples, entities, relations)
 
 
-class _SurfaceIndex:
-    """An alias table's surfaces, keyed for its two matching rules.
-
-    ``owners`` maps each canonical() surface to every entity listing it,
-    for the raw-substring rule of history checks; ``folded`` holds fold()
-    of each surface, for case-insensitive mention linking. Each comes with
-    its distinct key lengths and the first characters of its keys.
-    """
-
-    def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
-        self.owners: dict[str, list[str]] = {}
-        surfaces = []
-        for entity, surface in pairs:
-            self.owners.setdefault(canonical(surface), []).append(entity)
-            surfaces.append(surface)
-        # One fold() over all surfaces: they hold no newline, and fold()
-        # keeps lengths, so splitting at newlines gives each folded surface.
-        self.folded = set(fold("\n".join(surfaces)).split("\n")) if surfaces else set()
-        self.owner_lengths = {len(key) for key in self.owners}
-        self.owner_starts = {key[0] for key in self.owners}
-        self.folded_lengths = sorted({len(key) for key in self.folded}, reverse=True)
-        self.folded_starts = {key[0] for key in self.folded}
-
-
 class AliasTable:
     """Maps entity names to surface forms usable in running text.
 
-    The first surface listed for an entity is its preferred rendering.
-    Surface lookup is case- and whitespace-insensitive; when two
-    entities claim one surface the first mapping wins. The surface
-    index behind match_spans and entities_in, and the links_back set,
-    are each built on first use and dropped by the next add().
+    Built once from (entity, surface) pairs in file order, and never
+    changed after. The first surface listed for an entity is its preferred
+    rendering. Surface lookup is case- and whitespace-insensitive; when two
+    entities claim one surface the first mapping wins. The surface keys
+    behind entities_in and match_spans, and the links_back set, are each
+    built on first use.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Each entity is stripped and each surface's whitespace collapsed;
+        a pair left with a blank side is skipped."""
         self._surfaces: dict[str, list[str]] = {}
         self._entity_of: dict[str, str] = {}
-        self._index: _SurfaceIndex | None = None
-        self._back: frozenset[str] | None = None
+        for entity, surface in pairs:
+            entity = entity.strip()
+            surface = " ".join(surface.split())
+            if not entity or not surface:
+                continue
+            forms = self._surfaces.setdefault(entity, [])
+            if surface not in forms:
+                forms.append(surface)
+            owner = self._entity_of.setdefault(canonical(surface), entity)
+            if owner != entity:
+                logger.warning(
+                    "surface %r already maps to %s; ignoring mapping to %s",
+                    surface, owner, entity,
+                )
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> AliasTable:
         """Identity table: every name is its own (only) surface form."""
-        table = cls()
-        for name in names:
-            table.add(name, name)
-        return table
+        return cls((name, name) for name in names)
 
-    def add(self, entity: str, surface: str) -> None:
-        self._index = None
-        self._back = None
-        entity = entity.strip()
-        surface = " ".join(surface.split())
-        if not entity or not surface:
-            return
-        key = canonical(surface)
-        self._surfaces.setdefault(entity, [])
-        if surface not in self._surfaces[entity]:
-            self._surfaces[entity].append(surface)
-        if key not in self._entity_of:
-            self._entity_of[key] = entity
-        elif self._entity_of[key] != entity:
-            logger.warning(
-                "surface %r already maps to %s; ignoring mapping to %s",
-                surface, self._entity_of[key], entity,
-            )
+    @cached_property
+    def _owners(self) -> tuple[dict[str, list[str]], set[int], set[str]]:
+        """canonical() surface -> every entity listing it, for the raw-substring
+        rule of history checks, with the keys' lengths and first characters."""
+        owners: dict[str, list[str]] = {}
+        for entity, surface in self.items():
+            owners.setdefault(canonical(surface), []).append(entity)
+        return owners, {len(key) for key in owners}, {key[0] for key in owners}
 
-    def _surface_index(self) -> _SurfaceIndex:
-        if self._index is None:
-            self._index = _SurfaceIndex(self.items())
-        return self._index
+    @cached_property
+    def _folded(self) -> tuple[set[str], list[int], set[str]]:
+        """fold() of every surface, for case-insensitive mention linking, with
+        the keys' lengths (longest first) and first characters."""
+        surfaces = [surface for _, surface in self.items()]
+        # One fold() over all surfaces: they hold no newline, and fold()
+        # keeps lengths, so splitting at newlines gives each folded surface.
+        folded = set(fold("\n".join(surfaces)).split("\n")) if surfaces else set()
+        lengths = sorted({len(key) for key in folded}, reverse=True)
+        return folded, lengths, {key[0] for key in folded}
 
     def match_spans(self, text: str) -> list[tuple[int, int]]:
         """Leftmost-longest, case-insensitive, non-overlapping surface matches.
@@ -465,19 +427,19 @@ class AliasTable:
         """
         if not self._surfaces or not text:
             return []
-        index = self._surface_index()
+        surfaces, lengths, starts = self._folded
         folded = fold(text)
         n = len(text)
         spans: list[tuple[int, int]] = []
         i = 0
         while i < n:
             resume = i + 1
-            if folded[i] in index.folded_starts and not (i and _is_word(text[i - 1])):
-                for length in index.folded_lengths:
+            if folded[i] in starts and not (i and _is_word(text[i - 1])):
+                for length in lengths:
                     end = i + length
                     if (
                         end <= n
-                        and folded[i:end] in index.folded
+                        and folded[i:end] in surfaces
                         and (end == n or not _is_word(text[end]))
                     ):
                         spans.append((i, end))
@@ -490,27 +452,34 @@ class AliasTable:
         """Entities with a canonical() surface inside the text, which comes canonical().
 
         A raw substring counts ("e1" is in "let us discuss e12"), and a
-        surface several entities list counts for each of them.
+        surface several entities list counts for each of them. Every
+        position holding the first character of some surface is probed
+        once per surface length, so the cost follows the text and the
+        number of distinct lengths, not the number of surfaces.
         """
-        index = self._surface_index()
-        found = _substrings_in(folded, index.owners, index.owner_lengths, index.owner_starts)
-        return {entity for key in found for entity in index.owners[key]}
+        owners, lengths, starts = self._owners
+        found: set[str] = set()
+        for i, char in enumerate(folded):
+            if char in starts:
+                for n in lengths:
+                    key = folded[i : i + n]
+                    if key in owners:
+                        found.update(owners[key])
+        return found
 
-    @property
+    @cached_property
     def links_back(self) -> frozenset[str]:
         """Entities whose preferred surface resolves back to them.
 
         Those are the names for which entity_of(preferred(name)) == name:
         a surface spliced in for one of them links to it again.
         """
-        if self._back is None:
-            entity_of = self._entity_of
-            self._back = frozenset(
-                entity
-                for entity, forms in self._surfaces.items()
-                if entity_of[canonical(forms[0])] == entity
-            )
-        return self._back
+        entity_of = self._entity_of
+        return frozenset(
+            entity
+            for entity, forms in self._surfaces.items()
+            if entity_of[canonical(forms[0])] == entity
+        )
 
     def preferred(self, entity: str) -> str:
         forms = self._surfaces.get(entity)
@@ -528,10 +497,7 @@ class AliasTable:
 
 def load_aliases(path: str | Path) -> AliasTable:
     """Read ``entity<TAB>surface`` lines; comments and blanks skipped."""
-    table = AliasTable()
-    for _, (entity, surface) in _read_tsv(path, 2):
-        table.add(entity, surface)
-    return table
+    return AliasTable(pair for _, pair in _read_tsv(path, 2))
 
 
 def load_entity_types(path: str | Path) -> Mapping[str, str]:

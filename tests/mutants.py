@@ -48,6 +48,7 @@ POOL_LOOKUP = "tests/test_properties.py::test_pool_lookup_matches_brute_force"
 POOL_SCAN = "tests/test_properties.py::test_replacement_pool_matches_scan"
 EXTRINSIC = "tests/test_corruptor.py::TestCorruptExtrinsic"
 DATASET = "tests/test_corruptor.py::TestBuildSyntheticDataset"
+ALIASES = "tests/test_kg.py::TestAliasTable"
 
 MUTANTS = (
     Mutant(
@@ -142,7 +143,7 @@ MUTANTS = (
         "the critic's pair check resolves the ids it holds",
         "kgfaith/critic.py",
         "forward = [t for t in graph.out_edges(a) if t.o == b]",
-        "forward = graph.direct_edges(a, b)",
+        "forward = [t for t in graph.out_edges(graph.resolve_entity(a)) if t.o == b]",
         ("tests/test_critic.py::TestIntrinsicLabels::test_pair_check_resolves_no_id",),
     ),
     Mutant(
@@ -248,6 +249,27 @@ MUTANTS = (
             f"{KEPT}::test_star_stays_within_budget",
             f"{KEPT}::test_each_center_set_and_radius_keeps_its_own_ball",
         ),
+    ),
+    Mutant(
+        "the owners index keeps only a surface's first entity",
+        "kgfaith/kg.py",
+        "owners.setdefault(canonical(surface), []).append(entity)",
+        "owners.setdefault(canonical(surface), [entity])",
+        (f"{ALIASES}::test_entities_in_takes_raw_substrings_and_every_owner",),
+    ),
+    Mutant(
+        "a later pair overwrites a surface's owner",
+        "kgfaith/kg.py",
+        "owner = self._entity_of.setdefault(canonical(surface), entity)",
+        "owner = self._entity_of[canonical(surface)] = entity",
+        ("tests/test_properties.py::test_later_claim_on_a_surface_is_ignored",),
+    ),
+    Mutant(
+        "links_back reads an entity's last surface",
+        "kgfaith/kg.py",
+        "if entity_of[canonical(forms[0])] == entity",
+        "if entity_of[canonical(forms[-1])] == entity",
+        ("tests/test_properties.py::test_links_back_matches_preferred_surface_scan",),
     ),
     Mutant(
         "infer_relation reads only the anchor's out-edges",

@@ -82,11 +82,10 @@ class TestReplacementsLinkBack:
     @pytest.fixture()
     def books(self):
         graph = small_graph("alice wrote book_a", "bob wrote book_b", "carol wrote book_c")
-        aliases = AliasTable()
-        for entity in ("alice", "bob", "carol"):
-            aliases.add(entity, entity.capitalize())
-        aliases.add("book_a", "Book A")
-        aliases.add("book_b", "Book B")
+        aliases = AliasTable(
+            [(entity, entity.capitalize()) for entity in ("alice", "bob", "carol")]
+            + [("book_a", "Book A"), ("book_b", "Book B")]
+        )
         types = {"alice": "person", "bob": "person", "carol": "person",
                  "book_a": "book", "book_b": "book", "book_c": "book"}
         return graph, aliases, types
@@ -278,7 +277,7 @@ class TestCostFollowsTheRecord:
                 return frozenset.__contains__(self, name)
 
         same_type: dict = {}
-        with patch.object(AliasTable, "links_back", CountingSet(links_back)):
+        with patch.object(aliases, "links_back", CountingSet(links_back)):
             for rec in records[:100]:
                 for mention in (rec.triples[0][0], rec.triples[0][2]):
                     excluded = excluded_ids(rec.history, frozenset(), graph, aliases)

@@ -289,13 +289,20 @@ class TestKeptBalls:
         assert graph._ball_room == 1
 
 
+def edges_between(graph, a: int, b: int) -> list[Triple]:
+    """The edges a -> b, read from a's out-edges as the critic and corruptor read them."""
+    return [t for t in graph.out_edges(a) if t.o == b]
+
+
 class TestDirectEdges:
     def test_oriented(self, toy_graph):
-        assert toy_graph.direct_edges("roald_dahl", "the_witches") == [Triple(0, 0, 1)]
-        assert toy_graph.direct_edges("the_witches", "roald_dahl") == []
+        dahl, witches = map(toy_graph.resolve_entity, ("roald_dahl", "the_witches"))
+        assert edges_between(toy_graph, dahl, witches) == [Triple(0, 0, 1)]
+        assert edges_between(toy_graph, witches, dahl) == []
 
     def test_no_edge(self, toy_graph):
-        assert toy_graph.direct_edges("roald_dahl", "fantasy") == []
+        dahl, fantasy = map(toy_graph.resolve_entity, ("roald_dahl", "fantasy"))
+        assert edges_between(toy_graph, dahl, fantasy) == []
 
     def test_subgraph_direct_edge_queries(self, toy_graph):
         # Between two ball nodes, the graph's edges are the ball's edges.
@@ -303,9 +310,9 @@ class TestDirectEdges:
         induced = {(t.s, t.o) for t in sub.triples}
         for a in sub.nodes:
             for b in sub.nodes:
-                assert bool(toy_graph.direct_edges(a, b)) == ((a, b) in induced)
-        assert toy_graph.direct_edges(1, 0) == [] and toy_graph.direct_edges(0, 1)
-        assert not toy_graph.direct_edges(0, 4) and not toy_graph.direct_edges(4, 0)
+                assert bool(edges_between(toy_graph, a, b)) == ((a, b) in induced)
+        assert edges_between(toy_graph, 1, 0) == [] and edges_between(toy_graph, 0, 1)
+        assert not edges_between(toy_graph, 0, 4) and not edges_between(toy_graph, 4, 0)
 
 
 class TestObjects:
@@ -406,21 +413,27 @@ class TestAliasTable:
         assert toy_aliases.preferred("not_in_table") == "not_in_table"
 
     def test_entities_in_takes_raw_substrings_and_every_owner(self):
-        table = AliasTable()
-        table.add("e1", "e1")
-        table.add("bee_a", "Bee")
-        table.add("bee_b", "bee")
+        pairs = [("e1", "e1"), ("bee_a", "Bee"), ("bee_b", "bee")]
+        table = AliasTable(pairs)
         assert table.entities_in("we saw e12 .") == {"e1"}
         assert table.entities_in("beekeeping") == {"bee_a", "bee_b"}
         assert table.entities_in("nothing here") == set()
-        table.add("e12", "e12")  # add() drops the index built above
-        assert table.entities_in("we saw e12 .") == {"e1", "e12"}
+        assert AliasTable(pairs + [("e12", "e12")]).entities_in("we saw e12 .") == {"e1", "e12"}
+
+    def test_pairs_are_cleaned_in_one_pass(self):
+        table = AliasTable([
+            ("  bfg ", " The   BFG\t"), ("bfg", "The BFG"), ("bfg", "BFG"),
+            ("", "Nobody"), ("blank", "  "), ("bfg", "the bfg"),
+        ])
+        assert list(table.items()) == [("bfg", "The BFG"), ("bfg", "BFG"), ("bfg", "the bfg")]
+        assert table.entity_of("nobody") is None and table.preferred("blank") == "blank"
+        assert table.links_back == {"bfg"}
 
     def test_match_spans_leftmost_longest_on_word_boundaries(self, toy_aliases):
         text = "Charlie and the Chocolate Factory, not Charlies or xCharlie."
         assert toy_aliases.match_spans(text) == [(0, 33)]
         assert toy_aliases.match_spans("") == []
-        assert AliasTable().match_spans("Charlie") == []
+        assert AliasTable([]).match_spans("Charlie") == []
 
 
 class TestEntityTypes:

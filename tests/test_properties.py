@@ -30,6 +30,7 @@ verdict on every run.
 from __future__ import annotations
 
 import json
+import logging
 import re
 from unittest.mock import patch
 
@@ -257,10 +258,7 @@ def alias_tables(draw):
     pairs = draw(
         st.lists(st.tuples(st.sampled_from(["p", "q", "r", "s"]), SURFACE), max_size=8)
     )
-    table = AliasTable()
-    for entity, surface in pairs:
-        table.add(entity, surface)
-    return table, [surface for _, surface in pairs]
+    return AliasTable(pairs), pairs
 
 
 def recased(surfaces: list[str]):
@@ -290,16 +288,17 @@ LINK_GRAPH = link_graph()
 @PROPERTY
 @given(data=st.data())
 def test_link_mentions_matches_fresh_pattern(data):
-    table, surfaces = data.draw(alias_tables())
-    for _ in range(2):  # the second call reads the cached pattern
+    table, pairs = data.draw(alias_tables())
+    surfaces = [surface for _, surface in pairs]
+    for _ in range(2):  # the second call reads the kept surface keys
         text = data.draw(texts(surfaces))
         assert linked(text, table, LINK_GRAPH) == scan_links(text, table, LINK_GRAPH)
 
-    # A surface added after a link is seen by the next link.
-    entity, surface = data.draw(st.tuples(st.sampled_from(["q", "t"]), SURFACE))
-    table.add(entity, surface)
-    text = data.draw(texts(surfaces + [surface]))
-    assert linked(text, table, LINK_GRAPH) == scan_links(text, table, LINK_GRAPH)
+    # A table built with one more pair links that pair's surface too.
+    extra = data.draw(st.tuples(st.sampled_from(["q", "t"]), SURFACE))
+    larger = AliasTable(pairs + [extra])
+    text = data.draw(texts(surfaces + [extra[1]]))
+    assert linked(text, larger, LINK_GRAPH) == scan_links(text, larger, LINK_GRAPH)
 
 
 def scan_links_back(table: AliasTable, names: list[str]) -> set[str]:
@@ -310,30 +309,21 @@ def scan_links_back(table: AliasTable, names: list[str]) -> set[str]:
 @given(data=st.data())
 def test_links_back_matches_preferred_surface_scan(data):
     names = ["p", "q", "r", "s", "t", "x9"]
-    table, _ = data.draw(alias_tables())
+    table, pairs = data.draw(alias_tables())
     assert table.links_back == scan_links_back(table, names)
-    # A surface added after the set is read is seen by the next read.
-    entity, surface = data.draw(st.tuples(st.sampled_from(["q", "t"]), SURFACE))
-    table.add(entity, surface)
-    assert table.links_back == scan_links_back(table, names)
+    # A table built with one more pair, which may claim a listed surface.
+    extra = data.draw(st.tuples(st.sampled_from(["q", "t"]), SURFACE))
+    larger = AliasTable(pairs + [extra])
+    assert larger.links_back == scan_links_back(larger, names)
 
 
-def test_add_after_links_back_is_seen():
-    table = AliasTable.from_names(["Roald Dahl"])
-    assert table.links_back == {"Roald Dahl"}
-    table.add("ghost", "ROALD DAHL")  # the surface stays Roald Dahl's
-    table.add("the_bfg", "The BFG")
+def test_later_claim_on_a_surface_is_ignored(caplog):
+    pairs = [("Roald Dahl", "Roald Dahl"), ("ghost", "ROALD DAHL"), ("the_bfg", "The BFG")]
+    with caplog.at_level(logging.WARNING, logger="kgfaith.kg"):
+        table = AliasTable(pairs)
+    assert table.entity_of("roald dahl") == "Roald Dahl"  # the surface stays Roald Dahl's
     assert table.links_back == {"Roald Dahl", "the_bfg"}
-
-
-def test_add_after_link_is_seen():
-    table = AliasTable.from_names(["Roald Dahl"])
-    text = "Roald Dahl wrote The BFG."
-    assert [m.surface for m in link_mentions(text, table, LINK_GRAPH)] == ["Roald Dahl"]
-    table.add("the_bfg", "The BFG")
-    assert [m.surface for m in link_mentions(text, table, LINK_GRAPH)] == [
-        "Roald Dahl", "The BFG"
-    ]
+    assert "already maps to Roald Dahl; ignoring mapping to ghost" in caplog.text
 
 
 # (entity, surface) pairs, a text, and its mentions as (begin, end, entity).
@@ -353,9 +343,7 @@ CASE_EDGE_LINKS = [
 
 @pytest.mark.parametrize("pairs, text, mentions", CASE_EDGE_LINKS)
 def test_link_mentions_case_edges(pairs, text, mentions):
-    table = AliasTable()
-    for entity, surface in pairs:
-        table.add(entity, surface)
+    table = AliasTable(pairs)
     found = linked(text, table, LINK_GRAPH)
     assert found == scan_links(text, table, LINK_GRAPH)
     assert [(b, e, entity) for b, e, _, entity, _ in found] == mentions
@@ -1041,9 +1029,7 @@ def pool_cases(draw):
     names = graph.entities.names
     entities = st.sampled_from(names + [name.upper() for name in names] + ["x9"])
     surfaces = st.sampled_from(names + ["bee", "Bee", "e1 bee"])
-    aliases = AliasTable()
-    for entity, surface in draw(st.lists(st.tuples(entities, surfaces), max_size=8)):
-        aliases.add(entity, surface)
+    aliases = AliasTable(draw(st.lists(st.tuples(entities, surfaces), max_size=8)))
     typed = draw(st.lists(st.sampled_from(names + ["x9"]), unique=True))
     types = {name: draw(st.sampled_from(["t0", "t1"])) for name in typed}
     centers = draw(st.lists(st.integers(0, len(names) - 1), max_size=2))
@@ -1068,10 +1054,8 @@ def every_pool_rule():
         ents.add(f"e{i}")
     rels.add("r0")
     graph = KnowledgeGraph([Triple(0, 0, 5), Triple(5, 0, 6)], ents, rels)
-    aliases = AliasTable()
-    for entity, surface in [("e1", "e1"), ("e2", "bee"), ("e3", "Bee"), ("e3", "three"),
-                            ("E4", "four"), ("e5", "e5"), ("e7", "e7"), ("e8", "eight")]:
-        aliases.add(entity, surface)
+    aliases = AliasTable([("e1", "e1"), ("e2", "bee"), ("e3", "Bee"), ("e3", "three"),
+                          ("E4", "four"), ("e5", "e5"), ("e7", "e7"), ("e8", "eight")])
     types = {f"e{i}": "t0" for i in range(13)}
     history = ["we saw e12 and BEES , four of them"]
     sub = graph.khop_subgraph([0], 1)
@@ -1188,9 +1172,9 @@ def dataset_outcome(records, graph, types, cfg, aliases):
 def test_corruption_after_table_edits_matches_fresh_tables(seed, n, data):
     """The graph keeps the type pools across calls; after the caller edits
     the type map in place (retyping and untyping entities, which sends them
-    to the positional fallback), and after AliasTable.add puts entities the
-    table lacked into its links-back set, a call yields the records that new
-    tables, type map and graph yield."""
+    to the positional fallback), and with a larger alias table that puts
+    entities the first lacked into its links-back set, a call yields the
+    records that new tables, type map and graph yield."""
     graph, types, _, records = sparse_corpus(n, n_triples=n, seed=seed)
     records = records[:20]
     names = graph.entities.names
@@ -1198,25 +1182,20 @@ def test_corruption_after_table_edits_matches_fresh_tables(seed, n, data):
     aliases = AliasTable.from_names([name for name in names if name not in missing])
     cfg = CorruptionConfig(fraction=0.7, seed=seed, k=1)
 
-    def check():
-        new_aliases = AliasTable()
-        for entity, surface in aliases.items():
-            new_aliases.add(entity, surface)
+    def check(aliases):
         assert dataset_outcome(records, graph, types, cfg, aliases) == dataset_outcome(
-            records, fresh(graph), dict(types), cfg, new_aliases
+            records, fresh(graph), dict(types), cfg, AliasTable(aliases.items())
         )
 
-    check()
+    check(aliases)
     for name in data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=8)):
         kind = data.draw(st.sampled_from([None, "type0", "type1", "other"]))
         if kind is None:
             types.pop(name, None)
         else:
             types[name] = kind
-    check()
-    for name in missing:
-        aliases.add(name, name)
-    check()
+    check(aliases)
+    check(AliasTable([*aliases.items(), *((name, name) for name in missing)]))
 
 
 FILLER_WORDS = ("the", "and", "wrote", "after", "of", "a", ".")

@@ -517,7 +517,7 @@ class TestRefineResponse:
         rec = table_record()
         report = self.report_for(rec, toy_graph, toy_aliases)
         out = refine_response(
-            rec, report, toy_graph, toy_table(), RefineConfig(), AliasTable()
+            rec, report, toy_graph, toy_table(), RefineConfig(), AliasTable([])
         )
         assert "the_bfg" in out.response
         assert "charlie_and_the_chocolate_factory" in out.response
