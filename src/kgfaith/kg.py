@@ -489,7 +489,8 @@ class AliasTable:
         return self._entity_of.get(canonical(surface))
 
     def items(self) -> Iterator[tuple[str, str]]:
-        """All (entity, surface) pairs in file order."""
+        """All kept (entity, surface) pairs: entities in the order first listed,
+        each with its surfaces in the order listed."""
         for entity, forms in self._surfaces.items():
             for surface in forms:
                 yield entity, surface
