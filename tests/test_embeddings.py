@@ -890,6 +890,22 @@ class TestLinkPrediction:
             with pytest.raises(ValueError, match=r"^1 held-out triples also appear in the graph$"):
                 evaluate_link_prediction(table, [toy_graph.triples[0]] * copies, toy_graph)
 
+    def test_raw_mode_ranks_an_overlapping_list(self, toy_graph):
+        """Raw ranks ignore the graph, so a held-out list with a graph triple
+        is ranked; the filtered mode rejects it whichever mode saw the list
+        first on a graph, and a raw call after the rejection still ranks it."""
+        table = init_embeddings(8, 3, 4, seed=0)
+        heldout = [toy_graph.triples[0], Triple(0, 0, 0)]
+        assert heldout[1] not in toy_graph.triples
+        want = bincount_ranks(table, heldout, toy_graph, "raw")
+        for first in ("raw", "filtered"):
+            graph = KnowledgeGraph(toy_graph.triples, toy_graph.entities, toy_graph.relations)
+            if first == "raw":
+                assert evaluate_link_prediction(table, heldout, graph, mode="raw").ranks == want
+            with pytest.raises(ValueError, match=r"^1 held-out triples also appear in the graph$"):
+                evaluate_link_prediction(table, heldout, graph, mode="filtered")
+            assert evaluate_link_prediction(table, heldout, graph, mode="raw").ranks == want
+
 
 class TestLinkPredictionCost:
     """The filter reads the held-out subjects' edges, not the whole graph,
