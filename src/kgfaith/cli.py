@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 # an eval without --emb start without numpy.
 from .choices import ANCHOR_SOURCES, BLEU_LEVELS, OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
-from .kg import Triple, _read_tsv, load_aliases, load_entity_types, load_triples
+from .kg import AliasTable, Triple, _read_tsv, load_aliases, load_entity_types, load_triples
 
 if TYPE_CHECKING:
     from .critic import Critic, CriticReport
@@ -262,8 +262,11 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
         graph = load_triples(_require_file(args.kg, "--kg"))
         types = load_entity_types(_require_file(args.types, "--types"))
+        # Without --aliases every entity name is its own surface form.
         aliases = (
-            load_aliases(_require_file(args.aliases, "--aliases")) if args.aliases else None
+            load_aliases(_require_file(args.aliases, "--aliases"))
+            if args.aliases
+            else AliasTable.from_names(graph.entities.names)
         )
         records = read_dialogues(_require_file(args.input, "--in"))
         print(f"corrupt: root seed {args.seed}, stage seed {seed}", file=sys.stderr)

@@ -363,7 +363,7 @@ def build_synthetic_dataset(
     graph: KnowledgeGraph,
     types: Mapping[str, str],
     cfg: CorruptionConfig,
-    aliases: AliasTable | None = None,
+    aliases: AliasTable,
 ) -> tuple[list[CorruptedRecord], DatasetSummary]:
     """Corrupt a batch of records at the configured extrinsic fraction.
 
@@ -373,14 +373,14 @@ def build_synthetic_dataset(
     making output byte-identical across runs and worker schedules. A
     record grounded on an entity the graph lacks has no exclusion
     ball, so its extrinsic attempt fails with UnknownEntity and
-    takes the fallback-or-drop path. Without an alias table, every
-    entity name is its own surface form.
+    takes the fallback-or-drop path. The caller passes the alias table
+    it links with; AliasTable.from_names makes every entity name its own
+    surface form.
 
     The candidate lists (same_type_ids, and the positional lists
     replacement_pool adds) depend only on the graph, the type map and the
-    links-back set, so the graph keeps them (KnowledgeGraph.memo), as it
-    keeps the identity table: a later call with an equal type map and
-    links-back set reuses them. An alias table never changes once built
+    links-back set, so the graph keeps them (KnowledgeGraph.memo): a later
+    call with an equal type map and links-back set reuses them. An alias table never changes once built
     and keeps its links-back set, so the same table matches by identity.
     A read-only type map (a MappingProxyType,
     which load_entity_types returns) is kept as it is and found equal by
@@ -388,10 +388,6 @@ def build_synthetic_dataset(
     """
     if not records:
         raise AllRecordsDropped("no input records")
-    if aliases is None:
-        aliases = graph.memo(
-            "identity_aliases", None, lambda: AliasTable.from_names(graph.entities.names)
-        )
     # A dict is copied: the caller may edit it in place.
     kept_types = types if isinstance(types, MappingProxyType) else dict(types)
     same_type = graph.memo(

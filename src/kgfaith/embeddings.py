@@ -582,14 +582,15 @@ def rank_of_gold(
     return 1 + better + tied_lower
 
 
-def _filter_cells(
+def _link_prediction_plan(
     heldout: list[Triple], graph: KnowledgeGraph, rows: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each block's filtered-out (row, entity) cells, blocks of ``rows`` held-out rows.
+) -> tuple[list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]], int]:
+    """Each block of ``rows`` held-out rows as (ids, cells), and the number
+    of held-out triples that are also graph triples.
 
-    A row's cells are the objects completing a known-true triple
-    (training or held-out) with its subject and relation, its gold
-    included. Raises ValueError when a held-out triple is in the graph.
+    A block's ids are its subject, relation and object ids as the rows of
+    one array. A row's cells are the objects completing a known-true triple
+    (training or held-out) with its subject and relation, its gold included.
     """
     # (subject, relation) -> every object completing a known-true
     # triple, for the held-out pairs only: read from the subject's
@@ -603,26 +604,16 @@ def _filter_cells(
         known[pair] = graph.objects(*pair)
         overlap += len(objects & known[pair])
         known[pair] |= objects
-    if overlap:
-        raise ValueError(f"{overlap} held-out triples also appear in the graph")
-    cells = []
-    for start in range(0, len(heldout), rows):
-        objects = [known[t[0], t[1]] for t in heldout[start : start + rows]]
-        counts = [len(k) for k in objects]
-        columns = np.fromiter(chain.from_iterable(objects), np.intp, sum(counts))
-        cells.append((np.repeat(np.arange(len(counts)), counts), columns))
-    return cells
-
-
-def _block_ids(heldout: list[Triple], rows: int) -> list[np.ndarray]:
-    """Each block's subject, relation and object ids as the rows of one
-    array, blocks of ``rows`` held-out rows."""
     blocks = []
     for start in range(0, len(heldout), rows):
         block = heldout[start : start + rows]
         flat = np.fromiter(chain.from_iterable(block), np.int32, 3 * len(block))
-        blocks.append(flat.reshape(-1, 3).T.copy())
-    return blocks
+        objects = [known[t[0], t[1]] for t in block]
+        counts = [len(k) for k in objects]
+        columns = np.fromiter(chain.from_iterable(objects), np.intp, sum(counts))
+        cells = (np.repeat(np.arange(len(counts)), counts), columns)
+        blocks.append((flat.reshape(-1, 3).T.copy(), cells))
+    return blocks, overlap
 
 
 def evaluate_link_prediction(
@@ -636,19 +627,19 @@ def evaluate_link_prediction(
     Each triple (s, p, o) scores every entity e as the object of
     (s, p, e). The filtered mode drops the entities that complete
     another known-true triple (training or held-out) before ranking;
-    the gold itself always stays. A triple's rank is 1 plus the number
+    the gold itself always stays, and a held-out triple that is also a
+    graph triple raises ValueError. A triple's rank is 1 plus the number
     of entities scoring above the gold plus those tying it with a lower
     entity id, so it does not depend on the order entities are scored in.
 
     A block of held-out rows is scored by one matrix product. In the
     filtered mode each row's filtered-out cells are set to NaN, which is
     never ahead of the gold and never tied with it, whatever the gold
-    score is; a row's rank counts the entities ahead of the gold. Those
-    cells depend only on the graph, the held-out list and the block
-    height, so the graph keeps them (KnowledgeGraph.memo): a second
-    filtered call with the same held-out list and table size reuses them.
-    Each block's subject, relation and object id arrays are kept under
-    the same key, in both modes.
+    score is; a row's rank counts the entities ahead of the gold. Each
+    block's ids and filtered-out cells, and the overlap count, depend only
+    on the graph, the held-out list and the block height, so the graph keeps
+    them in one slot (KnowledgeGraph.memo) for both modes: a later call with
+    an equal held-out list and table size reuses them.
     """
     if mode not in RANK_MODES:
         raise ValueError(f"mode must be raw or filtered, got {mode!r}")
@@ -659,22 +650,20 @@ def evaluate_link_prediction(
     # With 32-bit ids the id compare below runs about 3x faster than with 64-bit.
     ids = np.arange(len(E), dtype=np.int32)
     rows = max(1, _BLOCK_CELLS // len(E))
-    key = (tuple(heldout), rows)
-    blocks = graph.memo("link_prediction_blocks", key, lambda: _block_ids(heldout, rows))
-    filtered = None
-    if mode == "filtered":
-        filtered = graph.memo(
-            "link_prediction_filter", key, lambda: _filter_cells(heldout, graph, rows)
-        )
+    blocks, overlap = graph.memo(
+        "link_prediction", (tuple(heldout), rows), lambda: _link_prediction_plan(heldout, graph, rows)
+    )
+    if mode == "filtered" and overlap:
+        raise ValueError(f"{overlap} held-out triples also appear in the graph")
     ranks: list[int] = []
-    for b, (s, p, o) in enumerate(blocks):
+    for (s, p, o), cells in blocks:
         scores = (E[s] * table.relations[p]) @ E.T
         r = np.arange(len(o))
         gold = scores[r, o][:, None]
-        if filtered is not None:
+        if mode == "filtered":
             # A row's known objects include its gold, whose cell never
             # counts: nothing is ahead of itself, and its tie is cleared.
-            scores[filtered[b]] = np.nan
+            scores[cells] = np.nan
         ahead = scores > gold
         ties = scores == gold
         ties[r, o] = False

@@ -49,24 +49,36 @@ POOL_SCAN = "tests/test_properties.py::test_replacement_pool_matches_scan"
 EXTRINSIC = "tests/test_corruptor.py::TestCorruptExtrinsic"
 DATASET = "tests/test_corruptor.py::TestBuildSyntheticDataset"
 ALIASES = "tests/test_kg.py::TestAliasTable"
+MASKED_ORACLE = "tests/test_properties.py::test_masked_ranks_match_bincount_oracle"
 
 MUTANTS = (
     Mutant(
         "filtered cells masked with -inf, which ties a -inf gold",
         "kgfaith/embeddings.py",
-        "scores[filtered[b]] = np.nan",
-        "scores[filtered[b]] = -np.inf",
-        ("tests/test_properties.py::test_masked_ranks_match_bincount_oracle",),
+        "scores[cells] = np.nan",
+        "scores[cells] = -np.inf",
+        (MASKED_ORACLE,),
     ),
     Mutant(
         "filtered cells not masked",
         "kgfaith/embeddings.py",
-        "scores[filtered[b]] = np.nan",
-        "scores[filtered[b]] = scores[filtered[b]]",
-        (
-            "tests/test_properties.py::test_filtered_ranks_match_per_candidate_scan",
-            "tests/test_properties.py::test_masked_ranks_match_bincount_oracle",
-        ),
+        "scores[cells] = np.nan",
+        "scores[cells] = scores[cells]",
+        ("tests/test_properties.py::test_filtered_ranks_match_per_candidate_scan", MASKED_ORACLE),
+    ),
+    Mutant(
+        "a row's known set leaves out the held-out objects",
+        "kgfaith/embeddings.py",
+        "        known[pair] |= objects\n",
+        "",
+        (MASKED_ORACLE,),
+    ),
+    Mutant(
+        "raw mode rejects held-out graph triples too",
+        "kgfaith/embeddings.py",
+        "if mode == \"filtered\" and overlap:",
+        "if overlap:",
+        ("tests/test_embeddings.py::TestLinkPrediction::test_raw_mode_ranks_an_overlapping_list",),
     ),
     Mutant(
         "a memo that ignores its key",
@@ -145,6 +157,13 @@ MUTANTS = (
         "forward = [t for t in graph.out_edges(a) if t.o == b]",
         "forward = [t for t in graph.out_edges(graph.resolve_entity(a)) if t.o == b]",
         ("tests/test_critic.py::TestIntrinsicLabels::test_pair_check_resolves_no_id",),
+    ),
+    Mutant(
+        "corrupt without --aliases links through an empty table",
+        "kgfaith/cli.py",
+        "else AliasTable.from_names(graph.entities.names)",
+        "else AliasTable([])",
+        ("tests/test_golden.py::test_cli_outputs_match_golden_digests[sparse]",),
     ),
     Mutant(
         "a failed command leaves its temp files",

@@ -616,9 +616,9 @@ class TestBuildSyntheticDataset:
         with pytest.raises(AllRecordsDropped):
             build_synthetic_dataset(recs, toy_graph, toy_types, cfg, toy_aliases)
 
-    def test_empty_input_rejected(self, toy_graph, toy_types):
+    def test_empty_input_rejected(self, toy_graph, toy_types, toy_aliases):
         with pytest.raises(AllRecordsDropped):
-            build_synthetic_dataset([], toy_graph, toy_types, CorruptionConfig())
+            build_synthetic_dataset([], toy_graph, toy_types, CorruptionConfig(), toy_aliases)
 
     def test_type_pools_built_once(self, data_dir, toy_types, toy_aliases):
         """Two calls on unchanged tables join the type map to the graph once.
@@ -649,29 +649,6 @@ class TestBuildSyntheticDataset:
         cfg = CorruptionConfig(fraction=0.6, seed=5)
         build_synthetic_dataset(corpus(3), graph, toy_types, cfg, toy_aliases)
         assert graph._memo["same_type_ids"][0][1] is toy_types
-
-    def test_identity_aliases_built_once(self, data_dir, toy_types):
-        """Without an alias table every name is its own surface; the graph
-        builds that table once for both calls."""
-        graph = load_triples(data_dir / "toy_kg.tsv")
-        real = AliasTable.from_names
-        calls = []
-
-        def counted(names):
-            calls.append(names)
-            return real(names)
-
-        recs = [
-            record([], [("roald_dahl", "wrote", book)], f"roald_dahl wrote {book} .")
-            for book in ("the_witches", "the_bfg", "charlie_and_the_chocolate_factory")
-        ]
-        cfg = CorruptionConfig(fraction=0.6, seed=4, k=1)
-        with patch.object(AliasTable, "from_names", counted):
-            out1, s1 = build_synthetic_dataset(recs, graph, toy_types, cfg)
-            out2, s2 = build_synthetic_dataset(recs, graph, toy_types, cfg)
-        assert len(calls) == 1
-        assert s1.dropped == 0 and s1 == s2
-        assert [r.to_json() for r in out1] == [r.to_json() for r in out2]
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
