@@ -262,7 +262,6 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
         graph = load_triples(_require_file(args.kg, "--kg"))
         types = load_entity_types(_require_file(args.types, "--types"))
-        # Without --aliases every entity name is its own surface form.
         aliases = (
             load_aliases(_require_file(args.aliases, "--aliases"))
             if args.aliases

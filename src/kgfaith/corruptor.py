@@ -380,9 +380,9 @@ def build_synthetic_dataset(
     The candidate lists (same_type_ids, and the positional lists
     replacement_pool adds) depend only on the graph, the type map and the
     links-back set, so the graph keeps them (KnowledgeGraph.memo): a later
-    call with an equal type map and links-back set reuses them. An alias table never changes once built
-    and keeps its links-back set, so the same table matches by identity.
-    A read-only type map (a MappingProxyType,
+    call with an equal type map and links-back set reuses them. An alias
+    table never changes once built and keeps its links-back set, so the
+    same table matches by identity. A read-only type map (a MappingProxyType,
     which load_entity_types returns) is kept as it is and found equal by
     identity; its backing dict must not change. Any other map is copied.
     """

@@ -116,7 +116,7 @@ def _steps(files: dict[str, Path], out: Path, corpus: str) -> list[list]:
          "--out", out / "critique-corrupted.jsonl"],
     ]
     if corpus == "sparse":
-        # Without --aliases corruption links through the identity table it
+        # Without --aliases, corrupt links through the identity table it
         # builds from the graph's names; with an empty type map every
         # mention takes the positional fallback.
         steps += [
