@@ -3,15 +3,17 @@ critique, refinement, and evaluation.
 
 Exit codes: 0 success, 1 validation problem (bad flag, bad config
 value, missing input file, unknown subcommand), 2 runtime failure
-while processing valid inputs.
+while processing valid inputs. main() owns the run's boundary: after
+parsing it refuses two outputs naming one file, checks each input file
+given, and runs BLAS on one thread unless the environment names a count
+(so trained bytes do not depend on the host's core count); the command
+then writes each output to a temp file moved into place on success.
 
 A JSON config file (--config) supplies values for the command's flags;
 each is parsed like the flag itself, and explicit flags override it.
 Randomized stages derive their working seed from the root
 --seed hashed with the stage name, so each stage is independently
-reproducible from one number. The commands that use numpy run BLAS on
-one thread unless the environment names a count, so trained bytes do
-not depend on the host's core count.
+reproducible from one number.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 # Each command imports the modules it runs, so kg stats and subgraph load
-# only kg. corruptor, embeddings and retriever import numpy, and are
-# imported after _numpy_on_one_thread(): kg stats, subgraph, critique and
-# an eval without --emb start without numpy.
+# only kg. corruptor, embeddings and retriever import numpy; main() sets
+# the BLAS thread variables before any command imports them, and kg stats,
+# subgraph, critique and an eval without --emb start without numpy.
 from .choices import ANCHOR_SOURCES, BLEU_LEVELS, OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
 from .kg import AliasTable, Triple, _read_tsv, load_aliases, load_entity_types, load_triples
@@ -145,6 +147,12 @@ class _Options:
         return argv[: len(command)] + tokens + argv[len(command) :]
 
 
+# The file flags main() handles for every command, by dest: the flag is
+# --in for input and --<dest> for the rest.
+_INPUT_FILES = ("kg", "input", "types", "aliases", "phrases", "emb", "queries", "heldout", "refined")
+_OUTPUT_FILES = ("out", "summary", "trace", "ranks_csv")
+
+
 def _emit(blob: Any, out: Path | None) -> None:
     text = json.dumps(blob, indent=2) + "\n"
     if out:
@@ -158,7 +166,7 @@ def _atomic_outputs(*paths: str | None) -> Iterator[list[Path | None]]:
     """Temp paths beside the given outputs, moved over them when the block succeeds.
 
     An output given as None stays None. Two outputs that resolve to one
-    file are refused on entry; every command enters this before its
+    file are refused on entry; main() enters this before any command's
     work, so such a run does none. A block that raises
     leaves every output as it was (absent, or its old content) and
     removes the temp files.
@@ -193,7 +201,7 @@ def _load_heldout_triples(path: Path, graph) -> list[Triple]:
     ]
 
 
-def _load_table(path: str, graph):
+def _load_table(path: Path, graph):
     """Load the --emb snapshot aligned to the graph.
 
     A malformed line stays a runtime error; a snapshot that parses but
@@ -201,7 +209,7 @@ def _load_table(path: str, graph):
     """
     from .embeddings import align_table, load_embeddings
 
-    return align_table(load_embeddings(_require_file(path, "--emb")), graph)
+    return align_table(load_embeddings(path), graph)
 
 
 def _parse_sampler(value: str) -> tuple[str, int]:
@@ -227,7 +235,7 @@ def _parse_sampler(value: str) -> tuple[str, int]:
 
 
 def _cmd_kg_stats(args: argparse.Namespace) -> int:
-    s = load_triples(_require_file(args.kg, "--kg")).stats()
+    s = load_triples(args.kg).stats()
     if args.json:
         print(json.dumps(dataclasses.asdict(s)))
     else:
@@ -236,76 +244,67 @@ def _cmd_kg_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_subgraph(args: argparse.Namespace) -> int:
-    with _atomic_outputs(args.out) as (out,):
-        graph = load_triples(_require_file(args.kg, "--kg"))
-        centers = [c.strip() for c in args.center.split(",") if c.strip()]
-        if not centers:
-            raise ConfigValidation("--center needs at least one entity name")
-        sub = graph.khop_subgraph(centers, args.k)
-        blob = {
-            "centers": centers,
-            "k": args.k,
-            "nodes": [graph.entities.name_of(i) for i in sorted(sub.nodes)],
-            "triples": [list(graph.name_triple(t)) for t in sub.triples],
-        }
-        _emit(blob, out)
+    graph = load_triples(args.kg)
+    centers = [c.strip() for c in args.center.split(",") if c.strip()]
+    if not centers:
+        raise ConfigValidation("--center needs at least one entity name")
+    sub = graph.khop_subgraph(centers, args.k)
+    blob = {
+        "centers": centers,
+        "k": args.k,
+        "nodes": [graph.entities.name_of(i) for i in sorted(sub.nodes)],
+        "triples": [list(graph.name_triple(t)) for t in sub.triples],
+    }
+    _emit(blob, args.out)
     return 0
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    _numpy_on_one_thread()
     from .corruptor import CorruptionConfig, build_synthetic_dataset
     from .dialogue import read_dialogues, write_dialogues
 
-    with _atomic_outputs(args.out, args.summary) as (out, summary_out):
-        seed = stage_seed(args.seed, "corrupt")
-        cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
-        graph = load_triples(_require_file(args.kg, "--kg"))
-        types = load_entity_types(_require_file(args.types, "--types"))
-        aliases = (
-            load_aliases(_require_file(args.aliases, "--aliases"))
-            if args.aliases
-            else AliasTable.from_names(graph.entities.names)
-        )
-        records = read_dialogues(_require_file(args.input, "--in"))
-        print(f"corrupt: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
-        corrupted, summary = build_synthetic_dataset(
-            records, graph, types, cfg, aliases=aliases
-        )
-        text = json.dumps(dataclasses.asdict(summary), indent=2)
-        write_dialogues(out, (rec.to_json() for rec in corrupted))
-        if summary_out:
-            summary_out.write_text(text + "\n", encoding="utf-8")
-    if not args.summary:
+    seed = stage_seed(args.seed, "corrupt")
+    cfg = CorruptionConfig(fraction=args.frac, seed=seed, policy=args.policy, k=args.k)
+    graph = load_triples(args.kg)
+    types = load_entity_types(args.types)
+    aliases = (
+        load_aliases(args.aliases) if args.aliases else AliasTable.from_names(graph.entities.names)
+    )
+    records = read_dialogues(args.input)
+    print(f"corrupt: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
+    corrupted, summary = build_synthetic_dataset(records, graph, types, cfg, aliases=aliases)
+    text = json.dumps(dataclasses.asdict(summary), indent=2)
+    write_dialogues(args.out, (rec.to_json() for rec in corrupted))
+    if args.summary:
+        args.summary.write_text(text + "\n", encoding="utf-8")
+    else:
         print(text, file=sys.stderr)
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _numpy_on_one_thread()
     from .embeddings import TrainingConfig, save_embeddings, save_loss_trace, train
 
-    with _atomic_outputs(args.out, args.trace) as (out, trace_out):
-        sampler, sans_hops = _parse_sampler(args.sampler)
-        seed = stage_seed(args.seed, "train")
-        cfg = TrainingConfig(
-            d=args.dim,
-            lr=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            negatives=args.neg,
-            sampler=sampler,
-            sans_k=sans_hops,
-            seed=seed,
-            optimizer=args.optimizer,
-            l2=args.l2,
-        )
-        graph = load_triples(_require_file(args.kg, "--kg"))
-        print(f"train: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
-        table, trace = train(graph, cfg)
-        save_embeddings(out, table)
-        if trace_out:
-            save_loss_trace(trace_out, trace)
+    sampler, sans_hops = _parse_sampler(args.sampler)
+    seed = stage_seed(args.seed, "train")
+    cfg = TrainingConfig(
+        d=args.dim,
+        lr=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch,
+        negatives=args.neg,
+        sampler=sampler,
+        sans_k=sans_hops,
+        seed=seed,
+        optimizer=args.optimizer,
+        l2=args.l2,
+    )
+    graph = load_triples(args.kg)
+    print(f"train: root seed {args.seed}, stage seed {seed}", file=sys.stderr)
+    table, trace = train(graph, cfg)
+    save_embeddings(args.out, table)
+    if args.trace:
+        save_loss_trace(args.trace, trace)
     print(
         f"train: {len(trace)} epochs, final mean loss {trace[-1]:.6g}",
         file=sys.stderr,
@@ -324,12 +323,8 @@ def _critic(args: argparse.Namespace, graph) -> Critic:
     """The critic of --aliases, --k, --phrases and --anchors (critique and eval)."""
     from .critic import Critic, load_relation_phrases
 
-    aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-    phrases = (
-        load_relation_phrases(_require_file(args.phrases, "--phrases"))
-        if args.phrases
-        else None
-    )
+    aliases = load_aliases(args.aliases)
+    phrases = load_relation_phrases(args.phrases) if args.phrases else None
     return Critic(
         graph,
         aliases,
@@ -342,21 +337,20 @@ def _critic(args: argparse.Namespace, graph) -> Critic:
 def _cmd_critique(args: argparse.Namespace) -> int:
     from .dialogue import read_dialogues, write_dialogues
 
-    with _atomic_outputs(args.out) as (out,):
-        graph = load_triples(_require_file(args.kg, "--kg"))
-        critic = _critic(args, graph)
-        records = read_dialogues(_require_file(args.input, "--in"))
-        flagged = 0
+    graph = load_triples(args.kg)
+    critic = _critic(args, graph)
+    records = read_dialogues(args.input)
+    flagged = 0
 
-        def labelled() -> Iterator[dict[str, Any]]:
-            nonlocal flagged
-            for record in records:
-                report = critic.critique(record)
-                flagged += report.flagged
-                labels = [lab.to_json() for lab in report.labels]
-                yield {**record.to_json(), "labels": labels, "flagged": report.flagged}
+    def labelled() -> Iterator[dict[str, Any]]:
+        nonlocal flagged
+        for record in records:
+            report = critic.critique(record)
+            flagged += report.flagged
+            labels = [lab.to_json() for lab in report.labels]
+            yield {**record.to_json(), "labels": labels, "flagged": report.flagged}
 
-        write_dialogues(out, labelled())
+    write_dialogues(args.out, labelled())
     print(f"critique: {len(records)} records, {flagged} flagged", file=sys.stderr)
     return 0
 
@@ -377,46 +371,42 @@ def _critic_reports(records: list[DialogueRecord]) -> list[CriticReport]:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    _numpy_on_one_thread()
     from .dialogue import read_dialogues, write_dialogues
     from .retriever import RefineConfig, load_query_vectors, refine_response
 
-    with _atomic_outputs(args.out) as (out,):
-        if (args.mode == "external") != (args.queries is not None):
-            raise ConfigValidation("--queries goes with --mode external, and only with it")
-        graph = load_triples(_require_file(args.kg, "--kg"))
-        aliases = load_aliases(_require_file(args.aliases, "--aliases"))
-        table = _load_table(args.emb, graph)
-        queries = (
-            load_query_vectors(_require_file(args.queries, "--queries"), table.dim)
-            if args.queries is not None
-            else None
-        )
-        cfg = RefineConfig(
-            k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
-        )
-        records = read_dialogues(_require_file(args.input, "--in"))
-        reports = _critic_reports(records)
-        spans = sum(len(report.flagged_spans) for report in reports)
-        if queries is not None and len(queries) != spans:
-            raise LengthMismatch(f"--queries: {len(queries)} vector(s), {spans} flagged span(s)")
-        n_edits = n_failures = 0
+    if (args.mode == "external") != (args.queries is not None):
+        raise ConfigValidation("--queries goes with --mode external, and only with it")
+    graph = load_triples(args.kg)
+    aliases = load_aliases(args.aliases)
+    table = _load_table(args.emb, graph)
+    queries = (
+        load_query_vectors(args.queries, table.dim) if args.queries is not None else None
+    )
+    cfg = RefineConfig(
+        k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
+    )
+    records = read_dialogues(args.input)
+    reports = _critic_reports(records)
+    spans = sum(len(report.flagged_spans) for report in reports)
+    if queries is not None and len(queries) != spans:
+        raise LengthMismatch(f"--queries: {len(queries)} vector(s), {spans} flagged span(s)")
+    n_edits = n_failures = 0
 
-        def refined() -> Iterator[dict[str, Any]]:
-            nonlocal n_edits, n_failures
-            taken = 0
-            for record, report in zip(records, reports):
-                n = len(report.flagged_spans)
-                mine = None if queries is None else queries[taken : taken + n]
-                taken += n
-                outcome = refine_response(
-                    record, report, graph, table, cfg, aliases=aliases, queries=mine
-                )
-                n_edits += len(outcome.edits)
-                n_failures += len(outcome.failures)
-                yield outcome.merged_json(record)
+    def refined() -> Iterator[dict[str, Any]]:
+        nonlocal n_edits, n_failures
+        taken = 0
+        for record, report in zip(records, reports):
+            n = len(report.flagged_spans)
+            mine = None if queries is None else queries[taken : taken + n]
+            taken += n
+            outcome = refine_response(
+                record, report, graph, table, cfg, aliases=aliases, queries=mine
+            )
+            n_edits += len(outcome.edits)
+            n_failures += len(outcome.failures)
+            yield outcome.merged_json(record)
 
-        write_dialogues(out, refined())
+    write_dialogues(args.out, refined())
     print(
         f"refine: {len(records)} records, {n_edits} edits, {n_failures} failures",
         file=sys.stderr,
@@ -425,63 +415,59 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    with _atomic_outputs(args.ranks_csv, args.out) as (ranks_out, out):
-        want_ranking = args.emb is not None or args.heldout is not None
-        if want_ranking and (args.emb is None or args.heldout is None):
-            raise ConfigValidation("link prediction needs both --emb and --heldout")
-        if not want_ranking and args.refined is None:
-            raise ConfigValidation(
-                "nothing to evaluate: pass --refined and/or --emb with --heldout"
-            )
-        if args.ranks_csv is not None and not want_ranking:
-            raise ConfigValidation("--ranks-csv needs --emb and --heldout")
-        graph = load_triples(_require_file(args.kg, "--kg"))
-        counts: dict[str, int] = {}
-        ranking = None
-        bleu_score = None
-        rate = None
+    want_ranking = args.emb is not None or args.heldout is not None
+    if want_ranking and (args.emb is None or args.heldout is None):
+        raise ConfigValidation("link prediction needs both --emb and --heldout")
+    if not want_ranking and args.refined is None:
+        raise ConfigValidation("nothing to evaluate: pass --refined and/or --emb with --heldout")
+    if args.ranks_csv is not None and not want_ranking:
+        raise ConfigValidation("--ranks-csv needs --emb and --heldout")
+    graph = load_triples(args.kg)
+    counts: dict[str, int] = {}
+    ranking = None
+    bleu_score = None
+    rate = None
 
-        if want_ranking:
-            _numpy_on_one_thread()
-            from .embeddings import evaluate_link_prediction
+    if want_ranking:
+        from .embeddings import evaluate_link_prediction
 
-            table = _load_table(args.emb, graph)
-            heldout = _load_heldout_triples(_require_file(args.heldout, "--heldout"), graph)
-            ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
-            counts["ranks"] = len(ranking.ranks)
-
-        if args.refined is not None:
-            from .dialogue import read_dialogues
-            from .metrics import bleu, hallucination_rate
-
-            records = read_dialogues(_require_file(args.refined, "--refined"))
-            counts["records"] = len(records)
-            texts = [rec.extra.get("refined_response", rec.response) for rec in records]
-            golds = [(text, rec.gold_response) for text, rec in zip(texts, records)
-                     if rec.gold_response is not None]
-            if golds:
-                hyps, refs = zip(*golds)
-                bleu_score = bleu(hyps, refs, level=args.bleu_level)
-            else:
-                print("eval: no gold responses, skipping BLEU", file=sys.stderr)
-            if args.aliases:
-                critic = _critic(args, graph)
-                probes = (dataclasses.replace(rec, response=text, spans=None, extra={})
-                          for rec, text in zip(records, texts))
-                rate = hallucination_rate([critic.critique(p).flagged for p in probes])
-
-        if ranks_out:
+        table = _load_table(args.emb, graph)
+        heldout = _load_heldout_triples(args.heldout, graph)
+        ranking = evaluate_link_prediction(table, heldout, graph, mode=args.rank_mode)
+        counts["ranks"] = len(ranking.ranks)
+        if args.ranks_csv:
             import csv
 
-            with open(ranks_out, "w", encoding="utf-8", newline="") as fh:
+            with open(args.ranks_csv, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["item", "rank"])
                 for i, rank in enumerate(ranking.ranks, start=1):
                     writer.writerow([i, rank])
-        # A block that was not asked for is null.
-        blob = ranking.to_json() if ranking else dict.fromkeys(("hits", "mr", "mrr"))
-        blob.update(bleu=bleu_score, hallucination_rate=rate, counts=counts)
-        _emit(blob, out)
+
+    if args.refined is not None:
+        from .dialogue import read_dialogues
+        from .metrics import bleu, hallucination_rate
+
+        records = read_dialogues(args.refined)
+        counts["records"] = len(records)
+        texts = [rec.extra.get("refined_response", rec.response) for rec in records]
+        golds = [(text, rec.gold_response) for text, rec in zip(texts, records)
+                 if rec.gold_response is not None]
+        if golds:
+            hyps, refs = zip(*golds)
+            bleu_score = bleu(hyps, refs, level=args.bleu_level)
+        else:
+            print("eval: no gold responses, skipping BLEU", file=sys.stderr)
+        if args.aliases:
+            critic = _critic(args, graph)
+            probes = (dataclasses.replace(rec, response=text, spans=None, extra={})
+                      for rec, text in zip(records, texts))
+            rate = hallucination_rate([critic.critique(p).flagged for p in probes])
+
+    # A block that was not asked for is null.
+    blob = ranking.to_json() if ranking else dict.fromkeys(("hits", "mr", "mrr"))
+    blob.update(bleu=bleu_score, hallucination_rate=rate, counts=counts)
+    _emit(blob, args.out)
     return 0
 
 
@@ -591,7 +577,14 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help exits 0; anything else is misuse
             return 0 if exc.code in (0, None) else 1
-        return args.func(args)
+        with _atomic_outputs(*(getattr(args, dest, None) for dest in _OUTPUT_FILES)) as temps:
+            vars(args).update(zip(_OUTPUT_FILES, temps))
+            for dest in _INPUT_FILES:
+                path = getattr(args, dest, None)
+                if path is not None:
+                    setattr(args, dest, _require_file(path, "--in" if dest == "input" else f"--{dest}"))
+            _numpy_on_one_thread()
+            return args.func(args)
     except ConfigValidation as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

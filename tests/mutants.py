@@ -185,6 +185,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "main() does not check --refined",
+        "kgfaith/cli.py",
+        '"heldout", "refined")',
+        '"heldout")',
+        ("tests/test_cli.py::TestRunBoundary::test_missing_input_file[eval-refined]",),
+    ),
+    Mutant(
+        "main() does not make --summary atomic",
+        "kgfaith/cli.py",
+        '_OUTPUT_FILES = ("out", "summary", "trace", "ranks_csv")',
+        '_OUTPUT_FILES = ("out", "trace", "ranks_csv")',
+        ("tests/test_cli.py::TestAtomicOutputs::test_two_outputs_naming_one_file[corrupt]",),
+    ),
+    Mutant(
+        "main() does not make --ranks-csv atomic",
+        "kgfaith/cli.py",
+        '_OUTPUT_FILES = ("out", "summary", "trace", "ranks_csv")',
+        '_OUTPUT_FILES = ("out", "summary", "trace")',
+        ("tests/test_cli.py::TestAtomicOutputs::test_failed_eval_writes_nothing",),
+    ),
+    Mutant(
         "a group's uniform draws in another layout",
         "kgfaith/embeddings.py",
         "draws = rng.integers(0, n_entities - 1, size=(rows, n))",

@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 from synthetic import sparse_corpus
 
 import kgfaith
-from kgfaith.cli import _load_config, _Options, _parse_sampler, build_parser, main, stage_seed
+from kgfaith.cli import (
+    _INPUT_FILES,
+    _OUTPUT_FILES,
+    _load_config,
+    _Options,
+    _parse_sampler,
+    build_parser,
+    main,
+    stage_seed,
+)
 from kgfaith.errors import ConfigValidation, UnknownCommand
 
 
@@ -211,6 +220,33 @@ class TestWithoutNumpy:
         assert proc.returncode != 0
         assert b"import of numpy halted" in proc.stderr
         assert not (tmp_path / "emb.txt").exists()
+
+    @pytest.mark.parametrize("case", ["kg-stats", "subgraph", "critique", "eval-text"])
+    def test_every_command_sets_unset_thread_variables(self, case, data_dir, tmp_path):
+        # main() sets the three variables for every command, numpy-free
+        # ones too, and keeps the count the environment names. numpy is
+        # not blocked here (a blocked numpy counts as loaded), only
+        # checked for afterwards.
+        kg, aliases = data_dir / "toy_kg.tsv", data_dir / "toy_aliases.tsv"
+        records = data_dir / "toy_dialogues.jsonl"
+        argv = {
+            "kg-stats": ["kg", "stats", "--kg", kg],
+            "subgraph": ["subgraph", "--kg", kg, "--center", "roald_dahl", "--out", tmp_path / "o"],
+            "critique": ["critique", "--in", records, "--kg", kg, "--aliases", aliases,
+                         "--out", tmp_path / "o"],
+            "eval-text": ["eval", "--kg", kg, "--refined", records, "--aliases", aliases],
+        }[case]
+        code = (
+            "import os, sys; "
+            "names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'); "
+            "[os.environ.pop(name, None) for name in names]; os.environ['OMP_NUM_THREADS'] = '3'; "
+            "from kgfaith.cli import main; code = main(sys.argv[1:]); "
+            "print(*(os.environ.get(name) for name in names), 'numpy' in sys.modules); "
+            "sys.exit(code)"
+        )
+        proc = run_without_numpy(argv, code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == b"1 3 1 False"
 
     @pytest.mark.parametrize(
         "argv",
@@ -1049,6 +1085,145 @@ class TestAtomicOutputs:
         ]
         assert target.read_bytes() == b"old\n"
         assert list(out.iterdir()) == [target]
+
+
+# Every command's flags, by the dest main() reads them under.
+OPTS = _Options()
+build_parser(OPTS)
+INPUT_FLAGS = [
+    (command, dest) for command, actions in OPTS.commands.items()
+    for dest in actions if dest in _INPUT_FILES
+]
+# An existing file for each input flag. The boundary tests stop before
+# any read, so emb, queries and heldout need not be of their kind.
+TOY_FILES = {
+    "kg": "toy_kg.tsv", "input": "toy_dialogues.jsonl", "types": "toy_types.tsv",
+    "aliases": "toy_aliases.tsv", "phrases": "toy_relation_phrases.tsv", "emb": "toy_kg.tsv",
+    "queries": "toy_kg.tsv", "heldout": "toy_kg.tsv", "refined": "toy_dialogues.jsonl",
+}
+# The value flags; --config names a file, which _load_config checks
+# before parsing.
+VALUE_DESTS = {
+    "config", "json", "center", "k", "frac", "seed", "policy", "dim", "sampler", "neg",
+    "epochs", "batch", "lr", "optimizer", "l2", "anchors", "mode", "chain", "rank_mode",
+    "bleu_level",
+}
+
+
+class TestRunBoundary:
+    """main() refuses two outputs naming one file, then a missing input
+    file, before the command's own checks and before any work."""
+
+    def test_every_flag_is_a_file_or_a_value(self):
+        # A new path flag must join _INPUT_FILES or _OUTPUT_FILES, or main() would
+        # neither check it nor make it atomic.
+        for command, actions in OPTS.commands.items():
+            for dest in actions:
+                kinds = (dest in _INPUT_FILES, dest in _OUTPUT_FILES, dest in VALUE_DESTS)
+                assert sum(kinds) == 1, (command, dest)
+        declared = set().union(*OPTS.commands.values())
+        assert declared.issuperset(_INPUT_FILES + _OUTPUT_FILES)
+
+    @pytest.mark.parametrize(
+        "command, dest", INPUT_FLAGS, ids=[f"{'-'.join(c)}-{d}" for c, d in INPUT_FLAGS]
+    )
+    def test_missing_input_file(self, data_dir, tmp_path, capsys, command, dest):
+        actions = OPTS.commands[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        missing = tmp_path / "missing" / "file"
+        argv = list(command) + {
+            ("subgraph",): ["--center", "roald_dahl"], ("refine",): ["--mode", "external"],
+        }.get(command, [])
+        for name, action in actions.items():
+            if name in _INPUT_FILES:
+                argv += [action.option_strings[0],
+                         missing if name == dest else data_dir / TOY_FILES[name]]
+            elif name in _OUTPUT_FILES:
+                argv += [action.option_strings[0], out / name]
+        capsys.readouterr()
+        assert run(argv) == 1
+        flag = actions[dest].option_strings[0]
+        assert capsys.readouterr().err == f"error: {flag}: no such file: {missing}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "case", ["eval-empty-heldout", "corrupt-malformed-kg", "refine-malformed-emb",
+                 "refine-oracle-queries"],
+    )
+    def test_missing_input_comes_first(self, data_dir, tmp_path, capsys, request, case):
+        # Each run has a later input missing and would otherwise fail, or
+        # (eval) rank every held-out triple, on what it reads first. The
+        # oracle refine is refused --queries only after the file check.
+        out = tmp_path / "out"
+        out.mkdir()
+        missing = tmp_path / "missing.jsonl"
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("roald_dahl\twrote\n")
+        kg, aliases = data_dir / "toy_kg.tsv", data_dir / "toy_aliases.tsv"
+        if case == "eval-empty-heldout":
+            heldout = tmp_path / "held.tsv"
+            heldout.write_text("# nothing held out\n")
+            flag, argv = "--refined", [
+                "eval", "--kg", kg, "--emb", request.getfixturevalue("trained_snapshot"),
+                "--heldout", heldout, "--refined", missing,
+                "--ranks-csv", out / "ranks.csv", "--out", out / "summary.json"]
+        elif case == "corrupt-malformed-kg":
+            flag, argv = "--in", [
+                "corrupt", "--in", missing, "--kg", bad, "--types", data_dir / "toy_types.tsv",
+                "--aliases", aliases, "--out", out / "c.jsonl", "--summary", out / "s.json"]
+        elif case == "refine-malformed-emb":
+            flag, argv = "--in", [
+                "refine", "--in", missing, "--kg", kg, "--emb", bad, "--aliases", aliases,
+                "--out", out / "r.jsonl"]
+        else:
+            flag, argv = "--queries", [
+                "refine", "--in", data_dir / "toy_dialogues.jsonl", "--kg", kg, "--emb", bad,
+                "--aliases", aliases, "--mode", "oracle", "--queries", missing,
+                "--out", out / "r.jsonl"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: no such file: {missing}\n"
+        assert list(out.iterdir()) == []
+
+    def test_two_outputs_reported_before_a_missing_input(self, tmp_path, capsys):
+        target = tmp_path / "emb.txt"
+        assert run(["train", "--kg", tmp_path / "missing.tsv", "--out", target,
+                    "--trace", target]) == 1
+        assert capsys.readouterr().err == (
+            f"error: two outputs name one file: {target.resolve()}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_path_is_a_missing_file(self, data_dir, tmp_path, capsys):
+        # An optional input given as "" is checked like any other path.
+        out = tmp_path / "labelled.jsonl"
+        assert run(["critique", "--in", data_dir / "toy_dialogues.jsonl",
+                    "--kg", data_dir / "toy_kg.tsv", "--aliases", data_dir / "toy_aliases.tsv",
+                    "--phrases", "", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --phrases: no such file: \n"
+        assert not out.exists()
+
+    def test_eval_checks_critic_files_it_does_not_read(
+        self, data_dir, tmp_path, trained_snapshot, capsys
+    ):
+        # Ranking alone reads neither --aliases nor --phrases, yet checks
+        # them: files that exist (say, from a config shared with critique)
+        # still run, and a missing one exits 1.
+        heldout = tmp_path / "held.tsv"
+        heldout.write_text("roald_dahl\twrote\tthe_hobbit\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "aliases": str(data_dir / "toy_aliases.tsv"),
+            "phrases": str(data_dir / "toy_relation_phrases.tsv"),
+        }))
+        argv = ["eval", "--kg", data_dir / "toy_kg.tsv", "--emb", trained_snapshot,
+                "--heldout", heldout]
+        assert run(argv + ["--config", config]) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing.tsv"
+        assert run(argv + ["--aliases", missing]) == 1
+        assert capsys.readouterr().err == f"error: --aliases: no such file: {missing}\n"
 
 
 class TestSnapshotErrors:
