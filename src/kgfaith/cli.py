@@ -7,7 +7,8 @@ while processing valid inputs. main() owns the run's boundary: after
 parsing it refuses two outputs naming one file, checks each input file
 given, and runs BLAS on one thread unless the environment names a count
 (so trained bytes do not depend on the host's core count); the command
-then writes each output to a temp file moved into place on success.
+then checks the flag values it uses before it reads any file, and
+writes each output to a temp file moved into place on success.
 
 A JSON config file (--config) supplies values for the command's flags;
 each is parsed like the flag itself, and explicit flags override it.
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 # subgraph, critique and an eval without --emb start without numpy.
 from .choices import ANCHOR_SOURCES, BLEU_LEVELS, OPTIMIZERS, POLICIES, QUERY_MODES, RANK_MODES
 from .errors import ConfigValidation, KgFaithError, LengthMismatch, MalformedLabels, UnknownCommand
-from .kg import AliasTable, Triple, _read_tsv, load_aliases, load_entity_types, load_triples
+from .kg import AliasTable, Triple, _read_tsv, check_radius, load_aliases, load_entity_types, load_triples
 
 if TYPE_CHECKING:
     from .critic import Critic, CriticReport
@@ -244,10 +245,11 @@ def _cmd_kg_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_subgraph(args: argparse.Namespace) -> int:
-    graph = load_triples(args.kg)
     centers = [c.strip() for c in args.center.split(",") if c.strip()]
     if not centers:
         raise ConfigValidation("--center needs at least one entity name")
+    check_radius(args.k)
+    graph = load_triples(args.kg)
     sub = graph.khop_subgraph(centers, args.k)
     blob = {
         "centers": centers,
@@ -337,6 +339,7 @@ def _critic(args: argparse.Namespace, graph) -> Critic:
 def _cmd_critique(args: argparse.Namespace) -> int:
     from .dialogue import read_dialogues, write_dialogues
 
+    check_radius(args.k)
     graph = load_triples(args.kg)
     critic = _critic(args, graph)
     records = read_dialogues(args.input)
@@ -376,14 +379,14 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
     if (args.mode == "external") != (args.queries is not None):
         raise ConfigValidation("--queries goes with --mode external, and only with it")
+    cfg = RefineConfig(
+        k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
+    )
     graph = load_triples(args.kg)
     aliases = load_aliases(args.aliases)
     table = _load_table(args.emb, graph)
     queries = (
         load_query_vectors(args.queries, table.dim) if args.queries is not None else None
-    )
-    cfg = RefineConfig(
-        k=args.k, mode=args.mode, chain=args.chain == "on", anchor_source=args.anchors
     )
     records = read_dialogues(args.input)
     reports = _critic_reports(records)
@@ -422,6 +425,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigValidation("nothing to evaluate: pass --refined and/or --emb with --heldout")
     if args.ranks_csv is not None and not want_ranking:
         raise ConfigValidation("--ranks-csv needs --emb and --heldout")
+    if args.refined is not None and args.aliases is not None:  # the critic runs
+        check_radius(args.k)
     graph = load_triples(args.kg)
     counts: dict[str, int] = {}
     ranking = None
@@ -458,7 +463,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             bleu_score = bleu(hyps, refs, level=args.bleu_level)
         else:
             print("eval: no gold responses, skipping BLEU", file=sys.stderr)
-        if args.aliases:
+        if args.aliases is not None:
             critic = _critic(args, graph)
             probes = (dataclasses.replace(rec, response=text, spans=None, extra={})
                       for rec, text in zip(records, texts))

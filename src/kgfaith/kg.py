@@ -2,8 +2,8 @@
 
 Entities and relations are interned into contiguous integer ids in
 first-seen order. The graph is immutable after construction and keeps
-both out-edge and in-edge indexes, plus an undirected adjacency built on
-first use, so a k-hop ball and edge queries cost the degrees they
+both out-edge and in-edge indexes, plus each searched entity's undirected
+neighbors, so a k-hop ball and edge queries cost the degrees they
 touch, not the size of the graph. A ball asked again for the same centers
 and radius is read back: the graph keeps the balls it has searched while
 they hold at most two elements per triple in all, as many as the edge
@@ -159,6 +159,9 @@ class KnowledgeGraph:
         self._out = {s: tuple(v) for s, v in out.items()}
         self._in = {o: tuple(v) for o, v in inc.items()}
         self._memo: dict[str, tuple[object, object]] = {}
+        # Entity id -> its distinct neighbors ignoring edge direction, kept
+        # for each entity a ball expands (a tuple is smaller than a set).
+        self._near: dict[int, tuple[int, ...]] = {}
         # (center ids, radius) -> ball, and the elements the kept balls
         # may still add; see ball().
         self._balls: dict[tuple[frozenset[int], int], frozenset[int]] = {}
@@ -211,20 +214,6 @@ class KnowledgeGraph:
         """The triples whose object is the entity, in graph order (the stored tuple)."""
         return self._in.get(entity, ())
 
-    @cached_property
-    def _adjacency(self) -> list[tuple[int, ...]]:
-        """Entity id -> its distinct neighbors ignoring edge direction.
-
-        Built on first use, so loading a graph does not pay for it. Tuples
-        hold a neighbor list in less memory than sets.
-        """
-        adjacency = []
-        for v in range(len(self.entities)):
-            near = {t.o for t in self._out.get(v, ())}
-            near.update(t.s for t in self._in.get(v, ()))
-            adjacency.append(tuple(near))
-        return adjacency
-
     def degree(self, entity: int) -> int:
         return len(self._out.get(entity, ())) + len(self._in.get(entity, ()))
 
@@ -260,11 +249,15 @@ class KnowledgeGraph:
             return kept
         seen = set(ids)
         frontier = seen
-        adjacency = self._adjacency
+        near_of = self._near
         for _ in range(k):
             if not frontier:
                 break
-            frontier = set().union(*map(adjacency.__getitem__, frontier)) - seen
+            for v in frontier.difference(near_of):  # costs the frontier, not the memo
+                found = {t.o for t in self._out.get(v, ())}
+                found.update(t.s for t in self._in.get(v, ()))
+                near_of[v] = tuple(found)
+            frontier = set().union(*map(near_of.__getitem__, frontier)) - seen
             seen |= frontier
         near = frozenset(seen)
         if len(near) <= self._ball_room:
@@ -365,16 +358,17 @@ class AliasTable:
     Built once from (entity, surface) pairs in file order, and never
     changed after. The first surface listed for an entity is its preferred
     rendering. Surface lookup is case- and whitespace-insensitive; when two
-    entities claim one surface the first mapping wins. The surface keys
-    behind entities_in and match_spans, and the links_back set, are each
-    built on first use.
+    entities claim one surface the first mapping wins for entity_of, and
+    entities_in finds each of them. What entities_in and match_spans probe
+    with, and the links_back set, are each built on first use.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
         """Each entity is stripped and each surface's whitespace collapsed;
         a pair left with a blank side is skipped."""
         self._surfaces: dict[str, list[str]] = {}
-        self._entity_of: dict[str, str] = {}
+        self._entity_of: dict[str, str] = {}  # canonical() surface -> first owner
+        self._later: dict[str, list[str]] = {}  # shared key -> the later owners
         for entity, surface in pairs:
             entity = entity.strip()
             surface = " ".join(surface.split())
@@ -383,12 +377,14 @@ class AliasTable:
             forms = self._surfaces.setdefault(entity, [])
             if surface not in forms:
                 forms.append(surface)
-            owner = self._entity_of.setdefault(canonical(surface), entity)
+            key = canonical(surface)
+            owner = self._entity_of.setdefault(key, entity)
             if owner != entity:
                 logger.warning(
                     "surface %r already maps to %s; ignoring mapping to %s",
                     surface, owner, entity,
                 )
+                self._later.setdefault(key, []).append(entity)
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> AliasTable:
@@ -396,13 +392,9 @@ class AliasTable:
         return cls((name, name) for name in names)
 
     @cached_property
-    def _owners(self) -> tuple[dict[str, list[str]], set[int], set[str]]:
-        """canonical() surface -> every entity listing it, for the raw-substring
-        rule of history checks, with the keys' lengths and first characters."""
-        owners: dict[str, list[str]] = {}
-        for entity, surface in self.items():
-            owners.setdefault(canonical(surface), []).append(entity)
-        return owners, {len(key) for key in owners}, {key[0] for key in owners}
+    def _key_shapes(self) -> tuple[set[int], set[str]]:
+        """The canonical() keys' lengths and first characters, for entities_in."""
+        return {len(key) for key in self._entity_of}, {key[0] for key in self._entity_of}
 
     @cached_property
     def _folded(self) -> tuple[set[str], list[int], set[str]]:
@@ -457,14 +449,16 @@ class AliasTable:
         once per surface length, so the cost follows the text and the
         number of distinct lengths, not the number of surfaces.
         """
-        owners, lengths, starts = self._owners
+        entity_of, later = self._entity_of, self._later
+        lengths, starts = self._key_shapes
         found: set[str] = set()
         for i, char in enumerate(folded):
             if char in starts:
                 for n in lengths:
                     key = folded[i : i + n]
-                    if key in owners:
-                        found.update(owners[key])
+                    if key in entity_of:
+                        found.add(entity_of[key])
+                        found.update(later.get(key, ()))
         return found
 
     @cached_property

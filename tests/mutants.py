@@ -49,6 +49,7 @@ POOL_SCAN = "tests/test_properties.py::test_replacement_pool_matches_scan"
 EXTRINSIC = "tests/test_corruptor.py::TestCorruptExtrinsic"
 DATASET = "tests/test_corruptor.py::TestBuildSyntheticDataset"
 ALIASES = "tests/test_kg.py::TestAliasTable"
+ALIAS_SCAN = "tests/test_properties.py::test_alias_lookups_match_pair_scans"
 MASKED_ORACLE = "tests/test_properties.py::test_masked_ranks_match_bincount_oracle"
 
 MUTANTS = (
@@ -257,6 +258,13 @@ MUTANTS = (
         ("tests/test_properties.py::test_train_in_groups_gives_per_batch_bytes",),
     ),
     Mutant(
+        "a ball expands over out-edges only",
+        "kgfaith/kg.py",
+        "                found.update(t.s for t in self._in.get(v, ()))\n",
+        "",
+        (BALL_SCAN, "tests/test_properties.py::test_khop_matches_full_scan"),
+    ),
+    Mutant(
         "balls looked up without their radius",
         "kgfaith/kg.py",
         "kept = self._balls.get((ids, k))",
@@ -291,17 +299,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the owners index keeps only a surface's first entity",
+        "entities_in reads only a surface's first owner",
         "kgfaith/kg.py",
-        "owners.setdefault(canonical(surface), []).append(entity)",
-        "owners.setdefault(canonical(surface), [entity])",
-        (f"{ALIASES}::test_entities_in_takes_raw_substrings_and_every_owner",),
+        "                        found.update(later.get(key, ()))\n",
+        "",
+        (f"{ALIASES}::test_entities_in_takes_raw_substrings_and_every_owner", ALIAS_SCAN),
+    ),
+    Mutant(
+        "the constructor drops a shared key's later owners",
+        "kgfaith/kg.py",
+        "                self._later.setdefault(key, []).append(entity)\n",
+        "",
+        (f"{ALIASES}::test_entities_in_takes_raw_substrings_and_every_owner", ALIAS_SCAN),
     ),
     Mutant(
         "a later pair overwrites a surface's owner",
         "kgfaith/kg.py",
-        "owner = self._entity_of.setdefault(canonical(surface), entity)",
-        "owner = self._entity_of[canonical(surface)] = entity",
+        "owner = self._entity_of.setdefault(key, entity)",
+        "owner = self._entity_of[key] = entity",
         ("tests/test_properties.py::test_later_claim_on_a_surface_is_ignored",),
     ),
     Mutant(

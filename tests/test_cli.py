@@ -1112,7 +1112,8 @@ VALUE_DESTS = {
 
 class TestRunBoundary:
     """main() refuses two outputs naming one file, then a missing input
-    file, before the command's own checks and before any work."""
+    file, before the command's own checks; a command checks the flag
+    values it uses before it reads any file."""
 
     def test_every_flag_is_a_file_or_a_value(self):
         # A new path flag must join _INPUT_FILES or _OUTPUT_FILES, or main() would
@@ -1185,6 +1186,47 @@ class TestRunBoundary:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {flag}: no such file: {missing}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "case", ["subgraph-center", "subgraph-k", "critique-k", "refine-k", "eval-critic-k"],
+    )
+    def test_flag_values_come_before_any_read(self, data_dir, tmp_path, capsys, case):
+        # Each run's --kg does not parse, so reading it first would exit 2
+        # with MalformedLine; the bad value exits 1 before any file is read.
+        out = tmp_path / "out"
+        out.mkdir()
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("roald_dahl\twrote\n")
+        dialogues, aliases = data_dir / "toy_dialogues.jsonl", data_dir / "toy_aliases.tsv"
+        argv = {
+            "subgraph-center": ["subgraph", "--center", ","],
+            "subgraph-k": ["subgraph", "--center", "roald_dahl", "--k", "-1"],
+            "critique-k": ["critique", "--in", dialogues, "--aliases", aliases, "--k", "-1"],
+            "refine-k": ["refine", "--in", dialogues, "--emb", bad, "--aliases", aliases,
+                         "--k", "-1"],
+            "eval-critic-k": ["eval", "--refined", dialogues, "--aliases", aliases,
+                              "--k", "-1"],
+        }[case]
+        message = (
+            "--center needs at least one entity name" if case == "subgraph-center"
+            else "k must be >= 0, got -1"
+        )
+        capsys.readouterr()
+        assert run(argv + ["--kg", bad, "--out", out / "result"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_eval_without_the_critic_ignores_k(self, data_dir, tmp_path, trained_snapshot):
+        # Only the critic reads --k, so a value shared through a config
+        # with other commands does not stop an eval that does not run it.
+        heldout = tmp_path / "held.tsv"
+        heldout.write_text("roald_dahl\twrote\tthe_hobbit\n")
+        kg = data_dir / "toy_kg.tsv"
+        assert run(["eval", "--kg", kg, "--emb", trained_snapshot, "--heldout", heldout,
+                    "--aliases", data_dir / "toy_aliases.tsv", "--k", "-1",
+                    "--out", tmp_path / "ranking.json"]) == 0
+        assert run(["eval", "--kg", kg, "--refined", data_dir / "toy_dialogues.jsonl",
+                    "--k", "-1", "--out", tmp_path / "text.json"]) == 0
 
     def test_two_outputs_reported_before_a_missing_input(self, tmp_path, capsys):
         target = tmp_path / "emb.txt"

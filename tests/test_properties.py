@@ -2,11 +2,13 @@
 
 The references below redo the work the indexes save: k-hop balls and
 induced edges from passes over every triple (the graph's kept balls
-cold, warm and with their budget spent), a mention pattern compiled
-afresh for every call, the links-back set from one preferred-surface
-lookup per name, replacement pools built by scanning every candidate,
-and the filtered ranking's set lookup per candidate (also with the
-ranking's blocks cut to one and two rows); the NaN-masked ranking is
+cold, warm and with their budget spent, and the neighbors it keeps per
+entity), a mention pattern compiled afresh for every call, the links-back
+set from one preferred-surface lookup per name, the alias table's
+lookups from scans of its pairs in file order, replacement pools built
+by scanning every candidate, and the filtered ranking's set lookup per
+candidate (also with the ranking's blocks cut to one and two rows); the
+NaN-masked ranking is
 checked against the bincount correction it replaced on tables whose
 scores overflow to infinities and NaN. The batched
 trilinear scorer is checked against one single-triple call per triple,
@@ -113,20 +115,19 @@ def graphs(draw, max_entities: int = 10, max_relations: int = 3, max_triples: in
 # --- k-hop subgraphs ----------------------------------------------------------
 
 
+def scan_neighbors(graph: KnowledgeGraph, v: int) -> set[int]:
+    """The entity's neighbors ignoring direction, by scanning all triples."""
+    return {t.o for t in graph.triples if t.s == v} | {t.s for t in graph.triples if t.o == v}
+
+
 def scan_khop(graph: KnowledgeGraph, centers: list[int], k: int):
     """BFS over neighbors found by scanning all triples; induced edges by a full scan."""
-
-    def neighbors(v: int) -> set[int]:
-        return {t.o for t in graph.triples if t.s == v} | {
-            t.s for t in graph.triples if t.o == v
-        }
-
     seen = set(centers)
     frontier = list(dict.fromkeys(centers))
     for _ in range(k):
         nxt = []
         for v in frontier:
-            for u in sorted(neighbors(v)):
+            for u in sorted(scan_neighbors(graph, v)):
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -158,11 +159,14 @@ def kept_balls(graph: KnowledgeGraph):
 def test_ball_matches_full_scan(data):
     """The ball alone, from centers that repeat, by id and by name, on a
     graph whose kept balls are cold, warm (radii 0-3 asked of one graph)
-    or whose budget is spent; the kept elements stay within budget."""
+    or whose budget is spent; the kept elements stay within budget. The
+    spent graph searches on every call, over the neighbors its earlier
+    calls kept, which are each entity's own and only of entities reached."""
     graph = data.draw(graphs())
     spent = fresh(graph)
     spent._ball_room = 0
     n = len(graph.entities)
+    reached: set[int] = set()
     for _ in range(data.draw(st.integers(1, 4))):
         centers = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
         repeats = data.draw(st.lists(st.sampled_from(centers)))
@@ -176,6 +180,10 @@ def test_ball_matches_full_scan(data):
         assert graph.ball(centers, k) == nodes
         assert graph.ball([graph.entities.name_of(c) for c in centers], k) == nodes
         assert spent.ball(centers, k) == nodes
+        reached |= nodes
+        assert spent._near.keys() <= reached
+        for v, near in spent._near.items():
+            assert sorted(near) == sorted(scan_neighbors(graph, v))
         assert sum(map(len, kept_balls(graph)[0].values())) <= 2 * len(graph.triples)
         assert kept_balls(spent) == ({}, 0)
 
@@ -324,6 +332,45 @@ def test_later_claim_on_a_surface_is_ignored(caplog):
     assert table.entity_of("roald dahl") == "Roald Dahl"  # the surface stays Roald Dahl's
     assert table.links_back == {"Roald Dahl", "the_bfg"}
     assert "already maps to Roald Dahl; ignoring mapping to ghost" in caplog.text
+
+
+@st.composite
+def shared_surface_pairs(draw):
+    """(entity, surface) pairs in file order, whose surfaces often repeat an
+    earlier one re-cased or re-spaced under any entity, some sides blank,
+    and a canonical() text (as entities_in takes it) of surfaces and filler."""
+    pairs: list[tuple[str, str]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        new = st.text(alphabet="abAB. İıſß", max_size=4)
+        earlier = [surface for _, surface in pairs if surface.strip()]
+        if earlier:
+            new = st.one_of(new, recased(earlier).map(lambda s: f" {s.replace(' ', '  ')}"))
+        pairs.append((draw(st.sampled_from(["p", "q", " q ", "r", ""])), draw(new)))
+    text = draw(texts([surface for _, surface in pairs if surface.strip()]))
+    return pairs, canonical(text)
+
+
+@PROPERTY
+@given(case=shared_surface_pairs())
+# Listed by entity, the owners of "q" are A then B, yet B claimed it first.
+@example(case=([("A", "p"), ("B", "q"), ("A", "q")], "p q"))
+def test_alias_lookups_match_pair_scans(case):
+    """entity_of, entities_in and links_back against scans of the kept pairs."""
+    pairs, text = case
+    table = AliasTable(pairs)
+    kept = [(e.strip(), " ".join(s.split())) for e, s in pairs if e.strip() and s.strip()]
+
+    def first_owner(surface: str) -> str | None:
+        return next((e for e, s in kept if canonical(s) == canonical(surface)), None)
+
+    for _, surface in pairs:
+        for query in (surface, surface.upper(), f" {surface}\t"):
+            assert table.entity_of(query) == first_owner(query)
+    assert table.entities_in(text) == {e for e, s in kept if canonical(s) in text}
+    preferred: dict[str, str] = {}
+    for e, s in kept:
+        preferred.setdefault(e, s)
+    assert table.links_back == {e for e, s in preferred.items() if first_owner(s) == e}
 
 
 # (entity, surface) pairs, a text, and its mentions as (begin, end, entity).
